@@ -5,7 +5,8 @@
 //!
 //! as machine-checked output. Each section corresponds to one experiment of
 //! `EXPERIMENTS.md` (E1–E12); the expected ("paper") value is printed next to
-//! the measured one so the two can be diffed at a glance.
+//! the measured one so the two can be diffed at a glance, and the process
+//! exits non-zero if any of them differ.
 //!
 //! Run with `cargo run --release -p cqa-bench --bin experiments`.
 
@@ -25,6 +26,10 @@ use cqa_prob::counting::count_satisfying_repairs;
 use cqa_prob::eval::{probability_exact, probability_over_repairs, probability_safe};
 use cqa_prob::{is_safe, BidDatabase};
 use cqa_query::{catalog, eval};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Checks whose measured value differed from the paper's.
+static MISMATCHES: AtomicUsize = AtomicUsize::new(0);
 
 fn header(id: &str, title: &str) {
     println!("\n==================================================================");
@@ -38,6 +43,7 @@ fn check(label: &str, expected: impl std::fmt::Display, measured: impl std::fmt:
     let status = if expected == measured {
         "ok "
     } else {
+        MISMATCHES.fetch_add(1, Ordering::Relaxed);
         "MISMATCH"
     };
     println!("  [{status}] {label:<58} paper: {expected:<18} measured: {measured}");
@@ -569,5 +575,25 @@ fn main() {
     e10();
     e11();
     e12();
-    println!("\nAll experiment sections completed.");
+    let mismatches = MISMATCHES.load(Ordering::Relaxed);
+    if mismatches > 0 {
+        println!("\n{mismatches} check(s) MISMATCH the paper.");
+        std::process::exit(1);
+    }
+    println!("\nAll experiment sections completed, every check matches the paper.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_differing_checks_are_counted() {
+        check("agrees", 3, 3);
+        check("agrees across types", "0.75", 0.75);
+        assert_eq!(MISMATCHES.load(Ordering::Relaxed), 0);
+        check("differs", true, false);
+        check("differs", "20/20", "19/20");
+        assert_eq!(MISMATCHES.load(Ordering::Relaxed), 2);
+    }
 }

@@ -1,16 +1,13 @@
-//! Shared instance builders and measurement helpers for the benchmark
-//! harness and the `experiments` binary.
-//!
-//! Every experiment of `EXPERIMENTS.md` pulls its workloads from here so that
-//! the Criterion micro-benchmarks and the experiment reproduction print-outs
-//! measure exactly the same instances.
+//! Instance builders and timing helpers shared by the `experiments`
+//! (paper reproduction) and `bench_obs` (observability-overhead gate)
+//! binaries. The client-observed benchmark lives in `harness/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cqa_data::UncertainDatabase;
 use cqa_gen::{cycle_instance, CycleInstanceConfig, GeneratorConfig, UncertainDbGenerator};
-use cqa_query::{catalog, ConjunctiveQuery};
+use cqa_query::ConjunctiveQuery;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -44,11 +41,6 @@ pub fn scaled_cycle_instance(k: usize, with_s: bool, n: usize, seed: u64) -> Unc
     )
 }
 
-/// The conference query and database of Figure 1.
-pub fn figure1() -> (ConjunctiveQuery, UncertainDatabase) {
-    (catalog::conference().query, catalog::conference_database())
-}
-
 /// Times a closure, returning its result and the elapsed wall-clock time.
 pub fn time_it<R>(mut f: impl FnMut() -> R) -> (R, Duration) {
     let start = Instant::now();
@@ -56,9 +48,8 @@ pub fn time_it<R>(mut f: impl FnMut() -> R) -> (R, Duration) {
     (result, start.elapsed())
 }
 
-/// The minimum wall-clock time of `runs` executions of `f` — the
-/// measurement the `bench_exec` / `bench_par` binaries record (minimum
-/// over runs filters scheduler noise better than the mean).
+/// The minimum wall-clock time of `runs` executions of `f` (minimum over
+/// runs filters scheduler noise better than the mean).
 pub fn time_min<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
     let mut best = Duration::MAX;
     for _ in 0..runs {
@@ -69,33 +60,18 @@ pub fn time_min<R>(runs: usize, mut f: impl FnMut() -> R) -> Duration {
     best
 }
 
-/// Escapes a string for embedding in the hand-rendered benchmark JSON.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats a duration in microseconds with three significant digits.
 pub fn micros(d: Duration) -> String {
     format!("{:.1}µs", d.as_secs_f64() * 1e6)
 }
 
-/// A duration as fractional milliseconds (the unit every `bench_*` binary
-/// reports and records).
+/// A duration as fractional milliseconds.
 pub fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
 /// True iff the process was invoked with `--quick` — the CI smoke-run mode
-/// every `bench_*` binary honors by shrinking its instances.
+/// `bench_obs` honors by shrinking its instances.
 pub fn quick_flag() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
@@ -113,6 +89,7 @@ pub fn write_bench_json(filename: &str, json: &str) -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqa_query::catalog;
 
     #[test]
     fn scaled_instances_grow_with_n() {

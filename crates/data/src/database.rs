@@ -1,6 +1,6 @@
 //! Uncertain databases and their block structure.
 
-use crate::delta::{delta_threshold, ChangeSet, Delta};
+use crate::delta::{ChangeSet, Delta, DEFAULT_DELTA_THRESHOLD};
 use crate::index::DatabaseIndex;
 use crate::{Block, BlockId, DataError, Fact, FxHashMap, RelationId, RepairIter, Schema, Value};
 use std::collections::BTreeSet;
@@ -166,17 +166,16 @@ impl UncertainDatabase {
 
     /// Overrides the delta-volume threshold beyond which mutations drop the
     /// cached index (forcing a full rebuild) instead of growing the delta
-    /// log. `None` restores the process default
-    /// ([`crate::delta::delta_threshold`], env-tunable via
-    /// `CQA_DELTA_THRESHOLD`). A threshold of `0` disables patching
-    /// entirely — every mutation invalidates, the pre-delta behavior.
+    /// log. `None` restores [`DEFAULT_DELTA_THRESHOLD`]. A threshold of `0`
+    /// disables patching entirely — every mutation invalidates, which is
+    /// how the property suite builds its rebuild reference.
     pub fn set_delta_threshold(&mut self, threshold: Option<usize>) {
         self.delta_threshold = threshold;
     }
 
     /// The effective delta-volume threshold of this database.
     pub fn delta_threshold(&self) -> usize {
-        self.delta_threshold.unwrap_or_else(delta_threshold)
+        self.delta_threshold.unwrap_or(DEFAULT_DELTA_THRESHOLD)
     }
 
     /// Number of mutations logged against the cached index snapshot (zero

@@ -21,37 +21,13 @@
 //! [`DatabaseIndex::apply_delta`]: crate::DatabaseIndex::apply_delta
 
 use crate::Fact;
-use std::sync::OnceLock;
 
-/// Default delta-volume threshold: pending changesets larger than this drop
-/// the cached index instead of patching it. Overridable per database via
-/// [`UncertainDatabase::set_delta_threshold`] and process-wide via the
-/// `CQA_DELTA_THRESHOLD` environment variable.
+/// Delta-volume threshold: pending changesets larger than this drop the
+/// cached index instead of patching it. Tests override it per database via
+/// [`UncertainDatabase::set_delta_threshold`].
 ///
 /// [`UncertainDatabase::set_delta_threshold`]: crate::UncertainDatabase::set_delta_threshold
 pub const DEFAULT_DELTA_THRESHOLD: usize = 256;
-
-/// The process-wide delta threshold: `CQA_DELTA_THRESHOLD` when set and
-/// valid (parsed once), [`DEFAULT_DELTA_THRESHOLD`] otherwise. Invalid
-/// values are reported loudly on stderr and counted as `config.env.invalid`,
-/// matching the `cqa-exec` tuning knobs.
-pub fn delta_threshold() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("CQA_DELTA_THRESHOLD") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(value) => value,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring invalid CQA_DELTA_THRESHOLD={raw:?} \
-                     (expected a non-negative integer); using {DEFAULT_DELTA_THRESHOLD}"
-                );
-                cqa_obs::count!("config.env.invalid");
-                DEFAULT_DELTA_THRESHOLD
-            }
-        },
-        Err(_) => DEFAULT_DELTA_THRESHOLD,
-    })
-}
 
 /// One recorded mutation of an [`UncertainDatabase`].
 ///
@@ -190,11 +166,5 @@ mod tests {
         cs.clear();
         assert!(cs.is_empty());
         assert!(!cs.any_block_removed());
-    }
-
-    #[test]
-    fn default_threshold_is_positive() {
-        assert!(delta_threshold() >= 1 || delta_threshold() == 0);
-        assert_eq!(DEFAULT_DELTA_THRESHOLD, 256);
     }
 }

@@ -7,8 +7,9 @@
 //! query rendering — rather than a pointer, so schema clones hit the same
 //! entry and a dropped-and-reallocated schema cannot alias a stale one.
 //!
-//! The cache is **bounded**: beyond its capacity the least-recently-used
-//! entry is evicted, so a service fed an unbounded stream of distinct
+//! The cache is **bounded**: its storage is the generic [`LruCache`] (which
+//! also bounds the per-shape engine memos of `cqa-par` and `cqa-serve`), and
+//! beyond its capacity the least-recently-used entry is evicted, so a service fed an unbounded stream of distinct
 //! queries cannot grow without limit. Recency is tracked by a per-entry
 //! stamp bumped from a global tick on every hit, which keeps the hot path
 //! under the shared read lock; eviction (rare by construction) does an
@@ -28,6 +29,7 @@ use crate::QueryPlan;
 use cqa_data::Statistics;
 use cqa_query::ConjunctiveQuery;
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -83,19 +85,137 @@ impl StatsStamp {
     }
 }
 
-/// A cached plan plus its last-touched stamp and compile-time statistics.
-struct Entry {
-    plan: Arc<QueryPlan>,
+/// A cached value plus its last-touched stamp.
+struct Slot<V> {
+    value: Arc<V>,
     touched: AtomicU64,
+}
+
+/// How [`LruCache::get_or_try_insert_with`] found its value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lookup {
+    /// The key was cached.
+    Hit,
+    /// The key was absent and its value was built.
+    Miss {
+        /// True iff keeping the new entry evicted the least recently used.
+        evicted: bool,
+    },
+}
+
+/// A thread-safe, poison-proof, LRU-bounded map from a query
+/// [`fingerprint`] to a shared value: the [`PlanCache`]'s storage, and the
+/// bound on the per-shape engine memos of `cqa-par` and `cqa-serve`.
+pub struct LruCache<V> {
+    slots: RwLock<FxHashMap<String, Slot<V>>>,
+    capacity: usize,
+    tick: AtomicU64,
+}
+
+impl<V> LruCache<V> {
+    /// Creates an empty cache evicting beyond `capacity` entries
+    /// (minimum 1).
+    pub fn with_capacity(capacity: usize) -> Self {
+        LruCache {
+            slots: RwLock::new(FxHashMap::default()),
+            capacity: capacity.max(1),
+            tick: AtomicU64::new(0),
+        }
+    }
+
+    /// The capacity beyond which least-recently-used entries are evicted.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    fn next_tick(&self) -> u64 {
+        self.tick.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// The value cached under `key`, marked as just used.
+    pub fn get(&self, key: &str) -> Option<Arc<V>> {
+        let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
+        let slot = slots.get(key)?;
+        slot.touched.store(self.next_tick(), Ordering::Relaxed);
+        Some(slot.value.clone())
+    }
+
+    /// Stores `value` under `key` — replacing a cached value when `replace`
+    /// is set, keeping it otherwise — and evicts the least recently used
+    /// entry if that outgrew the capacity. Returns the value now cached and
+    /// whether an entry was evicted.
+    fn put(&self, key: String, value: Arc<V>, replace: bool) -> (Arc<V>, bool) {
+        let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
+        let touched = AtomicU64::new(self.next_tick());
+        let kept = match slots.entry(key) {
+            Entry::Occupied(mut slot) => {
+                if replace {
+                    slot.insert(Slot { value, touched });
+                }
+                slot.get().value.clone()
+            }
+            Entry::Vacant(slot) => slot.insert(Slot { value, touched }).value.clone(),
+        };
+        if slots.len() <= self.capacity {
+            return (kept, false);
+        }
+        let oldest = slots
+            .iter()
+            .min_by_key(|(_, slot)| slot.touched.load(Ordering::Relaxed))
+            .map(|(key, _)| key.clone())
+            .expect("a cache over its capacity is not empty");
+        slots.remove(&oldest);
+        (kept, true)
+    }
+
+    /// The value cached under `key`, building and caching it on a miss.
+    /// `build` runs outside the lock: concurrent first requests may build
+    /// twice, but only one result is kept and both callers get it. A failed
+    /// build caches nothing.
+    pub fn get_or_try_insert_with<E>(
+        &self,
+        key: String,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(Arc<V>, Lookup), E> {
+        if let Some(value) = self.get(&key) {
+            return Ok((value, Lookup::Hit));
+        }
+        let (value, evicted) = self.put(key, Arc::new(build()?), false);
+        Ok((value, Lookup::Miss { evicted }))
+    }
+
+    /// Number of cached entries.
+    pub fn len(&self) -> usize {
+        self.slots
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// True iff nothing is cached.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drops every cached entry.
+    pub fn clear(&self) {
+        self.slots
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+    }
+}
+
+/// A compiled plan plus the statistics it was compiled against.
+struct CachedPlan {
+    plan: Arc<QueryPlan>,
     stamp: StatsStamp,
 }
 
 /// A thread-safe, poison-proof, LRU-bounded cache of compiled
 /// [`QueryPlan`]s.
 pub struct PlanCache {
-    plans: RwLock<FxHashMap<String, Entry>>,
-    capacity: usize,
-    tick: AtomicU64,
+    plans: LruCache<CachedPlan>,
 }
 
 impl Default for PlanCache {
@@ -132,15 +252,13 @@ impl PlanCache {
     /// Creates an empty cache evicting beyond `capacity` plans (minimum 1).
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            plans: RwLock::new(FxHashMap::default()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
+            plans: LruCache::with_capacity(capacity),
         }
     }
 
     /// The capacity beyond which least-recently-used plans are evicted.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.plans.capacity()
     }
 
     /// The compiled plan for `query`, compiling (with `stats` guiding the
@@ -149,89 +267,46 @@ impl PlanCache {
     /// cached plan's compile-time statistics.
     pub fn plan(&self, query: &ConjunctiveQuery, stats: Option<&Statistics>) -> Arc<QueryPlan> {
         let key = fingerprint(query);
-        let mut stale = false;
-        if let Some(entry) = self
-            .plans
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            if entry.stamp.drifted_from(stats) {
-                stale = true;
-            } else {
-                entry.touched.store(
-                    self.tick.fetch_add(1, Ordering::Relaxed) + 1,
-                    Ordering::Relaxed,
-                );
+        let stale = match self.plans.get(&key) {
+            Some(cached) if !cached.stamp.drifted_from(stats) => {
                 cqa_obs::count!("exec.plan_cache.hit");
-                return entry.plan.clone();
+                return cached.plan.clone();
             }
-        }
-        if stale {
-            cqa_obs::count!("exec.plan_cache.stale");
-        } else {
-            cqa_obs::count!("exec.plan_cache.miss");
-        }
-        // Compile outside the lock: concurrent first requests may compile
-        // twice, but only one result is kept and both callers get it.
-        let compiled = Arc::new(QueryPlan::compile(query, stats));
-        let compile_stamp = StatsStamp::of(stats);
-        let mut guard = self.plans.write().unwrap_or_else(PoisonError::into_inner);
-        let stamp = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if stale {
-            // Replace the drifted entry (unless a racing recompile already
-            // did; either replacement was compiled against fresh stats).
-            guard.insert(
-                key,
-                Entry {
-                    plan: compiled.clone(),
-                    touched: AtomicU64::new(stamp),
-                    stamp: compile_stamp,
-                },
-            );
-            return compiled;
-        }
-        let plan = guard
-            .entry(key)
-            .or_insert_with(|| Entry {
-                plan: compiled,
-                touched: AtomicU64::new(stamp),
-                stamp: compile_stamp,
-            })
-            .plan
-            .clone();
-        if guard.len() > self.capacity {
-            let oldest = guard
-                .iter()
-                .min_by_key(|(_, entry)| entry.touched.load(Ordering::Relaxed))
-                .map(|(key, _)| key.clone());
-            if let Some(oldest) = oldest {
-                guard.remove(&oldest);
-                cqa_obs::count!("exec.plan_cache.eviction");
+            Some(_) => {
+                cqa_obs::count!("exec.plan_cache.stale");
+                true
             }
+            None => {
+                cqa_obs::count!("exec.plan_cache.miss");
+                false
+            }
+        };
+        // A drifted entry is replaced (a racing recompile was also compiled
+        // against fresh statistics); a racing first compile keeps one plan.
+        let compiled = Arc::new(CachedPlan {
+            plan: Arc::new(QueryPlan::compile(query, stats)),
+            stamp: StatsStamp::of(stats),
+        });
+        let (cached, evicted) = self.plans.put(key, compiled, stale);
+        if evicted {
+            cqa_obs::count!("exec.plan_cache.eviction");
         }
-        plan
+        cached.plan.clone()
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.plans
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.plans.len()
     }
 
     /// True iff no plan is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.plans.is_empty()
     }
 
     /// Drops every cached plan.
     pub fn clear(&self) {
-        self.plans
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+        self.plans.clear();
     }
 }
 

@@ -187,15 +187,12 @@ impl FoPlan {
     pub fn prepare<'p>(&'p self, index: &Arc<DatabaseIndex>) -> PreparedFo<'p> {
         let mut handles: Vec<Option<Arc<PositionIndex>>> = vec![None; self.probe_count];
         resolve_probes(&self.root, index, &mut handles);
-        let mode = crate::vec::default_mode();
-        let vec = (mode != crate::vec::ExecMode::RowAtATime)
-            .then(|| crate::vec::VecFo::build(&self.root, index, self.slots.len()));
         PreparedFo {
             plan: self,
             index: index.clone(),
             handles,
-            mode,
-            vec,
+            mode: crate::vec::default_mode(),
+            vec: crate::vec::VecFo::build(&self.root, index, self.slots.len()),
             trace: None,
         }
     }
@@ -235,17 +232,17 @@ impl FoPlan {
 
     fn render_with(&self, trace: Option<&TraceSink>) -> String {
         let mut out = String::new();
-        let cutoff = crate::tuning::fo_vec_cutoff();
-        let path = if self.estimated_work >= cutoff {
+        let path = if self.estimated_work >= crate::vec::FO_VEC_CUTOFF {
             "vectorized"
         } else {
             "row-at-a-time"
         };
         let _ = writeln!(
             out,
-            "  exec: est work ≈ {:.0} vs auto cutoff {cutoff:.0} → {path} path \
+            "  exec: est work ≈ {:.0} vs auto cutoff {:.0} → {path} path \
              (operators marked [vec]/[row])",
             self.estimated_work,
+            crate::vec::FO_VEC_CUTOFF,
         );
         if let Some(sink) = trace {
             let _ = writeln!(
@@ -924,23 +921,15 @@ pub struct PreparedFo<'p> {
     pub(crate) index: Arc<DatabaseIndex>,
     pub(crate) handles: Vec<Option<Arc<PositionIndex>>>,
     pub(crate) mode: crate::vec::ExecMode,
-    pub(crate) vec: Option<crate::vec::VecFo<'p>>,
+    pub(crate) vec: crate::vec::VecFo<'p>,
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
 impl PreparedFo<'_> {
     /// Overrides the execution-path choice for this prepared instance (the
-    /// property suites pin each path explicitly; a global knob would race
-    /// across in-process test threads).
+    /// property suites pin each path explicitly).
     pub fn with_mode(mut self, mode: crate::vec::ExecMode) -> Self {
         self.mode = mode;
-        if mode != crate::vec::ExecMode::RowAtATime && self.vec.is_none() {
-            self.vec = Some(crate::vec::VecFo::build(
-                &self.plan.root,
-                &self.index,
-                self.plan.slots.len(),
-            ));
-        }
         self
     }
 
@@ -969,10 +958,8 @@ impl PreparedFo<'_> {
     fn use_vec(&self) -> bool {
         match self.mode {
             crate::vec::ExecMode::RowAtATime => false,
-            crate::vec::ExecMode::Vectorized => self.vec.is_some(),
-            crate::vec::ExecMode::Auto => {
-                self.vec.is_some() && self.plan.estimated_work >= crate::tuning::fo_vec_cutoff()
-            }
+            crate::vec::ExecMode::Vectorized => true,
+            crate::vec::ExecMode::Auto => self.plan.estimated_work >= crate::vec::FO_VEC_CUTOFF,
         }
     }
 
@@ -1045,10 +1032,8 @@ impl PreparedFo<'_> {
     pub fn eval_tuples(&self, vars: &[Variable], tuples: &[Vec<Value>]) -> Vec<bool> {
         let use_vec = match self.mode {
             crate::vec::ExecMode::RowAtATime => false,
-            crate::vec::ExecMode::Vectorized => self.vec.is_some(),
-            crate::vec::ExecMode::Auto => {
-                self.vec.is_some() && tuples.len() >= crate::tuning::tuple_batch_min()
-            }
+            crate::vec::ExecMode::Vectorized => true,
+            crate::vec::ExecMode::Auto => tuples.len() >= crate::vec::TUPLE_BATCH_MIN,
         };
         cqa_obs::observe!("exec.fo.batch_tuples", tuples.len() as u64);
         if use_vec {

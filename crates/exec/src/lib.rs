@@ -43,7 +43,6 @@ pub mod cost;
 pub mod fo_plan;
 mod probe;
 pub mod query_plan;
-pub mod tuning;
 pub mod vec;
 
 pub use cache::{PlanCache, StatsStamp};

@@ -14,6 +14,7 @@
 
 use crate::cost::CostModel;
 use crate::probe::{ProbeSpec, Registers, Slot, SlotState};
+use crate::vec::{QUERY_VEC_CUTOFF, QUERY_VEC_MAX};
 use cqa_data::{
     DatabaseIndex, FactId, PositionIndex, Schema, Statistics, UncertainDatabase, Value,
 };
@@ -146,20 +147,16 @@ impl QueryPlan {
                 Some(index.position_index(step.spec.relation, step.spec.positions))
             });
         }
-        let mode = crate::vec::default_mode();
-        let vec_steps = if mode != crate::vec::ExecMode::RowAtATime {
-            self.steps
-                .iter()
-                .map(|step| crate::vec::VProbe::build(&step.spec, index))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let vec_steps = self
+            .steps
+            .iter()
+            .map(|step| crate::vec::VProbe::build(&step.spec, index))
+            .collect();
         PreparedQuery {
             plan: self,
             index: index.clone(),
             handles,
-            mode,
+            mode: crate::vec::default_mode(),
             vec_steps,
             trace: None,
         }
@@ -221,16 +218,14 @@ impl QueryPlan {
             out.push_str("  (empty query: always satisfied)\n");
             return out;
         }
-        let cutoff = crate::tuning::query_vec_cutoff();
-        let max = crate::tuning::query_vec_max();
-        let path = if (cutoff..=max).contains(&self.estimated_work) {
+        let path = if (QUERY_VEC_CUTOFF..=QUERY_VEC_MAX).contains(&self.estimated_work) {
             "vectorized batch join"
         } else {
             "row-at-a-time backtracking"
         };
         let _ = writeln!(
             out,
-            "  exec: est work ≈ {:.0} vs auto window {cutoff:.0}..{max:.0} → {path} for answers",
+            "  exec: est work ≈ {:.0} vs auto window {QUERY_VEC_CUTOFF:.0}..{QUERY_VEC_MAX:.0} → {path} for answers",
             self.estimated_work,
         );
         if let Some(sink) = trace {
@@ -288,21 +283,12 @@ pub struct PreparedQuery<'p> {
 
 impl PreparedQuery<'_> {
     /// Overrides the execution-path choice for this prepared instance (the
-    /// property suites pin each path explicitly; a global knob would race
-    /// across in-process test threads). The choice applies to
+    /// property suites pin each path explicitly). The choice applies to
     /// [`PreparedQuery::answers`] / [`PreparedQuery::answers_shard`]; the
     /// early-exit entry points (`satisfies*`, `all_valuations`) always run
     /// the row engine, whose short-circuiting beats batch materialization.
     pub fn with_mode(mut self, mode: crate::vec::ExecMode) -> Self {
         self.mode = mode;
-        if mode != crate::vec::ExecMode::RowAtATime && self.vec_steps.is_empty() {
-            self.vec_steps = self
-                .plan
-                .steps
-                .iter()
-                .map(|step| crate::vec::VProbe::build(&step.spec, &self.index))
-                .collect();
-        }
         self
     }
 
@@ -336,8 +322,7 @@ impl PreparedQuery<'_> {
             crate::vec::ExecMode::RowAtATime => false,
             crate::vec::ExecMode::Vectorized => true,
             crate::vec::ExecMode::Auto => {
-                let work = self.plan.estimated_work;
-                (crate::tuning::query_vec_cutoff()..=crate::tuning::query_vec_max()).contains(&work)
+                (QUERY_VEC_CUTOFF..=QUERY_VEC_MAX).contains(&self.plan.estimated_work)
             }
         }
     }

@@ -69,12 +69,10 @@ pub const TUPLE_BATCH_MIN: usize = 32;
 /// intermediates stay bounded.
 pub(crate) const ROOT_CHUNK: usize = 4096;
 
-/// The process-wide default mode: `CQA_EXEC_MODE=row|vec|auto` (read once;
-/// an invalid value warns on stderr and counts as `config.env.invalid`, see
-/// [`crate::tuning`]). Prepared plans can override it per instance via
-/// `with_mode`.
+/// The mode every freshly prepared plan runs under. Tests pin a path per
+/// prepared instance via `with_mode`.
 pub fn default_mode() -> ExecMode {
-    crate::tuning::exec_mode()
+    ExecMode::Auto
 }
 
 /// Where one batch-side code comes from: a constant resolved against the
@@ -893,7 +891,7 @@ impl VecCtx<'_, '_> {
 /// [`ROOT_CHUNK`]-sized chunks with early exit — the batch analogue of the
 /// row engine's first-witness short-circuit.
 pub(crate) fn eval_sentence(prepared: &PreparedFo<'_>) -> bool {
-    let vec_fo = prepared.vec.as_ref().expect("vec form built");
+    let vec_fo = &prepared.vec;
     if prepared.plan.free.is_empty() && matches!(vec_fo.root, VOp::ExistsScan { .. }) {
         return eval_root_shard(prepared, 0..usize::MAX);
     }
@@ -920,7 +918,7 @@ fn rows_of_fids(index: &DatabaseIndex, relation: RelationId, fids: &[u32]) -> Ve
 /// into the *row engine's* root candidate list (a `PositionIndex` bucket),
 /// so partitions recombine identically on both paths.
 pub(crate) fn eval_root_shard(prepared: &PreparedFo<'_>, shard: Range<usize>) -> bool {
-    let vec_fo = prepared.vec.as_ref().expect("vec form built");
+    let vec_fo = &prepared.vec;
     let VOp::ExistsScan { probe, body, .. } = &vec_fo.root else {
         return shard.start == 0 && eval_sentence(prepared);
     };
@@ -976,7 +974,7 @@ pub(crate) fn eval_tuples(
     vars: &[Variable],
     tuples: &[Vec<Value>],
 ) -> Vec<bool> {
-    let vec_fo = prepared.vec.as_ref().expect("vec form built");
+    let vec_fo = &prepared.vec;
     let columnar = prepared.index.columnar();
     let dict = columnar.dictionary();
     let nslots = prepared.plan.slots.len();

@@ -26,10 +26,15 @@ use crate::pool::{par_map_opt, ParPool};
 use cqa_core::answers::{certain_answers, AnswerSets};
 use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_data::Snapshot;
-use cqa_exec::cache::fingerprint;
+use cqa_exec::cache::{fingerprint, Lookup, LruCache};
 use cqa_query::ConjunctiveQuery;
-use rustc_hash::FxHashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+
+/// Capacity of the per-query-shape engine memos (this one and `cqa-serve`'s
+/// answer-engine memo). A fingerprint includes the query's constants, so a
+/// client cycling constants mints shapes without limit; past this many the
+/// least recently used engine is evicted and reclassified on its next use.
+pub const ENGINE_MEMO_CAPACITY: usize = 4096;
 
 /// The outcome of one query of a batch.
 #[derive(Debug)]
@@ -65,7 +70,7 @@ pub struct BatchEngine {
     snapshot: Snapshot,
     pool: ParPool,
     /// Memoized classified engines per `(schema, query)` fingerprint.
-    engines: Arc<Mutex<FxHashMap<String, Arc<CertaintyEngine>>>>,
+    engines: Arc<LruCache<CertaintyEngine>>,
 }
 
 impl BatchEngine {
@@ -74,7 +79,7 @@ impl BatchEngine {
         BatchEngine {
             snapshot,
             pool,
-            engines: Arc::new(Mutex::new(FxHashMap::default())),
+            engines: Arc::new(LruCache::with_capacity(ENGINE_MEMO_CAPACITY)),
         }
     }
 
@@ -130,10 +135,7 @@ impl BatchEngine {
 
     /// Number of classified engines currently memoized.
     pub fn cached_engine_count(&self) -> usize {
-        self.engines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.engines.len()
     }
 
     /// Answers every query of the batch concurrently (one pool job per
@@ -176,7 +178,7 @@ impl BatchEngine {
 /// histogram (the source of the serving layer's p50/p99).
 fn answer_one(
     snapshot: &Snapshot,
-    engines: &Mutex<FxHashMap<String, Arc<CertaintyEngine>>>,
+    engines: &LruCache<CertaintyEngine>,
     query: &ConjunctiveQuery,
 ) -> BatchOutcome {
     let started = std::time::Instant::now();
@@ -187,7 +189,7 @@ fn answer_one(
 
 fn answer_one_inner(
     snapshot: &Snapshot,
-    engines: &Mutex<FxHashMap<String, Arc<CertaintyEngine>>>,
+    engines: &LruCache<CertaintyEngine>,
     query: &ConjunctiveQuery,
 ) -> BatchOutcome {
     let db = snapshot.database();
@@ -197,34 +199,23 @@ fn answer_one_inner(
             Err(e) => BatchOutcome::Error(e.to_string()),
         };
     }
-    let key = fingerprint(query);
-    let cached = engines
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-        .cloned();
-    if cached.is_some() {
-        cqa_obs::count!("par.batch.engine.hit");
-    } else {
-        cqa_obs::count!("par.batch.engine.miss");
-    }
-    let engine = match cached {
-        Some(engine) => engine,
-        None => match CertaintyEngine::new(query) {
-            Ok(engine) => {
-                // Classify outside the lock; a concurrent duplicate loses
-                // the entry race harmlessly (both engines answer alike).
-                let engine = Arc::new(engine);
-                engines
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(key)
-                    .or_insert_with(|| engine.clone())
-                    .clone()
+    // Classification runs outside the memo's lock; a concurrent duplicate
+    // loses the entry race harmlessly (both engines answer alike).
+    let engine =
+        match engines.get_or_try_insert_with(fingerprint(query), || CertaintyEngine::new(query)) {
+            Ok((engine, Lookup::Hit)) => {
+                cqa_obs::count!("par.batch.engine.hit");
+                engine
+            }
+            Ok((engine, Lookup::Miss { evicted })) => {
+                cqa_obs::count!("par.batch.engine.miss");
+                if evicted {
+                    cqa_obs::count!("par.batch.engine.eviction");
+                }
+                engine
             }
             Err(e) => return BatchOutcome::Error(e.to_string()),
-        },
-    };
+        };
     BatchOutcome::Boolean {
         certain: engine.is_certain(db),
         possible: engine.is_possible(db),
@@ -329,6 +320,49 @@ mod tests {
         assert_eq!(new.epoch(), db.epoch());
         new.answer("again", &query);
         assert_eq!(old.cached_engine_count(), 1, "memo is shared, not copied");
+    }
+
+    #[test]
+    fn distinct_constant_shapes_cannot_grow_the_engine_memo_past_its_capacity() {
+        let schema = cqa_data::Schema::from_relations([("R", 2, 1)])
+            .unwrap()
+            .into_shared();
+        let mut db = cqa_data::UncertainDatabase::new(schema.clone());
+        db.insert_values("R", ["x0", "a"]).unwrap();
+        let engine = BatchEngine::new(db.snapshot(), ParPool::new(1));
+        // R("x<i>", y): one memo key per constant, the way a client cycling
+        // constants mints them.
+        let shape = |i: usize| {
+            ConjunctiveQuery::builder(schema.clone())
+                .atom("R", [Term::constant(format!("x{i}")), Term::var("y")])
+                .build()
+                .unwrap()
+        };
+        let evictions = || {
+            cqa_obs::Registry::global()
+                .snapshot()
+                .counter("par.batch.engine.eviction")
+        };
+        let before = evictions();
+        let first = engine.answer("q", &shape(0));
+        assert!(matches!(
+            first.outcome,
+            BatchOutcome::Boolean { certain: true, .. }
+        ));
+        for i in 1..ENGINE_MEMO_CAPACITY + 100 {
+            engine.answer("q", &shape(i));
+        }
+        assert_eq!(engine.cached_engine_count(), ENGINE_MEMO_CAPACITY);
+        assert_eq!(evictions() - before, 100);
+        // Shape 0 was the least recently used, so it is long evicted; asking
+        // again reclassifies it and answers exactly as before.
+        let again = engine.answer("q", &shape(0));
+        assert_eq!(
+            format!("{:?}", again.outcome),
+            format!("{:?}", first.outcome)
+        );
+        assert_eq!(engine.cached_engine_count(), ENGINE_MEMO_CAPACITY);
+        assert_eq!(evictions() - before, 101);
     }
 
     #[test]

@@ -38,7 +38,7 @@ mod engine;
 mod pool;
 
 pub use answers::certain_answers_par;
-pub use batch::{BatchEngine, BatchOutcome, BatchResult};
+pub use batch::{BatchEngine, BatchOutcome, BatchResult, ENGINE_MEMO_CAPACITY};
 pub use config::ParConfig;
 pub use engine::ParallelEngine;
 pub use pool::{par_map, ParPool};

@@ -30,8 +30,8 @@
 use crate::protocol::{self, WriteOp};
 use cqa_core::answers::CertainAnswersEngine;
 use cqa_data::{ChangeSet, Delta, Fact, UncertainDatabase};
-use cqa_exec::cache::fingerprint;
-use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool};
+use cqa_exec::cache::{fingerprint, Lookup, LruCache};
+use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool, ENGINE_MEMO_CAPACITY};
 use cqa_stream::{MaterializedView, ViewMaintainer};
 use rustc_hash::FxHashMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
@@ -90,7 +90,7 @@ pub struct EpochManager {
     /// shape are data-independent, and the compiled open plan re-checks
     /// statistics drift itself. This is the non-Boolean counterpart of the
     /// [`BatchEngine`]'s classified-engine memo.
-    answer_engines: Mutex<FxHashMap<String, Arc<CertainAnswersEngine>>>,
+    answer_engines: LruCache<CertainAnswersEngine>,
     maintainer: ViewMaintainer,
     /// Weak handles on previously published engines: the ones still
     /// upgradable are old epochs pinned by slow readers
@@ -111,7 +111,7 @@ impl EpochManager {
                 engine,
                 views: Arc::new(FxHashMap::default()),
             }),
-            answer_engines: Mutex::new(FxHashMap::default()),
+            answer_engines: LruCache::with_capacity(ENGINE_MEMO_CAPACITY),
             maintainer: ViewMaintainer::with_pool(pool),
             history: Mutex::new(Vec::new()),
         }
@@ -208,7 +208,7 @@ impl EpochManager {
         }
         cqa_obs::count!("serve.writes_effective");
         // Freezing the snapshot flushes the pending delta log through the
-        // incremental index patcher (rebuild past CQA_DELTA_THRESHOLD).
+        // incremental index patcher (rebuild past the delta threshold).
         let snapshot = master.db.snapshot();
         let epoch = snapshot.epoch();
         let mut readings = FxHashMap::default();
@@ -245,35 +245,28 @@ impl EpochManager {
         &self,
         query: &cqa_query::ConjunctiveQuery,
     ) -> Result<Arc<CertainAnswersEngine>, String> {
-        let key = fingerprint(query);
-        if let Some(engine) = self
+        // Classification runs outside the memo's lock; a racing duplicate
+        // loses the entry race harmlessly (both engines answer alike).
+        let (engine, lookup) = self
             .answer_engines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            cqa_obs::count!("serve.answer_engine.hit");
-            return Ok(engine.clone());
+            .get_or_try_insert_with(fingerprint(query), || {
+                CertainAnswersEngine::new(query).map_err(|e| e.to_string())
+            })?;
+        match lookup {
+            Lookup::Hit => cqa_obs::count!("serve.answer_engine.hit"),
+            Lookup::Miss { evicted } => {
+                cqa_obs::count!("serve.answer_engine.miss");
+                if evicted {
+                    cqa_obs::count!("serve.answer_engine.eviction");
+                }
+            }
         }
-        cqa_obs::count!("serve.answer_engine.miss");
-        // Classify outside the lock; a racing duplicate loses the entry
-        // race harmlessly (both engines answer alike).
-        let engine = Arc::new(CertainAnswersEngine::new(query).map_err(|e| e.to_string())?);
-        Ok(self
-            .answer_engines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(key)
-            .or_insert(engine)
-            .clone())
+        Ok(engine)
     }
 
     /// Number of memoized answer engines (tests pin memo reuse).
     pub fn answer_engine_count(&self) -> usize {
-        self.answer_engines
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.answer_engines.len()
     }
 }
 
@@ -428,6 +421,48 @@ mod tests {
         let second = manager.answer_engine(&query).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "memo survives epochs");
         assert_eq!(manager.answer_engine_count(), 1);
+    }
+
+    #[test]
+    fn distinct_constant_shapes_cannot_grow_the_answer_engine_memo_past_its_capacity() {
+        let manager = manager();
+        let schema = manager.current().snapshot().schema().clone();
+        // R(<constant>, y) with y free: one memo key per constant; shape 0
+        // names the one stored key, so its verdicts are not all false.
+        let shape = |i: usize| {
+            let key = if i == 0 {
+                "a".to_string()
+            } else {
+                format!("x{i}")
+            };
+            ConjunctiveQuery::builder(schema.clone())
+                .atom("R", [Term::constant(key), Term::var("y")])
+                .free([Variable::new("y")])
+                .build()
+                .unwrap()
+        };
+        let evictions = || {
+            cqa_obs::Registry::global()
+                .snapshot()
+                .counter("serve.answer_engine.eviction")
+        };
+        let db = manager.current().snapshot().database().clone();
+        let candidates = [vec![Value::str("1")], vec![Value::str("2")]];
+        let verdicts = |engine: &CertainAnswersEngine| engine.verdicts(&db, &candidates).unwrap();
+        let before = evictions();
+        let first = manager.answer_engine(&shape(0)).unwrap();
+        for i in 1..ENGINE_MEMO_CAPACITY + 100 {
+            manager.answer_engine(&shape(i)).unwrap();
+        }
+        assert_eq!(manager.answer_engine_count(), ENGINE_MEMO_CAPACITY);
+        assert_eq!(evictions() - before, 100);
+        // Shape 0 was the least recently used, so it is long evicted; asking
+        // again rebuilds an engine that answers exactly like the first.
+        let again = manager.answer_engine(&shape(0)).unwrap();
+        assert!(!Arc::ptr_eq(&first, &again));
+        assert_eq!(verdicts(&first), [true, false]);
+        assert_eq!(verdicts(&again), verdicts(&first));
+        assert_eq!(manager.answer_engine_count(), ENGINE_MEMO_CAPACITY);
     }
 
     #[test]

@@ -427,11 +427,14 @@ fn execute_query(shared: &Arc<Shared>, name: String, query: ConjunctiveQuery) ->
         shared.pool.clone().spawn(move || {
             // The permit rides with the job: the in-flight slot frees when
             // evaluation really ends, even if the handler timed out first.
-            let _permit = permit;
             if let Some(hook) = &shared.config.on_query_start {
                 hook(&token);
             }
             let result = answer_with_cancel(&shared, &name, &query, &token);
+            // Release the slot before the client can see the answer: a
+            // client that has read its response must never find its own
+            // finished query still counted against the limit.
+            drop(permit);
             let _ = tx.send(result);
         });
     }

@@ -26,7 +26,7 @@
 //!   provenance intersects the touched blocks are re-decided, new
 //!   candidates introduced by an inserted fact are discovered through a
 //!   compiled `cqa-exec` plan of the partially grounded query, and past a
-//!   damage threshold ([`view_threshold`], mirroring `CQA_DELTA_THRESHOLD`)
+//!   damage threshold ([`DEFAULT_VIEW_THRESHOLD`])
 //!   the maintainer falls back to the full re-evaluation it would otherwise
 //!   beat. When the damage is large and a [`cqa_par::ParPool`] is attached,
 //!   the retouched-candidate set is sharded across workers with a
@@ -45,5 +45,5 @@
 mod maintain;
 mod view;
 
-pub use maintain::{view_threshold, RepairOutcome, ViewMaintainer, DEFAULT_VIEW_THRESHOLD};
+pub use maintain::{RepairOutcome, ViewMaintainer, DEFAULT_VIEW_THRESHOLD};
 pub use view::{BlockKey, MaterializedView, Provenance};

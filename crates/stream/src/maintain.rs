@@ -11,37 +11,13 @@ use cqa_query::eval::satisfies_with;
 use cqa_query::substitute::ground_with;
 use cqa_query::{ConjunctiveQuery, Valuation, Variable};
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Default damage threshold: repairs that would re-decide more candidates
-/// than this fall back to a full re-evaluation. Overridable per maintainer
-/// via [`ViewMaintainer::with_threshold`] and process-wide via the
-/// `CQA_VIEW_THRESHOLD` environment variable (mirroring
-/// `CQA_DELTA_THRESHOLD`, which plays the same role for index patching).
+/// Damage threshold: repairs that would re-decide more candidates than
+/// this fall back to a full re-evaluation. Tests override it per maintainer
+/// via [`ViewMaintainer::with_threshold`].
 pub const DEFAULT_VIEW_THRESHOLD: usize = 256;
-
-/// The process-wide view damage threshold: `CQA_VIEW_THRESHOLD` when set
-/// and valid (parsed once), [`DEFAULT_VIEW_THRESHOLD`] otherwise. Invalid
-/// values are reported loudly on stderr and counted as `config.env.invalid`,
-/// matching the other tuning knobs.
-pub fn view_threshold() -> usize {
-    static CELL: OnceLock<usize> = OnceLock::new();
-    *CELL.get_or_init(|| match std::env::var("CQA_VIEW_THRESHOLD") {
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(value) => value,
-            Err(_) => {
-                eprintln!(
-                    "warning: ignoring invalid CQA_VIEW_THRESHOLD={raw:?} \
-                     (expected a non-negative integer); using {DEFAULT_VIEW_THRESHOLD}"
-                );
-                cqa_obs::count!("config.env.invalid");
-                DEFAULT_VIEW_THRESHOLD
-            }
-        },
-        Err(_) => DEFAULT_VIEW_THRESHOLD,
-    })
-}
 
 /// Default minimum retouched-candidate count before the re-decision is
 /// sharded onto the pool: below it, the fan-out overhead dominates.
@@ -89,11 +65,11 @@ struct DecideCtx {
 }
 
 impl ViewMaintainer {
-    /// A sequential maintainer with the process-wide damage threshold.
+    /// A sequential maintainer with [`DEFAULT_VIEW_THRESHOLD`].
     pub fn new() -> ViewMaintainer {
         ViewMaintainer {
             pool: None,
-            threshold: view_threshold(),
+            threshold: DEFAULT_VIEW_THRESHOLD,
             shard_cutoff: DEFAULT_SHARD_CUTOFF,
         }
     }

@@ -130,8 +130,8 @@ impl MaterializedView {
         })
     }
 
-    /// Pins the executor mode of the certainty engine (the benchmark and
-    /// property suites run every mode against each other).
+    /// Pins the executor mode of the certainty engine (the property suite
+    /// runs every mode against the reference).
     pub fn with_mode(mut self, mode: ExecMode) -> Result<Self, String> {
         let engine = CertainAnswersEngine::new(&self.query)
             .map_err(|e| e.to_string())?

@@ -8,8 +8,11 @@
 //! version instead of silently breaking saved databases.
 
 use cqa::core::answers::{certain_answers, CertainAnswersEngine};
+use cqa::core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa::exec::ExecMode;
+use cqa::gen::{GeneratorConfig, UncertainDbGenerator};
 use cqa::parser::parse_document;
+use cqa::query::{catalog, ConjunctiveQuery, Variable};
 use cqa_data::store;
 
 /// The committed store file and the text document it was written from.
@@ -88,4 +91,47 @@ fn corruption_is_rejected_before_parsing() {
     let mut wrong_magic = FIXTURE.to_vec();
     wrong_magic[0] = b'X';
     assert!(store::load_from_slice(&wrong_magic).is_err());
+}
+
+#[test]
+fn generated_instance_round_trips_byte_stably() {
+    // Large enough that every column spans more than one 4096-code chunk,
+    // which the six-fact fixture never reaches.
+    let boolean = catalog::fo_path3().query;
+    let db = UncertainDbGenerator::new(
+        &boolean,
+        GeneratorConfig {
+            seed: 17,
+            matches: 2200,
+            domain_per_variable: 1100,
+            extra_block_facts: 1,
+            alternative_join_probability: 0.5,
+        },
+    )
+    .generate();
+    let per_relation = db.fact_count() / db.schema().len();
+    assert!(per_relation > 4096, "{per_relation} facts per relation");
+
+    let bytes = store::save_to_vec(&db);
+    let loaded = store::load_from_slice(&bytes).expect("a fresh save loads");
+    assert_eq!(
+        store::save_to_vec(&loaded),
+        bytes,
+        "save ∘ load ∘ save moved bytes"
+    );
+    assert_eq!(loaded.sorted_facts(), db.sorted_facts());
+
+    // And the reloaded database answers like the original.
+    let engine = CertaintyEngine::new(&boolean).unwrap();
+    assert_eq!(engine.is_certain(&loaded), engine.is_certain(&db));
+    let open = ConjunctiveQuery::with_free_vars(
+        boolean.schema().clone(),
+        boolean.atoms().to_vec(),
+        vec![Variable::new("x")],
+    )
+    .unwrap();
+    assert_eq!(
+        certain_answers(&open, &loaded).unwrap(),
+        certain_answers(&open, &db).unwrap()
+    );
 }

@@ -644,6 +644,42 @@ fn saturated_server_rejects_overload_promptly() {
     handle.shutdown();
 }
 
+/// The in-flight slot must be free by the time a client can read its
+/// answer: one connection asking back to back under `max_inflight = 1` is
+/// never its own overload. (The pool job used to send the result before
+/// releasing its permit, so the next request raced the release.)
+#[test]
+fn a_finished_query_never_counts_against_the_limit() {
+    let doc = parse_document(&serving_document()).expect("parse document");
+    let handle = start(
+        doc.database.clone(),
+        ServerConfig {
+            threads: Some(2),
+            max_inflight: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let reference = BatchEngine::new(doc.database.snapshot(), ParPool::new(1));
+    let lines = [
+        "fast :- C(x, y, \"Paris\")",
+        "which(x) :- C(x, y, \"Rome\"), R(x, \"A\")",
+    ];
+    let expected: Vec<String> = lines
+        .iter()
+        .map(|line| expected_response(&doc.schema, &reference, line, 1).expect("reference"))
+        .collect();
+    let mut client = Client::connect(handle.addr());
+    for i in 0..500 {
+        assert_eq!(
+            client.ask(lines[i % 2]),
+            expected[i % 2],
+            "request {i} of one back-to-back connection"
+        );
+    }
+    assert!(client.ask("\\stats").contains(", 0 in flight,"));
+    handle.shutdown();
+}
+
 #[test]
 fn slow_queries_hit_their_deadline_and_the_connection_survives() {
     let doc = parse_document(&serving_document()).expect("parse document");
