@@ -139,7 +139,13 @@ fn restricted_domain(
             }
         }
     }
-    best.map(|column| column.keys().map(|key| key[0].clone()).collect())
+    // A single-position key is the code itself.
+    best.map(|column| {
+        let dictionary = index.dictionary();
+        (column.keys())
+            .map(|key| dictionary.value(key as u32).clone())
+            .collect()
+    })
 }
 
 /// Iterates assignments of `vars` over their candidate domains. With

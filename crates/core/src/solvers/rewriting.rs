@@ -119,8 +119,7 @@ pub fn eliminate_unattacked_atom(
     // Only blocks of F's relation can host a witness; when F's key terms are
     // all constants (the recursion grounds key variables, so this is the
     // common case below the top level) the single candidate block is a hash
-    // probe away, and otherwise the index's per-relation block list avoids
-    // scanning the blocks of every other relation.
+    // probe away, and otherwise only that relation's blocks are walked.
     let constant_key: Option<Vec<Value>> = f
         .key_terms(schema)
         .iter()
@@ -129,10 +128,9 @@ pub fn eliminate_unattacked_atom(
             Term::Var(_) => None,
         })
         .collect();
-    let index = db.index();
     let blocks: Vec<&Block> = match constant_key {
         Some(key) => db.block_with_key(f.relation(), &key).into_iter().collect(),
-        None => index.relation_blocks(db, f.relation()).collect(),
+        None => db.blocks_of(f.relation()).collect(),
     };
 
     'blocks: for block in blocks {

@@ -9,66 +9,62 @@
 //! (exclusive) events, while facts of distinct blocks are independent.
 
 use crate::{Fact, RelationId, Value};
-use std::fmt;
-
-/// A stable handle to a block inside an [`crate::UncertainDatabase`].
-///
-/// Block ids are dense per database (`0..db.block_count()`), so solvers can
-/// store per-block state in plain vectors.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct BlockId(pub(crate) u32);
-
-impl BlockId {
-    /// Dense index of the block.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// Creates a block id from a dense index (mostly useful in tests).
-    pub fn from_index(i: usize) -> Self {
-        BlockId(i as u32)
-    }
-}
-
-impl fmt::Display for BlockId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "block#{}", self.0)
-    }
-}
 
 /// A maximal set of key-equal facts.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Beside its facts a block remembers the relation-local **row** each one
+/// is stored at (the store's secondary structures address facts by row) and
+/// the hash its key is filed under in the relation's key map.
+#[derive(Clone, Debug)]
 pub struct Block {
     relation: RelationId,
-    key: Vec<Value>,
+    key_len: usize,
+    pub(crate) hash: u64,
     facts: Vec<Fact>,
+    rows: Vec<u32>,
 }
 
 impl Block {
-    pub(crate) fn new(relation: RelationId, key: Vec<Value>) -> Self {
+    /// A block holding its first fact, stored at `row`.
+    pub(crate) fn new(key_len: usize, hash: u64, fact: Fact, row: u32) -> Self {
         Block {
-            relation,
-            key,
-            facts: Vec::new(),
+            relation: fact.relation(),
+            key_len,
+            hash,
+            facts: vec![fact],
+            rows: vec![row],
         }
     }
 
-    pub(crate) fn push(&mut self, fact: Fact) -> bool {
-        if self.facts.contains(&fact) {
-            false
-        } else {
-            self.facts.push(fact);
-            true
-        }
+    pub(crate) fn push(&mut self, fact: Fact, row: u32) {
+        self.facts.push(fact);
+        self.rows.push(row);
     }
 
-    pub(crate) fn remove(&mut self, fact: &Fact) -> bool {
-        if let Some(pos) = self.facts.iter().position(|f| f == fact) {
-            self.facts.remove(pos);
-            true
-        } else {
-            false
-        }
+    /// Removes the fact at `at` (block order is preserved), returning it
+    /// with the row it was stored at.
+    pub(crate) fn remove(&mut self, at: usize) -> (Fact, u32) {
+        (self.facts.remove(at), self.rows.remove(at))
+    }
+
+    /// Records that the fact stored at row `from` now lives at row `to`.
+    pub(crate) fn move_row(&mut self, from: u32, to: u32) {
+        let at = self
+            .rows
+            .iter()
+            .position(|&row| row == from)
+            .expect("a moved row belongs to the block of its fact");
+        self.rows[at] = to;
+    }
+
+    /// The rows the facts are stored at, in fact order.
+    pub(crate) fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// The position of `fact` inside the block, if present.
+    pub(crate) fn position(&self, fact: &Fact) -> Option<usize> {
+        self.facts.iter().position(|f| f == fact)
     }
 
     /// The relation all facts of this block belong to.
@@ -78,7 +74,7 @@ impl Block {
 
     /// The shared primary-key value of the block.
     pub fn key(&self) -> &[Value] {
-        &self.key
+        &self.facts[0].values()[..self.key_len]
     }
 
     /// The facts of the block (at least one; more than one iff the block
@@ -114,27 +110,22 @@ mod tests {
     use crate::Schema;
 
     #[test]
-    fn blocks_deduplicate_facts() {
+    fn blocks_track_facts_and_their_rows() {
         let schema = Schema::from_relations([("R", 2, 1)]).unwrap();
         let r = schema.relation_id("R").unwrap();
-        let mut block = Block::new(r, vec![Value::str("a")]);
         let f = Fact::new(r, vec![Value::str("a"), Value::str("b")]);
-        assert!(block.push(f.clone()));
-        assert!(!block.push(f.clone()));
-        assert_eq!(block.len(), 1);
+        let g = Fact::new(r, vec![Value::str("a"), Value::str("c")]);
+        let mut block = Block::new(1, 0, f.clone(), 4);
         assert!(block.is_singleton());
-        assert!(block.contains(&f));
-    }
-
-    #[test]
-    fn removal_empties_the_block() {
-        let schema = Schema::from_relations([("R", 2, 1)]).unwrap();
-        let r = schema.relation_id("R").unwrap();
-        let mut block = Block::new(r, vec![Value::str("a")]);
-        let f = Fact::new(r, vec![Value::str("a"), Value::str("b")]);
-        block.push(f.clone());
-        assert!(block.remove(&f));
-        assert!(!block.remove(&f));
+        assert_eq!(block.key(), &[Value::str("a")]);
+        block.push(g.clone(), 9);
+        assert_eq!(block.len(), 2);
+        assert!(block.contains(&g));
+        block.move_row(9, 2);
+        assert_eq!(block.position(&f), Some(0));
+        assert_eq!(block.remove(0), (f.clone(), 4));
+        assert_eq!(block.remove(0), (g, 2));
         assert!(block.is_empty());
+        assert_eq!(block.position(&f), None);
     }
 }

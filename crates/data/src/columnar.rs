@@ -1,153 +1,300 @@
-//! Columnar (dictionary-encoded) views of a [`DatabaseIndex`] snapshot.
+//! The dictionary-encoded (columnar) side of the store.
 //!
 //! The row-at-a-time executors in `cqa-exec` spend their time hashing and
-//! cloning [`Value`]s: every probe key re-hashes `Arc<str>` contents and
-//! every register write clones an `Arc`. The vectorized block-at-a-time
-//! executor instead works on **dense codes**:
+//! cloning [`Value`]s; the vectorized executor and every
+//! [`crate::PositionIndex`] work on **dense codes** instead:
 //!
-//! * a [`Dictionary`] maps the sorted active domain to dense `u32` codes
-//!   (the sort order makes code comparison order-preserving, though the
-//!   executor only needs equality);
-//! * [`RelationColumns`] stores, per relation, one `u32` column per
-//!   attribute position, with row `r` corresponding to
-//!   `DatabaseIndex::relation_fact_ids(rel)[r]` — the same dense order the
-//!   row engine iterates, so row indices are meaningful to both;
-//! * a [`CodeIndex`] is a hash index over one or two columns whose probe
-//!   key is a single packed `u64` — one integer hash per batch row instead
-//!   of hashing a `Vec<Value>`.
+//! * a [`Dictionary`] interns values as `u32` codes. It is append-only and
+//!   reference-counted: a live value's code never changes, and a code whose
+//!   last occurrence is removed is recycled, so churn cannot grow it. Codes
+//!   carry **no order** — the executor needs code *equality* only; the
+//!   sorted view is [`crate::DatabaseIndex::active_domain`];
+//! * [`RelationColumns`] stores, per relation, the code of every cell, with
+//!   row `r` the fact [`crate::DatabaseIndex::fact`]`(relation, r)`.
 //!
-//! All three are materialized lazily, once per snapshot, and cached on the
-//! [`DatabaseIndex`] exactly like its [`PositionIndex`]es.
-//!
-//! [`PositionIndex`]: crate::PositionIndex
+//! Like every secondary structure of the store, the columnar view is built
+//! on first demand ([`crate::DatabaseIndex::columnar`]) and from then on
+//! maintained by each mutation, copy-on-write.
 
+use crate::cow::{CowMap, CowVec, DeepVec};
 use crate::{DatabaseIndex, FxHashMap, RelationId, Value};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Dense codes for the active domain of one snapshot.
+/// The hash a value is filed under in the dictionary and, combined over the
+/// key positions, in a relation's key map.
+pub(crate) fn value_hash(value: &Value) -> u64 {
+    let mut hasher = rustc_hash::FxHasher::default();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// One code of the dictionary: a live value with its number of occurrences
+/// over all fact positions, or — `count == 0` — a link of the free list
+/// (`value` is then the next free code as an integer).
+#[derive(Clone)]
+struct Slot {
+    value: Value,
+    count: u32,
+}
+
+/// End of the dictionary's free list.
+const NO_FREE_CODE: u32 = u32::MAX;
+
+/// Dense codes for the values occurring in the database.
 ///
-/// Codes run `0..len()` in the sort order of the underlying values. A value
-/// outside the active domain has no code; probe compilation maps such
-/// constants to an always-empty bucket (no fact can carry them).
+/// A value outside the active domain has no code; probe compilation maps
+/// such constants to an always-empty bucket (no fact can carry them).
+#[derive(Clone)]
 pub struct Dictionary {
-    values: Arc<[Value]>,
+    slots: DeepVec<Slot>,
+    /// Value hash → the codes filed under it (checked against `slots`).
+    lookup: CowMap,
+    /// Head of the free list threaded through the dead slots.
+    free: u32,
+    live: usize,
 }
 
 impl Dictionary {
-    fn new(values: Arc<[Value]>) -> Self {
-        Dictionary { values }
+    /// A dictionary whose code `i` is `values[i]`, occurring `counts[i]`
+    /// times; the values must be distinct. Values that never occur start on
+    /// the free list.
+    pub(crate) fn from_values(values: Vec<Value>, counts: &[u32]) -> Self {
+        let mut free = NO_FREE_CODE;
+        let mut lookup = Vec::with_capacity(values.len());
+        let mut slots = Vec::with_capacity(values.len());
+        for (code, (value, &count)) in values.into_iter().zip(counts).enumerate() {
+            if count == 0 {
+                slots.push(Slot {
+                    value: Value::Int(i64::from(free)),
+                    count,
+                });
+                free = code as u32;
+            } else {
+                lookup.push((value_hash(&value), code as u32));
+                slots.push(Slot { value, count });
+            }
+        }
+        Dictionary {
+            live: lookup.len(),
+            slots: DeepVec::from_vec(slots),
+            lookup: CowMap::from_entries(lookup),
+            free,
+        }
     }
 
     /// The code of `value`, or `None` when it is outside the active domain.
     pub fn code_of(&self, value: &Value) -> Option<u32> {
-        self.values
-            .binary_search_by(|v| v.cmp(value))
-            .ok()
-            .map(|i| i as u32)
+        self.lookup
+            .get(value_hash(value))
+            .iter()
+            .copied()
+            .find(|&code| self.slots[code as usize].value == *value)
     }
 
-    /// The value a code decodes to.
+    /// The value a live code decodes to.
     pub fn value(&self, code: u32) -> &Value {
-        &self.values[code as usize]
+        &self.slots[code as usize].value
     }
 
     /// Number of coded values (= active-domain size).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.live
     }
 
     /// True iff the active domain is empty.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.live == 0
+    }
+
+    /// Number of code slots ever allocated: the live codes plus the free
+    /// list. Bounded by the largest active domain the database ever had.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The live codes with their values, in code order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = (u32, &Value)> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.count > 0)
+            .map(|(code, slot)| (code as u32, &slot.value))
+    }
+
+    /// Counts one more occurrence of `value`, coding it first if new.
+    pub(crate) fn intern(&mut self, value: &Value) -> u32 {
+        if let Some(code) = self.code_of(value) {
+            self.slots.get_mut(code as usize).count += 1;
+            return code;
+        }
+        let slot = Slot {
+            value: value.clone(),
+            count: 1,
+        };
+        let code = if self.free == NO_FREE_CODE {
+            self.slots.push(slot);
+            self.slots.len() as u32 - 1
+        } else {
+            let code = self.free;
+            let dead = std::mem::replace(self.slots.get_mut(code as usize), slot);
+            self.free = dead
+                .value
+                .as_int()
+                .expect("a dead slot links the free list") as u32;
+            code
+        };
+        self.lookup.insert(value_hash(value), code);
+        self.live += 1;
+        code
+    }
+
+    /// Forgets one occurrence of `code`, recycling it after the last.
+    pub(crate) fn release(&mut self, code: u32) {
+        let slot = self.slots.get_mut(code as usize);
+        slot.count -= 1;
+        if slot.count == 0 {
+            let value = std::mem::replace(&mut slot.value, Value::Int(i64::from(self.free)));
+            self.free = code;
+            self.lookup.remove(value_hash(&value), code);
+            self.live -= 1;
+        }
+    }
+
+    /// Number of chunks and shards `self` does not share with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self, other: &Self) -> usize {
+        self.slots.unshared(&other.slots) + self.lookup.unshared(&other.lookup)
     }
 }
 
-/// The dictionary-encoded columns of one relation.
+/// The dictionary codes of one relation: `code(p, r)` is the code of the
+/// value at position `p` of the relation's `r`-th fact.
 ///
-/// `column(p)[r]` is the code of the value at position `p` of the relation's
-/// `r`-th fact, where rows follow
-/// [`DatabaseIndex::relation_fact_ids`] order — the vectorized and
-/// row-at-a-time engines agree on what "row `r`" means.
+/// Cells are stored row by row — both executors read several positions of
+/// one candidate row together, and a write then touches one array, not one
+/// per position — each row padded to a power of two so that it never
+/// straddles two chunks and [`RelationColumns::row`] is one slice.
+#[derive(Clone)]
 pub struct RelationColumns {
-    columns: Vec<Vec<u32>>,
-    rows: usize,
+    codes: CowVec<u32>,
+    arity: usize,
+    /// log2 of the padded row width.
+    stride: u32,
 }
 
 impl RelationColumns {
-    /// Assembles the columns of one relation from raw parts (the delta
-    /// patcher's constructor; `build` is the bulk path).
-    pub(crate) fn from_columns(columns: Vec<Vec<u32>>, rows: usize) -> Self {
-        debug_assert!(columns.iter().all(|c| c.len() == rows));
-        RelationColumns { columns, rows }
+    /// The codes of `cells` (row-major, `arity` per row).
+    fn from_cells(cells: impl ExactSizeIterator<Item = u32>, arity: usize) -> Self {
+        let stride = arity.next_power_of_two().trailing_zeros();
+        let mut padded = Vec::with_capacity((cells.len() / arity) << stride);
+        for (i, code) in cells.enumerate() {
+            padded.push(code);
+            if (i + 1) % arity == 0 {
+                padded.resize(padded.len().next_multiple_of(1 << stride), 0);
+            }
+        }
+        RelationColumns {
+            // A chunk holds whole rows.
+            codes: CowVec::with_chunks_of(padded, stride.max(5)),
+            arity,
+            stride,
+        }
     }
 
-    /// All code columns, in position order (for whole-relation remapping).
-    pub(crate) fn columns(&self) -> &[Vec<u32>] {
-        &self.columns
+    /// The codes of the relation's `row`-th fact, in position order.
+    #[inline]
+    pub fn row(&self, row: usize) -> &[u32] {
+        self.codes.run(row << self.stride, self.arity)
     }
 
-    /// The code column at one attribute position.
-    pub fn column(&self, position: usize) -> &[u32] {
-        &self.columns[position]
+    /// The code at attribute `position` of the relation's `row`-th fact.
+    #[inline]
+    pub fn code(&self, position: usize, row: usize) -> u32 {
+        self.row(row)[position]
     }
 
     /// Number of rows (= facts of the relation).
     pub fn row_count(&self) -> usize {
-        self.rows
+        self.codes.len() >> self.stride
+    }
+
+    pub(crate) fn push_row(&mut self, codes: &[u32]) {
+        for at in 0..1 << self.stride {
+            self.codes.push(codes.get(at).copied().unwrap_or(0));
+        }
+    }
+
+    /// Removes `row` by moving the last row into its place.
+    pub(crate) fn swap_remove_row(&mut self, row: usize) {
+        let last = self.row_count() - 1;
+        for at in (0..1 << self.stride).rev() {
+            let moved = self.codes.pop().expect("the last row is stored");
+            if row != last {
+                *self.codes.get_mut((row << self.stride) + at) = moved;
+            }
+        }
+    }
+
+    /// Number of chunks `self` does not share with `other`.
+    #[cfg(test)]
+    pub(crate) fn unshared(&self, other: &Self) -> usize {
+        self.codes.unshared(&other.codes)
     }
 }
 
-/// The columnar view of a whole snapshot: the dictionary plus one
+/// The columnar view of the whole database: the dictionary plus one
 /// [`RelationColumns`] per relation.
-///
-/// Per-relation columns sit behind an `Arc` so that
-/// [`crate::DatabaseIndex::apply_delta`] can carry the columns of untouched
-/// relations into the next snapshot in O(1) instead of copying them.
+#[derive(Clone)]
 pub struct Columnar {
-    dictionary: Dictionary,
-    relations: Vec<Arc<RelationColumns>>,
+    pub(crate) dictionary: Arc<Dictionary>,
+    pub(crate) relations: Vec<Arc<RelationColumns>>,
 }
 
 impl Columnar {
+    /// Codes every fact of `index` from scratch.
     pub(crate) fn build(index: &DatabaseIndex) -> Self {
-        let dictionary = Dictionary::new(index.active_domain_shared());
+        let mut codes: FxHashMap<&Value, u32> = FxHashMap::default();
+        let mut values: Vec<Value> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
         let relations = (0..index.relation_count())
             .map(|rel| {
                 let rel = RelationId::from_index(rel);
-                let fact_ids = index.relation_fact_ids(rel);
                 let arity = index.arity(rel);
-                let mut columns = vec![Vec::with_capacity(fact_ids.len()); arity];
-                for &fid in fact_ids {
-                    let fact = index.fact(crate::FactId(fid));
-                    for (pos, value) in fact.values().iter().enumerate() {
-                        let code = dictionary
-                            .code_of(value)
-                            .expect("every fact value is in the active domain");
-                        columns[pos].push(code);
+                let mut cells = Vec::with_capacity(index.row_count(rel) * arity);
+                for fact in index.relation_facts(rel) {
+                    for value in fact.values() {
+                        let code = *codes.entry(value).or_insert_with(|| {
+                            values.push(value.clone());
+                            counts.push(0);
+                            values.len() as u32 - 1
+                        });
+                        counts[code as usize] += 1;
+                        cells.push(code);
                     }
                 }
-                Arc::new(RelationColumns {
-                    columns,
-                    rows: fact_ids.len(),
-                })
+                Arc::new(RelationColumns::from_cells(cells.into_iter(), arity))
             })
             .collect();
         Columnar {
-            dictionary,
+            dictionary: Arc::new(Dictionary::from_values(values, &counts)),
             relations,
         }
     }
 
-    /// Assembles a columnar view from a dictionary value array and per-relation
-    /// columns (the delta patcher's constructor).
-    pub(crate) fn from_parts(values: Arc<[Value]>, relations: Vec<Arc<RelationColumns>>) -> Self {
-        Columnar {
-            dictionary: Dictionary::new(values),
-            relations,
-        }
+    /// Wraps the decoded code columns (one per position, equally long) of
+    /// one relation.
+    pub(crate) fn relation_from(columns: &[Vec<u32>]) -> Arc<RelationColumns> {
+        let cells: Vec<u32> = (0..columns[0].len())
+            .flat_map(|row| columns.iter().map(move |column| column[row]))
+            .collect();
+        Arc::new(RelationColumns::from_cells(
+            cells.into_iter(),
+            columns.len(),
+        ))
     }
 
-    /// The snapshot's dictionary.
+    /// The dictionary.
     pub fn dictionary(&self) -> &Dictionary {
         &self.dictionary
     }
@@ -156,100 +303,6 @@ impl Columnar {
     pub fn relation(&self, relation: RelationId) -> &RelationColumns {
         &self.relations[relation.index()]
     }
-
-    /// Shared handle to the code columns of one relation (O(1) carry-over of
-    /// untouched relations across snapshots).
-    pub(crate) fn relation_arc(&self, relation: RelationId) -> Arc<RelationColumns> {
-        self.relations[relation.index()].clone()
-    }
-
-    /// The dictionary's value array (shared with the active domain).
-    pub(crate) fn dictionary_values(&self) -> &Arc<[Value]> {
-        &self.dictionary.values
-    }
-}
-
-/// A hash index of one relation over the packed codes of one or two
-/// positions: the vectorized counterpart of [`crate::PositionIndex`].
-///
-/// Buckets hold **row indices** (into [`RelationColumns`] order, which is
-/// also [`DatabaseIndex::relation_fact_ids`] order), ascending — so a bucket
-/// enumerates candidates in exactly the order the row engine would.
-pub struct CodeIndex {
-    positions: Vec<usize>,
-    buckets: FxHashMap<u64, (u32, u32)>,
-    rows: Vec<u32>,
-}
-
-impl CodeIndex {
-    /// Packs the codes of a one- or two-position key into the probe word.
-    /// Keys are in ascending position order, matching [`CodeIndex::positions`].
-    pub fn pack(codes: &[u32]) -> u64 {
-        match codes {
-            [a] => *a as u64,
-            [a, b] => ((*a as u64) << 32) | *b as u64,
-            _ => panic!("CodeIndex keys cover one or two positions"),
-        }
-    }
-
-    fn build(columns: &RelationColumns, positions: &[usize]) -> Self {
-        assert!(
-            matches!(positions.len(), 1 | 2),
-            "CodeIndex keys cover one or two positions"
-        );
-        let mut grouped: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        for row in 0..columns.row_count() {
-            let key = match positions {
-                [p] => columns.column(*p)[row] as u64,
-                [p, q] => ((columns.column(*p)[row] as u64) << 32) | columns.column(*q)[row] as u64,
-                _ => unreachable!("length asserted above"),
-            };
-            grouped.entry(key).or_default().push(row as u32);
-        }
-        // Deterministic dense layout: buckets laid out in ascending key
-        // order (irrelevant to results, stable for debugging).
-        let mut keys: Vec<u64> = grouped.keys().copied().collect();
-        keys.sort_unstable();
-        let mut rows = Vec::with_capacity(columns.row_count());
-        let mut buckets = FxHashMap::default();
-        for key in keys {
-            let ids = &grouped[&key];
-            buckets.insert(key, (rows.len() as u32, ids.len() as u32));
-            rows.extend_from_slice(ids);
-        }
-        CodeIndex {
-            positions: positions.to_vec(),
-            buckets,
-            rows,
-        }
-    }
-
-    /// The indexed positions, ascending (one or two of them).
-    pub fn positions(&self) -> &[usize] {
-        &self.positions
-    }
-
-    /// The row indices whose packed key equals `key`, ascending. Missing
-    /// keys give `&[]`.
-    pub fn candidates(&self, key: u64) -> &[u32] {
-        match self.buckets.get(&key) {
-            Some(&(start, len)) => &self.rows[start as usize..(start + len) as usize],
-            None => &[],
-        }
-    }
-
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.buckets.len()
-    }
-}
-
-pub(crate) fn build_code_index(
-    columnar: &Columnar,
-    relation: RelationId,
-    positions: &[usize],
-) -> CodeIndex {
-    CodeIndex::build(columnar.relation(relation), positions)
 }
 
 #[cfg(test)]
@@ -272,74 +325,58 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_codes_round_trip_and_follow_sort_order() {
+    fn dictionary_codes_round_trip() {
         let db = db();
         let index = db.index();
         let dict = index.columnar().dictionary();
         assert_eq!(dict.len(), index.active_domain().len());
         assert!(!dict.is_empty());
-        for (i, value) in index.active_domain().iter().enumerate() {
+        for value in index.active_domain() {
             let code = dict.code_of(value).unwrap();
-            assert_eq!(code as usize, i);
             assert_eq!(dict.value(code), value);
         }
         assert_eq!(dict.code_of(&Value::str("not-there")), None);
     }
 
     #[test]
-    fn columns_align_with_relation_fact_order() {
+    fn dead_codes_are_recycled() {
+        let mut dict = Dictionary::from_values(vec![Value::str("a"), Value::str("b")], &[1, 0]);
+        assert_eq!((dict.len(), dict.slot_count()), (1, 2));
+        assert_eq!(dict.code_of(&Value::str("b")), None);
+        assert_eq!(dict.intern(&Value::str("c")), 1, "the dead slot is reused");
+        assert_eq!(dict.intern(&Value::str("a")), 0);
+        assert_eq!(dict.intern(&Value::str("d")), 2);
+        dict.release(0);
+        assert_eq!(
+            dict.code_of(&Value::str("a")),
+            Some(0),
+            "one occurrence left"
+        );
+        dict.release(0);
+        dict.release(1);
+        assert_eq!((dict.len(), dict.slot_count()), (1, 3));
+        assert_eq!(dict.code_of(&Value::str("a")), None);
+        // Last freed, first reused.
+        assert_eq!(dict.intern(&Value::str("e")), 1);
+        assert_eq!(dict.intern(&Value::str("f")), 0);
+        assert_eq!(dict.live().count(), 3);
+    }
+
+    #[test]
+    fn columns_align_with_rows() {
         let db = db();
         let index = db.index();
         let columnar = index.columnar();
         let dict = columnar.dictionary();
-        for (rel, _) in db.schema().iter() {
+        for (rel, relation) in db.schema().iter() {
             let cols = columnar.relation(rel);
-            let fact_ids = index.relation_fact_ids(rel);
-            assert_eq!(cols.row_count(), fact_ids.len());
-            for (row, &fid) in fact_ids.iter().enumerate() {
-                let fact = index.fact(crate::FactId::from_index(fid as usize));
-                for (pos, value) in fact.values().iter().enumerate() {
-                    assert_eq!(dict.value(cols.column(pos)[row]), value);
+            assert_eq!(cols.row_count(), index.row_count(rel));
+            for row in 0..cols.row_count() {
+                let fact = index.fact(rel, row as u32);
+                for pos in 0..relation.arity() {
+                    assert_eq!(dict.value(cols.code(pos, row)), fact.value(pos));
                 }
             }
         }
-    }
-
-    #[test]
-    fn code_index_buckets_match_position_index_buckets() {
-        let db = db();
-        let index = db.index();
-        let c = db.schema().relation_id("C").unwrap();
-        let columnar = index.columnar();
-        let dict = columnar.dictionary();
-        let by_city = index.code_index(c, &[2]);
-        let rome = dict.code_of(&Value::str("Rome")).unwrap();
-        let hits = by_city.candidates(CodeIndex::pack(&[rome]));
-        assert_eq!(hits.len(), 2);
-        // Rows map back to the same facts the row engine's index finds.
-        let reference = index.position_index(c, crate::PositionSet::single(2));
-        let fact_ids = index.relation_fact_ids(c);
-        let via_codes: Vec<u32> = hits.iter().map(|&r| fact_ids[r as usize]).collect();
-        assert_eq!(via_codes, reference.candidates(&[Value::str("Rome")]));
-        // Two-position key.
-        let pair = index.code_index(c, &[0, 2]);
-        assert_eq!(pair.positions(), &[0, 2]);
-        let pods = dict.code_of(&Value::str("PODS")).unwrap();
-        assert_eq!(pair.candidates(CodeIndex::pack(&[pods, rome])).len(), 1);
-        assert_eq!(pair.candidates(CodeIndex::pack(&[rome, pods])).len(), 0);
-        assert!(pair.key_count() >= 3);
-    }
-
-    #[test]
-    fn columnar_and_code_indexes_are_cached_per_snapshot() {
-        let db = db();
-        let index = db.index();
-        let r = db.schema().relation_id("R").unwrap();
-        assert!(std::ptr::eq(index.columnar(), index.columnar()));
-        let a = index.code_index(r, &[0]);
-        let b = index.code_index(r, &[0]);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = index.code_index(r, &[0, 1]);
-        assert!(!Arc::ptr_eq(&a, &c));
     }
 }

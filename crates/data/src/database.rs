@@ -1,21 +1,10 @@
 //! Uncertain databases and their block structure.
 
-use crate::delta::{ChangeSet, Delta, DEFAULT_DELTA_THRESHOLD};
 use crate::index::DatabaseIndex;
-use crate::{Block, BlockId, DataError, Fact, FxHashMap, RelationId, RepairIter, Schema, Value};
+use crate::{Block, DataError, Fact, RelationId, RepairIter, Schema, Value};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::{Arc, PoisonError, RwLock};
-
-/// The cached index snapshot plus the mutations recorded since it was built.
-///
-/// Invariant: `pending` is non-empty only while `snapshot` is `Some` — with
-/// no snapshot to patch there is nothing to log against.
-#[derive(Default)]
-struct IndexCacheState {
-    snapshot: Option<Arc<DatabaseIndex>>,
-    pending: ChangeSet,
-}
+use std::sync::Arc;
 
 /// An **uncertain database**: a finite set of facts over a fixed schema in
 /// which primary keys need not be satisfied (Section 3 of the paper).
@@ -23,6 +12,12 @@ struct IndexCacheState {
 /// The database maintains its block structure incrementally: every fact
 /// belongs to exactly one [`Block`] (the maximal set of key-equal facts), and
 /// a repair is obtained by picking one fact from every block.
+///
+/// It is a **persistent value**: all storage sits behind one shared,
+/// copy-on-write [`DatabaseIndex`], so `clone()` — and with it
+/// [`UncertainDatabase::snapshot`] — costs a reference count, a mutation
+/// copies only the chunks it touches, and the clone keeps reading what it
+/// was cloned from.
 ///
 /// ```
 /// use cqa_data::{Schema, UncertainDatabase, Value};
@@ -41,117 +36,32 @@ struct IndexCacheState {
 /// assert!(!db.is_consistent());
 /// assert_eq!(db.repair_count(), Some(4)); // Figure 1: four repairs
 /// ```
+#[derive(Clone)]
 pub struct UncertainDatabase {
-    schema: Arc<Schema>,
-    blocks: Vec<Block>,
-    /// Maps (relation, key) to the dense index of the owning block.
-    index: FxHashMap<(RelationId, Vec<Value>), usize>,
-    fact_count: usize,
-    /// Cached secondary-index snapshot plus the pending delta log; the
-    /// snapshot is patched (not rebuilt) while the log stays small.
-    ///
-    /// An `RwLock` rather than a `Mutex`: concurrent readers of a warm cache
-    /// never contend, and every access recovers from poisoning (the cached
-    /// state is always consistent, so a reader that panicked while holding
-    /// the lock must not wedge later calls).
-    index_cache: RwLock<IndexCacheState>,
-    /// Bumped on every effective mutation; see [`UncertainDatabase::epoch`].
-    epoch: u64,
-    /// Per-database override of the delta-volume fallback threshold.
-    delta_threshold: Option<usize>,
-}
-
-impl Clone for UncertainDatabase {
-    fn clone(&self) -> Self {
-        // The clone has identical contents, so it can share the cached
-        // snapshot and its pending delta log; each copy's own mutations
-        // from here on touch only its own cache state.
-        let state = self
-            .index_cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let cached = IndexCacheState {
-            snapshot: state.snapshot.clone(),
-            pending: state.pending.clone(),
-        };
-        drop(state);
-        UncertainDatabase {
-            schema: self.schema.clone(),
-            blocks: self.blocks.clone(),
-            index: self.index.clone(),
-            fact_count: self.fact_count,
-            index_cache: RwLock::new(cached),
-            epoch: self.epoch,
-            delta_threshold: self.delta_threshold,
-        }
-    }
+    store: Arc<DatabaseIndex>,
 }
 
 impl UncertainDatabase {
     /// Creates an empty database over the given schema.
     pub fn new(schema: Arc<Schema>) -> Self {
+        UncertainDatabase::from_store(DatabaseIndex::new(schema))
+    }
+
+    pub(crate) fn from_store(store: DatabaseIndex) -> Self {
         UncertainDatabase {
-            schema,
-            blocks: Vec::new(),
-            index: FxHashMap::default(),
-            fact_count: 0,
-            index_cache: RwLock::new(IndexCacheState::default()),
-            epoch: 0,
-            delta_threshold: None,
+            store: Arc::new(store),
         }
     }
 
-    /// The secondary-index snapshot of the current contents (see
-    /// [`DatabaseIndex`]).
-    ///
-    /// Built on first use and cached. Small mutations do not discard the
-    /// cache: they are logged as a [`crate::ChangeSet`] and the next call
-    /// **patches** the previous snapshot via [`DatabaseIndex::apply_delta`]
-    /// (counted as `data.index.delta_applied`). Only past the
-    /// [delta-volume threshold](UncertainDatabase::set_delta_threshold) does
-    /// the cache fall back to a full rebuild.
+    /// The storage of the current contents with its secondary indexes (see
+    /// [`DatabaseIndex`]): a handle, not a copy — nothing is built or
+    /// flushed, and what a reader builds through it this database inherits.
     pub fn index(&self) -> Arc<DatabaseIndex> {
-        {
-            let state = self
-                .index_cache
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(snapshot) = &state.snapshot {
-                if state.pending.is_empty() {
-                    cqa_obs::count!("data.index.cache.hit");
-                    return snapshot.clone();
-                }
-            }
-        }
-        let mut state = self
-            .index_cache
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Re-check under the write lock: another thread may have patched or
-        // built the snapshot while this one waited.
-        if let Some(snapshot) = &state.snapshot {
-            if state.pending.is_empty() {
-                cqa_obs::count!("data.index.cache.hit");
-                return snapshot.clone();
-            }
-            // Patch the previous snapshot with the pending delta log. The
-            // threshold is enforced at record time, so a non-empty log here
-            // is always within budget.
-            cqa_obs::count!("data.index.delta_applied");
-            let started = std::time::Instant::now();
-            let patched = Arc::new(snapshot.apply_delta(self, &state.pending));
-            cqa_obs::observe_duration!("data.index.delta_apply_nanos", started.elapsed());
-            state.snapshot = Some(patched.clone());
-            state.pending.clear();
-            return patched;
-        }
-        cqa_obs::count!("data.index.cache.miss");
-        let started = std::time::Instant::now();
-        let snapshot = Arc::new(DatabaseIndex::build(self));
-        cqa_obs::observe_duration!("data.index.build_nanos", started.elapsed());
-        state.snapshot = Some(snapshot.clone());
-        state.pending.clear();
-        snapshot
+        self.store.clone()
+    }
+
+    pub(crate) fn store(&self) -> &Arc<DatabaseIndex> {
+        &self.store
     }
 
     /// The mutation epoch: a counter bumped by every *effective* mutation
@@ -161,61 +71,12 @@ impl UncertainDatabase {
     /// readers holding a [`crate::Snapshot`] can detect staleness with one
     /// integer compare instead of a diff.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.store.epoch
     }
 
-    /// Overrides the delta-volume threshold beyond which mutations drop the
-    /// cached index (forcing a full rebuild) instead of growing the delta
-    /// log. `None` restores [`DEFAULT_DELTA_THRESHOLD`]. A threshold of `0`
-    /// disables patching entirely — every mutation invalidates, which is
-    /// how the property suite builds its rebuild reference.
-    pub fn set_delta_threshold(&mut self, threshold: Option<usize>) {
-        self.delta_threshold = threshold;
-    }
-
-    /// The effective delta-volume threshold of this database.
-    pub fn delta_threshold(&self) -> usize {
-        self.delta_threshold.unwrap_or(DEFAULT_DELTA_THRESHOLD)
-    }
-
-    /// Number of mutations logged against the cached index snapshot (zero
-    /// when the cache is cold, current, or was dropped past the threshold).
-    pub fn pending_delta_len(&self) -> usize {
-        self.index_cache
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pending
-            .len()
-    }
-
-    /// Logs one effective mutation: bumps the epoch and, when a cached
-    /// snapshot exists, either appends to its delta log or — past the
-    /// threshold — drops the cache so the next [`UncertainDatabase::index`]
-    /// call rebuilds from scratch.
-    fn record(&mut self, delta: Delta) {
-        self.epoch += 1;
-        let threshold = self.delta_threshold();
-        let state = self
-            .index_cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        if state.snapshot.is_none() {
-            debug_assert!(state.pending.is_empty());
-            return;
-        }
-        state.pending.record(delta);
-        if state.pending.len() > threshold {
-            state.snapshot = None;
-            state.pending.clear();
-            cqa_obs::count!("data.index.invalidated");
-            cqa_obs::count!("data.index.delta_fallback_rebuild");
-        }
-    }
-
-    /// Freezes the current contents into a [`crate::Snapshot`]: an owned,
-    /// immutable, `Send + Sync` handle carrying both the data and its
-    /// [`DatabaseIndex`], for sharing with worker threads while this
-    /// database keeps mutating.
+    /// Freezes the current contents into a [`crate::Snapshot`]: an
+    /// immutable, `Send + Sync` handle for sharing with worker threads while
+    /// this database keeps mutating.
     pub fn snapshot(&self) -> crate::Snapshot {
         crate::Snapshot::new(self)
     }
@@ -234,13 +95,19 @@ impl UncertainDatabase {
 
     /// The shared schema.
     pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
+        &self.store.schema
+    }
+
+    /// The hash `fact`'s block is filed under and, if it exists, the block's
+    /// position in its relation's block list.
+    fn locate(&self, fact: &Fact) -> (u64, Option<u32>) {
+        self.store.relations[fact.relation().index()].locate(fact.key(&self.store.schema))
     }
 
     /// Inserts a fact. Returns `Ok(true)` if the fact was new, `Ok(false)` if
     /// it was already present (set semantics), and an error on arity mismatch.
     pub fn insert(&mut self, fact: Fact) -> Result<bool, DataError> {
-        let rel = self.schema.relation(fact.relation());
+        let rel = self.store.schema.relation(fact.relation());
         if fact.arity() != rel.arity() {
             return Err(DataError::ArityMismatch {
                 relation: rel.name.clone(),
@@ -248,29 +115,36 @@ impl UncertainDatabase {
                 actual: fact.arity(),
             });
         }
-        let key: Vec<Value> = fact.key(&self.schema).to_vec();
-        let entry = (fact.relation(), key);
-        let block_idx = match self.index.get(&entry) {
-            Some(&i) => i,
-            None => {
-                let i = self.blocks.len();
-                self.blocks
-                    .push(Block::new(fact.relation(), entry.1.clone()));
-                self.index.insert(entry, i);
-                i
-            }
-        };
-        // Clone before pushing (an `Arc` bump) so the delta log shares the
-        // stored fact's allocation — `apply_delta` matches facts by it.
-        let recorded = fact.clone();
-        let inserted = self.blocks[block_idx].push(fact);
-        if inserted {
-            self.fact_count += 1;
-            self.record(Delta::Inserted(recorded));
+        let key_len = rel.key_len();
+        let relation = fact.relation().index();
+        let (hash, block) = self.locate(&fact);
+        if block.is_some_and(|b| self.store.relations[relation].blocks[b as usize].contains(&fact))
+        {
+            // Re-inserting a present fact is a pure no-op: nothing is
+            // copied and the epoch does not move.
+            return Ok(false);
         }
-        // Re-inserting a present fact is a pure no-op: the cached index
-        // stays warm and the epoch does not move.
-        Ok(inserted)
+        let store = Arc::make_mut(&mut self.store);
+        store.catch_up();
+        let data = Arc::make_mut(&mut store.relations[relation]);
+        let row = data.facts.len() as u32;
+        data.facts.push(fact.clone());
+        match block {
+            Some(block) => {
+                let block = Arc::make_mut(data.blocks.get_mut(block as usize));
+                block.push(fact.clone(), row);
+                store.violated_blocks += usize::from(block.len() == 2);
+            }
+            None => {
+                data.keys.insert(hash, data.blocks.len() as u32);
+                data.blocks
+                    .push(Arc::new(Block::new(key_len, hash, fact.clone(), row)));
+                store.block_count += 1;
+            }
+        }
+        store.fact_count += 1;
+        store.patch_inserted(&fact, row);
+        Ok(true)
     }
 
     /// Convenience insertion by relation name and values.
@@ -279,77 +153,62 @@ impl UncertainDatabase {
         relation: &str,
         values: impl IntoIterator<Item = V>,
     ) -> Result<bool, DataError> {
-        let rel = self.schema.require(relation)?;
+        let rel = self.store.schema.require(relation)?;
         let values: Vec<Value> = values.into_iter().map(Into::into).collect();
         self.insert(Fact::new(rel, values))
     }
 
     /// Total number of facts.
     pub fn fact_count(&self) -> usize {
-        self.fact_count
+        self.store.fact_count
     }
 
     /// True iff the database contains no facts.
     pub fn is_empty(&self) -> bool {
-        self.fact_count == 0
+        self.store.fact_count == 0
     }
 
     /// Number of blocks.
     pub fn block_count(&self) -> usize {
-        self.blocks.len()
+        self.store.block_count
     }
 
-    /// Iterates over all facts.
+    /// Iterates over all facts, relation by relation in row order.
     pub fn facts(&self) -> impl Iterator<Item = &Fact> {
-        self.blocks.iter().flat_map(|b| b.facts().iter())
+        self.store
+            .relations
+            .iter()
+            .flat_map(|data| data.facts.iter())
     }
 
     /// Iterates over all facts of one relation.
     pub fn relation_facts(&self, relation: RelationId) -> impl Iterator<Item = &Fact> {
-        self.blocks
-            .iter()
-            .filter(move |b| b.relation() == relation)
-            .flat_map(|b| b.facts().iter())
+        self.store.relation_facts(relation)
     }
 
-    /// Iterates over all blocks.
+    /// Iterates over all blocks, relation by relation.
     pub fn blocks(&self) -> impl Iterator<Item = &Block> {
-        self.blocks.iter()
-    }
-
-    /// Iterates over `(BlockId, &Block)` pairs.
-    ///
-    /// Block ids are dense indices that remain valid until the database is
-    /// mutated (insertions may add blocks, removals may reorder them).
-    pub fn blocks_with_ids(&self) -> impl Iterator<Item = (BlockId, &Block)> {
-        self.blocks
+        self.store
+            .relations
             .iter()
-            .enumerate()
-            .map(|(i, b)| (BlockId(i as u32), b))
+            .flat_map(|data| data.blocks.iter())
+            .map(|block| &**block)
     }
 
     /// Iterates over the blocks of one relation.
     pub fn blocks_of(&self, relation: RelationId) -> impl Iterator<Item = &Block> {
-        self.blocks.iter().filter(move |b| b.relation() == relation)
-    }
-
-    /// Returns a block by id.
-    pub fn block(&self, id: BlockId) -> &Block {
-        &self.blocks[id.index()]
+        self.store.relation_blocks(relation)
     }
 
     /// Returns the block (`block(A, db)` in the paper) containing a fact, if present.
     pub fn block_of(&self, fact: &Fact) -> Option<&Block> {
-        let key = (fact.relation(), fact.key(&self.schema).to_vec());
-        let idx = *self.index.get(&key)?;
-        let block = &self.blocks[idx];
+        let block = self.block_with_key(fact.relation(), fact.key(&self.store.schema))?;
         block.contains(fact).then_some(block)
     }
 
     /// Returns the block with the given relation and key value, if any.
     pub fn block_with_key(&self, relation: RelationId, key: &[Value]) -> Option<&Block> {
-        let idx = *self.index.get(&(relation, key.to_vec()))?;
-        Some(&self.blocks[idx])
+        self.store.block_with_key(relation, key)
     }
 
     /// True iff the fact is present.
@@ -359,21 +218,19 @@ impl UncertainDatabase {
 
     /// Consistency (Section 3): every block is a singleton.
     pub fn is_consistent(&self) -> bool {
-        self.blocks.iter().all(Block::is_singleton)
+        self.store.violated_blocks == 0
     }
 
     /// The active domain: every constant appearing in some fact.
     pub fn active_domain(&self) -> BTreeSet<Value> {
-        self.facts()
-            .flat_map(|f| f.values().iter().cloned())
-            .collect()
+        self.store.active_domain().iter().cloned().collect()
     }
 
     /// Number of repairs, i.e. the product of all block sizes.
     /// Returns `None` if the product overflows `u128`.
     pub fn repair_count(&self) -> Option<u128> {
         let mut count: u128 = 1;
-        for b in &self.blocks {
+        for b in self.blocks() {
             count = count.checked_mul(b.len() as u128)?;
         }
         Some(count)
@@ -382,7 +239,7 @@ impl UncertainDatabase {
     /// Base-2 logarithm of the number of repairs (useful for reporting the
     /// size of the repair space when it overflows `u128`).
     pub fn repair_count_log2(&self) -> f64 {
-        self.blocks.iter().map(|b| (b.len() as f64).log2()).sum()
+        self.blocks().map(|b| (b.len() as f64).log2()).sum()
     }
 
     /// Iterates over **all repairs** of the database.
@@ -401,75 +258,82 @@ impl UncertainDatabase {
     where
         F: FnMut(&Block) -> usize,
     {
-        let facts = self.blocks.iter().map(|b| {
+        let facts = self.blocks().map(|b| {
             let i = choose(b).min(b.len().saturating_sub(1));
             b.facts()[i].clone()
         });
-        UncertainDatabase::from_facts(self.schema.clone(), facts.collect::<Vec<_>>())
+        UncertainDatabase::from_facts(self.schema().clone(), facts.collect::<Vec<_>>())
             .expect("facts of a database are schema-valid")
     }
 
     /// Removes the entire block containing `fact` (used by purification,
-    /// Lemma 1). Returns `true` if a block was removed.
+    /// Lemma 1). Returns `true` if a block was removed. The epoch moves once
+    /// per fact of the block.
     pub fn remove_block_of(&mut self, fact: &Fact) -> bool {
-        let key = (fact.relation(), fact.key(&self.schema).to_vec());
-        let Some(&idx) = self.index.get(&key) else {
+        let (_, Some(block)) = self.locate(fact) else {
             return false;
         };
-        self.remove_block_at(idx);
+        let relation = fact.relation();
+        let members = self.store.relations[relation.index()].blocks[block as usize].len();
+        // The block keeps its position until its last removal detaches it.
+        for _ in 0..members {
+            self.remove_at(relation, block, 0);
+        }
         true
     }
 
     /// Removes a single fact; if its block becomes empty the block disappears.
     /// Returns `true` if the fact was present.
     pub fn remove_fact(&mut self, fact: &Fact) -> bool {
-        let key = (fact.relation(), fact.key(&self.schema).to_vec());
-        let Some(&idx) = self.index.get(&key) else {
+        let (_, Some(block)) = self.locate(fact) else {
             return false;
         };
-        if !self.blocks[idx].remove(fact) {
-            // The key exists but the fact does not: a no-op that leaves the
-            // cached index, the delta log and the epoch untouched.
+        let relation = fact.relation();
+        let Some(at) = self.store.relations[relation.index()].blocks[block as usize].position(fact)
+        else {
+            // The key exists but the fact does not: a no-op that copies
+            // nothing and leaves the epoch untouched.
             return false;
-        }
-        self.fact_count -= 1;
-        let emptied = self.blocks[idx].is_empty();
-        if emptied {
-            self.detach_block_at(idx);
-        }
-        self.record(Delta::Removed {
-            fact: fact.clone(),
-            emptied_block: emptied,
-        });
+        };
+        self.remove_at(relation, block, at);
         true
     }
 
-    fn remove_block_at(&mut self, idx: usize) {
-        let doomed: Vec<Fact> = self.blocks[idx].facts().to_vec();
-        self.fact_count -= doomed.len();
-        self.detach_block_at(idx);
-        for fact in doomed {
-            self.record(Delta::Removed {
-                fact,
-                emptied_block: true,
-            });
+    /// Removes the `at`-th fact of the block at position `block` of its
+    /// relation's block list: the block shrinks (and is detached when
+    /// emptied, the relation's last block taking its position), and the
+    /// relation's last row moves into the freed one.
+    fn remove_at(&mut self, relation: RelationId, block: u32, at: usize) {
+        let store = Arc::make_mut(&mut self.store);
+        store.catch_up();
+        let data = Arc::make_mut(&mut store.relations[relation.index()]);
+        let shrunk = Arc::make_mut(data.blocks.get_mut(block as usize));
+        let (_, row) = shrunk.remove(at);
+        match shrunk.len() {
+            0 => {
+                let last = data.blocks.len() as u32 - 1;
+                let emptied = data.blocks.swap_remove(block as usize);
+                data.keys.remove(emptied.hash, block);
+                if block != last {
+                    let moved = data.blocks[block as usize].hash;
+                    data.keys.remove(moved, last);
+                    data.keys.insert(moved, block);
+                }
+                store.block_count -= 1;
+            }
+            1 => store.violated_blocks -= 1,
+            _ => {}
         }
-    }
-
-    /// Detaches the block at `idx` from the block list and the key index by
-    /// `swap_remove` (the block that was last takes over slot `idx`, so
-    /// block ids are **reordered**). Fact counting and delta recording are
-    /// the caller's job.
-    fn detach_block_at(&mut self, idx: usize) {
-        let removed = self.blocks.swap_remove(idx);
-        self.index
-            .remove(&(removed.relation(), removed.key().to_vec()));
-        if idx < self.blocks.len() {
-            // Fix the index entry of the block that was swapped into `idx`.
-            let moved = &self.blocks[idx];
-            self.index
-                .insert((moved.relation(), moved.key().to_vec()), idx);
+        let last = data.facts.len() as u32 - 1;
+        data.facts.swap_remove(row as usize);
+        if row != last {
+            let moved = data.facts[row as usize].clone();
+            let owner =
+                (data.locate(moved.key(&store.schema)).1).expect("a stored fact has a block");
+            Arc::make_mut(data.blocks.get_mut(owner as usize)).move_row(last, row);
         }
+        store.fact_count -= 1;
+        store.patch_removed(relation, row, last);
     }
 
     /// Keeps only the facts satisfying the predicate.
@@ -490,19 +354,19 @@ impl UncertainDatabase {
             .filter(|f| relations.contains(&f.relation()))
             .cloned()
             .collect();
-        UncertainDatabase::from_facts(self.schema.clone(), facts)
+        UncertainDatabase::from_facts(self.schema().clone(), facts)
             .expect("facts of a database are schema-valid")
     }
 
     /// Returns a new database with the same schema containing the given facts.
     pub fn with_facts(&self, facts: impl IntoIterator<Item = Fact>) -> UncertainDatabase {
-        UncertainDatabase::from_facts(self.schema.clone(), facts.into_iter().collect::<Vec<_>>())
+        UncertainDatabase::from_facts(self.schema().clone(), facts)
             .expect("facts of a database are schema-valid")
     }
 
     /// Set union of two databases over the same schema.
     pub fn union(&self, other: &UncertainDatabase) -> Result<UncertainDatabase, DataError> {
-        if !Arc::ptr_eq(&self.schema, &other.schema) && *self.schema != *other.schema {
+        if !Arc::ptr_eq(self.schema(), other.schema()) && **self.schema() != **other.schema() {
             return Err(DataError::SchemaMismatch);
         }
         let mut db = self.clone();
@@ -527,8 +391,8 @@ impl UncertainDatabase {
 
 impl PartialEq for UncertainDatabase {
     fn eq(&self, other: &Self) -> bool {
-        *self.schema == *other.schema
-            && self.fact_count == other.fact_count
+        **self.schema() == **other.schema()
+            && self.fact_count() == other.fact_count()
             && self.facts().all(|f| other.contains(f))
     }
 }
@@ -537,14 +401,14 @@ impl Eq for UncertainDatabase {}
 
 impl fmt::Debug for UncertainDatabase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "UncertainDatabase({} facts)", self.fact_count)
+        write!(f, "UncertainDatabase({} facts)", self.fact_count())
     }
 }
 
 impl fmt::Display for UncertainDatabase {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for fact in self.sorted_facts() {
-            writeln!(f, "{}", fact.display(&self.schema))?;
+            writeln!(f, "{}", fact.display(self.schema()))?;
         }
         Ok(())
     }
@@ -593,9 +457,9 @@ mod tests {
     }
 
     #[test]
-    fn no_op_mutations_keep_the_cached_index_and_epoch() {
+    fn no_op_mutations_copy_nothing_and_keep_the_epoch() {
         let mut db = figure1();
-        let warm = db.index();
+        let frozen = db.index();
         let epoch = db.epoch();
         let r = db.schema().relation_id("R").unwrap();
         // Re-inserting a present fact.
@@ -606,10 +470,9 @@ mod tests {
         assert!(!db.remove_fact(&Fact::new(r, vec![Value::str("ICDT"), Value::str("A")])));
         // Removing the block of a fact whose key has no block.
         assert!(!db.remove_block_of(&Fact::new(r, vec![Value::str("ICDT"), Value::str("A")])));
-        // None of the above dirtied the cache or moved the epoch.
-        assert!(Arc::ptr_eq(&warm, &db.index()));
+        // None of the above unshared the storage or moved the epoch.
+        assert!(Arc::ptr_eq(&frozen, &db.index()));
         assert_eq!(db.epoch(), epoch);
-        assert_eq!(db.pending_delta_len(), 0);
     }
 
     #[test]
@@ -739,17 +602,49 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_readers_share_one_index_snapshot() {
+    fn concurrent_readers_share_what_any_of_them_builds() {
         let db = figure1();
-        let snapshots: Vec<Arc<DatabaseIndex>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8).map(|_| scope.spawn(|| db.index())).collect();
+        let r = db.schema().relation_id("R").unwrap();
+        let built: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| db.index().position_index(r, crate::PositionSet::single(0)))
+                })
+                .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // Everyone observes the same facts; at most one build won the race,
-        // and the cache serves that snapshot from then on.
-        assert!(snapshots.iter().all(|s| s.fact_count() == 6));
-        let cached = db.index();
-        assert!(snapshots.iter().any(|s| Arc::ptr_eq(s, &cached)));
+        // At most one build won the race; everyone got that one.
+        assert!(built.iter().all(|index| Arc::ptr_eq(index, &built[0])));
+        assert_eq!(built[0].key_count(), 2);
+    }
+
+    #[test]
+    fn a_clone_keeps_reading_what_it_was_cloned_from() {
+        let mut db = figure1();
+        let frozen = db.clone();
+        let r = db.schema().relation_id("R").unwrap();
+        db.insert_values("R", ["VLDB", "A"]).unwrap();
+        assert!(db.remove_fact(&Fact::new(r, vec![Value::str("PODS"), Value::str("A")])));
+        assert_eq!((db.fact_count(), db.block_count()), (6, 4));
+        assert_eq!((frozen.fact_count(), frozen.block_count()), (6, 4));
+        assert_eq!(frozen, figure1());
+        assert_ne!(db, frozen);
+        assert!(db.epoch() > frozen.epoch());
+    }
+
+    #[test]
+    fn consistency_tracks_violated_blocks() {
+        let mut db = figure1();
+        let c = db.schema().relation_id("C").unwrap();
+        let r = db.schema().relation_id("R").unwrap();
+        assert!(!db.is_consistent());
+        assert!(db.remove_fact(&Fact::new(r, vec![Value::str("KDD"), Value::str("B")])));
+        assert!(!db.is_consistent());
+        let paris = ["PODS", "2016", "Paris"].map(Value::str);
+        assert!(db.remove_block_of(&Fact::new(c, paris.to_vec())));
+        assert!(db.is_consistent());
+        db.insert_values("R", ["KDD", "B"]).unwrap();
+        assert!(!db.is_consistent());
     }
 
     #[test]

@@ -1,33 +1,14 @@
-//! Mutation deltas: the change log that makes index maintenance incremental.
+//! Mutation deltas: what a write changed, for whoever maintains something
+//! derived from the database.
 //!
-//! Every mutation of an [`UncertainDatabase`] that actually changes the fact
-//! set is recorded as a [`Delta`] in the database's pending [`ChangeSet`] —
-//! but only while a cached [`DatabaseIndex`] snapshot exists, because the log
-//! has exactly one consumer: [`DatabaseIndex::apply_delta`], which patches
-//! the previous snapshot (fact lists, block lists, hash buckets, statistics,
-//! active domain, columnar view) instead of rebuilding it from scratch.
-//!
-//! The log is bounded: past a configurable **delta-volume threshold** the
-//! cached snapshot is dropped and the next [`UncertainDatabase::index`] call
-//! performs a full rebuild (counted as `data.index.delta_fallback_rebuild`).
-//! Patching wins when the change is small relative to the database — the
-//! serving-under-writes case — while bulk rewrites (purification, `retain`)
-//! quickly trip the threshold and fall back to the one rebuild they would
-//! have paid anyway.
-//!
-//! [`UncertainDatabase`]: crate::UncertainDatabase
-//! [`UncertainDatabase::index`]: crate::UncertainDatabase::index
-//! [`DatabaseIndex`]: crate::DatabaseIndex
-//! [`DatabaseIndex::apply_delta`]: crate::DatabaseIndex::apply_delta
+//! The database itself keeps no log — every mutation patches its own
+//! secondary structures in the same step (see [`crate::DatabaseIndex`]).
+//! A [`ChangeSet`] is recorded *beside* the mutations by a caller that
+//! maintains state of its own from them: the server's write path fills one
+//! per write and hands it to `cqa-stream`'s view maintainer, which repairs
+//! the materialized views touched by exactly those facts.
 
 use crate::Fact;
-
-/// Delta-volume threshold: pending changesets larger than this drop the
-/// cached index instead of patching it. Tests override it per database via
-/// [`UncertainDatabase::set_delta_threshold`].
-///
-/// [`UncertainDatabase::set_delta_threshold`]: crate::UncertainDatabase::set_delta_threshold
-pub const DEFAULT_DELTA_THRESHOLD: usize = 256;
 
 /// One recorded mutation of an [`UncertainDatabase`].
 ///
@@ -40,25 +21,19 @@ pub enum Delta {
     Removed {
         /// The removed fact.
         fact: Fact,
-        /// True iff the removal emptied the fact's block, which removes the
-        /// block by `swap_remove` and therefore **reorders block ids** —
-        /// the structural event that forces [`DatabaseIndex::apply_delta`]
-        /// onto its general (hash-matching) id-remapping path.
-        ///
-        /// [`DatabaseIndex::apply_delta`]: crate::DatabaseIndex::apply_delta
+        /// True iff the removal emptied the fact's block, so the block
+        /// itself disappeared.
         emptied_block: bool,
     },
 }
 
-/// The net effect of the mutations recorded since a cached index snapshot
-/// was built: which facts were inserted, which were removed, and whether any
-/// block disappeared (reordering block ids).
+/// The net effect of the recorded mutations: which facts were inserted,
+/// which were removed, and whether any block disappeared.
 ///
 /// Recording *nets out* transient facts: removing a fact that was itself
-/// inserted after the snapshot cancels the insertion instead of growing the
-/// log. A base fact that is removed and later re-inserted stays in **both**
-/// lists — the snapshot's copy and the re-inserted copy are distinct
-/// allocations, and the patcher tracks facts by allocation identity.
+/// inserted earlier in the changeset cancels the insertion instead of
+/// growing the log. A base fact that is removed and later re-inserted stays
+/// in **both** lists.
 #[derive(Clone, Debug, Default)]
 pub struct ChangeSet {
     inserted: Vec<Fact>,
@@ -81,8 +56,7 @@ impl ChangeSet {
                 emptied_block,
             } => {
                 self.block_removed |= emptied_block;
-                // A fact inserted after the snapshot and removed again nets
-                // out entirely: the snapshot never saw it.
+                // A fact inserted and removed again nets out entirely.
                 if let Some(pos) = self.inserted.iter().position(|f| *f == fact) {
                     self.inserted.swap_remove(pos);
                 } else {
@@ -92,12 +66,12 @@ impl ChangeSet {
         }
     }
 
-    /// Facts inserted since the snapshot (absent from it).
+    /// Facts inserted by the recorded mutations (absent before them).
     pub fn inserted(&self) -> &[Fact] {
         &self.inserted
     }
 
-    /// Facts removed since the snapshot (present in it).
+    /// Facts removed by the recorded mutations (present before them).
     pub fn removed(&self) -> &[Fact] {
         &self.removed
     }
@@ -107,13 +81,12 @@ impl ChangeSet {
         self.block_removed
     }
 
-    /// The delta volume: number of recorded insertions plus removals. This
-    /// is what the fallback threshold is compared against.
+    /// The delta volume: number of recorded insertions plus removals.
     pub fn len(&self) -> usize {
         self.inserted.len() + self.removed.len()
     }
 
-    /// True iff nothing was recorded (the cached snapshot is current).
+    /// True iff nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.inserted.is_empty() && self.removed.is_empty()
     }

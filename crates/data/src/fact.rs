@@ -26,6 +26,11 @@ impl Fact {
         }
     }
 
+    /// Creates a fact over an already shared value tuple.
+    pub(crate) fn from_shared(relation: RelationId, values: Arc<[Value]>) -> Self {
+        Fact { relation, values }
+    }
+
     /// Creates a fact, validating arity against the schema.
     pub fn checked(
         schema: &Schema,

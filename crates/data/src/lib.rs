@@ -24,14 +24,14 @@
 //!   active domain,
 //! * [`RepairIter`] / [`UncertainDatabase::repairs`] — enumeration and
 //!   counting of repairs,
-//! * [`DatabaseIndex`] — a cached secondary-index snapshot (dense fact ids,
-//!   per-relation fact/block lists, hash indexes on arbitrary position
-//!   subsets) that turns the solvers' join steps into hash probes,
-//! * [`Snapshot`] — an owned, immutable, `Send + Sync` point-in-time view
-//!   (database + index + epoch) that the parallel layer shares across threads,
-//! * [`delta`] — the mutation log ([`ChangeSet`]) that lets
-//!   [`DatabaseIndex::apply_delta`] patch a cached snapshot instead of
-//!   rebuilding it,
+//! * [`DatabaseIndex`] — the database's copy-on-write storage (relation-local
+//!   rows, blocks, key maps) with its demand-built, write-maintained
+//!   secondary structures (dictionary-coded columns, hash indexes on position
+//!   subsets, statistics) that turn the solvers' join steps into hash probes,
+//! * [`Snapshot`] — an immutable, `Send + Sync` point-in-time handle onto
+//!   that storage, which the parallel layer shares across threads,
+//! * [`delta`] — the change record ([`ChangeSet`]) a write hands to whoever
+//!   maintains derived state, such as `cqa-stream`'s materialized views,
 //! * [`store`] — a durable chunked, dictionary-encoded on-disk format
 //!   ([`store::save`] / [`store::load`]) so instances survive restarts,
 //! * small utilities shared by the rest of the workspace.
@@ -41,6 +41,7 @@
 
 mod block;
 pub mod columnar;
+mod cow;
 mod database;
 pub mod delta;
 mod error;
@@ -52,15 +53,13 @@ mod snapshot;
 pub mod store;
 mod value;
 
-pub use block::{Block, BlockId};
-pub use columnar::{CodeIndex, Columnar, Dictionary, RelationColumns};
+pub use block::Block;
+pub use columnar::{Columnar, Dictionary, RelationColumns};
 pub use database::UncertainDatabase;
-pub use delta::{ChangeSet, Delta, DEFAULT_DELTA_THRESHOLD};
+pub use delta::{ChangeSet, Delta};
 pub use error::DataError;
 pub use fact::Fact;
-pub use index::{
-    DatabaseIndex, FactId, PositionIndex, PositionSet, RelationStatistics, Statistics,
-};
+pub use index::{DatabaseIndex, PositionIndex, PositionSet, RelationStatistics, Rows, Statistics};
 pub use repairs::{RepairIter, RepairSampler};
 pub use schema::{Relation, RelationId, Schema, Signature};
 pub use snapshot::Snapshot;

@@ -5,9 +5,9 @@
 //! checks, root-scan shards, and whole query batches must all see the same
 //! facts, the same blocks, and the same [`DatabaseIndex`] — and they run on
 //! worker threads that outlive any `&UncertainDatabase` borrow a caller
-//! could offer. A [`Snapshot`] packages an owned copy of the database
-//! together with its index snapshot behind `Arc`s: cloning is two reference
-//! counts, the contents can never change, and every clone is `Send + Sync`.
+//! could offer. A [`Snapshot`] is one more handle onto the database's
+//! copy-on-write storage: taking and cloning it is a reference count, the
+//! contents can never change, and every clone is `Send + Sync`.
 
 use crate::{DatabaseIndex, Schema, UncertainDatabase};
 use std::fmt;
@@ -16,10 +16,11 @@ use std::sync::Arc;
 /// An immutable, cheaply cloneable point-in-time view of an
 /// [`UncertainDatabase`] plus its [`DatabaseIndex`].
 ///
-/// Obtained from [`UncertainDatabase::snapshot`]. The snapshot *owns* its
-/// copy of the database, so later mutations of the original are invisible
-/// to it — the property that makes "answer this batch of queries against
-/// one consistent state" meaningful while the writer moves on.
+/// Obtained from [`UncertainDatabase::snapshot`]. The snapshot shares the
+/// storage of the database it was taken from; a later mutation of the
+/// original copies the chunks it touches first, so it is invisible here —
+/// the property that makes "answer this batch of queries against one
+/// consistent state" meaningful while the writer moves on.
 ///
 /// ```
 /// use cqa_data::{Schema, UncertainDatabase};
@@ -34,24 +35,13 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone)]
 pub struct Snapshot {
-    db: Arc<UncertainDatabase>,
-    index: Arc<DatabaseIndex>,
-    epoch: u64,
+    db: UncertainDatabase,
 }
 
 impl Snapshot {
-    /// Freezes `db` into a snapshot. The database's cached index is reused
-    /// when warm, so snapshotting an already-indexed database copies the
-    /// fact storage but not the index.
+    /// Freezes `db` into a snapshot.
     pub fn new(db: &UncertainDatabase) -> Snapshot {
-        let index = db.index();
-        Snapshot {
-            // The clone shares the (just-warmed) cached index, so
-            // `self.db.index()` and `self.index` stay the same allocation.
-            db: Arc::new(db.clone()),
-            index,
-            epoch: db.epoch(),
-        }
+        Snapshot { db: db.clone() }
     }
 
     /// The mutation epoch of the source database at freeze time
@@ -59,13 +49,13 @@ impl Snapshot {
     /// database's current epoch detects staleness with one integer compare —
     /// the check `cqa-par`'s batch engine and the serve loop run per batch.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.db.epoch()
     }
 
     /// True iff `db` has been effectively mutated since this snapshot was
     /// frozen from it. Only meaningful for the same database lineage.
     pub fn is_stale_for(&self, db: &UncertainDatabase) -> bool {
-        self.epoch != db.epoch()
+        self.epoch() != db.epoch()
     }
 
     /// The frozen database contents.
@@ -78,14 +68,14 @@ impl Snapshot {
         self.db.schema()
     }
 
-    /// The secondary-index snapshot of the frozen contents.
+    /// The storage and secondary indexes of the frozen contents.
     pub fn index(&self) -> &Arc<DatabaseIndex> {
-        &self.index
+        self.db.store()
     }
 
     /// Number of facts in the snapshot.
     pub fn fact_count(&self) -> usize {
-        self.index.fact_count()
+        self.db.fact_count()
     }
 }
 
@@ -106,8 +96,9 @@ mod tests {
         let mut db = UncertainDatabase::new(schema);
         db.insert_values("R", ["a", "1"]).unwrap();
         let snapshot = db.snapshot();
-        assert!(Arc::ptr_eq(snapshot.index(), &snapshot.database().index()));
+        assert!(Arc::ptr_eq(snapshot.index(), &db.index()), "no copy");
         db.insert_values("R", ["a", "2"]).unwrap();
+        assert!(!Arc::ptr_eq(snapshot.index(), &db.index()));
         assert_eq!(snapshot.fact_count(), 1);
         assert_eq!(db.fact_count(), 2);
         // Clones are cheap handles onto the same frozen state.

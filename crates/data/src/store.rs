@@ -1,10 +1,13 @@
 //! Durable storage: a chunked, dictionary-encoded on-disk format for
 //! [`UncertainDatabase`] instances.
 //!
-//! The format reuses the coding of the in-memory [`Columnar`] view: all
-//! values are collected into one sorted dictionary and every fact position
-//! becomes a column of dense `u32` codes, written in fixed-size chunks. A
-//! database therefore serializes as
+//! The format is the in-memory [`Columnar`] view made canonical: all values
+//! are collected into one **sorted** dictionary and every fact position
+//! becomes a column of dense `u32` codes — ranks in that dictionary —
+//! written in fixed-size chunks. (In memory codes carry no order and are
+//! recycled; [`save`] renumbers them, so equal contents in equal row order
+//! give equal bytes whatever history produced them.) A database therefore
+//! serializes as
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────────┐
@@ -25,16 +28,23 @@
 //! └──────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! All integers are little-endian. Rows follow
-//! [`DatabaseIndex::relation_fact_ids`](crate::DatabaseIndex::relation_fact_ids)
-//! order, and [`load`] re-inserts them relation by relation in that order —
-//! which makes `save ∘ load` byte-stable: saving a just-loaded database
-//! reproduces the input file exactly (the property the format-pinning
-//! fixture test relies on).
+//! All integers are little-endian. Rows are written **block by block** —
+//! the relation's blocks in their stored order, each block's facts in
+//! theirs — so key-equal facts, which every block quantifier reads together,
+//! sit in neighbouring rows of a loaded database however scattered their
+//! insertions were. [`load`] hands the decoded dictionary and code columns
+//! to the store as they are — row for row, the columnar view warm — which
+//! makes `save ∘ load` byte-stable: saving a just-loaded database reproduces
+//! the input file exactly (the property the format-pinning fixture test
+//! relies on).
 //!
 //! [`Columnar`]: crate::Columnar
 
-use crate::{DataError, Schema, UncertainDatabase, Value};
+use crate::columnar::{value_hash, Columnar, Dictionary};
+use crate::cow::{CowMap, DeepVec};
+use crate::index::{key_hash, DatabaseIndex, RelationData};
+use crate::{Block, DataError, Fact, FxHashMap, RelationId, Schema, UncertainDatabase, Value};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -184,7 +194,16 @@ fn put_value(out: &mut Vec<u8>, value: &Value) {
 pub fn save_to_vec(db: &UncertainDatabase) -> Vec<u8> {
     let index = db.index();
     let columnar = index.columnar();
-    let dictionary = columnar.dictionary_values();
+    let dictionary = index.active_domain();
+    // In-memory code → rank in the sorted dictionary.
+    let mut rank = vec![0u32; columnar.dictionary().slot_count()];
+    for (position, value) in dictionary.iter().enumerate() {
+        let code = columnar
+            .dictionary()
+            .code_of(value)
+            .expect("every active-domain value is coded");
+        rank[code as usize] = position as u32;
+    }
 
     let mut out = Vec::with_capacity(64 + db.fact_count() * 16);
     out.extend_from_slice(MAGIC);
@@ -205,15 +224,18 @@ pub fn save_to_vec(db: &UncertainDatabase) -> Vec<u8> {
         put_value(&mut out, value);
     }
 
-    // Per-relation chunked code columns.
+    // Per-relation chunked code columns, rows block by block.
     for (rel, relation) in schema.iter() {
         let columns = columnar.relation(rel);
-        put_u64(&mut out, columns.row_count() as u64);
+        let rows: Vec<u32> = (index.relation_blocks(rel))
+            .flat_map(|block| block.rows().iter().copied())
+            .collect();
+        put_u64(&mut out, rows.len() as u64);
         for pos in 0..relation.arity() {
-            for chunk in columns.column(pos).chunks(CHUNK.max(1)) {
+            for chunk in rows.chunks(CHUNK) {
                 put_u32(&mut out, chunk.len() as u32);
-                for &code in chunk {
-                    put_u32(&mut out, code);
+                for &row in chunk {
+                    put_u32(&mut out, rank[columns.code(pos, row as usize) as usize]);
                 }
             }
         }
@@ -249,6 +271,11 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// Bytes not yet consumed: an upper bound for any count read from them.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.at
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
         let end = self
             .at
@@ -361,23 +388,33 @@ pub fn load_from_slice(bytes: &[u8]) -> Result<UncertainDatabase, StoreError> {
     }
     let schema = schema.into_shared();
 
-    // Dictionary.
+    // Dictionary: sorted and distinct, as `save` writes it — so a code is a
+    // value, and the decoded columns can be kept as they are.
     let dict_len = r.u64()? as usize;
-    let mut dictionary: Vec<Value> = Vec::with_capacity(dict_len.min(1 << 24));
+    let mut dictionary: Vec<Value> = Vec::with_capacity(dict_len.min(r.remaining()));
     for _ in 0..dict_len {
-        dictionary.push(r.value(0)?);
+        let value = r.value(0)?;
+        if dictionary.last().is_some_and(|previous| *previous >= value) {
+            return Err(StoreError::Format(format!(
+                "dictionary value #{} is out of order",
+                dictionary.len()
+            )));
+        }
+        dictionary.push(value);
     }
-    let dictionary: Arc<[Value]> = dictionary.into();
+    let hashes: Vec<u64> = dictionary.iter().map(value_hash).collect();
+    let mut counts = vec![0u32; dictionary.len()];
 
-    // Per-relation columns → facts, re-inserted in row order.
-    let mut db = UncertainDatabase::new(schema.clone());
+    // Per-relation columns → rows, blocks and key map, in row order.
+    let mut relations = Vec::with_capacity(arities.len());
+    let mut coded = Vec::with_capacity(arities.len());
     let mut total_expected: u64 = 0;
     for (rel_index, &arity) in arities.iter().enumerate() {
         let rows = r.u64()? as usize;
         total_expected += rows as u64;
         let mut columns: Vec<Vec<u32>> = Vec::with_capacity(arity);
         for _ in 0..arity {
-            let mut column = Vec::with_capacity(rows);
+            let mut column = Vec::with_capacity(rows.min(r.remaining() / 4));
             while column.len() < rows {
                 let chunk_len = r.u32()? as usize;
                 if chunk_len == 0 || column.len() + chunk_len > rows {
@@ -385,31 +422,45 @@ pub fn load_from_slice(bytes: &[u8]) -> Result<UncertainDatabase, StoreError> {
                         "bad chunk length {chunk_len} in relation #{rel_index}"
                     )));
                 }
-                for _ in 0..chunk_len {
-                    column.push(r.u32()?);
+                for code in r.take(chunk_len * 4)?.chunks_exact(4) {
+                    let code = u32::from_le_bytes(code.try_into().expect("4 bytes"));
+                    *counts.get_mut(code as usize).ok_or_else(|| {
+                        StoreError::Format(format!("code {code} outside the dictionary"))
+                    })? += 1;
+                    column.push(code);
                 }
             }
             columns.push(column);
         }
-        let rel = crate::RelationId::from_index(rel_index);
-        for row in 0..rows {
-            let mut values = Vec::with_capacity(arity);
-            for column in &columns {
-                let code = column[row] as usize;
-                let value = dictionary.get(code).ok_or_else(|| {
-                    StoreError::Format(format!("code {code} outside the dictionary"))
-                })?;
-                values.push(value.clone());
-            }
-            if !db.insert(crate::Fact::new(rel, values))? {
-                return Err(StoreError::Format(format!(
-                    "duplicate row {row} in relation #{rel_index}"
-                )));
-            }
-        }
+        let relation = RelationId::from_index(rel_index);
+        let key_len = schema.relation(relation).key_len();
+        relations.push(Arc::new(relation_from_columns(
+            relation,
+            key_len,
+            &columns,
+            rows,
+            &dictionary,
+            &hashes,
+        )?));
+        coded.push(Columnar::relation_from(&columns));
     }
+    // A dictionary with no dead entry is the sorted active domain.
+    let active_domain = counts
+        .iter()
+        .all(|&count| count > 0)
+        .then(|| dictionary.as_slice().into());
+    let columnar = Columnar {
+        dictionary: Arc::new(Dictionary::from_values(dictionary, &counts)),
+        relations: coded,
+    };
+    let db = UncertainDatabase::from_store(DatabaseIndex::from_parts(
+        schema,
+        relations,
+        columnar,
+        active_domain,
+    ));
     let recorded_total = r.u64()?;
-    if recorded_total != total_expected || db.fact_count() as u64 != total_expected {
+    if recorded_total != total_expected {
         return Err(StoreError::Format(format!(
             "fact-count mismatch (recorded {recorded_total}, decoded {total_expected})"
         )));
@@ -421,6 +472,70 @@ pub fn load_from_slice(bytes: &[u8]) -> Result<UncertainDatabase, StoreError> {
         )));
     }
     Ok(db)
+}
+
+/// Rebuilds the rows, blocks and key map of one relation from its decoded
+/// code columns. Codes index a dictionary of distinct values, so facts are
+/// equal iff their codes are.
+fn relation_from_columns(
+    relation: RelationId,
+    key_len: usize,
+    columns: &[Vec<u32>],
+    rows: usize,
+    dictionary: &[Value],
+    hashes: &[u64],
+) -> Result<RelationData, StoreError> {
+    let (key_columns, other_columns) = columns.split_at(key_len);
+    let same = |columns: &[Vec<u32>], a: usize, b: usize| columns.iter().all(|c| c[a] == c[b]);
+    let mut facts = Vec::with_capacity(rows);
+    let mut blocks: Vec<Block> = Vec::new();
+    let mut first_rows: Vec<usize> = Vec::new();
+    // Key hash → block, open-addressed on the (rare) hash collision.
+    let mut block_at: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut keys = Vec::new();
+    for row in 0..rows {
+        let fact = Fact::from_shared(
+            relation,
+            columns
+                .iter()
+                .map(|c| dictionary[c[row] as usize].clone())
+                .collect(),
+        );
+        let hash = key_hash(key_columns.iter().map(|c| hashes[c[row] as usize]));
+        let mut slot = hash;
+        loop {
+            match block_at.entry(slot) {
+                Entry::Vacant(vacant) => {
+                    vacant.insert(blocks.len());
+                    keys.push((hash, blocks.len() as u32));
+                    first_rows.push(row);
+                    blocks.push(Block::new(key_len, hash, fact.clone(), row as u32));
+                    break;
+                }
+                Entry::Occupied(occupied)
+                    if same(key_columns, first_rows[*occupied.get()], row) =>
+                {
+                    let block = &mut blocks[*occupied.get()];
+                    if (block.rows().iter()).any(|&other| same(other_columns, other as usize, row))
+                    {
+                        return Err(StoreError::Format(format!(
+                            "duplicate row {row} in relation #{}",
+                            relation.index()
+                        )));
+                    }
+                    block.push(fact.clone(), row as u32);
+                    break;
+                }
+                Entry::Occupied(_) => slot = slot.wrapping_add(1),
+            }
+        }
+        facts.push(fact);
+    }
+    Ok(RelationData {
+        facts: DeepVec::from_vec(facts),
+        blocks: DeepVec::from_vec(blocks.into_iter().map(Arc::new).collect()),
+        keys: CowMap::from_entries(keys),
+    })
 }
 
 /// Loads a database previously written by [`save`].

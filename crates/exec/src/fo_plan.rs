@@ -32,10 +32,9 @@
 //! checks observational equality on randomized instances.
 
 use crate::cost::CostModel;
-use crate::probe::{KeySource, ProbeSpec, Registers, Slot, SlotState};
+use crate::probe::{BoundProbe, KeySource, ProbeSpec, Registers, Slot, SlotState};
 use cqa_data::{
-    DatabaseIndex, FactId, PositionIndex, PositionSet, RelationId, Schema, Statistics,
-    UncertainDatabase, Value,
+    DatabaseIndex, PositionSet, RelationId, Schema, Statistics, UncertainDatabase, Value,
 };
 use cqa_obs::TraceSink;
 use cqa_query::fo_formula::FoFormula;
@@ -185,14 +184,16 @@ impl FoPlan {
     /// The execution path defaults to [`crate::vec::default_mode`]; override
     /// it per instance with [`PreparedFo::with_mode`].
     pub fn prepare<'p>(&'p self, index: &Arc<DatabaseIndex>) -> PreparedFo<'p> {
-        let mut handles: Vec<Option<Arc<PositionIndex>>> = vec![None; self.probe_count];
+        let mut handles = Vec::new();
+        handles.resize_with(self.probe_count, || None);
         resolve_probes(&self.root, index, &mut handles);
+        let vec = crate::vec::VecFo::build(&self.root, index, self.slots.len(), &handles);
         PreparedFo {
             plan: self,
             index: index.clone(),
             handles,
             mode: crate::vec::default_mode(),
-            vec: crate::vec::VecFo::build(&self.root, index, self.slots.len()),
+            vec,
             trace: None,
         }
     }
@@ -427,16 +428,8 @@ fn collect_free_vars<'f>(
 }
 
 /// Walks the operator tree resolving each probe site's index handle.
-fn resolve_probes(
-    op: &FoOp,
-    index: &Arc<DatabaseIndex>,
-    handles: &mut Vec<Option<Arc<PositionIndex>>>,
-) {
-    let mut resolve_spec = |spec: &ProbeSpec| {
-        if !spec.positions.is_empty() {
-            handles[spec.probe_id] = Some(index.position_index(spec.relation, spec.positions));
-        }
-    };
+fn resolve_probes(op: &FoOp, index: &Arc<DatabaseIndex>, handles: &mut Vec<Option<BoundProbe>>) {
+    let mut resolve_spec = |spec: &ProbeSpec| handles[spec.probe_id] = spec.bind(index);
     match op {
         FoOp::Bool(_) | FoOp::Eq(_, _) => {}
         FoOp::Lookup(spec) => resolve_spec(spec),
@@ -457,8 +450,10 @@ fn resolve_probes(
             body,
             ..
         } => {
-            handles[*probe_id] =
-                Some(index.position_index(*relation, PositionSet::single(*position)));
+            handles[*probe_id] = Some(BoundProbe {
+                index: index.position_index(*relation, PositionSet::single(*position)),
+                key: Vec::new(),
+            });
             resolve_probes(body, index, handles);
         }
         FoOp::ExistsDomain { body, .. } | FoOp::ForallDomain { body, .. } => {
@@ -919,7 +914,7 @@ fn estimated_op_work(op: &FoOp, cost: &CostModel, adom: f64) -> f64 {
 pub struct PreparedFo<'p> {
     pub(crate) plan: &'p FoPlan,
     pub(crate) index: Arc<DatabaseIndex>,
-    pub(crate) handles: Vec<Option<Arc<PositionIndex>>>,
+    pub(crate) handles: Vec<Option<BoundProbe>>,
     pub(crate) mode: crate::vec::ExecMode,
     pub(crate) vec: crate::vec::VecFo<'p>,
     pub(crate) trace: Option<Arc<TraceSink>>,
@@ -1074,7 +1069,7 @@ impl PreparedFo<'_> {
         let regs = Registers::new(self.plan.slots.len());
         let candidates =
             spec.candidates(&self.index, self.handles[spec.probe_id].as_ref(), &regs)?;
-        Some(candidates.ids().len())
+        Some(candidates.len())
     }
 
     /// Evaluates the sentence with the root `∃-scan`'s candidate iteration
@@ -1098,18 +1093,14 @@ impl PreparedFo<'_> {
             else {
                 return false;
             };
-            let ids = candidates.ids();
-            let lo = shard.start.min(ids.len());
-            let hi = shard.end.min(ids.len());
             let mut writes = Vec::new();
             let mut found = false;
             let mut scanned = 0u64;
             let mut unified = 0u64;
-            for &fid in &ids[lo..hi] {
+            for row in candidates.slice(shard.clone()) {
                 regs.undo(&mut writes);
                 scanned += 1;
-                let fact = self.index.fact(FactId::from_index(fid as usize));
-                if spec.apply(fact, &mut regs, &mut writes) {
+                if spec.apply(&self.index, row, &mut regs, &mut writes) {
                     unified += 1;
                     if self.eval_op(body, &mut regs) {
                         found = true;
@@ -1152,10 +1143,9 @@ impl PreparedFo<'_> {
                 let mut no_writes = Vec::new();
                 let mut scanned = 0u64;
                 let mut hit = false;
-                for &fid in candidates.ids() {
+                for row in candidates {
                     scanned += 1;
-                    let fact = self.index.fact(FactId::from_index(fid as usize));
-                    if spec.apply(fact, regs, &mut no_writes) {
+                    if spec.apply(&self.index, row, regs, &mut no_writes) {
                         hit = true;
                         break;
                     }
@@ -1182,11 +1172,10 @@ impl PreparedFo<'_> {
                 let mut found = false;
                 let mut scanned = 0u64;
                 let mut unified = 0u64;
-                for &fid in candidates.ids() {
+                for row in candidates {
                     regs.undo(&mut writes);
                     scanned += 1;
-                    let fact = self.index.fact(FactId::from_index(fid as usize));
-                    if spec.apply(fact, regs, &mut writes) {
+                    if spec.apply(&self.index, row, regs, &mut writes) {
                         unified += 1;
                         if self.eval_op(body, regs) {
                             found = true;
@@ -1211,14 +1200,13 @@ impl PreparedFo<'_> {
                 let mut holds = true;
                 let mut scanned = 0u64;
                 let mut unified = 0u64;
-                for &fid in candidates.ids() {
+                for row in candidates {
                     regs.undo(&mut writes);
                     scanned += 1;
-                    let fact = self.index.fact(FactId::from_index(fid as usize));
                     // A candidate the guard does not unify with (repeated-
                     // variable mismatch) corresponds to no assignment:
                     // vacuous, skip.
-                    if spec.apply(fact, regs, &mut writes) {
+                    if spec.apply(&self.index, row, regs, &mut writes) {
                         unified += 1;
                         if !self.eval_op(body, regs) {
                             holds = false;
@@ -1236,14 +1224,17 @@ impl PreparedFo<'_> {
                 body,
                 ..
             } => {
-                let column = self.handles[*probe_id]
+                let column = &self.handles[*probe_id]
                     .as_ref()
-                    .expect("column probes always resolve");
+                    .expect("column probes always resolve")
+                    .index;
                 let mut found = false;
                 let mut scanned = 0u64;
+                let dictionary = self.index.dictionary();
                 for key in column.keys() {
                     scanned += 1;
-                    regs.set(*slot, key[0].clone());
+                    // A single-position key is the code itself.
+                    regs.set_coded(*slot, dictionary.value(key as u32).clone(), key as u32);
                     if self.eval_op(body, regs) {
                         found = true;
                         break;

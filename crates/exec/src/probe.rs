@@ -4,27 +4,34 @@
 //! variables down to dense **slots** in a register file and atoms down to
 //! [`ProbeSpec`]s. A probe spec is the compile-time answer to the questions
 //! the interpreters re-derive on every call: *which positions of this atom
-//! are bound here* (they become the probe key of a
-//! [`cqa_data::PositionIndex`]), and *what to do with the remaining
-//! positions of each candidate fact* (bind a register, check a register,
-//! check a constant).
+//! are bound here* (the first [`PositionIndex::MAX_WIDTH`] of them become
+//! the probe key of a [`cqa_data::PositionIndex`]), and *what to do with the
+//! remaining positions of each candidate fact* (bind a register, check a
+//! register, check a constant).
 
-use cqa_data::{DatabaseIndex, Fact, PositionIndex, PositionSet, RelationId, Value};
+use cqa_data::{DatabaseIndex, Fact, PositionIndex, PositionSet, RelationId, Rows, Value};
 use cqa_query::{Term, Variable};
 use std::sync::Arc;
 
 /// Dense register index of a compiled variable.
 pub(crate) type Slot = usize;
 
-/// The runtime register file: one optional [`Value`] per slot.
+/// The runtime register file: one optional [`Value`] per slot, with its
+/// dictionary code where the binder knew it.
 pub(crate) struct Registers {
     values: Vec<Option<Value>>,
+    /// `NO_CODE` where unknown; meaningful only while the slot is bound.
+    codes: Vec<u32>,
 }
+
+/// Marks a register whose value's code is not known.
+const NO_CODE: u32 = u32::MAX;
 
 impl Registers {
     pub(crate) fn new(slots: usize) -> Self {
         Registers {
             values: vec![None; slots],
+            codes: vec![NO_CODE; slots],
         }
     }
 
@@ -32,8 +39,32 @@ impl Registers {
         self.values[slot].as_ref()
     }
 
+    /// Binds `slot` to a value from outside the database.
     pub(crate) fn set(&mut self, slot: Slot, value: Value) {
+        self.set_coded(slot, value, NO_CODE);
+    }
+
+    /// Binds `slot` to a value whose dictionary code is `code`.
+    pub(crate) fn set_coded(&mut self, slot: Slot, value: Value, code: u32) {
         self.values[slot] = Some(value);
+        self.codes[slot] = code;
+    }
+
+    /// The code of the bound slot's value: as remembered, else looked up
+    /// (`None`: no fact carries the value).
+    fn code(&self, slot: Slot, value: &Value, index: &DatabaseIndex) -> Option<u32> {
+        match self.codes[slot] {
+            NO_CODE => index.dictionary().code_of(value),
+            code => Some(code),
+        }
+    }
+
+    /// True iff the bound slot's value is the one at `pos` of `row`.
+    fn holds(&self, slot: Slot, value: &Value, cell: Cell<'_>, pos: usize) -> bool {
+        match self.codes[slot] {
+            NO_CODE => value == cell.fact.value(pos),
+            code => code == cell.codes[pos],
+        }
     }
 
     pub(crate) fn clear(&mut self, slot: Slot) {
@@ -49,6 +80,13 @@ impl Registers {
     }
 }
 
+/// One candidate row, as values and as codes.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    fact: &'a Fact,
+    codes: &'a [u32],
+}
+
 /// Where one component of a probe key comes from.
 #[derive(Clone, Debug)]
 pub(crate) enum KeySource {
@@ -60,12 +98,27 @@ pub(crate) enum KeySource {
 }
 
 impl KeySource {
-    pub(crate) fn resolve(&self, regs: &Registers) -> Option<Value> {
+    pub(crate) fn resolve<'a>(&'a self, regs: &'a Registers) -> Option<&'a Value> {
         match self {
-            KeySource::Const(c) => Some(c.clone()),
-            KeySource::Slot(s) => regs.get(*s).cloned(),
+            KeySource::Const(c) => Some(c),
+            KeySource::Slot(s) => regs.get(*s),
         }
     }
+}
+
+/// One component of a probe key bound to a snapshot: a constant's code
+/// (`None`: no fact carries it, the probe matches nothing) or a slot.
+#[derive(Clone, Debug)]
+pub(crate) enum KeyCode {
+    Code(Option<u32>),
+    Slot(Slot),
+}
+
+/// A probe site bound to one snapshot: the index it probes and its key
+/// with the constants coded.
+pub(crate) struct BoundProbe {
+    pub(crate) index: Arc<PositionIndex>,
+    pub(crate) key: Vec<KeyCode>,
 }
 
 /// What to do with a candidate fact's value at one non-probed position.
@@ -74,10 +127,10 @@ pub(crate) enum PosAction {
     /// First occurrence of a variable: write the register (or, if the caller
     /// pre-bound it, check it — `satisfies_with` base bindings).
     Bind { pos: usize, slot: Slot },
-    /// Repeated occurrence of a bound variable (or a variable at a position
-    /// beyond the index's probe width): the value must equal the register.
+    /// Repeated occurrence of a bound variable (or a bound variable beyond
+    /// the index's probe width): the value must equal the register.
     CheckSlot { pos: usize, slot: Slot },
-    /// A constant at a position beyond the index's probe width.
+    /// A constant beyond the index's probe width.
     CheckConst { pos: usize, value: Value },
 }
 
@@ -106,9 +159,11 @@ pub(crate) enum SlotState {
 
 impl ProbeSpec {
     /// Compiles the access to one atom. `resolve` maps each variable to its
-    /// slot plus whether it is bound *before* this operator runs; positions
-    /// holding constants or bound variables (up to the index's probe width)
-    /// become the probe key, everything else becomes a per-candidate action.
+    /// slot plus whether it is bound *before* this operator runs; the first
+    /// positions holding constants or bound variables (up to the index's
+    /// probe width) become the probe key — the probe then returns a superset
+    /// of the matching facts — and everything else becomes a per-candidate
+    /// action that re-establishes exactness.
     pub(crate) fn build(
         relation: RelationId,
         terms: &[Term],
@@ -120,7 +175,7 @@ impl ProbeSpec {
         let mut actions = Vec::new();
         let mut bound_here: Vec<Slot> = Vec::new();
         for (pos, term) in terms.iter().enumerate() {
-            let probe_ok = pos < PositionSet::MAX_POSITIONS;
+            let probe_ok = key.len() < PositionIndex::MAX_WIDTH && pos < PositionSet::MAX_POSITIONS;
             match term {
                 Term::Const(c) => {
                     if probe_ok {
@@ -171,54 +226,89 @@ impl ProbeSpec {
         })
     }
 
-    /// Resolves the candidate fact ids for the current registers: a hash
-    /// probe when positions are bound, the relation's full fact list
-    /// otherwise. `None` means some key register is unbound, i.e. *no*
-    /// candidate can match (the caller decides what that means — `false`
-    /// for an existential scan, vacuous truth for a block-∀).
-    pub(crate) fn candidates<'a>(
-        &self,
-        index: &'a DatabaseIndex,
-        handle: Option<&'a Arc<PositionIndex>>,
-        regs: &Registers,
-    ) -> Option<Candidates<'a>> {
-        match handle {
-            None => Some(Candidates::All(index.relation_fact_ids(self.relation))),
-            Some(pindex) => {
-                let key: Option<Vec<Value>> =
-                    self.key.iter().map(|src| src.resolve(regs)).collect();
-                Some(Candidates::Probe(pindex.candidates_shared(&key?)))
-            }
+    /// Binds the probe site to `index`: `None` for a full scan.
+    pub(crate) fn bind(&self, index: &DatabaseIndex) -> Option<BoundProbe> {
+        if self.positions.is_empty() {
+            return None;
         }
+        let dictionary = index.dictionary();
+        Some(BoundProbe {
+            index: index.position_index(self.relation, self.positions),
+            key: (self.key.iter())
+                .map(|src| match src {
+                    KeySource::Const(c) => KeyCode::Code(dictionary.code_of(c)),
+                    KeySource::Slot(s) => KeyCode::Slot(*s),
+                })
+                .collect(),
+        })
     }
 
-    /// Applies the per-candidate actions to `fact`. Newly written slots are
-    /// recorded in `writes`; on a failed check the caller must
+    /// Resolves the candidate rows for the current registers: a hash probe
+    /// when positions are bound, every row of the relation otherwise. `None`
+    /// means some key register is unbound, i.e. *no* candidate can match
+    /// (the caller decides what that means — `false` for an existential
+    /// scan, vacuous truth for a block-∀).
+    pub(crate) fn candidates<'a>(
+        &self,
+        index: &DatabaseIndex,
+        bound: Option<&'a BoundProbe>,
+        regs: &Registers,
+    ) -> Option<Rows<'a>> {
+        let Some(bound) = bound else {
+            return Some(index.all_rows(self.relation));
+        };
+        let mut codes = [0u32; PositionIndex::MAX_WIDTH];
+        for (code, src) in codes.iter_mut().zip(&bound.key) {
+            let coded = match src {
+                KeyCode::Code(coded) => *coded,
+                KeyCode::Slot(slot) => regs.code(*slot, regs.get(*slot)?, index),
+            };
+            match coded {
+                Some(coded) => *code = coded,
+                // A value no fact carries.
+                None => return Some(bound.index.probe(None)),
+            }
+        }
+        let key = PositionIndex::pack(&codes[..bound.key.len()]);
+        Some(bound.index.probe(Some(key)))
+    }
+
+    /// Applies the per-candidate actions to the fact at `row`. Newly written
+    /// slots are recorded in `writes`; on a failed check the caller must
     /// [`Registers::undo`] (the recorded prefix may already be written).
-    pub(crate) fn apply(&self, fact: &Fact, regs: &mut Registers, writes: &mut Vec<Slot>) -> bool {
+    pub(crate) fn apply(
+        &self,
+        index: &DatabaseIndex,
+        row: u32,
+        regs: &mut Registers,
+        writes: &mut Vec<Slot>,
+    ) -> bool {
+        let cell = Cell {
+            fact: index.fact(self.relation, row),
+            codes: index.columns(self.relation).row(row as usize),
+        };
         for action in &self.actions {
             match action {
-                PosAction::Bind { pos, slot } => {
-                    let value = fact.value(*pos);
-                    match regs.get(*slot) {
-                        Some(existing) => {
-                            if existing != value {
-                                return false;
-                            }
-                        }
-                        None => {
-                            regs.set(*slot, value.clone());
-                            writes.push(*slot);
+                PosAction::Bind { pos, slot } => match regs.get(*slot) {
+                    Some(existing) => {
+                        if !regs.holds(*slot, existing, cell, *pos) {
+                            return false;
                         }
                     }
-                }
+                    None => {
+                        let code = cell.codes[*pos];
+                        regs.set_coded(*slot, cell.fact.value(*pos).clone(), code);
+                        writes.push(*slot);
+                    }
+                },
                 PosAction::CheckSlot { pos, slot } => {
-                    if regs.get(*slot) != Some(fact.value(*pos)) {
+                    if !(regs.get(*slot)).is_some_and(|value| regs.holds(*slot, value, cell, *pos))
+                    {
                         return false;
                     }
                 }
                 PosAction::CheckConst { pos, value } => {
-                    if fact.value(*pos) != value {
+                    if cell.fact.value(*pos) != value {
                         return false;
                     }
                 }
@@ -262,22 +352,5 @@ impl ProbeSpec {
             "probe"
         };
         format!("{access} {relation}({})", parts.join(", "))
-    }
-}
-
-/// The candidate fact ids of one probe at one search node.
-pub(crate) enum Candidates<'a> {
-    /// Every fact of the relation (no position bound).
-    All(&'a [u32]),
-    /// The resolved bucket of a position index.
-    Probe(Arc<[u32]>),
-}
-
-impl Candidates<'_> {
-    pub(crate) fn ids(&self) -> &[u32] {
-        match self {
-            Candidates::All(ids) => ids,
-            Candidates::Probe(ids) => ids,
-        }
     }
 }

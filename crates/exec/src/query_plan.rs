@@ -13,11 +13,9 @@
 //! checks observational equality on randomized instances.
 
 use crate::cost::CostModel;
-use crate::probe::{ProbeSpec, Registers, Slot, SlotState};
+use crate::probe::{BoundProbe, ProbeSpec, Registers, Slot, SlotState};
 use crate::vec::{QUERY_VEC_CUTOFF, QUERY_VEC_MAX};
-use cqa_data::{
-    DatabaseIndex, FactId, PositionIndex, Schema, Statistics, UncertainDatabase, Value,
-};
+use cqa_data::{DatabaseIndex, Schema, Statistics, UncertainDatabase, Value};
 use cqa_obs::TraceSink;
 use cqa_query::{AtomId, ConjunctiveQuery, Valuation, Variable};
 use rustc_hash::FxHashMap;
@@ -41,7 +39,6 @@ pub struct QueryPlan {
     pub(crate) steps: Vec<Step>,
     pub(crate) slots: Vec<Variable>,
     pub(crate) free_slots: Vec<Slot>,
-    probe_count: usize,
     /// Cost-model estimate of the total number of search nodes a full
     /// execution visits (see [`QueryPlan::estimated_work`]).
     estimated_work: f64,
@@ -116,7 +113,6 @@ impl QueryPlan {
         }
         QueryPlan {
             schema: query.schema().clone(),
-            probe_count: steps.len(),
             steps,
             slots,
             free_slots,
@@ -139,18 +135,14 @@ impl QueryPlan {
     /// The execution path defaults to [`crate::vec::default_mode`]; override
     /// it per instance with [`PreparedQuery::with_mode`].
     pub fn prepare<'p>(&'p self, index: &Arc<DatabaseIndex>) -> PreparedQuery<'p> {
-        let mut handles: Vec<Option<Arc<PositionIndex>>> = Vec::with_capacity(self.probe_count);
-        for step in &self.steps {
-            handles.push(if step.spec.positions.is_empty() {
-                None
-            } else {
-                Some(index.position_index(step.spec.relation, step.spec.positions))
-            });
-        }
+        let handles: Vec<Option<BoundProbe>> = (self.steps.iter())
+            .map(|step| step.spec.bind(index))
+            .collect();
         let vec_steps = self
             .steps
             .iter()
-            .map(|step| crate::vec::VProbe::build(&step.spec, index))
+            .zip(&handles)
+            .map(|(step, bound)| crate::vec::VProbe::build(&step.spec, index, bound.as_ref()))
             .collect();
         PreparedQuery {
             plan: self,
@@ -275,7 +267,7 @@ fn probed_positions(
 pub struct PreparedQuery<'p> {
     pub(crate) plan: &'p QueryPlan,
     pub(crate) index: Arc<DatabaseIndex>,
-    pub(crate) handles: Vec<Option<Arc<PositionIndex>>>,
+    pub(crate) handles: Vec<Option<BoundProbe>>,
     pub(crate) mode: crate::vec::ExecMode,
     pub(crate) vec_steps: Vec<crate::vec::VProbe>,
     pub(crate) trace: Option<Arc<TraceSink>>,
@@ -431,7 +423,7 @@ impl PreparedQuery<'_> {
     /// `0..root_width()` recombine exactly to [`PreparedQuery::satisfies`]
     /// / [`PreparedQuery::answers`].
     pub fn root_width(&self) -> Option<usize> {
-        Some(self.root_candidates()?.ids().len())
+        Some(self.root_candidates()?.len())
     }
 
     /// True iff some valuation whose first-step candidate lies in `shard`
@@ -481,7 +473,7 @@ impl PreparedQuery<'_> {
     }
 
     /// The fixed candidate list of the first step under empty registers.
-    fn root_candidates(&self) -> Option<crate::probe::Candidates<'_>> {
+    fn root_candidates(&self) -> Option<cqa_data::Rows<'_>> {
         let step = self.plan.steps.first()?;
         let regs = Registers::new(self.plan.slots.len());
         step.spec
@@ -507,18 +499,14 @@ impl PreparedQuery<'_> {
         else {
             return false;
         };
-        let ids = candidates.ids();
-        let lo = shard.start.min(ids.len());
-        let hi = shard.end.min(ids.len());
         let mut writes: Vec<Slot> = Vec::new();
         let mut found = false;
         let mut scanned = 0u64;
         let mut unified = 0u64;
-        for &fid in &ids[lo..hi] {
+        for row in candidates.slice(shard) {
             regs.undo(&mut writes);
             scanned += 1;
-            let fact = self.index.fact(FactId::from_index(fid as usize));
-            if step.spec.apply(fact, regs, &mut writes) {
+            if step.spec.apply(&self.index, row, regs, &mut writes) {
                 unified += 1;
                 if self.search(1, regs, on_match) {
                     found = true;
@@ -569,11 +557,10 @@ impl PreparedQuery<'_> {
         let mut found = false;
         let mut scanned = 0u64;
         let mut unified = 0u64;
-        for &fid in candidates.ids() {
+        for row in candidates {
             regs.undo(&mut writes);
             scanned += 1;
-            let fact = self.index.fact(FactId::from_index(fid as usize));
-            if spec.apply(fact, regs, &mut writes) {
+            if spec.apply(&self.index, row, regs, &mut writes) {
                 unified += 1;
                 if self.search(depth + 1, regs, on_match) {
                     found = true;

@@ -10,10 +10,10 @@
 //! * a register file becomes a `Batch` — one optional code column per
 //!   slot — plus a sorted **selection vector** of surviving row indices;
 //! * an `∃-scan` / `∀-block` becomes an *expansion*: one hash probe per
-//!   batch row into a [`CodeIndex`] (packed `u64` keys over at most two
-//!   positions; wider keys are demoted to per-candidate checks), producing
-//!   a child batch together with a parent map, followed by a grouped
-//!   any/all aggregation back onto the parent selection;
+//!   batch row into a [`PositionIndex`] (packed `u64` keys over at most two
+//!   positions — the probe compiler leaves wider keys to per-candidate
+//!   checks), producing a child batch together with a parent map, followed
+//!   by a grouped any/all aggregation back onto the parent selection;
 //! * `¬` is a sorted-set difference of selection vectors (the anti-join
 //!   form), `all`/`any` narrow/union selections.
 //!
@@ -26,9 +26,9 @@
 //! vectorized path takes over when the cost model predicts enough work.
 
 use crate::fo_plan::{FoOp, PreparedFo};
-use crate::probe::{KeySource, PosAction, ProbeSpec, Registers, Slot};
+use crate::probe::{BoundProbe, KeyCode, KeySource, PosAction, ProbeSpec, Registers, Slot};
 use crate::query_plan::PreparedQuery;
-use cqa_data::{CodeIndex, Columnar, DatabaseIndex, RelationId, Value};
+use cqa_data::{Columnar, DatabaseIndex, PositionIndex, RelationId, Value};
 use cqa_obs::OpTrace;
 use cqa_query::Variable;
 use std::collections::BTreeSet;
@@ -78,11 +78,7 @@ pub fn default_mode() -> ExecMode {
 /// Where one batch-side code comes from: a constant resolved against the
 /// snapshot dictionary (`None` = outside the active domain, matches
 /// nothing) or a slot column.
-#[derive(Clone, Debug)]
-pub(crate) enum VSrc {
-    Code(Option<u32>),
-    Slot(Slot),
-}
+pub(crate) type VSrc = KeyCode;
 
 /// The vectorized counterpart of [`PosAction`], over codes.
 #[derive(Clone, Debug)]
@@ -93,13 +89,12 @@ pub(crate) enum VAct {
 }
 
 /// A [`ProbeSpec`] lowered to dictionary codes: a packed-key probe into a
-/// [`CodeIndex`] over at most two positions (`handle == None` means a full
-/// scan), with every remaining position — including demoted wide-key
-/// components — handled by per-candidate [`VAct`]s.
+/// [`PositionIndex`] (`handle == None` means a full scan), with every
+/// remaining position handled by per-candidate [`VAct`]s.
 pub(crate) struct VProbe {
     pub(crate) relation: RelationId,
     pub(crate) key: Vec<VSrc>,
-    pub(crate) handle: Option<Arc<CodeIndex>>,
+    pub(crate) handle: Option<Arc<PositionIndex>>,
     pub(crate) actions: Vec<VAct>,
     /// Trace-cell id of the originating [`ProbeSpec`] (probe id / step
     /// index), so batch kernels report into the same cell as the row path.
@@ -107,36 +102,17 @@ pub(crate) struct VProbe {
 }
 
 impl VProbe {
-    pub(crate) fn build(spec: &ProbeSpec, index: &DatabaseIndex) -> VProbe {
-        let columnar = index.columnar();
-        let dict = columnar.dictionary();
-        let mut key = Vec::new();
-        let mut probe_positions: Vec<usize> = Vec::new();
-        let mut actions: Vec<VAct> = Vec::new();
-        // The row engine probes every bound position at once; a CodeIndex
-        // packs at most two into its u64 key. Surplus key components are
-        // *demoted* to per-candidate checks — the probe then returns a
-        // superset of the row engine's bucket, and the checks re-establish
-        // exactness.
-        for (pos, src) in spec.positions.iter().zip(&spec.key) {
-            if probe_positions.len() < 2 {
-                probe_positions.push(pos);
-                key.push(match src {
-                    KeySource::Const(c) => VSrc::Code(dict.code_of(c)),
-                    KeySource::Slot(s) => VSrc::Slot(*s),
-                });
-            } else {
-                actions.push(match src {
-                    KeySource::Const(c) => VAct::CheckCode {
-                        pos,
-                        code: dict.code_of(c),
-                    },
-                    KeySource::Slot(s) => VAct::CheckSlot { pos, slot: *s },
-                });
-            }
-        }
-        for action in &spec.actions {
-            actions.push(match action {
+    /// Lowers `spec`; `bound` is its row-engine binding to the same
+    /// snapshot, whose coded key the batch probe shares.
+    pub(crate) fn build(
+        spec: &ProbeSpec,
+        index: &DatabaseIndex,
+        bound: Option<&BoundProbe>,
+    ) -> VProbe {
+        let dict = index.columnar().dictionary();
+        let key = bound.map_or_else(Vec::new, |bound| bound.key.clone());
+        let actions = (spec.actions.iter())
+            .map(|action| match action {
                 PosAction::Bind { pos, slot } => VAct::Bind {
                     pos: *pos,
                     slot: *slot,
@@ -149,13 +125,10 @@ impl VProbe {
                     pos: *pos,
                     code: dict.code_of(value),
                 },
-            });
-        }
-        let handle = if probe_positions.is_empty() {
-            None
-        } else {
-            Some(index.code_index(spec.relation, &probe_positions))
-        };
+            })
+            .collect();
+        let positions: Vec<usize> = spec.positions.iter().collect();
+        let handle = (!positions.is_empty()).then(|| index.code_index(spec.relation, &positions));
         VProbe {
             relation: spec.relation,
             key,
@@ -215,9 +188,14 @@ pub(crate) struct VecFo<'p> {
 }
 
 impl<'p> VecFo<'p> {
-    pub(crate) fn build(root: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> VecFo<'p> {
+    pub(crate) fn build(
+        root: &'p FoOp,
+        index: &DatabaseIndex,
+        nslots: usize,
+        bound: &[Option<BoundProbe>],
+    ) -> VecFo<'p> {
         VecFo {
-            root: build_vop(root, index, nslots).0,
+            root: build_vop(root, index, nslots, bound).0,
         }
     }
 }
@@ -255,7 +233,12 @@ fn probe_slots(probe: &VProbe) -> Vec<Slot> {
 
 /// Lowers one row operator; the second component is the set of parent
 /// slots the operator's subtree reads (its column-pruning footprint).
-fn build_vop<'p>(op: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> (VOp<'p>, Vec<Slot>) {
+fn build_vop<'p>(
+    op: &'p FoOp,
+    index: &DatabaseIndex,
+    nslots: usize,
+    bound: &[Option<BoundProbe>],
+) -> (VOp<'p>, Vec<Slot>) {
     let dict = index.columnar().dictionary();
     let src = |s: &KeySource| match s {
         KeySource::Const(c) => VSrc::Code(dict.code_of(c)),
@@ -280,12 +263,12 @@ fn build_vop<'p>(op: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> (VOp<'p>
         FoOp::Eq(KeySource::Const(a), KeySource::Const(b)) => (VOp::Bool(a == b), Vec::new()),
         FoOp::Eq(a, b) => (VOp::Eq(src(a), src(b)), src_slots(&[a, b])),
         FoOp::Lookup(spec) => {
-            let probe = VProbe::build(spec, index);
+            let probe = VProbe::build(spec, index, bound[spec.probe_id].as_ref());
             let needed = probe_slots(&probe);
             (VOp::Lookup(probe), needed)
         }
         FoOp::Not(inner) => {
-            let (inner, needed) = build_vop(inner, index, nslots);
+            let (inner, needed) = build_vop(inner, index, nslots, bound);
             (VOp::Not(Box::new(inner)), needed)
         }
         FoOp::All(parts) => {
@@ -293,7 +276,7 @@ fn build_vop<'p>(op: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> (VOp<'p>
             let parts = parts
                 .iter()
                 .map(|p| {
-                    let (part, n) = build_vop(p, index, nslots);
+                    let (part, n) = build_vop(p, index, nslots, bound);
                     needed = merge_slots(std::mem::take(&mut needed), &n);
                     part
                 })
@@ -305,7 +288,7 @@ fn build_vop<'p>(op: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> (VOp<'p>
             let parts = parts
                 .iter()
                 .map(|p| {
-                    let (part, n) = build_vop(p, index, nslots);
+                    let (part, n) = build_vop(p, index, nslots, bound);
                     needed = merge_slots(std::mem::take(&mut needed), &n);
                     part
                 })
@@ -313,8 +296,8 @@ fn build_vop<'p>(op: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> (VOp<'p>
             (VOp::Any(parts), needed)
         }
         FoOp::ExistsScan { spec, body } => {
-            let probe = VProbe::build(spec, index);
-            let (body, carry) = build_vop(body, index, nslots);
+            let probe = VProbe::build(spec, index, bound[spec.probe_id].as_ref());
+            let (body, carry) = build_vop(body, index, nslots, bound);
             let needed = merge_slots(probe_slots(&probe), &carry);
             (
                 VOp::ExistsScan {
@@ -326,8 +309,8 @@ fn build_vop<'p>(op: &'p FoOp, index: &DatabaseIndex, nslots: usize) -> (VOp<'p>
             )
         }
         FoOp::ForallBlock { spec, body } => {
-            let probe = VProbe::build(spec, index);
-            let (body, carry) = build_vop(body, index, nslots);
+            let probe = VProbe::build(spec, index, bound[spec.probe_id].as_ref());
+            let (body, carry) = build_vop(body, index, nslots, bound);
             let needed = merge_slots(probe_slots(&probe), &carry);
             (
                 VOp::ForallBlock {
@@ -380,10 +363,11 @@ fn apply_row(
     prow: u32,
     scratch: &mut Vec<(Slot, u32)>,
 ) -> bool {
+    let cells = columns.row(frow as usize);
     for action in &probe.actions {
         match action {
             VAct::Bind { pos, slot } => {
-                let code = columns.column(*pos)[frow as usize];
+                let code = cells[*pos];
                 match col_code(parent, *slot, prow) {
                     Some(existing) => {
                         if existing != code {
@@ -401,7 +385,7 @@ fn apply_row(
                 }
             }
             VAct::CheckSlot { pos, slot } => {
-                let code = columns.column(*pos)[frow as usize];
+                let code = cells[*pos];
                 let bound = col_code(parent, *slot, prow)
                     .or_else(|| scratch.iter().find(|(s, _)| s == slot).map(|&(_, c)| c));
                 if bound != Some(code) {
@@ -411,7 +395,7 @@ fn apply_row(
             VAct::CheckCode { pos, code } => {
                 // `None` = a constant outside the active domain: no fact
                 // can carry it.
-                if *code != Some(columns.column(*pos)[frow as usize]) {
+                if *code != Some(cells[*pos]) {
                     return false;
                 }
             }
@@ -476,7 +460,7 @@ fn expand(
             if miss {
                 continue;
             }
-            handle.candidates(CodeIndex::pack(&packed[..probe.key.len()]))
+            handle.candidates(PositionIndex::pack(&packed[..probe.key.len()]))
         } else {
             scan_rows.as_deref().expect("scan rows materialized above")
         };
@@ -610,7 +594,7 @@ impl VecCtx<'_, '_> {
                         if miss {
                             None
                         } else {
-                            Some(handle.candidates(CodeIndex::pack(&packed[..probe.key.len()])))
+                            Some(handle.candidates(PositionIndex::pack(&packed[..probe.key.len()])))
                         }
                     } else {
                         // Full scan: probe the whole relation row range.
@@ -692,7 +676,7 @@ impl VecCtx<'_, '_> {
                     .filter(|&row| {
                         for &slot in &bound {
                             let code = col_code(batch, slot, row).expect("bound column");
-                            regs.set(slot, dict.value(code).clone());
+                            regs.set_coded(slot, dict.value(code).clone(), code);
                         }
                         self.prepared.eval_op(op, &mut regs)
                     })
@@ -756,7 +740,7 @@ impl VecCtx<'_, '_> {
                 if miss {
                     None
                 } else {
-                    Some(handle.candidates(CodeIndex::pack(&packed[..probe.key.len()])))
+                    Some(handle.candidates(PositionIndex::pack(&packed[..probe.key.len()])))
                 }
             } else {
                 scan_rows.as_deref()
@@ -903,17 +887,6 @@ pub(crate) fn eval_sentence(prepared: &PreparedFo<'_>) -> bool {
     !ctx.eval(&vec_fo.root, &batch, vec![0]).is_empty()
 }
 
-/// Maps ascending fact ids of one relation to their dense row indices.
-fn rows_of_fids(index: &DatabaseIndex, relation: RelationId, fids: &[u32]) -> Vec<u32> {
-    let all = index.relation_fact_ids(relation);
-    fids.iter()
-        .map(|fid| {
-            all.binary_search(fid)
-                .expect("candidate fact ids come from the relation") as u32
-        })
-        .collect()
-}
-
 /// Vectorized root-sharded sentence evaluation. The shard is an index range
 /// into the *row engine's* root candidate list (a `PositionIndex` bucket),
 /// so partitions recombine identically on both paths.
@@ -933,10 +906,8 @@ pub(crate) fn eval_root_shard(prepared: &PreparedFo<'_>, shard: Range<usize>) ->
     ) else {
         return false;
     };
-    let ids = candidates.ids();
-    let lo = shard.start.min(ids.len());
-    let hi = shard.end.min(ids.len());
-    if lo == hi {
+    let candidates = candidates.slice(shard);
+    if candidates.is_empty() {
         return false;
     }
     let ctx = VecCtx {
@@ -944,8 +915,8 @@ pub(crate) fn eval_root_shard(prepared: &PreparedFo<'_>, shard: Range<usize>) ->
         columnar: prepared.index.columnar(),
     };
     let parent = Batch::unbound(prepared.plan.slots.len());
-    for chunk in ids[lo..hi].chunks(ROOT_CHUNK) {
-        let rows = rows_of_fids(&prepared.index, probe.relation, chunk);
+    for start in (0..candidates.len()).step_by(ROOT_CHUNK) {
+        let rows: Vec<u32> = candidates.slice(start..start + ROOT_CHUNK).collect();
         let batch = expand(
             probe,
             &parent,
@@ -1048,20 +1019,16 @@ pub(crate) fn query_answers(
     else {
         return out;
     };
-    let ids = candidates.ids();
-    let (lo, hi) = match shard {
-        Some(range) => (range.start.min(ids.len()), range.end.min(ids.len())),
-        None => (0, ids.len()),
+    let candidates = match shard {
+        Some(range) => candidates.slice(range),
+        None => candidates,
     };
-    if lo >= hi {
-        return out;
-    }
     let columnar = prepared.index.columnar();
     let dict = columnar.dictionary();
     let trace_cell = |i: usize| prepared.trace.as_deref().map(|sink| sink.op(i));
     let parent = Batch::unbound(plan.slots.len());
-    for chunk in ids[lo..hi].chunks(ROOT_CHUNK) {
-        let rows = rows_of_fids(&prepared.index, step.spec.relation, chunk);
+    for start in (0..candidates.len()).step_by(ROOT_CHUNK) {
+        let rows: Vec<u32> = candidates.slice(start..start + ROOT_CHUNK).collect();
         let mut batch = expand(
             &prepared.vec_steps[0],
             &parent,

@@ -24,32 +24,30 @@
 //! fixed up front.
 
 use crate::{Atom, ConjunctiveQuery, Term, Valuation};
-use cqa_data::{DatabaseIndex, FactId, PositionSet, UncertainDatabase, Value};
+use cqa_data::{DatabaseIndex, PositionIndex, PositionSet, Rows, UncertainDatabase, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The candidate facts for one atom at one search node: either every fact of
 /// the atom's relation (no position bound yet) or the probe result of the
-/// index on the bound positions, resolved once at construction so the join
-/// loop never re-hashes the probe key.
+/// index on the bound positions, with the probe key coded once at
+/// construction.
 enum Candidates {
     All,
-    Probe(Arc<[u32]>),
+    Probe(Arc<PositionIndex>, Option<u64>),
 }
 
 impl Candidates {
     fn for_atom(index: &DatabaseIndex, atom: &Atom, current: &Valuation) -> Candidates {
         let mut bound = PositionSet::empty();
         let mut key: Vec<Value> = Vec::new();
-        // Positions beyond the index's 64-position limit are left unbound:
-        // the probe then returns a candidate superset and unification still
-        // filters exactly, so exotic arities degrade instead of failing.
-        for (pos, term) in atom
-            .terms()
-            .iter()
-            .enumerate()
-            .take(PositionSet::MAX_POSITIONS)
-        {
+        // An index covers `MAX_WIDTH` positions; further bound positions
+        // are left to unification: the probe then returns a candidate
+        // superset and unification still filters exactly.
+        for (pos, term) in atom.terms().iter().enumerate() {
+            if key.len() == PositionIndex::MAX_WIDTH || pos >= PositionSet::MAX_POSITIONS {
+                break;
+            }
             let value = match term {
                 Term::Const(c) => Some(c.clone()),
                 Term::Var(v) => current.get(v).cloned(),
@@ -63,14 +61,14 @@ impl Candidates {
             Candidates::All
         } else {
             let pindex = index.position_index(atom.relation(), bound);
-            Candidates::Probe(pindex.candidates_shared(&key))
+            Candidates::Probe(pindex, index.pack_key(&key))
         }
     }
 
-    fn ids<'a>(&'a self, index: &'a DatabaseIndex, atom: &Atom) -> &'a [u32] {
+    fn rows<'a>(&'a self, index: &DatabaseIndex, atom: &Atom) -> Rows<'a> {
         match self {
-            Candidates::All => index.relation_fact_ids(atom.relation()),
-            Candidates::Probe(ids) => ids,
+            Candidates::All => index.all_rows(atom.relation()),
+            Candidates::Probe(pindex, key) => pindex.probe(*key),
         }
     }
 }
@@ -99,7 +97,7 @@ where
     for (slot, &aid) in remaining.iter().enumerate() {
         let atom = query.atom(aid);
         let candidates = Candidates::for_atom(index, atom, current);
-        let count = candidates.ids(index, atom).len();
+        let count = candidates.rows(index, atom).len();
         if count == 0 {
             return false;
         }
@@ -112,8 +110,8 @@ where
     let atom = query.atom(aid);
     let schema = query.schema();
     let mut found = false;
-    for &fid in candidates.ids(index, atom) {
-        let fact = index.fact(FactId::from_index(fid as usize));
+    for row in candidates.rows(index, atom) {
+        let fact = index.fact(atom.relation(), row);
         if let Some(extended) = current.unify_with_fact(atom, fact, schema) {
             if search(index, query, remaining, &extended, on_match) {
                 found = true;

@@ -1,4 +1,4 @@
-//! MVCC-lite epoch management: frozen reader epochs, delta-built writers,
+//! MVCC-lite epoch management: frozen reader epochs, copy-on-write writers,
 //! and materialized views published atomically with the epoch swap.
 //!
 //! The manager owns the **master** [`UncertainDatabase`] plus the
@@ -15,13 +15,16 @@
 //!   response can never lag (or lead) the epoch a concurrent query
 //!   observes.
 //! * **Writers** ([`EpochManager::apply_write`]) serialize on the master
-//!   mutex, mutate the database while recording the exact [`ChangeSet`],
-//!   freeze the next snapshot — flushing the delta log through the
-//!   incremental index patcher — repair every registered view from the
-//!   changeset ([`ViewMaintainer::repair`]), fork the next engine with
-//!   [`BatchEngine::with_snapshot`], and swap the published pair. Old
-//!   epochs die when their last in-flight reader drops its `Arc`; until
-//!   then they are counted by the `serve.epochs.pinned` gauge.
+//!   mutex, apply the write to a *copy* of the master database (a reference
+//!   count: the store is copy-on-write, and the mutation itself maintains
+//!   every secondary index) while recording the exact [`ChangeSet`], repair
+//!   every registered view from the changeset ([`ViewMaintainer::repair`]),
+//!   fork the next engine with [`BatchEngine::with_snapshot`], and swap the
+//!   published pair — only then does the copy become the master (**commit
+//!   on publish**: a write that fails before the swap leaves no trace). Old
+//!   epochs are let go by the next writer once their last in-flight reader
+//!   is done; until then they are counted by the `serve.epochs.pinned`
+//!   gauge.
 //!
 //! No-op writes (duplicate insert, absent removal, absent block removal)
 //! publish nothing: the epoch number a client observes increments exactly
@@ -34,7 +37,8 @@ use cqa_exec::cache::{fingerprint, Lookup, LruCache};
 use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool, ENGINE_MEMO_CAPACITY};
 use cqa_stream::{MaterializedView, ViewMaintainer};
 use rustc_hash::FxHashMap;
-use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// What a write did: whether it changed anything, and the epoch the caller
 /// now observes (the new epoch if `changed`, the unchanged one otherwise).
@@ -92,10 +96,24 @@ pub struct EpochManager {
     /// [`BatchEngine`]'s classified-engine memo.
     answer_engines: LruCache<CertainAnswersEngine>,
     maintainer: ViewMaintainer,
-    /// Weak handles on previously published engines: the ones still
-    /// upgradable are old epochs pinned by slow readers
-    /// ([`pinned_epochs`](Self::pinned_epochs)).
-    history: Mutex<Vec<Weak<BatchEngine>>>,
+    /// Previously published engines some reader still held when last
+    /// looked at ([`pinned_epochs`](Self::pinned_epochs)). The manager
+    /// keeps them alive so that an old epoch is let go *here*, by the next
+    /// writer, and never by the reader that happens to finish last: what
+    /// the epoch did not share is freed by the thread that allocated it.
+    retired: Mutex<Vec<Arc<BatchEngine>>>,
+    /// Test-only fault injected between the mutation and the publish.
+    #[cfg(test)]
+    failpoint: Mutex<Option<Failpoint>>,
+}
+
+/// What an armed [`EpochManager::failpoint`] does to the next effective
+/// write, once.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+enum Failpoint {
+    Error,
+    Panic,
 }
 
 impl EpochManager {
@@ -113,7 +131,9 @@ impl EpochManager {
             }),
             answer_engines: LruCache::with_capacity(ENGINE_MEMO_CAPACITY),
             maintainer: ViewMaintainer::with_pool(pool),
-            history: Mutex::new(Vec::new()),
+            retired: Mutex::new(Vec::new()),
+            #[cfg(test)]
+            failpoint: Mutex::new(None),
         }
     }
 
@@ -156,12 +176,14 @@ impl EpochManager {
     }
 
     /// Number of old epochs still pinned by slow readers: previously
-    /// published engines whose `Arc` is still held somewhere. This is the
-    /// `serve.epochs.pinned` gauge.
+    /// published engines whose `Arc` is still held somewhere else. This is
+    /// the `serve.epochs.pinned` gauge.
     pub fn pinned_epochs(&self) -> usize {
-        let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-        history.retain(|weak| weak.strong_count() > 0);
-        history.len()
+        let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
+        // A count of one is the manager's own handle: nobody can pin a
+        // retired epoch anew, so it is dead.
+        retired.retain(|engine| Arc::strong_count(engine) > 1);
+        retired.len()
     }
 
     /// Registers (or replaces) the view `name` over `query`, decided
@@ -190,52 +212,104 @@ impl EpochManager {
         Ok(reading)
     }
 
-    /// Applies one write to the master database and — iff it was effective —
-    /// repairs every registered view from the recorded changeset and
-    /// publishes the next epoch. Writers serialize on the master mutex, so
-    /// epochs are published in write order; the publish itself is a single
-    /// swap of the engine-plus-views pair under the write lock, never
-    /// blocking readers for longer than a pointer clone takes.
+    /// Applies one write and — iff it was effective — repairs every
+    /// registered view from the recorded changeset and publishes the next
+    /// epoch. Writers serialize on the master mutex, so epochs are published
+    /// in write order; the publish itself is a single swap of the
+    /// engine-plus-views pair under the write lock, never blocking readers
+    /// for longer than a pointer clone takes.
+    ///
+    /// The write is applied to a copy of the master database that becomes
+    /// the master only with that swap. If a view repair fails or panics
+    /// before it, the master is untouched, every view the repair got to is
+    /// re-decided from the published snapshot before the lock is released,
+    /// and the next write is acknowledged with the epoch it would have had
+    /// anyway.
     pub fn apply_write(&self, op: &WriteOp) -> Result<WriteOutcome, String> {
+        let started = std::time::Instant::now();
         let mut master = self.master.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut next = master.db.clone();
         let mut changes = ChangeSet::new();
-        let changed = record_write(&mut master.db, op, &mut changes)?;
-        if !changed {
+        if !record_write(&mut next, op, &mut changes)? {
             return Ok(WriteOutcome {
                 changed: false,
                 epoch: master.db.epoch(),
             });
         }
         cqa_obs::count!("serve.writes_effective");
-        // Freezing the snapshot flushes the pending delta log through the
-        // incremental index patcher (rebuild past the delta threshold).
-        let snapshot = master.db.snapshot();
+        let snapshot = next.snapshot();
         let epoch = snapshot.epoch();
-        let mut readings = FxHashMap::default();
-        for (name, view) in master.views.iter_mut() {
-            // A repair error is unreachable for a validated query; if it
-            // ever fires, re-decide from scratch rather than publishing a
-            // stale reading.
-            if self.maintainer.repair(view, &snapshot, &changes).is_err() {
-                cqa_obs::count!("stream.view.repair_errors");
-                self.maintainer.initialize(view, &snapshot)?;
+        let mut touched = 0;
+        let repaired = catch_unwind(AssertUnwindSafe(|| {
+            let mut readings = FxHashMap::default();
+            for (name, view) in master.views.iter_mut() {
+                touched += 1;
+                // A repair error is unreachable for a validated query; if it
+                // ever fires, re-decide from scratch rather than publishing
+                // a stale reading.
+                if self.maintainer.repair(view, &snapshot, &changes).is_err() {
+                    cqa_obs::count!("stream.view.repair_errors");
+                    self.maintainer.initialize(view, &snapshot)?;
+                }
+                readings.insert(name.clone(), Arc::new(render_reading(view)));
             }
-            readings.insert(name.clone(), Arc::new(render_reading(view)));
-        }
-        let next = Arc::new(self.current().with_snapshot(snapshot));
-        {
+            #[cfg(test)]
+            self.fail_if_armed()?;
+            Ok::<_, String>(readings)
+        }));
+        let readings = match repaired {
+            Ok(Ok(readings)) => readings,
+            failed => {
+                cqa_obs::count!("serve.writes_rolled_back");
+                let published = master.db.snapshot();
+                // Same iteration order as above: the first `touched` views
+                // are the ones the repair reached.
+                for view in master.views.values_mut().take(touched) {
+                    // A view that cannot even be re-decided keeps failing
+                    // loudly on its next repair; the write path stays up.
+                    let _ = catch_unwind(AssertUnwindSafe(|| {
+                        self.maintainer.initialize(view, &published)
+                    }));
+                }
+                match failed {
+                    Err(panic) => resume_unwind(panic),
+                    Ok(outcome) => return Err(outcome.expect_err("the success arm is above")),
+                }
+            }
+        };
+        let next_engine = Arc::new(self.current().with_snapshot(snapshot));
+        let old = {
             let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-            let old = std::mem::replace(&mut current.engine, next);
             current.views = Arc::new(readings);
-            let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-            history.retain(|weak| weak.strong_count() > 0);
-            history.push(Arc::downgrade(&old));
+            std::mem::replace(&mut current.engine, next_engine)
+        };
+        master.db = next;
+        {
+            let mut retired = self.retired.lock().unwrap_or_else(PoisonError::into_inner);
+            retired.push(old);
+            retired.retain(|engine| Arc::strong_count(engine) > 1);
         }
         cqa_obs::count!("serve.epochs_published");
+        cqa_obs::observe_duration!("serve.write_nanos", started.elapsed());
         Ok(WriteOutcome {
             changed: true,
             epoch,
         })
+    }
+
+    /// Fires the armed failpoint, once.
+    #[cfg(test)]
+    fn fail_if_armed(&self) -> Result<(), String> {
+        let armed = self
+            .failpoint
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        match armed {
+            None => Ok(()),
+            Some(Failpoint::Error) => Err("injected failure before publish".to_string()),
+            Some(Failpoint::Panic) => panic!("injected panic before publish"),
+        }
     }
 
     /// The memoized open-rewriting answer engine for `query`, classifying
@@ -517,6 +591,70 @@ mod tests {
         let reading = manager.view("keys").unwrap();
         assert_eq!((reading.certain, reading.possible), (0, 0));
         assert_eq!(reading.epoch, outcome.epoch);
+    }
+
+    #[test]
+    fn a_write_that_fails_before_the_publish_leaves_no_trace() {
+        for fault in [Failpoint::Error, Failpoint::Panic] {
+            let manager = manager();
+            let schema = manager.current().snapshot().schema().clone();
+            manager.subscribe("keys", &open_query(&schema)).unwrap();
+            let acked = manager
+                .apply_write(&WriteOp::Insert(fact(&schema, "b", 2)))
+                .unwrap();
+
+            *manager.failpoint.lock().unwrap() = Some(fault);
+            let doomed = WriteOp::Insert(fact(&schema, "c", 3));
+            let outcome = catch_unwind(AssertUnwindSafe(|| manager.apply_write(&doomed)));
+            match fault {
+                Failpoint::Error => assert!(matches!(outcome, Ok(Err(_)))),
+                Failpoint::Panic => assert!(outcome.is_err(), "the panic propagates"),
+            }
+
+            // Nothing of the failed write is visible: not in the epoch, not
+            // to a point read, not in the view.
+            assert_eq!(manager.epoch(), acked.epoch);
+            let probe = ConjunctiveQuery::builder(schema.clone())
+                .atom("R", [Term::constant("c"), Term::var("y")])
+                .build()
+                .unwrap();
+            let BatchOutcome::Boolean { possible, .. } =
+                manager.current().answer("probe", &probe).outcome
+            else {
+                panic!("a Boolean query has a Boolean outcome");
+            };
+            assert!(!possible, "the unacknowledged fact is not readable");
+            let reading = manager.view("keys").unwrap();
+            assert_eq!(
+                (reading.certain, reading.possible, reading.epoch),
+                (2, 2, acked.epoch)
+            );
+
+            // The master did not run ahead: the next effective write is
+            // acknowledged as the successor of the last acknowledged one,
+            // and every view agrees with a replay of the acknowledged
+            // writes only.
+            let next = manager
+                .apply_write(&WriteOp::Insert(fact(&schema, "d", 4)))
+                .unwrap();
+            assert_eq!(next.epoch, acked.epoch + 1);
+            let replay = self::manager();
+            replay.subscribe("keys", &open_query(&schema)).unwrap();
+            for key in [("b", 2), ("d", 4)] {
+                replay
+                    .apply_write(&WriteOp::Insert(fact(&schema, key.0, key.1)))
+                    .unwrap();
+            }
+            assert_eq!(manager.epoch(), replay.epoch());
+            assert_eq!(
+                manager.view("keys").unwrap().line,
+                replay.view("keys").unwrap().line
+            );
+            assert_eq!(manager.view("keys").unwrap().epoch, next.epoch);
+            // The failed write was not half-applied either: it can be retried.
+            assert!(manager.apply_write(&doomed).unwrap().changed);
+            assert_eq!(manager.view("keys").unwrap().possible, 4);
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 use cqa_par::BatchEngine;
 use std::time::Instant;
 
-/// One serving-stats line: throughput, latency percentiles (from the
-/// `par.batch.query_nanos` histogram), cache hit rates, pool and epoch
-/// state. `inflight` is the admission-control occupancy (0 for the stdin
+/// One serving-stats line: throughput, read latency percentiles (from the
+/// `par.batch.query_nanos` histogram) and effective-write latency
+/// percentiles (`serve.write_nanos`), cache hit rates, pool and epoch state,
+/// and what the writes cost the store (index patches applied, chunks and
+/// shards copied). `inflight` is the admission-control occupancy (0 for the stdin
 /// loop, which has no admission control); `views` counts registered
 /// materialized views and `pinned` the old epochs still held by slow
 /// readers (both 0 for the stdin loop, which has neither).
@@ -21,15 +23,19 @@ pub fn stats_line(
     engine.pool().record_metrics();
     let snapshot = cqa_obs::Registry::global().snapshot();
     let qps = served as f64 / started.elapsed().as_secs_f64().max(1e-9);
-    let (p50, p99) = snapshot
-        .histogram("par.batch.query_nanos")
-        .map(|h| {
-            (
-                h.percentile(50.0) as f64 / 1e6,
-                h.percentile(99.0) as f64 / 1e6,
-            )
-        })
-        .unwrap_or((0.0, 0.0));
+    let percentiles_ms = |histogram: &str| {
+        snapshot
+            .histogram(histogram)
+            .map(|h| {
+                (
+                    h.percentile(50.0) as f64 / 1e6,
+                    h.percentile(99.0) as f64 / 1e6,
+                )
+            })
+            .unwrap_or((0.0, 0.0))
+    };
+    let (p50, p99) = percentiles_ms("par.batch.query_nanos");
+    let (write_p50, write_p99) = percentiles_ms("serve.write_nanos");
     let rate = |prefix: &str| {
         snapshot
             .hit_rate(prefix)
@@ -38,15 +44,19 @@ pub fn stats_line(
     format!(
         "stats: {served} served, {inflight} in flight, {qps:.1} qps, \
          p50 {p50:.3} ms, p99 {p99:.3} ms, \
+         write p50 {write_p50:.3} ms, p99 {write_p99:.3} ms, \
          plan-cache {}, engine-cache {}, steals {}, epoch {}, \
          views {views}, pinned epochs {pinned}, \
-         index deltas {} applied / {} rebuilt",
+         index deltas {} applied / {} rebuilt, \
+         store copies {} chunks / {} shards",
         rate("exec.plan_cache"),
         rate("par.batch.engine"),
         engine.pool().steals(),
         engine.epoch(),
         snapshot.counter("data.index.delta_applied"),
         snapshot.counter("data.index.delta_fallback_rebuild"),
+        snapshot.counter("data.store.chunks_copied"),
+        snapshot.counter("data.store.shards_copied"),
     )
 }
 
@@ -68,6 +78,8 @@ mod tests {
         );
         assert!(line.contains("qps"), "{line}");
         assert!(line.contains("p99"), "{line}");
+        assert!(line.contains(", write p50 "), "{line}");
+        assert!(line.contains(" chunks / "), "{line}");
         assert!(line.contains("epoch 0"), "{line}");
         assert!(line.contains("views 2, pinned epochs 1"), "{line}");
     }

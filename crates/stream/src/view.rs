@@ -1,7 +1,7 @@
 //! The materialized view: decided answer sets plus block-level provenance.
 
 use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
-use cqa_data::{Fact, FactId, PositionSet, RelationId, Schema, Snapshot, Value};
+use cqa_data::{Fact, PositionIndex, PositionSet, RelationId, Schema, Snapshot, Value};
 use cqa_exec::ExecMode;
 use cqa_query::{ConjunctiveQuery, Term, Valuation, Variable};
 use rustc_hash::{FxHashMap, FxHashSet};
@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 /// The identity of one block — the relation and its primary-key value.
 ///
-/// Block *ids* are positional and reshuffle when a block is removed
-/// (`swap_remove`), so provenance is keyed by this stable identity instead.
+/// Provenance is keyed by this identity: it outlives the block it names.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockKey {
     relation: RelationId,
@@ -315,35 +314,26 @@ pub(crate) fn provenance_of(
     let base = Valuation::from_pairs(free.iter().cloned().zip(tuple.iter().cloned()));
     let mut prov = Provenance::default();
     for atom in query.atoms() {
-        let mut bound = PositionSet::empty();
-        let mut key = Vec::new();
-        for (pos, term) in atom
-            .terms()
-            .iter()
-            .enumerate()
+        // The pattern's fixed positions: the first ones (an index's width)
+        // are probed, the others checked per candidate.
+        let fixed: Vec<(usize, &Value)> = (atom.terms().iter().enumerate())
             .take(PositionSet::MAX_POSITIONS)
-        {
-            match term {
-                Term::Const(c) => {
-                    bound.insert(pos);
-                    key.push(c.clone());
-                }
-                Term::Var(v) => {
-                    if let Some(value) = base.get(v) {
-                        bound.insert(pos);
-                        key.push(value.clone());
-                    }
-                }
-            }
-        }
-        if bound.is_empty() {
+            .filter_map(|(pos, term)| match term {
+                Term::Const(c) => Some((pos, c)),
+                Term::Var(v) => base.get(v).map(|value| (pos, value)),
+            })
+            .collect();
+        if fixed.is_empty() {
             prov.relations.insert(atom.relation());
-        } else {
-            let ids = index
-                .position_index(atom.relation(), bound)
-                .candidates_shared(&key);
-            for &id in ids.iter() {
-                let fact = index.fact(FactId::from_index(id as usize));
+            continue;
+        }
+        let (probed, checked) = fixed.split_at(fixed.len().min(PositionIndex::MAX_WIDTH));
+        let bound = PositionSet::from_positions(probed.iter().map(|&(pos, _)| pos));
+        let key: Vec<Value> = probed.iter().map(|&(_, value)| value.clone()).collect();
+        let pindex = index.position_index(atom.relation(), bound);
+        for row in pindex.probe(index.pack_key(&key)) {
+            let fact = index.fact(atom.relation(), row);
+            if checked.iter().all(|&(pos, value)| fact.value(pos) == value) {
                 prov.blocks.insert(BlockKey::of(fact, schema));
             }
         }

@@ -447,41 +447,66 @@ proptest! {
     }
 }
 
-/// Materializes every cached derived structure on the database's current
-/// index snapshot — statistics, columnar view, active domain, and the
-/// key-prefix hash index of every relation — so that a later mutation has to
-/// delta-patch all of them rather than rebuild lazily.
-fn warm_index(db: &cqa_data::UncertainDatabase) {
+/// The probed prefix of a relation's primary key: as many key positions as
+/// one position index covers.
+fn key_prefix(relation: &cqa_data::Relation) -> Vec<usize> {
+    (0..relation.key_len().min(cqa_data::PositionIndex::MAX_WIDTH)).collect()
+}
+
+/// Demands every secondary structure of the database's store — statistics
+/// (and with them every single-position index), columnar view, active
+/// domain, and per relation the key-prefix index through both entry points —
+/// so that every later mutation has to maintain all of them.
+fn demand_everything(db: &cqa_data::UncertainDatabase) {
     let index = db.index();
     let _ = index.statistics();
     let _ = index.columnar();
     let _ = index.active_domain();
     for (rel, relation) in db.schema().iter() {
+        let prefix = key_prefix(relation);
         let _ = index.position_index(
             rel,
-            cqa_data::PositionSet::from_positions(0..relation.key_len()),
+            cqa_data::PositionSet::from_positions(prefix.iter().copied()),
         );
+        let _ = index.code_index(rel, &prefix);
     }
+}
+
+/// The facts of the bucket `values` (at `positions`) of one relation.
+fn bucket_facts(
+    index: &cqa_data::DatabaseIndex,
+    rel: cqa_data::RelationId,
+    positions: &[usize],
+    values: &[cqa_data::Value],
+) -> std::collections::BTreeSet<cqa_data::Fact> {
+    index
+        .code_index(rel, positions)
+        .probe(index.pack_key(values))
+        .map(|row| index.fact(rel, row).clone())
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Delta maintenance and persistence, end to end: a random interleaving
-    /// of inserts (fresh and duplicate), fact removals (present and absent)
-    /// and block removals is applied to two copies of a generated database —
-    /// one refreshing its index through the delta-patch path, one with the
-    /// delta threshold forced to 0 so every refresh is a from-scratch
-    /// rebuild. The patched index must match the rebuilt one exactly (fact
-    /// ids, block assignment, per-relation id lists, hash-index buckets,
-    /// statistics, active domain), no-op mutations must leave the epoch and
-    /// the delta log untouched, and saving the mutated database to the store
-    /// format must round-trip byte-stably with identical certain answers
-    /// across every [`ExecMode`].
+    /// Incremental maintenance and persistence, end to end: every secondary
+    /// structure is demanded up front, then a random interleaving of inserts
+    /// (fresh and duplicate), fact removals (present and absent) and block
+    /// removals is applied — some of it while a snapshot pins the storage, so
+    /// both the in-place and the copy-on-write path run. The maintained
+    /// database must then equal, **up to the numbering of rows and codes**,
+    /// a database built from scratch out of its surviving facts: same facts
+    /// and block partition per relation, equal statistics and active domain,
+    /// every index bucket and every decoded columnar row the same facts.
+    /// No-op mutations must leave the epoch and the storage untouched, a
+    /// pinned snapshot must keep reading what it was frozen with, and saving
+    /// the mutated database must round-trip byte-stably with identical
+    /// certain answers across every [`ExecMode`].
     #[test]
     fn delta_patched_index_matches_rebuild_and_store_round_trips(
         seed in 0u64..100_000, which in 0usize..3
     ) {
+        use std::collections::BTreeSet;
         let (q, name) = match which {
             0 => (catalog::conference().query, "conference"),
             1 => (catalog::fo_path2().query, "fo_path2"),
@@ -494,10 +519,7 @@ proptest! {
             extra_block_facts: (seed % 3) as usize,
             alternative_join_probability: 0.6,
         }).generate();
-        let mut rebuilt = db.clone();
-        rebuilt.set_delta_threshold(Some(0));
-        warm_index(&db);
-        warm_index(&rebuilt);
+        demand_everything(&db);
 
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(which as u64) | 1;
         let mut next = move || {
@@ -506,6 +528,7 @@ proptest! {
             state ^= state << 17;
             state
         };
+        let mut pinned: Option<(cqa_data::Snapshot, Vec<cqa_data::Fact>)> = None;
         let steps = 6 + (seed % 7) as usize;
         for step in 0..steps {
             let facts: Vec<cqa_data::Fact> = db.facts().cloned().collect();
@@ -522,105 +545,136 @@ proptest! {
                     let mut values = donor.values().to_vec();
                     values[last] = cqa_data::Value::str(format!("fresh-{step}-{}", next() % 5));
                     let fact = cqa_data::Fact::new(donor.relation(), values);
-                    let patched_new = db.insert(fact.clone()).unwrap();
-                    let rebuilt_new = rebuilt.insert(fact).unwrap();
-                    prop_assert_eq!(patched_new, rebuilt_new,
+                    let expected = !db.contains(&fact);
+                    prop_assert_eq!(db.insert(fact).unwrap(), expected,
                         "insert divergence, {} seed {} step {}", name, seed, step);
                 }
                 2 => {
                     // Duplicate insert: a no-op that must not touch the
-                    // epoch or the pending delta log.
-                    let (epoch, pending) = (db.epoch(), db.pending_delta_len());
+                    // epoch or the storage.
+                    let (epoch, storage) = (db.epoch(), db.index());
                     prop_assert!(!db.insert(donor.clone()).unwrap(),
                         "duplicate insert reported new, {} seed {}", name, seed);
-                    prop_assert!(!rebuilt.insert(donor).unwrap(),
-                        "duplicate insert reported new (rebuilt), {} seed {}", name, seed);
                     prop_assert_eq!(db.epoch(), epoch,
                         "no-op insert bumped the epoch, {} seed {}", name, seed);
-                    prop_assert_eq!(db.pending_delta_len(), pending,
-                        "no-op insert logged a delta, {} seed {}", name, seed);
+                    prop_assert!(std::sync::Arc::ptr_eq(&storage, &db.index()),
+                        "no-op insert copied the storage, {} seed {}", name, seed);
                 }
                 3 => {
                     prop_assert!(db.remove_fact(&donor),
                         "present fact did not remove, {} seed {}", name, seed);
-                    prop_assert!(rebuilt.remove_fact(&donor),
-                        "present fact did not remove (rebuilt), {} seed {}", name, seed);
+                    prop_assert!(!db.contains(&donor));
                 }
                 4 => {
                     prop_assert!(db.remove_block_of(&donor),
                         "present block did not remove, {} seed {}", name, seed);
-                    prop_assert!(rebuilt.remove_block_of(&donor),
-                        "present block did not remove (rebuilt), {} seed {}", name, seed);
+                    prop_assert!(db.block_with_key(donor.relation(), donor.key(db.schema())).is_none());
                 }
                 _ => {
                     // Removing an absent fact: a no-op that must not touch
-                    // the epoch or the pending delta log.
+                    // the epoch or the storage.
                     let mut values = donor.values().to_vec();
                     values[last] = cqa_data::Value::str("absent-probe");
                     let ghost = cqa_data::Fact::new(donor.relation(), values);
-                    let (epoch, pending) = (db.epoch(), db.pending_delta_len());
+                    let (epoch, storage) = (db.epoch(), db.index());
                     prop_assert!(!db.remove_fact(&ghost),
                         "absent fact removed, {} seed {}", name, seed);
-                    prop_assert!(!rebuilt.remove_fact(&ghost),
-                        "absent fact removed (rebuilt), {} seed {}", name, seed);
                     prop_assert_eq!(db.epoch(), epoch,
                         "no-op removal bumped the epoch, {} seed {}", name, seed);
-                    prop_assert_eq!(db.pending_delta_len(), pending,
-                        "no-op removal logged a delta, {} seed {}", name, seed);
+                    prop_assert!(std::sync::Arc::ptr_eq(&storage, &db.index()),
+                        "no-op removal copied the storage, {} seed {}", name, seed);
                 }
             }
             if next() % 2 == 0 {
-                // Flush the pending deltas into a patched snapshot now and
-                // then, so later mutations chain patch-on-patch.
-                warm_index(&db);
+                // Pin the current state now and then, so later mutations
+                // have to copy what they touch — and let go of the previous
+                // pin, so others run in place again.
+                if let Some((snapshot, frozen)) = pinned.take() {
+                    prop_assert_eq!(snapshot.database().sorted_facts(), frozen,
+                        "a pinned snapshot moved, {} seed {}", name, seed);
+                }
+                pinned = (next() % 3 != 0).then(|| (db.snapshot(), db.sorted_facts()));
             }
         }
+        if let Some((snapshot, frozen)) = pinned.take() {
+            prop_assert_eq!(snapshot.database().sorted_facts(), frozen,
+                "a pinned snapshot moved, {} seed {}", name, seed);
+        }
 
-        // The delta-patched index must equal the from-scratch rebuild
-        // structure by structure.
-        warm_index(&db);
-        warm_index(&rebuilt);
+        // The maintained store must equal a from-scratch build of the
+        // surviving facts (inserted in sorted order, so rows and codes are
+        // numbered differently), structure by structure.
+        let rebuilt = cqa_data::UncertainDatabase::from_facts(db.schema().clone(), db.sorted_facts())
+            .unwrap();
+        demand_everything(&rebuilt);
         let patched = db.index();
         let reference = rebuilt.index();
-        prop_assert_eq!(patched.fact_count(), reference.fact_count(),
+        prop_assert_eq!(db.fact_count(), rebuilt.fact_count(),
             "fact count, {} seed {}", name, seed);
-        for i in 0..patched.fact_count() {
-            let id = cqa_data::FactId::from_index(i);
-            prop_assert_eq!(patched.fact(id), reference.fact(id),
-                "fact id {} diverged, {} seed {}", i, name, seed);
-            prop_assert_eq!(patched.block_of(id), reference.block_of(id),
-                "block of fact {} diverged, {} seed {}", i, name, seed);
-        }
+        prop_assert_eq!(db.block_count(), rebuilt.block_count(),
+            "block count, {} seed {}", name, seed);
+        prop_assert_eq!(db.is_consistent(), rebuilt.is_consistent(),
+            "consistency, {} seed {}", name, seed);
         prop_assert_eq!(patched.active_domain(), reference.active_domain(),
             "active domain, {} seed {}", name, seed);
         prop_assert_eq!(patched.statistics(), reference.statistics(),
             "statistics, {} seed {}", name, seed);
+        prop_assert_eq!(patched.dictionary().len(), reference.dictionary().len(),
+            "dictionary size, {} seed {}", name, seed);
         for (rel, relation) in db.schema().iter() {
+            let sorted = |index: &cqa_data::DatabaseIndex| {
+                let mut facts: Vec<cqa_data::Fact> = index.relation_facts(rel).cloned().collect();
+                facts.sort();
+                facts
+            };
+            prop_assert_eq!(sorted(&patched), sorted(&reference),
+                "facts of {}, {} seed {}", relation.name, name, seed);
+            let partition = |index: &cqa_data::DatabaseIndex| -> BTreeSet<BTreeSet<cqa_data::Fact>> {
+                index.relation_blocks(rel).map(|b| b.facts().iter().cloned().collect()).collect()
+            };
+            prop_assert_eq!(partition(&patched), partition(&reference),
+                "block partition of {}, {} seed {}", relation.name, name, seed);
+            // Key-prefix buckets, through both index entry points.
+            let prefix = key_prefix(relation);
+            let posbits = cqa_data::PositionSet::from_positions(prefix.iter().copied());
             prop_assert_eq!(
-                patched.relation_fact_ids(rel), reference.relation_fact_ids(rel),
-                "fact ids of {}, {} seed {}", relation.name, name, seed);
-            prop_assert_eq!(
-                patched.relation_block_ids(rel), reference.relation_block_ids(rel),
-                "block ids of {}, {} seed {}", relation.name, name, seed);
-            let posbits = cqa_data::PositionSet::from_positions(0..relation.key_len());
-            let a = patched.position_index(rel, posbits);
-            let b = reference.position_index(rel, posbits);
-            prop_assert_eq!(a.key_count(), b.key_count(),
+                patched.position_index(rel, posbits).key_count(),
+                reference.position_index(rel, posbits).key_count(),
                 "key count of {}, {} seed {}", relation.name, name, seed);
-            for key in b.keys() {
-                prop_assert_eq!(a.candidates(key), b.candidates(key),
+            for block in reference.relation_blocks(rel) {
+                let key = &block.key()[..prefix.len()];
+                let expected = bucket_facts(&reference, rel, &prefix, key);
+                prop_assert!(block.facts().iter().all(|f| expected.contains(f)));
+                prop_assert_eq!(bucket_facts(&patched, rel, &prefix, key), expected.clone(),
                     "bucket {:?} of {}, {} seed {}", key, relation.name, name, seed);
+                let rows: BTreeSet<cqa_data::Fact> = patched
+                    .position_index(rel, posbits)
+                    .probe(patched.pack_key(key))
+                    .map(|row| patched.fact(rel, row).clone())
+                    .collect();
+                prop_assert_eq!(rows, expected,
+                    "bucket {:?} of {} (row entry point), {} seed {}", key, relation.name, name, seed);
             }
-            // The columnar view may assign dictionary codes in a different
-            // order after patching; compare the decoded cells instead.
-            let (ca, cb) = (patched.columnar(), reference.columnar());
-            let (ra, rb) = (ca.relation(rel), cb.relation(rel));
-            prop_assert_eq!(ra.row_count(), rb.row_count(),
+            // Every single-position bucket (the statistics demanded them).
+            for position in 0..relation.arity() {
+                for value in reference.active_domain() {
+                    let key = std::slice::from_ref(value);
+                    prop_assert_eq!(
+                        bucket_facts(&patched, rel, &[position], key),
+                        bucket_facts(&reference, rel, &[position], key),
+                        "bucket {:?} at {} of {}, {} seed {}", value, position, relation.name, name, seed);
+                }
+            }
+            // Code columns decode, row for row, to the facts stored there.
+            let columns = patched.columnar().relation(rel);
+            prop_assert_eq!(columns.row_count(), patched.row_count(rel),
                 "columnar rows of {}, {} seed {}", relation.name, name, seed);
-            for p in 0..relation.arity() {
-                for (x, y) in ra.column(p).iter().zip(rb.column(p)) {
-                    prop_assert_eq!(ca.dictionary().value(*x), cb.dictionary().value(*y),
-                        "columnar cell of {}, {} seed {}", relation.name, name, seed);
+            for row in 0..columns.row_count() {
+                for p in 0..relation.arity() {
+                    prop_assert_eq!(
+                        patched.dictionary().value(columns.code(p, row)),
+                        patched.fact(rel, row as u32).value(p),
+                        "columnar cell ({}, {}) of {}, {} seed {}", row, p, relation.name, name, seed);
                 }
             }
         }

@@ -411,6 +411,84 @@ fn readers_observe_exactly_one_epoch() {
     handle.shutdown();
 }
 
+/// A reader that pins an epoch across a thousand writes keeps reading the
+/// storage it pinned — the writer copies what it touches, never what a
+/// reader holds — and the epoch is let go of once the reader is.
+#[test]
+fn a_reader_pinning_its_epoch_across_a_thousand_writes_sees_it_frozen() {
+    let doc = parse_document(&serving_document()).expect("parse serving document");
+    let schema = doc.schema.clone();
+    let manager = cqa::serve::EpochManager::new(doc.database, ParPool::new(2));
+    let queries: Vec<_> = query_lines()
+        .into_iter()
+        .filter_map(|line| match protocol::parse_request(&schema, line, 1) {
+            Ok(Some(Request::Query { name, query })) => Some((name, query)),
+            _ => None,
+        })
+        .collect();
+    let render = |engine: &BatchEngine| -> Vec<String> {
+        (queries.iter())
+            .map(|(name, query)| {
+                let sets = certain_answers(query, engine.snapshot().database());
+                protocol::render_result(&BatchResult {
+                    name: name.clone(),
+                    outcome: BatchOutcome::Answers(sets.expect("reference evaluation")),
+                })
+            })
+            .collect()
+    };
+
+    let pinned = manager.current();
+    let (epoch, facts, before) = (
+        pinned.epoch(),
+        pinned.snapshot().fact_count(),
+        render(&pinned),
+    );
+    assert_eq!(manager.pinned_epochs(), 0);
+    for i in 0..1_000 {
+        // Inserts that change every query's answer, and removals of the
+        // very facts the pinned reader is looking at.
+        let line = match i % 4 {
+            0 => format!("\\insert C(conf{}, {}, Rome)", i % 7, 3000 + i),
+            1 => format!("\\insert R(fresh{i}, A)"),
+            2 => format!("\\remove C(conf{}, {}, Rome)", (i - 2) % 7, 3000 + i - 2),
+            _ => format!("\\remove-block R(fresh{}, A)", i - 2),
+        };
+        let Ok(Some(Request::Write(op))) = protocol::parse_request(&schema, &line, 1) else {
+            panic!("{line} must parse as a write");
+        };
+        let outcome = manager.apply_write(&op).expect("apply write");
+        assert!(outcome.changed, "{line} must be effective");
+        assert_eq!(
+            manager.pinned_epochs(),
+            1,
+            "only the reader's epoch is held"
+        );
+    }
+    for op in ["\\remove R(KDD, B)", "\\remove-block C(PODS, 2016, Rome)"] {
+        let Ok(Some(Request::Write(op))) = protocol::parse_request(&schema, op, 1) else {
+            panic!("{op} must parse as a write");
+        };
+        assert!(manager.apply_write(&op).expect("apply write").changed);
+    }
+    assert_eq!(manager.epoch(), epoch + 1_003);
+    assert_ne!(render(&manager.current()), before);
+
+    assert_eq!(pinned.epoch(), epoch);
+    assert_eq!(pinned.snapshot().fact_count(), facts);
+    assert_eq!(
+        render(&pinned),
+        before,
+        "the pinned epoch answers as it did"
+    );
+    drop(pinned);
+    assert_eq!(
+        manager.pinned_epochs(),
+        0,
+        "the epoch dies with its last reader"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // 3. Protocol robustness
 // ---------------------------------------------------------------------------
@@ -795,6 +873,15 @@ fn http_endpoints_serve_metrics_and_queries() {
     let body = response.split("\r\n\r\n").nth(1).expect("http body");
     assert_eq!(body, format!("{expected}\n"));
 
+    // An effective write, so the write-latency histogram has a sample too.
+    let line = "\\insert R(ICDT, A)";
+    let request = format!(
+        "POST /query HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{line}",
+        line.len()
+    );
+    let response = http_exchange(addr, request.as_bytes());
+    assert!(response.contains("ok: inserted, epoch "), "{response}");
+
     // GET /metrics renders the Prometheus exposition of the registry.
     let response = http_exchange(
         addr,
@@ -803,6 +890,10 @@ fn http_endpoints_serve_metrics_and_queries() {
     assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
     assert!(
         response.contains("# TYPE serve_connections counter"),
+        "{response}"
+    );
+    assert!(
+        response.contains("# TYPE serve_write_nanos summary"),
         "{response}"
     );
     assert!(
