@@ -21,8 +21,8 @@ use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 /// Process-wide memo of compiled satisfaction plans: repeated
 /// [`certain_answers`] calls for the same `(schema, query)` — a CLI loop, a
 /// service answering the same query against evolving data — compile once.
-/// Shared with the `cqa-par` batch engine so the sequential and parallel
-/// paths amortize the same compilations.
+/// The `cqa-par` batch engine answers open queries through
+/// [`certain_answers`], so its pool jobs amortize the same compilations.
 pub fn shared_plan_cache() -> &'static PlanCache {
     static CACHE: OnceLock<PlanCache> = OnceLock::new();
     CACHE.get_or_init(PlanCache::new)
@@ -215,8 +215,7 @@ impl CertainAnswersEngine {
 
 /// The **possible answers** of the query: tuples that are answers on `db`
 /// itself — equivalently, answers in *some* repair (conjunctive queries are
-/// monotone). These are exactly the candidates for certainty; the parallel
-/// layer shards this set across threads.
+/// monotone). These are exactly the candidates for certainty.
 ///
 /// Evaluated through the compiled join plan of the process-wide
 /// [`shared_plan_cache`] (`cqa_query::eval` remains the reference; the

@@ -50,9 +50,9 @@ pub trait CertaintySolver {
     }
 
     /// The compiled certain-rewriting plan the solver evaluates, when it
-    /// has one (the Theorem 1 region). `cqa-par` shards `is_certain` over
-    /// this plan's root candidate space; solvers without a rewriting plan
-    /// return `None` and are evaluated sequentially.
+    /// has one (the Theorem 1 region), so a caller can prepare it with a
+    /// trace sink or a pinned [`cqa_exec::ExecMode`]; solvers without a
+    /// rewriting plan return `None`.
     fn rewriting_plan(&self, _db: &UncertainDatabase) -> Option<&FoPlan> {
         None
     }
@@ -154,9 +154,9 @@ impl CertaintyEngine {
 
     /// The compiled certain-rewriting plan of the dispatched solver, when
     /// it has one (the Theorem 1 region; `db` supplies the statistics on
-    /// first use). `cqa-par` shards `is_certain` over this plan's root
-    /// candidate space; `None` means certainty must be decided
-    /// sequentially.
+    /// first use) — the plan [`CertaintyEngine::is_certain`] executes, for
+    /// callers that trace it or pin its [`cqa_exec::ExecMode`]. `None`
+    /// means the solver decides certainty without a rewriting plan.
     pub fn rewriting_plan(&self, db: &UncertainDatabase) -> Option<&FoPlan> {
         self.solver.rewriting_plan(db)
     }
@@ -234,12 +234,18 @@ mod tests {
         assert!(explain.contains("satisfaction plan"), "{explain}");
         assert!(explain.contains("certain rewriting plan"), "{explain}");
         assert!(explain.contains("∀-block"), "{explain}");
+        assert!(engine.rewriting_plan(&db).is_some());
         // A coNP-region query has no rewriting plan, but still explains.
         let oracle_engine = CertaintyEngine::new(&catalog::q1().query).unwrap();
         let q1_db = cqa_data::UncertainDatabase::new(catalog::q1().query.schema().clone());
+        assert!(oracle_engine.rewriting_plan(&q1_db).is_none());
         let oracle_explain = oracle_engine.explain(&q1_db);
         assert!(oracle_explain.contains("satisfaction plan"));
         assert!(!oracle_explain.contains("certain rewriting plan"));
+        // An empty database satisfies nothing, and certainty of a non-empty
+        // query fails on it.
+        assert!(!oracle_engine.is_certain(&q1_db));
+        assert!(!oracle_engine.is_possible(&q1_db));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! partition of the database must be decided for the two-atom query
 //! `{F, G}`.
 //!
-//! ## Substitution note (see `DESIGN.md` §4)
+//! ## Substitution note (see `DESIGN.md`, "Substitutions and scope")
 //!
 //! Kolaitis–Pema reduce the P-side to maximum independent set in claw-free
 //! graphs and invoke Minty's algorithm \[17\]. This implementation builds the

@@ -230,7 +230,7 @@ impl<'a> Rows<'a> {
     }
 
     /// The candidates at positions `range` of this list (bounds clamped) —
-    /// the unit the parallel layer shards a root scan by.
+    /// the unit the vectorized executor chunks a root scan by.
     pub fn slice(&self, range: std::ops::Range<usize>) -> Rows<'a> {
         let lo = range.start.min(self.len());
         let hi = range.end.clamp(lo, self.len());

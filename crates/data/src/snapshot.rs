@@ -1,8 +1,8 @@
 //! Shareable point-in-time snapshots of an uncertain database.
 //!
-//! The parallel evaluation layer (`cqa-par`) executes many independent
-//! subproblems against *one* immutable state of the data: candidate-answer
-//! checks, root-scan shards, and whole query batches must all see the same
+//! The parallel layers execute many independent subproblems against *one*
+//! immutable state of the data: the queries of a batch (`cqa-par`) and the
+//! candidate chunks of a view repair (`cqa-stream`) must all see the same
 //! facts, the same blocks, and the same [`DatabaseIndex`] — and they run on
 //! worker threads that outlive any `&UncertainDatabase` borrow a caller
 //! could offer. A [`Snapshot`] is one more handle onto the database's
@@ -46,16 +46,11 @@ impl Snapshot {
 
     /// The mutation epoch of the source database at freeze time
     /// ([`UncertainDatabase::epoch`]). Comparing this against the live
-    /// database's current epoch detects staleness with one integer compare —
-    /// the check `cqa-par`'s batch engine and the serve loop run per batch.
+    /// database's current epoch detects staleness with one integer compare
+    /// (only meaningful for the same database lineage) — the epoch the serve
+    /// loop reports for every published snapshot.
     pub fn epoch(&self) -> u64 {
         self.db.epoch()
-    }
-
-    /// True iff `db` has been effectively mutated since this snapshot was
-    /// frozen from it. Only meaningful for the same database lineage.
-    pub fn is_stale_for(&self, db: &UncertainDatabase) -> bool {
-        self.epoch() != db.epoch()
     }
 
     /// The frozen database contents.

@@ -174,8 +174,9 @@ impl FoPlan {
     /// Cost-model estimate of how many operator visits one evaluation
     /// costs: scan and quantifier fan-outs multiply down the tree,
     /// conjunctions and disjunctions add up. An *estimate*, never consulted
-    /// for correctness — `cqa-par` compares it against its sequential
-    /// cutoff before sharding an evaluation across threads.
+    /// for correctness — the [`ExecMode::Auto`](crate::ExecMode::Auto) gate
+    /// evaluates sentences batch-at-a-time once it clears
+    /// [`FO_VEC_CUTOFF`](crate::vec::FO_VEC_CUTOFF).
     pub fn estimated_work(&self) -> f64 {
         self.estimated_work
     }
@@ -929,8 +930,9 @@ impl PreparedFo<'_> {
     }
 
     /// Installs a trace sink: every subsequent evaluation records its
-    /// per-operator events into it (shareable across threads, so `cqa-par`
-    /// shards can report into one sink). Tracing never changes verdicts.
+    /// per-operator events into it (the sink's cells are atomic, so
+    /// evaluations on several threads can report into one sink). Tracing
+    /// never changes verdicts.
     ///
     /// # Panics
     /// If the sink was not sized with [`FoPlan::trace_ops`].
@@ -1045,76 +1047,6 @@ impl PreparedFo<'_> {
                     .map(|tuple| self.eval_tuple_row(vars, tuple))
                     .collect()
             }
-        })
-    }
-
-    /// The width of the plan's **root candidate space**, when the root
-    /// operator is an existential scan of a sentence: the number of
-    /// candidate facts the root `∃-scan` iterates (for a Theorem 1
-    /// rewriting, the facts of the first eliminated atom's relation). The
-    /// search below each candidate is independent, so the disjunction of
-    /// [`PreparedFo::eval_root_shard`] over any partition of
-    /// `0..root_shard_width()` equals [`PreparedFo::eval`] — the axis
-    /// `cqa-par` shards `is_certain` on.
-    ///
-    /// `None` when the root is not an `∃-scan` or the formula has free
-    /// variables; callers must then evaluate sequentially.
-    pub fn root_shard_width(&self) -> Option<usize> {
-        if !self.plan.free.is_empty() {
-            return None;
-        }
-        let FoOp::ExistsScan { spec, .. } = &self.plan.root else {
-            return None;
-        };
-        let regs = Registers::new(self.plan.slots.len());
-        let candidates =
-            spec.candidates(&self.index, self.handles[spec.probe_id].as_ref(), &regs)?;
-        Some(candidates.len())
-    }
-
-    /// Evaluates the sentence with the root `∃-scan`'s candidate iteration
-    /// restricted to `shard` (an index range into the root candidate list,
-    /// see [`PreparedFo::root_shard_width`]); out-of-range bounds are
-    /// clamped. If the root is not shardable the whole evaluation counts as
-    /// the shard containing index 0, so the disjunction over a partition
-    /// still equals [`PreparedFo::eval`].
-    pub fn eval_root_shard(&self, shard: std::ops::Range<usize>) -> bool {
-        let vectorized = self.use_vec();
-        self.entry_point(vectorized, || {
-            if vectorized {
-                return crate::vec::eval_root_shard(self, shard.clone());
-            }
-            let mut regs = Registers::new(self.plan.slots.len());
-            let FoOp::ExistsScan { spec, body } = &self.plan.root else {
-                return shard.start == 0 && self.eval_op(&self.plan.root, &mut regs);
-            };
-            let Some(candidates) =
-                spec.candidates(&self.index, self.handles[spec.probe_id].as_ref(), &regs)
-            else {
-                return false;
-            };
-            let mut writes = Vec::new();
-            let mut found = false;
-            let mut scanned = 0u64;
-            let mut unified = 0u64;
-            for row in candidates.slice(shard.clone()) {
-                regs.undo(&mut writes);
-                scanned += 1;
-                if spec.apply(&self.index, row, &mut regs, &mut writes) {
-                    unified += 1;
-                    if self.eval_op(body, &mut regs) {
-                        found = true;
-                        break;
-                    }
-                }
-            }
-            if let Some(sink) = &self.trace {
-                let cell = sink.op(spec.probe_id);
-                cell.add_invocations(1);
-                cell.add_rows(scanned);
-                cell.add_matches(unified);
-            }
-            found
         })
     }
 
@@ -1325,41 +1257,6 @@ mod tests {
     }
 
     #[test]
-    fn root_shards_recombine_to_the_full_verdict() {
-        let db = db();
-        let r = rel(&db);
-        // ∃x∃y (R(x, y) ∧ y = '2') — a root ∃-scan over all three R facts.
-        let sentence = FoFormula::exists(
-            vec![Variable::new("x"), Variable::new("y")],
-            FoFormula::and(vec![
-                FoFormula::atom(r, vec![Term::var("x"), Term::var("y")]),
-                FoFormula::Equals(Term::var("y"), Term::constant("2")),
-            ]),
-        );
-        let plan = compile(&sentence, &db);
-        let index = db.index();
-        let prepared = plan.prepare(&index);
-        let width = prepared.root_shard_width().expect("root is an ∃-scan");
-        assert_eq!(width, 3);
-        assert!(prepared.eval());
-        for shards in [1usize, 2, 3, 5] {
-            let per = width.div_ceil(shards);
-            let any =
-                (0..shards).any(|s| prepared.eval_root_shard(s * per..((s + 1) * per).min(width)));
-            assert_eq!(any, prepared.eval(), "{shards} shards");
-        }
-        // A non-shardable root (a plain lookup) still honours the
-        // partition convention: everything lives in the shard holding 0.
-        let lookup = FoFormula::atom(r, vec![Term::constant("a"), Term::constant("1")]);
-        let plan = compile(&lookup, &db);
-        let prepared = plan.prepare(&index);
-        assert_eq!(prepared.root_shard_width(), None);
-        assert!(prepared.eval_root_shard(0..1));
-        assert!(!prepared.eval_root_shard(1..9));
-        assert!(plan.estimated_work() >= 1.0);
-    }
-
-    #[test]
     fn existential_scans_and_block_foralls() {
         let db = db();
         let r = rel(&db);
@@ -1371,6 +1268,17 @@ mod tests {
         let plan = compile(&exists, &db);
         assert!(plan.explain().contains("∃-scan"));
         assert!(plan.eval(&db));
+        assert!(plan.estimated_work() >= 1.0);
+        // ∃x∃y (R(x, y) ∧ y = '2') — a root ∃-scan over all three R facts
+        // whose only witness is not the first candidate.
+        let later_witness = FoFormula::exists(
+            vec![Variable::new("x"), Variable::new("y")],
+            FoFormula::and(vec![
+                FoFormula::atom(r, vec![Term::var("x"), Term::var("y")]),
+                FoFormula::Equals(Term::var("y"), Term::constant("2")),
+            ]),
+        );
+        assert!(compile(&later_witness, &db).eval(&db));
         // ∀y (R('a', y) → y = '1') — false: R(a, 2) exists. Compiled to a
         // ∀-block over the 'a' block.
         let forall = FoFormula::forall(

@@ -103,8 +103,8 @@ impl QueryPlan {
         let free_slots = query.free_vars().iter().map(|v| slot_of[v]).collect();
         // Upper-bound estimate of visited search nodes: the candidate
         // fan-out multiplies down the step sequence (fail-first pruning only
-        // shrinks it). This is what downstream layers (`cqa-par`) compare
-        // against their sequential cutoff.
+        // shrinks it). This is what the `ExecMode::Auto` cost gate compares
+        // against the `cqa_exec::vec` cutoffs.
         let mut estimated_work = 0.0;
         let mut fanout = 1.0;
         for step in &steps {
@@ -123,9 +123,10 @@ impl QueryPlan {
     /// Cost-model estimate of the number of search nodes a full execution
     /// visits: the running product of the per-step candidate estimates,
     /// summed over the steps. An *estimate*, never consulted for
-    /// correctness — `cqa-par` uses it as the sequential cutoff (a plan
-    /// whose whole search fits in a few thousand nodes is not worth
-    /// sharding across threads).
+    /// correctness — the [`ExecMode::Auto`](crate::ExecMode::Auto) gate
+    /// batches `answers` only inside the
+    /// [`QUERY_VEC_CUTOFF`]`..=`[`QUERY_VEC_MAX`] window (a search of a few thousand nodes does not repay batch set-up,
+    /// a giant one would materialize unbounded intermediates).
     pub fn estimated_work(&self) -> f64 {
         self.estimated_work
     }
@@ -276,17 +277,18 @@ pub struct PreparedQuery<'p> {
 impl PreparedQuery<'_> {
     /// Overrides the execution-path choice for this prepared instance (the
     /// property suites pin each path explicitly). The choice applies to
-    /// [`PreparedQuery::answers`] / [`PreparedQuery::answers_shard`]; the
-    /// early-exit entry points (`satisfies*`, `all_valuations`) always run
-    /// the row engine, whose short-circuiting beats batch materialization.
+    /// [`PreparedQuery::answers`]; the early-exit entry points
+    /// (`satisfies*`, `all_valuations`) always run the row engine, whose
+    /// short-circuiting beats batch materialization.
     pub fn with_mode(mut self, mode: crate::vec::ExecMode) -> Self {
         self.mode = mode;
         self
     }
 
     /// Installs a trace sink: every subsequent execution records its
-    /// per-step events into it (shareable across threads, so `cqa-par`
-    /// shards can report into one sink). Tracing never changes answers.
+    /// per-step events into it (the sink's cells are atomic, so executions
+    /// on several threads can report into one sink). Tracing never changes
+    /// answers.
     ///
     /// # Panics
     /// If the sink was not sized with [`QueryPlan::trace_ops`].
@@ -390,7 +392,7 @@ impl PreparedQuery<'_> {
         }
         self.entry_point(vectorized, || {
             if vectorized {
-                return crate::vec::query_answers(self, None);
+                return crate::vec::query_answers(self);
             }
             let mut out = BTreeSet::new();
             let mut regs = Registers::new(self.plan.slots.len());
@@ -408,115 +410,6 @@ impl PreparedQuery<'_> {
             });
             out
         })
-    }
-
-    /// The width of the plan's **root candidate space**: the number of
-    /// candidate facts the first join step iterates when execution starts
-    /// from empty registers (the first step's probe key can only hold
-    /// constants, so the list is fixed for the snapshot). `None` for the
-    /// empty (step-less) plan.
-    ///
-    /// This is the axis `cqa-par` shards on: the search trees rooted at
-    /// disjoint slices of this list are independent, so
-    /// [`PreparedQuery::satisfies_shard`] /
-    /// [`PreparedQuery::answers_shard`] over a partition of
-    /// `0..root_width()` recombine exactly to [`PreparedQuery::satisfies`]
-    /// / [`PreparedQuery::answers`].
-    pub fn root_width(&self) -> Option<usize> {
-        Some(self.root_candidates()?.len())
-    }
-
-    /// True iff some valuation whose first-step candidate lies in `shard`
-    /// (an index range into the root candidate list, see
-    /// [`PreparedQuery::root_width`]) satisfies the query. The disjunction
-    /// over any partition of `0..root_width()` equals
-    /// [`PreparedQuery::satisfies`]; out-of-range bounds are clamped.
-    pub fn satisfies_shard(&self, shard: std::ops::Range<usize>) -> bool {
-        self.entry_point(false, || {
-            let mut regs = Registers::new(self.plan.slots.len());
-            self.run_shard(shard, &mut regs, &mut |_| true)
-        })
-    }
-
-    /// The answer tuples whose witnessing valuation's first-step candidate
-    /// lies in `shard`. The union over any partition of `0..root_width()`
-    /// equals [`PreparedQuery::answers`] — and because the result is an
-    /// ordered set, the recombined answer is byte-identical however the
-    /// partition (or the thread interleaving) looked.
-    pub fn answers_shard(&self, shard: std::ops::Range<usize>) -> BTreeSet<Vec<Value>> {
-        let vectorized = self.use_vec();
-        if vectorized {
-            cqa_obs::count!("exec.query.answers.vec");
-        } else {
-            cqa_obs::count!("exec.query.answers.row");
-        }
-        self.entry_point(vectorized, || {
-            if vectorized {
-                return crate::vec::query_answers(self, Some(shard.clone()));
-            }
-            let mut out = BTreeSet::new();
-            let mut regs = Registers::new(self.plan.slots.len());
-            self.run_shard(shard, &mut regs, &mut |regs| {
-                let tuple: Option<Vec<Value>> = self
-                    .plan
-                    .free_slots
-                    .iter()
-                    .map(|&s| regs.get(s).cloned())
-                    .collect();
-                if let Some(tuple) = tuple {
-                    out.insert(tuple);
-                }
-                false
-            });
-            out
-        })
-    }
-
-    /// The fixed candidate list of the first step under empty registers.
-    fn root_candidates(&self) -> Option<cqa_data::Rows<'_>> {
-        let step = self.plan.steps.first()?;
-        let regs = Registers::new(self.plan.slots.len());
-        step.spec
-            .candidates(&self.index, self.handles[0].as_ref(), &regs)
-    }
-
-    /// Runs the search with the first step's candidate iteration restricted
-    /// to `shard`; depths ≥ 1 are the ordinary search.
-    fn run_shard(
-        &self,
-        shard: std::ops::Range<usize>,
-        regs: &mut Registers,
-        on_match: &mut dyn FnMut(&Registers) -> bool,
-    ) -> bool {
-        let Some(step) = self.plan.steps.first() else {
-            // The empty query has a single (empty) search node; by
-            // convention it lives in the shard containing index 0.
-            return shard.start == 0 && on_match(regs);
-        };
-        let Some(candidates) = step
-            .spec
-            .candidates(&self.index, self.handles[0].as_ref(), regs)
-        else {
-            return false;
-        };
-        let mut writes: Vec<Slot> = Vec::new();
-        let mut found = false;
-        let mut scanned = 0u64;
-        let mut unified = 0u64;
-        for row in candidates.slice(shard) {
-            regs.undo(&mut writes);
-            scanned += 1;
-            if step.spec.apply(&self.index, row, regs, &mut writes) {
-                unified += 1;
-                if self.search(1, regs, on_match) {
-                    found = true;
-                    break;
-                }
-            }
-        }
-        regs.undo(&mut writes);
-        self.flush_step(0, scanned, unified);
-        found
     }
 
     fn run(&self, regs: &mut Registers, on_match: &mut dyn FnMut(&Registers) -> bool) -> bool {
@@ -586,6 +479,7 @@ mod tests {
         let index = db.index();
         let plan = QueryPlan::compile(&q, Some(index.statistics()));
         assert_eq!(plan.len(), 2);
+        assert!(QueryPlan::compile(&q, None).estimated_work() >= 1.0);
         assert_eq!(plan.satisfies(&db), eval::satisfies(&db, &q));
         let mut compiled: Vec<String> = plan
             .all_valuations(&db)
@@ -672,67 +566,11 @@ mod tests {
         let q = ConjunctiveQuery::boolean(schema.clone(), Vec::new()).unwrap();
         let plan = QueryPlan::compile(&q, None);
         assert!(plan.is_empty());
+        assert!(plan.estimated_work() >= 0.0);
         let db = UncertainDatabase::new(schema);
         assert!(plan.satisfies(&db));
         assert_eq!(plan.all_valuations(&db).len(), 1);
         assert!(plan.explain().contains("empty query"));
-    }
-
-    #[test]
-    fn shards_recombine_to_the_full_answer() {
-        let schema = cqa_data::Schema::from_relations([("C", 3, 2), ("R", 2, 1)])
-            .unwrap()
-            .into_shared();
-        let q = ConjunctiveQuery::builder(schema.clone())
-            .atom("C", [Term::var("x"), Term::var("y"), Term::var("c")])
-            .atom("R", [Term::var("x"), Term::var("r")])
-            .free([Variable::new("x")])
-            .build()
-            .unwrap();
-        let db = catalog::conference_database();
-        let index = db.index();
-        let plan = QueryPlan::compile(&q, Some(index.statistics()));
-        let prepared = plan.prepare(&index);
-        let width = prepared.root_width().expect("non-empty plan");
-        assert!(width > 0);
-        let full = prepared.answers();
-        let full_satisfies = prepared.satisfies();
-        // Partition 0..width into k shards, for several k (including more
-        // shards than candidates): unions and disjunctions must recombine.
-        for shards in [1usize, 2, 3, 7, width + 3] {
-            let per = width.div_ceil(shards);
-            let mut union = BTreeSet::new();
-            let mut any = false;
-            for s in 0..shards {
-                let range = s * per..((s + 1) * per).min(width);
-                union.extend(prepared.answers_shard(range.clone()));
-                any |= prepared.satisfies_shard(range);
-            }
-            assert_eq!(union, full, "answers with {shards} shards");
-            assert_eq!(any, full_satisfies, "satisfies with {shards} shards");
-        }
-        // Out-of-range shards are clamped to empty.
-        assert!(prepared.answers_shard(width + 10..width + 20).is_empty());
-        assert!(!prepared.satisfies_shard(width..width));
-    }
-
-    #[test]
-    fn empty_plans_have_no_root_width_and_positive_work() {
-        let schema = cqa_data::Schema::from_relations([("R", 2, 1)])
-            .unwrap()
-            .into_shared();
-        let empty = ConjunctiveQuery::boolean(schema.clone(), Vec::new()).unwrap();
-        let plan = QueryPlan::compile(&empty, None);
-        let db = UncertainDatabase::new(schema);
-        let index = db.index();
-        let prepared = plan.prepare(&index);
-        assert_eq!(prepared.root_width(), None);
-        // Shard 0 carries the single empty search node.
-        assert!(prepared.satisfies_shard(0..1));
-        assert!(!prepared.satisfies_shard(1..2));
-        assert!(plan.estimated_work() >= 0.0);
-        let q = catalog::conference().query;
-        assert!(QueryPlan::compile(&q, None).estimated_work() >= 1.0);
     }
 
     #[test]

@@ -32,7 +32,6 @@ use cqa_data::{Columnar, DatabaseIndex, PositionIndex, RelationId, Value};
 use cqa_obs::OpTrace;
 use cqa_query::Variable;
 use std::collections::BTreeSet;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// How a prepared plan chooses between the row-at-a-time and vectorized
@@ -407,8 +406,8 @@ fn apply_row(
 /// Expands `probe` under the rows `sel` of `parent`: the returned batch has
 /// one child row per `(parent, unifying candidate)` pair, in `sel` order
 /// (each parent's children contiguous). With `root_rows: Some(rows)` the
-/// candidate list is overridden by explicit relation rows (used for root
-/// sharding, where the candidate order must match the row engine's
+/// candidate list is overridden by explicit relation rows (one
+/// [`ROOT_CHUNK`] of a root scan, taken from the row engine's
 /// `PositionIndex` bucket); `sel` must then be the single unbound root row.
 /// With `trace: Some(cell)` the probe count, candidate rows examined and
 /// surviving pairs are recorded on that operator cell.
@@ -870,30 +869,23 @@ impl VecCtx<'_, '_> {
 }
 
 /// Vectorized sentence evaluation: a single unbound batch row survives the
-/// root operator iff the sentence holds. A root `∃-scan` goes through the
-/// sharded entry point so the candidate list is processed in
+/// root operator iff the sentence holds. A root `∃-scan` instead walks the
+/// row engine's root candidate list (a `PositionIndex` bucket) in
 /// [`ROOT_CHUNK`]-sized chunks with early exit — the batch analogue of the
 /// row engine's first-witness short-circuit.
 pub(crate) fn eval_sentence(prepared: &PreparedFo<'_>) -> bool {
     let vec_fo = &prepared.vec;
-    if prepared.plan.free.is_empty() && matches!(vec_fo.root, VOp::ExistsScan { .. }) {
-        return eval_root_shard(prepared, 0..usize::MAX);
-    }
-    let ctx = VecCtx {
-        prepared,
-        columnar: prepared.index.columnar(),
+    let root_scan = match &vec_fo.root {
+        VOp::ExistsScan { probe, body, .. } if prepared.plan.free.is_empty() => Some((probe, body)),
+        _ => None,
     };
-    let batch = Batch::unbound(prepared.plan.slots.len());
-    !ctx.eval(&vec_fo.root, &batch, vec![0]).is_empty()
-}
-
-/// Vectorized root-sharded sentence evaluation. The shard is an index range
-/// into the *row engine's* root candidate list (a `PositionIndex` bucket),
-/// so partitions recombine identically on both paths.
-pub(crate) fn eval_root_shard(prepared: &PreparedFo<'_>, shard: Range<usize>) -> bool {
-    let vec_fo = &prepared.vec;
-    let VOp::ExistsScan { probe, body, .. } = &vec_fo.root else {
-        return shard.start == 0 && eval_sentence(prepared);
+    let Some((probe, body)) = root_scan else {
+        let ctx = VecCtx {
+            prepared,
+            columnar: prepared.index.columnar(),
+        };
+        let batch = Batch::unbound(prepared.plan.slots.len());
+        return !ctx.eval(&vec_fo.root, &batch, vec![0]).is_empty();
     };
     let FoOp::ExistsScan { spec, .. } = &prepared.plan.root else {
         unreachable!("vec root mirrors the plan root");
@@ -906,7 +898,6 @@ pub(crate) fn eval_root_shard(prepared: &PreparedFo<'_>, shard: Range<usize>) ->
     ) else {
         return false;
     };
-    let candidates = candidates.slice(shard);
     if candidates.is_empty() {
         return false;
     }
@@ -1001,14 +992,10 @@ pub(crate) fn eval_tuples(
     out
 }
 
-/// Vectorized `answers` / `answers_shard`: a batch hash join down the step
-/// pipeline, chunked over the root candidate list so intermediates stay
-/// bounded. The shard range indexes the row engine's root candidate list,
-/// so partitions recombine identically on both paths.
-pub(crate) fn query_answers(
-    prepared: &PreparedQuery<'_>,
-    shard: Option<Range<usize>>,
-) -> BTreeSet<Vec<Value>> {
+/// Vectorized `answers`: a batch hash join down the step pipeline, chunked
+/// over the row engine's root candidate list so intermediates stay
+/// bounded.
+pub(crate) fn query_answers(prepared: &PreparedQuery<'_>) -> BTreeSet<Vec<Value>> {
     let mut out = BTreeSet::new();
     let plan = prepared.plan;
     let step = plan.steps.first().expect("vec path requires steps");
@@ -1018,10 +1005,6 @@ pub(crate) fn query_answers(
             .candidates(&prepared.index, prepared.handles[0].as_ref(), &regs)
     else {
         return out;
-    };
-    let candidates = match shard {
-        Some(range) => candidates.slice(range),
-        None => candidates,
     };
     let columnar = prepared.index.columnar();
     let dict = columnar.dictionary();
@@ -1111,6 +1094,15 @@ mod tests {
                     FoFormula::atom(s, vec![y(), Term::constant("x")]),
                 ]),
             ),
+            // ∃x∃y (R(x,y) ∧ y = '3') — a root ∃-scan whose only witness is
+            // its last candidate.
+            FoFormula::exists(
+                vec![cqa_query::Variable::new("x"), cqa_query::Variable::new("y")],
+                FoFormula::and(vec![
+                    FoFormula::atom(r, vec![x(), y()]),
+                    FoFormula::Equals(y(), Term::constant("3")),
+                ]),
+            ),
             // ∀y (R('a',y) → y = '1') — false (R(a,2)).
             FoFormula::forall(
                 vec![cqa_query::Variable::new("y")],
@@ -1156,34 +1148,6 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_root_shards_recombine() {
-        let db = db();
-        let r = db.schema().relation_id("R").unwrap();
-        let sentence = FoFormula::exists(
-            vec![cqa_query::Variable::new("x"), cqa_query::Variable::new("y")],
-            FoFormula::and(vec![
-                FoFormula::atom(r, vec![Term::var("x"), Term::var("y")]),
-                FoFormula::Equals(Term::var("y"), Term::constant("3")),
-            ]),
-        );
-        let index = db.index();
-        let plan = FoPlan::compile(&sentence, db.schema(), Some(index.statistics()));
-        let row = plan.prepare(&index).with_mode(ExecMode::RowAtATime);
-        let vec = plan.prepare(&index).with_mode(ExecMode::Vectorized);
-        let width = row.root_shard_width().expect("root ∃-scan");
-        assert_eq!(vec.eval(), row.eval());
-        for shards in [1usize, 2, 3, width + 2] {
-            let per = width.div_ceil(shards);
-            let any_vec =
-                (0..shards).any(|s| vec.eval_root_shard(s * per..((s + 1) * per).min(width)));
-            let any_row =
-                (0..shards).any(|s| row.eval_root_shard(s * per..((s + 1) * per).min(width)));
-            assert_eq!(any_vec, any_row, "{shards} shards");
-            assert_eq!(any_vec, row.eval());
-        }
-    }
-
-    #[test]
     fn vectorized_eval_tuples_matches_eval_with() {
         let db = db();
         let r = db.schema().relation_id("R").unwrap();
@@ -1220,7 +1184,7 @@ mod tests {
     }
 
     #[test]
-    fn vectorized_answers_match_and_shards_recombine() {
+    fn vectorized_answers_match_the_row_engine() {
         let db = db();
         let q = ConjunctiveQuery::builder(db.schema().clone())
             .atom("R", [Term::var("x"), Term::var("y")])
@@ -1234,15 +1198,6 @@ mod tests {
         let vec = plan.prepare(&index).with_mode(ExecMode::Vectorized);
         assert_eq!(row.answers(), vec.answers());
         assert!(!vec.answers().is_empty());
-        let width = row.root_width().expect("non-empty plan");
-        for shards in [1usize, 2, 3, width + 1] {
-            let per = width.div_ceil(shards);
-            let mut union = std::collections::BTreeSet::new();
-            for s in 0..shards {
-                union.extend(vec.answers_shard(s * per..((s + 1) * per).min(width)));
-            }
-            assert_eq!(union, row.answers(), "{shards} shards");
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// The event cell of one plan operator. All counters are relaxed atomics,
-/// so one sink can be shared by the sharded executions of `cqa-par`.
+/// so one sink can be shared by executions on several threads.
 #[derive(Debug, Default)]
 pub struct OpTrace {
     invocations: AtomicU64,

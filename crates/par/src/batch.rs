@@ -18,9 +18,7 @@
 //! Within one batch job the evaluation is deliberately **sequential**: a
 //! job that blocked on sub-jobs of the same pool could deadlock a small
 //! pool, and inter-query parallelism already saturates the workers when
-//! traffic is heavy. Use [`ParallelEngine`](crate::ParallelEngine) /
-//! [`certain_answers_par`](crate::certain_answers_par) from outside the
-//! pool for intra-query parallelism on a single huge problem.
+//! traffic is heavy.
 
 use crate::pool::{par_map_opt, ParPool};
 use cqa_core::answers::{certain_answers, AnswerSets};
@@ -96,29 +94,16 @@ impl BatchEngine {
         self.snapshot.epoch()
     }
 
-    /// True iff `db` has been effectively mutated since this engine's
-    /// snapshot was frozen from it.
-    pub fn is_stale_for(&self, db: &cqa_data::UncertainDatabase) -> bool {
-        self.snapshot.is_stale_for(db)
-    }
-
-    /// Swaps in a fresh snapshot, **keeping** the memoized classified
-    /// engines: classification and rewriting shape depend only on the query
-    /// and the schema, not the data, so after a refresh a known query shape
-    /// is still pure plan execution (plans themselves re-check statistics
-    /// drift in their own caches). Counted as `par.batch.refresh`.
-    pub fn refresh(&mut self, snapshot: Snapshot) {
-        cqa_obs::count!("par.batch.refresh");
-        self.snapshot = snapshot;
-    }
-
     /// A new engine over `snapshot` that **shares** this engine's pool and
     /// memoized classified engines. This is the epoch-swap primitive of the
     /// serving layer: readers keep answering on the old engine's frozen
     /// snapshot while the writer builds the next epoch's engine from the
     /// delta-patched index; publishing the new engine is then one atomic
     /// pointer swap, and known query shapes stay pure plan execution on
-    /// both sides of the swap. Counted as `par.batch.epoch_fork`.
+    /// both sides of the swap — classification and rewriting shape depend
+    /// only on the query and the schema, not the data (plans re-check
+    /// statistics drift in their own caches). Counted as
+    /// `par.batch.epoch_fork`.
     pub fn with_snapshot(&self, snapshot: Snapshot) -> BatchEngine {
         cqa_obs::count!("par.batch.epoch_fork");
         BatchEngine {
@@ -282,37 +267,21 @@ mod tests {
     }
 
     #[test]
-    fn refresh_tracks_epochs_and_keeps_classified_engines() {
-        let mut db = catalog::conference_database();
-        let mut engine = BatchEngine::new(db.snapshot(), ParPool::new(2));
-        let query = catalog::conference().query;
-        engine.answer("warm", &query);
-        assert_eq!(engine.cached_engine_count(), 1);
-        assert!(!engine.is_stale_for(&db));
-        // An effective mutation bumps the database epoch; the frozen
-        // snapshot is now detectably stale by one integer compare.
-        db.insert_values("R", ["conf_new", "t_new"]).unwrap();
-        assert!(engine.is_stale_for(&db));
-        assert_ne!(engine.epoch(), db.epoch());
-        engine.refresh(db.snapshot());
-        assert!(!engine.is_stale_for(&db));
-        assert_eq!(engine.epoch(), db.epoch());
-        // Classification is data-independent: the memo survives the swap.
-        assert_eq!(engine.cached_engine_count(), 1);
-        assert_eq!(engine.snapshot().fact_count(), 7);
-    }
-
-    #[test]
     fn with_snapshot_forks_an_epoch_sharing_the_engine_memo() {
         let mut db = catalog::conference_database();
         let old = BatchEngine::new(db.snapshot(), ParPool::new(2));
         let query = catalog::conference().query;
         old.answer("warm", &query);
         assert_eq!(old.cached_engine_count(), 1);
+        assert_eq!(old.epoch(), db.epoch());
+        // An effective mutation bumps the database epoch; the frozen
+        // snapshot is now detectably stale by one integer compare.
         db.insert_values("R", ["conf_new", "t_new"]).unwrap();
+        assert_ne!(old.epoch(), db.epoch());
         let new = old.with_snapshot(db.snapshot());
         // The fork shares the classified-engine memo and the pool, but the
-        // old engine keeps answering on its frozen epoch.
+        // old engine keeps answering on its frozen epoch. Classification is
+        // data-independent, so the memo survives the swap.
         assert_eq!(new.cached_engine_count(), 1);
         assert_eq!(old.snapshot().fact_count(), 6);
         assert_eq!(new.snapshot().fact_count(), 7);

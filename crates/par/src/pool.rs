@@ -1,20 +1,15 @@
-//! The worker pool handle and the deterministic fan-out/merge primitives.
+//! The worker pool handle and the deterministic fan-out/merge primitive.
 //!
-//! Everything in this crate funnels through two shapes of parallelism:
-//!
-//! * [`par_map`] — run a closure over a list of items on the pool and
-//!   return the results **in item order**, whatever order the workers
-//!   finished in (the property that makes every merge in this crate
-//!   deterministic);
-//! * [`par_any`] — a short-circuiting disjunction: workers that start
-//!   after some chunk already answered `true` observe a cancellation flag
-//!   and return immediately.
+//! Every merge in this crate funnels through one shape of parallelism:
+//! [`par_map`] (and its hole-reporting core `par_map_opt`) runs a closure
+//! over a list of items on the pool and returns the results **in item
+//! order**, whatever order the workers finished in — the property that
+//! makes every merge deterministic.
 //!
 //! Jobs must be `'static`, so callers capture [`cqa_data::Snapshot`]s and
 //! `Arc`s rather than borrows — the price of keeping the vendored pool
 //! safe-only (no scoped-thread lifetime erasure).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
 /// A cheaply cloneable handle onto a work-stealing worker pool
@@ -116,8 +111,8 @@ where
 }
 
 /// `par_map_opt` for merges where every chunk's result is load-bearing
-/// (sharded answer sets, sharded verdicts): a hole would silently corrupt
-/// the recombined answer, so a panicked chunk propagates as a panic on the
+/// (re-decided view candidates): a hole would silently corrupt the
+/// recombined answer, so a panicked chunk propagates as a panic on the
 /// calling thread instead.
 ///
 /// Public because downstream shard-and-merge consumers (`cqa-stream`'s
@@ -133,71 +128,6 @@ where
     par_map_opt(pool, items, f)
         .into_iter()
         .map(|r| r.expect("a pool job panicked and dropped its result"))
-        .collect()
-}
-
-/// True iff `f` answers `true` for some item. Chunks that start after a
-/// positive answer was already found observe the cancellation flag and
-/// return without working; the verdict (a disjunction) is deterministic
-/// regardless.
-///
-/// A `true` verdict is correct however the other chunks fared, but a
-/// `false` one is only correct if **every** chunk reported in — so, as in
-/// [`par_map`], a panicked chunk with no witness found propagates as a
-/// panic rather than masquerading as `false`.
-pub(crate) fn par_any<T, F>(pool: &ParPool, items: Vec<T>, f: F) -> bool
-where
-    T: Send + 'static,
-    F: Fn(T) -> bool + Send + Sync + 'static,
-{
-    let n = items.len();
-    if n == 0 {
-        return false;
-    }
-    let f = Arc::new(f);
-    let cancel = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel();
-    for item in items {
-        let f = f.clone();
-        let tx = tx.clone();
-        let cancel = cancel.clone();
-        pool.execute(move || {
-            let verdict = !cancel.load(Ordering::Relaxed) && f(item);
-            if verdict {
-                cancel.store(true, Ordering::Relaxed);
-            }
-            let _ = tx.send(verdict);
-        });
-    }
-    drop(tx);
-    // Drain until a positive verdict; later sends hit a closed channel,
-    // which the jobs ignore.
-    let mut received = 0usize;
-    for verdict in rx {
-        received += 1;
-        if verdict {
-            return true;
-        }
-    }
-    assert_eq!(
-        received, n,
-        "a pool job panicked and dropped its verdict; `false` would be unsound"
-    );
-    false
-}
-
-/// Splits `0..width` into at most `chunks` contiguous, equally sized (±1)
-/// ranges, in ascending order. The partition property is what the shard
-/// hooks of `cqa-exec` recombine over.
-pub(crate) fn chunk_ranges(width: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if width == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.clamp(1, width);
-    let per = width.div_ceil(chunks);
-    (0..chunks)
-        .map(|c| c * per..((c + 1) * per).min(width))
-        .filter(|r| !r.is_empty())
         .collect()
 }
 
@@ -224,41 +154,6 @@ mod tests {
                 assert_eq!(*slot, None);
             } else {
                 assert_eq!(*slot, Some(i as u32 * 10));
-            }
-        }
-    }
-
-    #[test]
-    fn par_any_finds_a_witness_and_short_circuits() {
-        let pool = ParPool::new(2);
-        assert!(par_any(&pool, (0..64).collect(), |i| i == 63));
-        assert!(!par_any(&pool, (0..64).collect(), |_| false));
-        assert!(!par_any(&pool, Vec::<usize>::new(), |_| true));
-    }
-
-    #[test]
-    #[should_panic(expected = "dropped its verdict")]
-    fn par_any_refuses_to_answer_false_after_a_panicked_chunk() {
-        let pool = ParPool::new(2);
-        // No witness exists and one chunk panics: answering `false` would
-        // be indistinguishable from a sound all-false merge, so panic.
-        par_any(&pool, (0..8u32).collect(), |i| {
-            assert!(i != 3, "planted panic");
-            false
-        });
-    }
-
-    #[test]
-    fn chunk_ranges_partition_the_width() {
-        for width in [0usize, 1, 5, 64, 100] {
-            for chunks in [1usize, 2, 7, 200] {
-                let ranges = chunk_ranges(width, chunks);
-                let mut covered = Vec::new();
-                for r in &ranges {
-                    assert!(!r.is_empty());
-                    covered.extend(r.clone());
-                }
-                assert_eq!(covered, (0..width).collect::<Vec<_>>(), "{width}/{chunks}");
             }
         }
     }

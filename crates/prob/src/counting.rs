@@ -2,9 +2,10 @@
 //!
 //! Maslowski and Wijsen showed an FP / ♯P-complete dichotomy for this problem
 //! (Theorem 7 cites it); reproducing their dichotomy is out of scope for this
-//! repository (see `DESIGN.md` §4), but the brute-force counter below is used
-//! to cross-validate `CERTAINTY` answers (`certain ⇔ all repairs satisfy`)
-//! and the uniform-repair probability (`Pr(q) = satisfying / total`).
+//! repository (see `DESIGN.md`, "Substitutions and scope"), but the
+//! brute-force counter below is used to cross-validate `CERTAINTY` answers
+//! (`certain ⇔ all repairs satisfy`) and the uniform-repair probability
+//! (`Pr(q) = satisfying / total`).
 
 use cqa_data::UncertainDatabase;
 use cqa_query::{eval, ConjunctiveQuery};

@@ -1,21 +1,17 @@
 //! The parallel batch certainty engine, end to end.
 //!
 //! Generates a few thousand uncertain conference facts, freezes them into a
-//! snapshot, and then exercises the whole `cqa-par` surface:
-//!
-//! 1. `certain_answers_par` — the candidate-answer space of a non-Boolean
-//!    query sharded across a work-stealing pool, with the guarantee that
-//!    the result is identical to the sequential path at every thread count;
-//! 2. `ParallelEngine` — Boolean certainty with the compiled Theorem 1
-//!    rewriting's root scan sharded across the pool;
-//! 3. `BatchEngine` — many queries answered concurrently over one frozen
-//!    snapshot, results in input order (the `certainty serve` story).
+//! snapshot, and answers a batch of queries concurrently with `BatchEngine`
+//! — one pool job per query over the one frozen snapshot, results in input
+//! order (the `certainty serve` story) — then asserts that every result
+//! equals the sequential engine's.
 //!
 //! Run with `cargo run --release --example parallel_answers`.
 
 use cqa::core::answers::certain_answers;
+use cqa::core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa::gen::{GeneratorConfig, UncertainDbGenerator};
-use cqa::par::{certain_answers_par, BatchEngine, ParConfig, ParPool, ParallelEngine};
+use cqa::par::{BatchEngine, BatchOutcome, ParPool};
 use cqa::query::{catalog, ConjunctiveQuery, Term, Variable};
 
 fn main() {
@@ -47,14 +43,6 @@ fn main() {
         db.fact_count(),
         db.block_count()
     );
-
-    // Freeze the data: every parallel evaluation below sees this exact
-    // state, however the writer mutates `db` afterwards.
-    let snapshot = db.snapshot();
-    let pool = ParPool::with_available_parallelism();
-    println!("pool: {} worker threads", pool.thread_count());
-
-    // -- 1. Parallel certain answers of a non-Boolean query. ------------
     let which = ConjunctiveQuery::builder(boolean.schema().clone())
         .atom(
             "C",
@@ -64,51 +52,55 @@ fn main() {
         .free([Variable::new("x")])
         .build()
         .expect("valid query");
-    let parallel = certain_answers_par(&which, &snapshot, &pool, &ParConfig::default())
-        .expect("answerable query");
-    println!(
-        "which(x): {} certain of {} possible answers",
-        parallel.certain.len(),
-        parallel.possible.len()
-    );
-    // The contract: byte-identical to the sequential path.
-    let sequential = certain_answers(&which, &db).expect("answerable query");
-    assert_eq!(parallel, sequential);
 
-    // -- 2. Boolean certainty with a sharded root scan. ------------------
-    let engine =
-        ParallelEngine::new(&boolean, pool.clone(), ParConfig::default()).expect("Theorem 1 query");
-    println!(
-        "rome certain? {} (solver: {}, classified as {})",
-        engine.is_certain(&snapshot),
-        engine.engine().solver_name(),
-        engine.engine().classification().class,
-    );
-
-    // -- 3. A batch of queries over one snapshot. -------------------------
-    let batch_engine = BatchEngine::new(snapshot, pool);
+    // Freeze the data: every query of the batch sees this exact state,
+    // however the writer mutates `db` afterwards.
+    let pool = ParPool::with_available_parallelism();
+    println!("pool: {} worker threads", pool.thread_count());
+    let batch_engine = BatchEngine::new(db.snapshot(), pool);
     let batch: Vec<(String, ConjunctiveQuery)> = vec![
         ("rome".into(), boolean.clone()),
         ("which".into(), which.clone()),
         ("rome-again".into(), boolean.clone()), // hits the engine cache
     ];
-    for result in batch_engine.run(batch) {
-        println!("batch {}: {:?}", result.name, summarize(&result.outcome));
+    let results = batch_engine.run(batch);
+    for result in &results {
+        println!("batch {}: {}", result.name, summarize(&result.outcome));
     }
     println!(
         "classified engines memoized: {}",
         batch_engine.cached_engine_count()
     );
+
+    // The contract: in input order, and identical to the sequential path.
+    let engine = CertaintyEngine::new(&boolean).expect("Theorem 1 query");
+    let rome = BatchOutcome::Boolean {
+        certain: engine.is_certain(&db),
+        possible: engine.is_possible(&db),
+        solver: engine.solver_name(),
+    };
+    let which_sets = BatchOutcome::Answers(certain_answers(&which, &db).expect("answerable query"));
+    let expected = [
+        ("rome", &rome),
+        ("which", &which_sets),
+        ("rome-again", &rome),
+    ];
+    assert_eq!(results.len(), expected.len());
+    for (result, (name, outcome)) in results.iter().zip(expected) {
+        assert_eq!(result.name, name);
+        assert_eq!(format!("{:?}", result.outcome), format!("{outcome:?}"));
+    }
+    println!("batch == sequential: ok");
 }
 
-fn summarize(outcome: &cqa::par::BatchOutcome) -> String {
+fn summarize(outcome: &BatchOutcome) -> String {
     match outcome {
-        cqa::par::BatchOutcome::Boolean {
+        BatchOutcome::Boolean {
             certain, solver, ..
         } => format!("certain={certain} via {solver}"),
-        cqa::par::BatchOutcome::Answers(sets) => {
+        BatchOutcome::Answers(sets) => {
             format!("{}/{} certain", sets.certain.len(), sets.possible.len())
         }
-        cqa::par::BatchOutcome::Error(e) => format!("error: {e}"),
+        BatchOutcome::Error(e) => format!("error: {e}"),
     }
 }

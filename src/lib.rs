@@ -17,9 +17,9 @@
 //!   queries, operator plans for certain rewritings, plan caching);
 //! * [`core`] — attack graphs, complexity classification, certain-answer
 //!   solvers, certain first-order rewriting, reductions;
-//! * [`par`] — work-stealing parallel evaluation: sharded certain answers,
-//!   root-scan sharded certainty, and the batch engine answering many
-//!   queries over one snapshot;
+//! * [`par`] — work-stealing parallel evaluation: the batch engine
+//!   answering many queries over one snapshot, and the order-preserving
+//!   fan-out view maintenance shards on;
 //! * [`prob`] — block-independent-disjoint probabilistic databases, `IsSafe`,
 //!   safe-plan evaluation;
 //! * [`gen`] — seeded workload and instance generators;
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use cqa_data::{Fact, Schema, Snapshot, UncertainDatabase, Value};
     pub use cqa_exec::{FoPlan, PlanCache, QueryPlan};
     pub use cqa_obs::{Registry, Snapshot as MetricsSnapshot, TraceSink};
-    pub use cqa_par::{certain_answers_par, BatchEngine, ParConfig, ParPool, ParallelEngine};
+    pub use cqa_par::{BatchEngine, ParPool};
     pub use cqa_query::{Atom, ConjunctiveQuery, Term, Variable};
     pub use cqa_stream::{MaterializedView, ViewMaintainer};
 }

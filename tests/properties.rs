@@ -8,7 +8,7 @@ use cqa::core::fo::eval::evaluate_sentence;
 use cqa::core::solvers::{CertaintyEngine, CertaintySolver, ExactOracle, RewritingSolver};
 use cqa::exec::{ExecMode, FoPlan, QueryPlan};
 use cqa::gen::{random_acyclic_query, GeneratorConfig, UncertainDbGenerator};
-use cqa::par::{certain_answers_par, ParConfig, ParPool, ParallelEngine};
+use cqa::par::{BatchEngine, BatchOutcome, ParPool};
 use cqa::prob::eval::{probability_exact, probability_over_repairs};
 use cqa::prob::{is_safe, BidDatabase};
 use cqa::query::{catalog, eval, gyo, join_tree, purify};
@@ -16,7 +16,8 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// Shared worker pools for the parallel-agreement suite: 1 thread (the
-/// degenerate case), 2, and 7 (odd, so remainder chunks are exercised).
+/// degenerate case), 2, and 7 (odd, and more workers than most batches
+/// have jobs).
 fn shared_pools() -> &'static Vec<ParPool> {
     static POOLS: OnceLock<Vec<ParPool>> = OnceLock::new();
     POOLS.get_or_init(|| [1usize, 2, 7].into_iter().map(ParPool::new).collect())
@@ -283,17 +284,20 @@ proptest! {
 }
 
 proptest! {
-    // 256 cases: the parallel layer is cross-checked against the sequential
-    // path on well over 200 randomized generator instances per run, at
-    // every pool size (1, 2 and 7 threads — 7 is deliberately odd so the
-    // remainder chunk of an uneven split is exercised).
+    // 256 cases: the served parallel path is cross-checked against the
+    // sequential one on well over 200 randomized generator instances per
+    // run, at every pool size (1, 2 and 7 threads: one worker runs the batch
+    // in order, two split five jobs unevenly, seven outnumber them).
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Parallel and sequential evaluation agree **exactly**: `certain_answers`
-    /// (candidate-space sharding, ordered-set merge) returns byte-identical
-    /// answer sets, and `is_certain` / `is_possible` (root-scan sharding,
-    /// disjunction merge) return identical verdicts, at every thread count.
-    /// The cutoff is forced to zero so every case actually crosses the pool.
+    /// Parallel and sequential evaluation agree **exactly**:
+    /// `BatchEngine::run` answers one mixed batch — the Boolean query, its
+    /// free-`x` variant, a self-join query, and a repeat of the first two
+    /// (classified-engine memo hits) — one pool job per query, and every
+    /// slot comes back in input order equal to the sequential
+    /// `CertaintyEngine` verdicts and solver / `certain_answers` sets, at
+    /// every thread count. The self-join query fails in its own slot
+    /// without disturbing the others.
     #[test]
     fn parallel_evaluation_agrees_with_sequential(seed in 0u64..100_000, which in 0usize..3) {
         let entry = match which {
@@ -310,7 +314,6 @@ proptest! {
             alternative_join_probability: 0.6,
         }).generate();
         let snapshot = db.snapshot();
-        let config = ParConfig::always_parallel();
 
         // Non-Boolean: free the first variable, compare full answer sets.
         let free_q = cqa::query::ConjunctiveQuery::with_free_vars(
@@ -318,25 +321,46 @@ proptest! {
             q.atoms().to_vec(),
             vec![cqa::query::Variable::new("x")],
         ).unwrap();
-        let sequential = cqa::core::answers::certain_answers(&free_q, &db).unwrap();
-        for pool in shared_pools() {
-            let parallel = certain_answers_par(&free_q, &snapshot, pool, &config).unwrap();
-            prop_assert_eq!(
-                &parallel, &sequential,
-                "certain_answers at {} threads, {} seed {}", pool.thread_count(), entry.name, seed
-            );
-        }
-
-        // Boolean: certainty and possibility verdicts.
+        // Every catalog schema here has a binary `R`.
+        let self_join = cqa::query::ConjunctiveQuery::builder(q.schema().clone())
+            .atom("R", [cqa::query::Term::var("x"), cqa::query::Term::var("y")])
+            .atom("R", [cqa::query::Term::var("y"), cqa::query::Term::var("z")])
+            .build().unwrap();
         let engine = CertaintyEngine::new(&q).unwrap();
-        let certain = engine.is_certain(&db);
-        let possible = engine.is_possible(&db);
+        let boolean = format!(
+            "{:?}",
+            BatchOutcome::Boolean {
+                certain: engine.is_certain(&db),
+                possible: engine.is_possible(&db),
+                solver: engine.solver_name(),
+            }
+        );
+        let answers = format!(
+            "{:?}",
+            BatchOutcome::Answers(cqa::core::answers::certain_answers(&free_q, &db).unwrap())
+        );
+        let batch = [
+            ("b", &q, Some(&boolean)),
+            ("f", &free_q, Some(&answers)),
+            ("self-join", &self_join, None),
+            ("b-again", &q, Some(&boolean)),
+            ("f-again", &free_q, Some(&answers)),
+        ];
         for pool in shared_pools() {
-            let par = ParallelEngine::new(&q, pool.clone(), config.clone()).unwrap();
-            prop_assert_eq!(par.is_certain(&snapshot), certain,
-                "is_certain at {} threads, {} seed {}", pool.thread_count(), entry.name, seed);
-            prop_assert_eq!(par.is_possible(&snapshot), possible,
-                "is_possible at {} threads, {} seed {}", pool.thread_count(), entry.name, seed);
+            let results = BatchEngine::new(snapshot.clone(), pool.clone()).run(
+                batch.iter().map(|(name, query, _)| (name.to_string(), (*query).clone())).collect(),
+            );
+            prop_assert_eq!(results.len(), batch.len());
+            for (result, (name, _, expected)) in results.iter().zip(&batch) {
+                prop_assert_eq!(&result.name, name,
+                    "slot order at {} threads, {} seed {}", pool.thread_count(), entry.name, seed);
+                match expected {
+                    Some(expected) => prop_assert_eq!(&format!("{:?}", result.outcome), *expected,
+                        "{} at {} threads, {} seed {}", name, pool.thread_count(), entry.name, seed),
+                    None => prop_assert!(matches!(result.outcome, BatchOutcome::Error(_)),
+                        "{} at {} threads: {:?}", name, pool.thread_count(), result.outcome),
+                }
+            }
         }
     }
 }
