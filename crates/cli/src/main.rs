@@ -11,13 +11,15 @@
 //! certainty repairs <file.cqa>               list/count repairs of the database
 //! certainty attack-graph <file.cqa> [--dot]  print the attack graph (optionally as DOT)
 //! certainty serve <file.cqa> [--threads=N] [--listen=ADDR] [--max-inflight=N] [--deadline-ms=N]
-//!                                            answer newline-delimited queries concurrently
-//!                                            (stdin by default; a TCP/HTTP server with --listen)
+//!                                            serve the line protocol on stdin/stdout
+//!                                            (a TCP/HTTP server with --listen)
 //! certainty stats <file.cqa>                 answer the document's queries, then dump all metrics
 //! certainty save <file.cqa> <out.cqdb>       persist the database in the columnar store format
 //! certainty ingest <file.csv> <out.cqdb> --relation=R [--key-prefix=K]
 //!                                            ingest CSV rows as facts of one relation, then persist
 //! ```
+//!
+//! A flag's value follows an `=`; unknown flags and extra arguments fail.
 //!
 //! Every document command also accepts `--db=<path.cqdb>`: the facts come
 //! from a previously saved columnar store (see `certainty save` /
@@ -29,21 +31,12 @@
 //! trace sink installed and prints the actual row/probe/wave counts next to
 //! the cost-model estimates.
 //!
-//! `serve` freezes the document's database into a snapshot, reads one query
-//! per line from stdin (`name[(vars)] :- atoms`, or a bare atom list), and
-//! answers the stream concurrently on a work-stealing pool
-//! (`cqa_par::BatchEngine`) in chunks — results print in input order
-//! regardless of which worker finished first. A `\stats` input line reports
-//! qps, latency percentiles and cache hit rates mid-stream (also printed to
-//! stderr after every flushed chunk).
-//!
-//! With `--listen=ADDR` (e.g. `--listen=127.0.0.1:7878`), `serve` instead
-//! starts the concurrent network server of the `cqa-serve` crate: many
-//! clients at once, writes (`\insert` / `\remove` / `\remove-block`) that
-//! publish MVCC-style epoch snapshots without blocking in-flight readers,
-//! admission control (`--max-inflight=N`), per-query deadlines
-//! (`--deadline-ms=N`), and HTTP `GET /metrics` + `POST /query` on the same
-//! port. The line protocol is documented in `cqa_serve::protocol`.
+//! `serve` freezes the document's database as epoch zero and speaks the
+//! line protocol of `cqa_serve::protocol` (queries, writes, views, `\stats`,
+//! `\epoch`, `\quit`; one response line each): on stdin/stdout, answering
+//! queries piped back to back in parallel but in input order, or with
+//! `--listen=ADDR` to many TCP clients, plus HTTP `GET /metrics` and
+//! `POST /query` on the same port.
 //!
 //! The input format is documented in the `cqa-parser` crate (and in
 //! `README.md`).
@@ -55,13 +48,13 @@ use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_core::AttackGraph;
 use cqa_exec::{FoPlan, QueryPlan};
 use cqa_obs::TraceSink;
-use cqa_par::{BatchEngine, BatchOutcome, ParPool};
-use cqa_parser::{dot, parse_document, parse_query_line, Document};
+use cqa_parser::{dot, parse_document, Document};
 use cqa_prob::eval::probability_over_repairs;
-use std::io::BufRead;
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::Duration;
 
 fn usage() -> &'static str {
     "usage: certainty <classify|certain|answers|rewrite|explain|probability|repairs|attack-graph|serve|stats|save|ingest> <file> [out.cqdb] [--sql] [--dot] [--analyze] [--query=NAME] [--threads=N] [--listen=ADDR] [--max-inflight=N] [--deadline-ms=N] [--db=PATH] [--relation=NAME] [--key-prefix=K]"
@@ -72,141 +65,93 @@ fn load(path: &str) -> Result<Document, String> {
     parse_document(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Pending `serve` queries are flushed as one concurrent batch once this
-/// many have accumulated (and at end of stream / on `\stats`), so long
-/// streams get results and stats lines while still being read.
-const SERVE_CHUNK: usize = 512;
+/// The command line: positional arguments and flags, stored without their
+/// dashes (a bare switch such as `--sql` has the empty value).
+#[derive(Debug, Default)]
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(String, String)>,
+}
 
-/// Answers the pending entries as one batch and prints the results in
-/// input order, interleaving parse errors where their lines were.
-fn flush_serve(
-    engine: &BatchEngine,
-    entries: &mut Vec<(String, Result<cqa_query::ConjunctiveQuery, String>)>,
-    served: &mut usize,
-) {
-    if entries.is_empty() {
-        return;
-    }
-    let batch: Vec<(String, cqa_query::ConjunctiveQuery)> = entries
-        .iter()
-        .filter_map(|(name, parsed)| parsed.as_ref().ok().map(|q| (name.clone(), q.clone())))
-        .collect();
-    *served += batch.len();
-    let mut results = engine.run(batch).into_iter();
-    for (name, parsed) in entries.drain(..) {
-        if let Err(e) = parsed {
-            println!("{name}: error: {e}");
-            continue;
-        }
-        let result = results.next().expect("one result per parsed query");
-        match result.outcome {
-            BatchOutcome::Boolean {
-                certain,
-                possible,
-                solver,
-            } => println!(
-                "{}: {} (possible: {possible}, solver: {solver})",
-                result.name,
-                if certain { "certain" } else { "not certain" },
-            ),
-            BatchOutcome::Answers(sets) => {
-                println!(
-                    "{}: {} certain / {} possible",
-                    result.name,
-                    sets.certain.len(),
-                    sets.possible.len()
-                );
-                for tuple in &sets.certain {
-                    let rendered: Vec<String> = tuple.iter().map(|v| v.to_string()).collect();
-                    println!("  certain: ({})", rendered.join(", "));
+impl Args {
+    /// Parses the arguments after the program name. Only `save` and
+    /// `ingest` take a third positional (the output path).
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        for arg in args {
+            let Some(flag) = arg.strip_prefix("--") else {
+                parsed.positional.push(arg);
+                continue;
+            };
+            let (name, value) = match flag.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (flag, None),
+            };
+            let valued = "query threads listen max-inflight deadline-ms db relation key-prefix";
+            let valued = valued.split(' ').any(|flag| flag == name);
+            match (value, valued) {
+                (Some(value), true) => parsed.flags.push((name.into(), value.into())),
+                (None, true) => return Err(format!("--{name} takes a value: --{name}=VALUE")),
+                (None, false) if matches!(name, "sql" | "dot" | "analyze") => {
+                    parsed.flags.push((name.into(), String::new()))
                 }
+                _ => return Err(format!("unknown flag `{arg}`\n{}", usage())),
             }
-            BatchOutcome::Error(e) => println!("{}: error: {e}", result.name),
         }
+        let first = parsed.positional.first().map(String::as_str);
+        let most = 2 + usize::from(matches!(first, Some("save" | "ingest")));
+        if !(2..=most).contains(&parsed.positional.len()) {
+            return Err(usage().to_string());
+        }
+        Ok(parsed)
+    }
+
+    fn value(&self, name: &str) -> Option<&str> {
+        let mut given = self.flags.iter().rev();
+        given.find(|(n, _)| n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn number<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("--{name} expects a number, got `{v}`"))
+        };
+        self.value(name).map(parse).transpose()
+    }
+
+    fn switch(&self, name: &str) -> bool {
+        self.value(name).is_some()
     }
 }
 
-/// One serving-stats line, shared with the network server's `\stats`
-/// command (`inflight` is always 0 here: the stdin loop has no admission
-/// control).
-fn serve_stats_line(engine: &BatchEngine, served: usize, started: Instant) -> String {
-    cqa_serve::stats_line(engine, served, started, 0, 0, 0)
-}
-
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional): (Vec<&String>, Vec<&String>) =
-        args.iter().partition(|a| a.starts_with("--"));
-    let mut query_filter: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut listen: Option<String> = None;
-    let mut max_inflight: Option<usize> = None;
-    let mut deadline_ms: Option<u64> = None;
-    let mut db_path: Option<String> = None;
-    let mut relation: Option<String> = None;
-    let mut key_prefix: usize = 1;
-    let mut flag_names: Vec<String> = Vec::new();
-    for flag in flags {
-        match flag.split_once('=') {
-            Some(("--query", value)) => query_filter = Some(value.to_string()),
-            Some(("--threads", value)) => {
-                threads = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--threads expects a number, got `{value}`"))?,
-                )
-            }
-            Some(("--listen", value)) => listen = Some(value.to_string()),
-            Some(("--max-inflight", value)) => {
-                max_inflight = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--max-inflight expects a number, got `{value}`"))?,
-                )
-            }
-            Some(("--deadline-ms", value)) => {
-                deadline_ms = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--deadline-ms expects a number, got `{value}`"))?,
-                )
-            }
-            Some(("--db", value)) => db_path = Some(value.to_string()),
-            Some(("--relation", value)) => relation = Some(value.to_string()),
-            Some(("--key-prefix", value)) => {
-                key_prefix = value
-                    .parse()
-                    .map_err(|_| format!("--key-prefix expects a number, got `{value}`"))?
-            }
-            Some((name, _)) => flag_names.push(name.to_string()),
-            None => flag_names.push(flag.clone()),
-        }
-    }
-    let (command, path, out) = match positional.as_slice() {
-        [command, path] => (command.as_str(), path.as_str(), None),
-        [command, path, out] => (command.as_str(), path.as_str(), Some(out.as_str())),
-        _ => return Err(usage().to_string()),
-    };
+fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
+    let args = Args::parse(std::env::args().skip(1))?;
+    let (command, path) = (args.positional[0].as_str(), args.positional[1].as_str());
+    let dest = args.positional.get(2).map(String::as_str);
     if command == "ingest" {
-        let out = out
+        let dest = dest
             .ok_or("ingest needs an output path: certainty ingest <file.csv> <out.cqdb> --relation=NAME [--key-prefix=K]")?;
-        let relation = relation.ok_or("ingest needs --relation=NAME")?;
+        let relation = args
+            .value("relation")
+            .ok_or("ingest needs --relation=NAME")?;
+        let key_prefix = args.number("key-prefix")?.unwrap_or(1);
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let db = cqa_parser::csv::database_from_csv(&text, &relation, key_prefix)
+        let db = cqa_parser::csv::database_from_csv(&text, relation, key_prefix)
             .map_err(|e| format!("{path}: {e}"))?;
-        let summary = cqa_data::store::save(&db, out).map_err(|e| format!("{out}: {e}"))?;
-        let rel = db.schema().require(&relation).map_err(|e| e.to_string())?;
-        println!(
+        let summary = cqa_data::store::save(&db, dest).map_err(|e| format!("{dest}: {e}"))?;
+        let rel = db.schema().require(relation).map_err(|e| e.to_string())?;
+        writeln!(
+            out,
             "ingested {} facts in {} blocks into {relation}({} columns, key prefix {key_prefix})",
             db.fact_count(),
             db.block_count(),
             db.schema().relation(rel).arity(),
-        );
-        println!("saved {out}: {summary}");
+        )?;
+        writeln!(out, "saved {dest}: {summary}")?;
         return Ok(());
     }
     let mut doc = load(path)?;
-    if let Some(db_path) = &db_path {
+    if let Some(db_path) = args.value("db") {
         let loaded = cqa_data::store::load(db_path).map_err(|e| format!("{db_path}: {e}"))?;
         let compatible = doc.schema.len() == loaded.schema().len()
             && doc
@@ -218,33 +163,32 @@ fn run() -> Result<(), String> {
             return Err(format!(
                 "--db {db_path}: the stored schema manifest does not match the document's \
                  relation declarations"
-            ));
+            )
+            .into());
         }
         doc.database = loaded;
     }
-    let doc = doc;
     if doc.queries.is_empty() && !matches!(command, "repairs" | "serve" | "save") {
-        return Err("the document declares no `certain ... :- ...` query".to_string());
+        return Err("the document declares no `certain ... :- ...` query".into());
     }
     let selected: Vec<&(String, cqa_query::ConjunctiveQuery)> = doc
         .queries
         .iter()
-        .filter(|(name, _)| query_filter.as_deref().is_none_or(|f| f == name))
+        .filter(|(name, _)| args.value("query").is_none_or(|f| f == name))
         .collect();
-    let has_flag = |name: &str| flag_names.iter().any(|f| f == name);
 
     match command {
         "save" => {
-            let out =
-                out.ok_or("save needs an output path: certainty save <file.cqa> <out.cqdb>")?;
+            let dest =
+                dest.ok_or("save needs an output path: certainty save <file.cqa> <out.cqdb>")?;
             let summary =
-                cqa_data::store::save(&doc.database, out).map_err(|e| format!("{out}: {e}"))?;
-            println!("saved {out}: {summary}");
+                cqa_data::store::save(&doc.database, dest).map_err(|e| format!("{dest}: {e}"))?;
+            writeln!(out, "saved {dest}: {summary}")?;
         }
         "classify" => {
             for (name, query) in &selected {
                 let c = classify(query).map_err(|e| e.to_string())?;
-                println!("{name}: {}", c.class);
+                writeln!(out, "{name}: {}", c.class)?;
             }
         }
         "certain" => {
@@ -252,27 +196,25 @@ fn run() -> Result<(), String> {
                 if query.is_boolean() {
                     let engine = CertaintyEngine::new(query).map_err(|e| e.to_string())?;
                     let verdict = engine.is_certain(&doc.database);
-                    println!(
+                    writeln!(
+                        out,
                         "{name}: {} (solver: {})",
                         if verdict { "certain" } else { "not certain" },
                         engine.solver_name()
-                    );
+                    )?;
                 } else {
-                    println!("{name}: query has free variables, use `answers`");
+                    writeln!(out, "{name}: query has free variables, use `answers`")?;
                 }
             }
         }
         "answers" => {
             for (name, query) in &selected {
                 let sets = certain_answers(query, &doc.database).map_err(|e| e.to_string())?;
-                println!(
-                    "{name}: {} certain / {} possible",
-                    sets.certain.len(),
-                    sets.possible.len()
-                );
+                let (certain, possible) = (sets.certain.len(), sets.possible.len());
+                writeln!(out, "{name}: {certain} certain / {possible} possible")?;
                 for tuple in &sets.certain {
                     let rendered: Vec<String> = tuple.iter().map(|v| v.to_string()).collect();
-                    println!("  certain: ({})", rendered.join(", "));
+                    writeln!(out, "  certain: ({})", rendered.join(", "))?;
                 }
             }
         }
@@ -280,64 +222,63 @@ fn run() -> Result<(), String> {
             for (name, query) in &selected {
                 match certain_rewriting(query) {
                     Ok(formula) => {
-                        println!("{name}: {}", formula.display(query.schema()));
-                        if has_flag("--sql") {
-                            println!(
-                                "{}",
-                                to_sql(&formula, query.schema()).map_err(|e| e.to_string())?
-                            );
+                        writeln!(out, "{name}: {}", formula.display(query.schema()))?;
+                        if args.switch("sql") {
+                            writeln!(out, "{}", to_sql(&formula, query.schema())?)?;
                         }
                     }
-                    Err(e) => println!("{name}: no certain first-order rewriting ({e})"),
+                    Err(e) => writeln!(out, "{name}: no certain first-order rewriting ({e})")?,
                 }
             }
         }
         "explain" => {
-            let analyze = has_flag("--analyze");
+            let analyze = args.switch("analyze");
             let index = doc.database.index();
             let stats = index.statistics();
+            let (facts, blocks) = (doc.database.fact_count(), doc.database.block_count());
             for (name, query) in &selected {
-                println!(
-                    "{name}: physical plan over {} facts / {} blocks",
-                    doc.database.fact_count(),
-                    doc.database.block_count()
-                );
+                writeln!(
+                    out,
+                    "{name}: physical plan over {facts} facts / {blocks} blocks"
+                )?;
                 let plan = QueryPlan::compile(query, Some(stats));
                 if analyze {
                     let sink = Arc::new(TraceSink::new(plan.trace_ops()));
                     let answers = plan.prepare(&index).with_trace(sink.clone()).answers();
-                    print!("{}", plan.explain_analyze(&sink));
-                    println!("  ({} answer(s) on the database)", answers.len());
+                    write!(out, "{}", plan.explain_analyze(&sink))?;
+                    writeln!(out, "  ({} answer(s) on the database)", answers.len())?;
                 } else {
-                    print!("{}", plan.explain());
+                    write!(out, "{}", plan.explain())?;
                 }
                 if query.is_boolean() {
                     match certain_rewriting(query) {
                         Ok(formula) => {
                             let fo = FoPlan::compile(&formula, query.schema(), Some(stats));
-                            println!("{name}: certain rewriting plan (Theorem 1)");
+                            writeln!(out, "{name}: certain rewriting plan (Theorem 1)")?;
                             if analyze {
                                 let sink = Arc::new(TraceSink::new(fo.trace_ops()));
                                 let verdict = fo.prepare(&index).with_trace(sink.clone()).eval();
-                                print!("{}", fo.explain_analyze(&sink));
-                                println!(
+                                write!(out, "{}", fo.explain_analyze(&sink))?;
+                                writeln!(
+                                    out,
                                     "  (verdict: {})",
                                     if verdict { "certain" } else { "not certain" }
-                                );
+                                )?;
                             } else {
-                                print!("{}", fo.explain());
+                                write!(out, "{}", fo.explain())?;
                             }
                         }
-                        Err(e) => println!("{name}: no certain first-order rewriting ({e})"),
+                        Err(e) => writeln!(out, "{name}: no certain first-order rewriting ({e})")?,
                     }
                 } else {
                     match certain_rewriting_open(query) {
                         Ok(formula) => {
                             let fo = FoPlan::compile(&formula, query.schema(), Some(stats));
-                            println!(
+                            writeln!(
+                                out,
                                 "{name}: open certain rewriting plan (Theorem 1; candidate \
                                  answers decided in batch)"
-                            );
+                            )?;
                             if analyze {
                                 let candidates: Vec<Vec<cqa_data::Value>> =
                                     plan.prepare(&index).answers().into_iter().collect();
@@ -346,20 +287,19 @@ fn run() -> Result<(), String> {
                                     .prepare(&index)
                                     .with_trace(sink.clone())
                                     .eval_tuples(query.free_vars(), &candidates);
-                                print!("{}", fo.explain_analyze(&sink));
-                                println!(
-                                    "  ({} of {} candidate(s) certain)",
-                                    verdicts.iter().filter(|&&v| v).count(),
-                                    candidates.len()
-                                );
+                                write!(out, "{}", fo.explain_analyze(&sink))?;
+                                let certain = verdicts.iter().filter(|&&v| v).count();
+                                let all = candidates.len();
+                                writeln!(out, "  ({certain} of {all} candidate(s) certain)")?;
                             } else {
-                                print!("{}", fo.explain());
+                                write!(out, "{}", fo.explain())?;
                             }
                         }
-                        Err(e) => println!(
+                        Err(e) => writeln!(
+                            out,
                             "{name}: no certain first-order rewriting ({e}); candidate answers \
                              decided per tuple by the classified solvers"
-                        ),
+                        )?,
                     }
                 }
             }
@@ -367,131 +307,134 @@ fn run() -> Result<(), String> {
         "probability" => {
             for (name, query) in &selected {
                 let p = probability_over_repairs(&doc.database, query);
-                println!("{name}: Pr(q) = {p:.6} under the uniform-repair distribution");
+                writeln!(
+                    out,
+                    "{name}: Pr(q) = {p:.6} under the uniform-repair distribution"
+                )?;
             }
         }
         "repairs" => match doc.database.repair_count() {
             Some(c) if c <= 64 => {
-                println!("{c} repairs:");
+                writeln!(out, "{c} repairs:")?;
                 for (i, repair) in doc.database.repairs().enumerate() {
-                    println!("--- repair {} ---", i + 1);
-                    print!("{repair}");
+                    writeln!(out, "--- repair {} ---", i + 1)?;
+                    write!(out, "{repair}")?;
                 }
             }
-            Some(c) => println!("{c} repairs (too many to list)"),
-            None => println!(
-                "more than 2^128 repairs (log2 ≈ {:.1})",
-                doc.database.repair_count_log2()
-            ),
+            Some(c) => writeln!(out, "{c} repairs (too many to list)")?,
+            None => {
+                let log2 = doc.database.repair_count_log2();
+                writeln!(out, "more than 2^128 repairs (log2 ≈ {log2:.1})")?
+            }
         },
-        "serve" if listen.is_some() => {
-            let addr = listen.expect("guarded by the match arm");
+        "serve" => {
+            let defaults = cqa_serve::ServerConfig::default();
             let config = cqa_serve::ServerConfig {
-                threads,
-                max_inflight: max_inflight.unwrap_or(64),
-                deadline: deadline_ms.map(std::time::Duration::from_millis),
-                ..cqa_serve::ServerConfig::default()
+                threads: args.number("threads")?,
+                max_inflight: args
+                    .number("max-inflight")?
+                    .unwrap_or(defaults.max_inflight),
+                deadline: args.number("deadline-ms")?.map(Duration::from_millis),
+                ..defaults
             };
-            let server = cqa_serve::Server::bind(doc.database.clone(), &addr, config)
+            let db = doc.database.clone();
+            let Some(addr) = args.value("listen") else {
+                cqa_serve::serve_stream(db, config, io::stdin().lock(), out)?;
+                return Ok(());
+            };
+            let server = cqa_serve::Server::bind(db, addr, config)
                 .map_err(|e| format!("cannot bind {addr}: {e}"))?;
-            let local = server.local_addr().map_err(|e| e.to_string())?;
             eprintln!(
-                "serving on {local} ({} worker threads); line protocol per connection, \
+                "serving on {} ({} worker threads); line protocol per connection, \
                  HTTP GET /metrics + POST /query on the same port",
+                server.local_addr()?,
                 server.pool().thread_count()
             );
-            server.run().map_err(|e| e.to_string())?;
-        }
-        "serve" => {
-            let pool = match threads {
-                Some(n) => ParPool::new(n),
-                None => ParPool::with_available_parallelism(),
-            };
-            let thread_count = pool.thread_count();
-            let engine = BatchEngine::new(doc.database.snapshot(), pool);
-            let started = Instant::now();
-            let mut served = 0usize;
-            // Read the newline-delimited stream in chunks, answering each
-            // chunk as one concurrent batch; parse failures keep their
-            // place in the output without stopping the stream. A `\stats`
-            // line flushes the pending chunk and reports serving metrics.
-            let mut entries: Vec<(String, Result<cqa_query::ConjunctiveQuery, String>)> =
-                Vec::new();
-            for (i, line) in std::io::stdin().lock().lines().enumerate() {
-                let line = line.map_err(|e| format!("stdin: {e}"))?;
-                let text = line.split('#').next().unwrap_or("").trim();
-                if text == "\\stats" {
-                    flush_serve(&engine, &mut entries, &mut served);
-                    println!("{}", serve_stats_line(&engine, served, started));
-                    continue;
-                }
-                let text = text.strip_prefix("certain ").unwrap_or(text).trim();
-                if text.is_empty() {
-                    continue;
-                }
-                match parse_query_line(&doc.schema, text, i + 1) {
-                    Ok((name, query)) => entries.push((name, Ok(query))),
-                    Err(e) => entries.push((format!("q{}", i + 1), Err(e.to_string()))),
-                }
-                if entries.len() >= SERVE_CHUNK {
-                    flush_serve(&engine, &mut entries, &mut served);
-                    eprintln!("{}", serve_stats_line(&engine, served, started));
-                }
-            }
-            flush_serve(&engine, &mut entries, &mut served);
-            eprintln!("served {served} queries on {thread_count} threads");
-            eprintln!("{}", serve_stats_line(&engine, served, started));
+            server.run()?;
         }
         "stats" => {
             for (name, query) in &selected {
                 if query.is_boolean() {
                     let engine = CertaintyEngine::new(query).map_err(|e| e.to_string())?;
-                    println!(
+                    writeln!(
+                        out,
                         "{name}: certain={} possible={} (solver: {})",
                         engine.is_certain(&doc.database),
                         engine.is_possible(&doc.database),
                         engine.solver_name()
-                    );
+                    )?;
                 } else {
                     let sets = certain_answers(query, &doc.database).map_err(|e| e.to_string())?;
-                    println!(
-                        "{name}: {} certain / {} possible",
-                        sets.certain.len(),
-                        sets.possible.len()
-                    );
+                    let (certain, possible) = (sets.certain.len(), sets.possible.len());
+                    writeln!(out, "{name}: {certain} certain / {possible} possible")?;
                 }
             }
-            println!();
-            println!(
-                "database: {} facts, epoch {}",
-                doc.database.fact_count(),
-                doc.database.epoch(),
-            );
-            println!("metrics after answering {} query(ies):", selected.len());
-            print!("{}", cqa_obs::Registry::global().snapshot().render());
+            writeln!(out)?;
+            let (facts, epoch) = (doc.database.fact_count(), doc.database.epoch());
+            writeln!(out, "database: {facts} facts, epoch {epoch}")?;
+            let answered = selected.len();
+            writeln!(out, "metrics after answering {answered} query(ies):")?;
+            write!(out, "{}", cqa_obs::Registry::global().snapshot().render())?;
         }
         "attack-graph" => {
             for (name, query) in &selected {
                 let graph = AttackGraph::build(query).map_err(|e| e.to_string())?;
-                if has_flag("--dot") {
-                    println!("{}", dot::attack_graph_to_dot(&graph));
+                if args.switch("dot") {
+                    writeln!(out, "{}", dot::attack_graph_to_dot(&graph))?;
                 } else {
-                    println!("attack graph of {name}:");
-                    print!("{}", graph.render());
+                    writeln!(out, "attack graph of {name}:")?;
+                    write!(out, "{}", graph.render())?;
                 }
             }
         }
-        _ => return Err(usage().to_string()),
+        _ => return Err(usage().into()),
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let Err(e) = run(&mut out).and_then(|()| out.flush().map_err(Into::into)) else {
+        return ExitCode::SUCCESS;
+    };
+    // A reader that closed the pipe early (`certainty repairs big.cqa |
+    // head`) has read all it wanted.
+    if e.downcast_ref::<io::Error>()
+        .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe)
+    {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn flags_are_known_names_with_their_values_after_an_equals_sign() {
+        let args = parse("serve doc.cqa --listen=127.0.0.1:7878 --threads=4").unwrap();
+        assert_eq!(args.value("listen"), Some("127.0.0.1:7878"));
+        assert_eq!(args.number::<usize>("threads"), Ok(Some(4)));
+        assert!(parse("rewrite doc.cqa --sql").unwrap().switch("sql"));
+        assert!(parse("save doc.cqa out.cqdb").is_ok());
+        // A space instead of `=` must not quietly turn a TCP server into a
+        // stdin one with a stray third argument.
+        let err = parse("serve doc.cqa --listen 127.0.0.1:7878").unwrap_err();
+        assert_eq!(err, "--listen takes a value: --listen=VALUE");
+        let err = parse("certain doc.cqa --qeury=rome").unwrap_err();
+        assert!(err.starts_with("unknown flag `--qeury=rome`"), "{err}");
+        for bad in ["x d --sql=yes", "x d --frob", "certain doc.cqa stray", "x"] {
+            assert!(parse(bad).is_err(), "{bad}");
         }
+        let threads = parse("serve doc.cqa --threads=x")
+            .unwrap()
+            .number::<usize>("threads");
+        assert_eq!(threads, Err("--threads expects a number, got `x`".into()));
     }
 }

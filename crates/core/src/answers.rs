@@ -130,12 +130,6 @@ impl CertainAnswersEngine {
         self.open.is_some()
     }
 
-    /// The open certain rewriting `φ(x̄)`, if the query is in the
-    /// first-order region.
-    pub fn open_formula(&self) -> Option<&FoFormula> {
-        self.open.as_ref().map(|o| &o.formula)
-    }
-
     /// The compiled plan of the open rewriting, compiled on first use with
     /// `db`'s statistics — and recompiled when those statistics have
     /// drifted beyond [`cqa_exec::cache::DRIFT_FACTOR`] since compile time.

@@ -123,11 +123,6 @@ impl AttackGraph {
         &self.edges
     }
 
-    /// Number of atoms (vertices).
-    pub fn atom_count(&self) -> usize {
-        self.query.len()
-    }
-
     /// True iff `from` attacks `to`.
     pub fn attacks(&self, from: AtomId, to: AtomId) -> bool {
         self.digraph
@@ -146,15 +141,6 @@ impl AttackGraph {
     pub fn attacked_by(&self, from: AtomId) -> Vec<AtomId> {
         self.digraph
             .successors(NodeId::from_index(from))
-            .iter()
-            .map(|n| n.index())
-            .collect()
-    }
-
-    /// The atoms attacking `to`.
-    pub fn attackers_of(&self, to: AtomId) -> Vec<AtomId> {
-        self.digraph
-            .predecessors(NodeId::from_index(to))
             .iter()
             .map(|n| n.index())
             .collect()

@@ -110,11 +110,6 @@ impl Theorem2Reduction {
         &self.q0
     }
 
-    /// The target query `q`.
-    pub fn target_query(&self) -> &ConjunctiveQuery {
-        &self.target
-    }
-
     /// `θ̂`: lifts a valuation of `{x, y, z}` to a valuation of `vars(q)`.
     fn lift(&self, theta: &Valuation) -> Valuation {
         let x = theta.get(&Variable::new("x")).expect("x bound").clone();

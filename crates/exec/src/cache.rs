@@ -123,11 +123,6 @@ impl<V> LruCache<V> {
         }
     }
 
-    /// The capacity beyond which least-recently-used entries are evicted.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
@@ -196,14 +191,6 @@ impl<V> LruCache<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops every cached entry.
-    pub fn clear(&self) {
-        self.slots
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
-    }
 }
 
 /// A compiled plan plus the statistics it was compiled against.
@@ -256,11 +243,6 @@ impl PlanCache {
         }
     }
 
-    /// The capacity beyond which least-recently-used plans are evicted.
-    pub fn capacity(&self) -> usize {
-        self.plans.capacity()
-    }
-
     /// The compiled plan for `query`, compiling (with `stats` guiding the
     /// join order) only on the first request for this `(schema, query)` —
     /// or again when `stats` have drifted ≥ [`DRIFT_FACTOR`] from the
@@ -303,11 +285,6 @@ impl PlanCache {
     pub fn is_empty(&self) -> bool {
         self.plans.is_empty()
     }
-
-    /// Drops every cached plan.
-    pub fn clear(&self) {
-        self.plans.clear();
-    }
 }
 
 #[cfg(test)]
@@ -328,8 +305,6 @@ mod tests {
         let c = cache.plan(&other, None);
         assert!(!StdArc::ptr_eq(&a, &c));
         assert_eq!(cache.len(), 2);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -345,7 +320,6 @@ mod tests {
     #[test]
     fn capacity_evicts_the_least_recently_used_plan() {
         let cache = PlanCache::with_capacity(2);
-        assert_eq!(cache.capacity(), 2);
         let first = catalog::conference().query;
         let second = catalog::fo_path2().query;
         let third = catalog::fo_path3().query;
@@ -407,7 +381,6 @@ mod tests {
     #[test]
     fn capacity_is_at_least_one() {
         let cache = PlanCache::with_capacity(0);
-        assert_eq!(cache.capacity(), 1);
         cache.plan(&catalog::conference().query, None);
         cache.plan(&catalog::fo_path2().query, None);
         assert_eq!(cache.len(), 1);

@@ -160,16 +160,6 @@ impl QueryPlan {
         self.prepare(&db.index()).satisfies()
     }
 
-    /// Convenience: satisfaction by a valuation extending `base`.
-    pub fn satisfies_with(&self, db: &UncertainDatabase, base: &Valuation) -> bool {
-        self.prepare(&db.index()).satisfies_with(base)
-    }
-
-    /// Convenience: all satisfying valuations over `vars(q)`.
-    pub fn all_valuations(&self, db: &UncertainDatabase) -> Vec<Valuation> {
-        self.prepare(&db.index()).all_valuations()
-    }
-
     /// Convenience: the answer tuples for the query's free variables.
     pub fn answers(&self, db: &UncertainDatabase) -> BTreeSet<Vec<Value>> {
         self.prepare(&db.index()).answers()
@@ -481,8 +471,7 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert!(QueryPlan::compile(&q, None).estimated_work() >= 1.0);
         assert_eq!(plan.satisfies(&db), eval::satisfies(&db, &q));
-        let mut compiled: Vec<String> = plan
-            .all_valuations(&db)
+        let mut compiled: Vec<String> = (plan.prepare(&index).all_valuations())
             .iter()
             .map(|v| format!("{v:?}"))
             .collect();
@@ -499,13 +488,15 @@ mod tests {
     fn base_bindings_constrain_the_search() {
         let q = catalog::conference().query;
         let db = catalog::conference_database();
-        let plan = QueryPlan::compile(&q, Some(db.index().statistics()));
+        let index = db.index();
+        let compiled = QueryPlan::compile(&q, Some(index.statistics()));
+        let plan = compiled.prepare(&index);
         let hit = Valuation::from_pairs([(Variable::new("x"), Value::str("KDD"))]);
         let miss = Valuation::from_pairs([(Variable::new("x"), Value::str("ICML"))]);
-        assert!(plan.satisfies_with(&db, &hit));
-        assert!(!plan.satisfies_with(&db, &miss));
+        assert!(plan.satisfies_with(&hit));
+        assert!(!plan.satisfies_with(&miss));
         assert_eq!(
-            plan.satisfies_with(&db, &hit),
+            plan.satisfies_with(&hit),
             eval::satisfies_with(&db, &q, &hit)
         );
     }
@@ -569,7 +560,7 @@ mod tests {
         assert!(plan.estimated_work() >= 0.0);
         let db = UncertainDatabase::new(schema);
         assert!(plan.satisfies(&db));
-        assert_eq!(plan.all_valuations(&db).len(), 1);
+        assert_eq!(plan.prepare(&db.index()).all_valuations().len(), 1);
         assert!(plan.explain().contains("empty query"));
     }
 

@@ -31,26 +31,6 @@ pub fn is_acyclic<N>(graph: &DiGraph<N>) -> bool {
     seen == n
 }
 
-/// Returns a topological order of the nodes, or `None` if the graph is cyclic.
-pub fn topological_order<N>(graph: &DiGraph<N>) -> Option<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut in_deg: Vec<usize> = (0..n)
-        .map(|i| graph.in_degree(NodeId::from_index(i)))
-        .collect();
-    let mut queue: Vec<usize> = (0..n).filter(|&i| in_deg[i] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop() {
-        order.push(NodeId::from_index(v));
-        for &w in graph.successors(NodeId::from_index(v)) {
-            in_deg[w.index()] -= 1;
-            if in_deg[w.index()] == 0 {
-                queue.push(w.index());
-            }
-        }
-    }
-    (order.len() == n).then_some(order)
-}
-
 /// Enumerates all elementary cycles of the graph.
 ///
 /// Each cycle is reported once, as the list of its vertices starting from its
@@ -100,17 +80,10 @@ pub fn elementary_cycles<N>(graph: &DiGraph<N>, limit: Option<usize>) -> Vec<Vec
     cycles
 }
 
-/// Enumerates elementary cycles of length exactly `k`.
-pub fn cycles_of_length<N>(graph: &DiGraph<N>, k: usize) -> Vec<Vec<NodeId>> {
-    elementary_cycles(graph, None)
-        .into_iter()
-        .filter(|c| c.len() == k)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paths::cycles_of_length_exact;
 
     fn graph(edges: &[(u32, u32)], nodes: u32) -> DiGraph<u32> {
         let mut g = DiGraph::new();
@@ -132,17 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn topological_order_respects_edges() {
-        let g = graph(&[(0, 1), (1, 2), (0, 2), (3, 0)], 4);
-        let order = topological_order(&g).unwrap();
-        let pos = |n: u32| order.iter().position(|&x| x == NodeId(n)).unwrap();
-        assert!(pos(3) < pos(0));
-        assert!(pos(0) < pos(1));
-        assert!(pos(1) < pos(2));
-        assert!(topological_order(&graph(&[(0, 1), (1, 0)], 2)).is_none());
-    }
-
-    #[test]
     fn enumerates_all_cycles_of_a_two_cycle_pair() {
         // 0 <-> 1 and 1 <-> 2: two elementary 2-cycles, no 3-cycle.
         let g = graph(&[(0, 1), (1, 0), (1, 2), (2, 1)], 3);
@@ -157,8 +119,8 @@ mod tests {
         let g = graph(&[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)], 3);
         let cycles = elementary_cycles(&g, None);
         assert_eq!(cycles.len(), 5);
-        assert_eq!(cycles_of_length(&g, 2).len(), 3);
-        assert_eq!(cycles_of_length(&g, 3).len(), 2);
+        assert_eq!(cycles_of_length_exact(&g, 2).len(), 3);
+        assert_eq!(cycles_of_length_exact(&g, 3).len(), 2);
     }
 
     #[test]

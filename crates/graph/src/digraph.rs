@@ -1,8 +1,7 @@
 //! A small generic directed graph.
 
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::fmt;
-use std::hash::Hash;
 
 /// Dense node identifier within a [`DiGraph`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -132,37 +131,6 @@ impl<N> DiGraph<N> {
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
         self.edges.iter().copied()
     }
-
-    /// Finds the node id of the first node whose payload equals `payload`.
-    pub fn find_node(&self, payload: &N) -> Option<NodeId>
-    where
-        N: PartialEq,
-    {
-        self.nodes
-            .iter()
-            .position(|n| n == payload)
-            .map(NodeId::from_index)
-    }
-}
-
-impl<N: Clone + Eq + Hash> DiGraph<N> {
-    /// Builds a graph from an edge list over payload values, creating nodes
-    /// on first use. Useful for graphs whose vertices are database constants
-    /// (Theorem 4 of the paper).
-    pub fn from_payload_edges(edges: impl IntoIterator<Item = (N, N)>) -> Self {
-        let mut graph = DiGraph::new();
-        let mut ids: FxHashMap<N, NodeId> = FxHashMap::default();
-        for (a, b) in edges {
-            let ia = *ids
-                .entry(a.clone())
-                .or_insert_with(|| graph.add_node(a.clone()));
-            let ib = *ids
-                .entry(b.clone())
-                .or_insert_with(|| graph.add_node(b.clone()));
-            graph.add_edge(ia, ib);
-        }
-        graph
-    }
 }
 
 #[cfg(test)]
@@ -187,14 +155,5 @@ mod tests {
         assert!(!g.has_edge(b, a));
         assert_eq!(g.out_degree(a), 1);
         assert_eq!(g.in_degree(a), 1);
-        assert_eq!(g.find_node(&"b"), Some(b));
-        assert_eq!(g.find_node(&"z"), None);
-    }
-
-    #[test]
-    fn from_payload_edges_reuses_nodes() {
-        let g = DiGraph::from_payload_edges([("a", "b"), ("b", "c"), ("a", "c"), ("c", "a")]);
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 4);
     }
 }

@@ -1,12 +1,12 @@
 //! # cqa-graph
 //!
-//! Directed-graph algorithms used throughout the `certainty-rs` workspace:
+//! The directed-graph algorithms the `certainty-rs` solvers call:
 //!
 //! * [`DiGraph`] — a small, generic adjacency-list digraph,
-//! * [`scc`] — Tarjan strongly connected components and condensation,
+//! * [`scc`] — Tarjan strongly connected components,
 //! * [`cycles`] — elementary-cycle enumeration (Johnson) and acyclicity,
-//! * [`paths`] — reachability, fixed-length cycles, and the "elementary cycle
-//!   longer than `k`" test used inside the proof of Theorem 4,
+//! * [`paths`] — fixed-length cycles and the "elementary cycle longer than
+//!   `k`" test used inside the proof of Theorem 4,
 //! * [`spanning`] — maximum-weight spanning trees (join-tree construction)
 //!   and undirected-tree path queries.
 //!

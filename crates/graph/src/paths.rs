@@ -1,4 +1,4 @@
-//! Reachability, fixed-length cycles, and long-cycle detection.
+//! Fixed-length cycles and long-cycle detection.
 //!
 //! These are the graph subroutines used by the polynomial-time algorithm of
 //! **Theorem 4**: its proof decides, inside each strong component of the
@@ -42,26 +42,6 @@ pub fn is_reachable<N>(graph: &DiGraph<N>, from: NodeId, to: NodeId, forbidden: 
         }
     }
     false
-}
-
-/// All vertices reachable from `from` (including `from` itself).
-pub fn reachable_set<N>(graph: &DiGraph<N>, from: NodeId) -> Vec<NodeId> {
-    let n = graph.node_count();
-    let mut visited = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    visited[from.index()] = true;
-    queue.push_back(from);
-    let mut out = vec![from];
-    while let Some(v) = queue.pop_front() {
-        for &w in graph.successors(v) {
-            if !visited[w.index()] {
-                visited[w.index()] = true;
-                queue.push_back(w);
-                out.push(w);
-            }
-        }
-    }
-    out
 }
 
 /// Calls `visit` for every elementary cycle of length exactly `k` that starts
@@ -130,8 +110,10 @@ where
 }
 
 /// Collects all elementary cycles of length exactly `k` (canonical rotation,
-/// smallest vertex first).
-pub fn cycles_of_length_exact<N>(graph: &DiGraph<N>, k: usize) -> Vec<Vec<NodeId>> {
+/// smallest vertex first): the oracle the tests hold
+/// [`for_each_cycle_of_length`] and [`crate::cycles::elementary_cycles`] to.
+#[cfg(test)]
+pub(crate) fn cycles_of_length_exact<N>(graph: &DiGraph<N>, k: usize) -> Vec<Vec<NodeId>> {
     let mut out = Vec::new();
     for_each_cycle_of_length(graph, k, |cycle| {
         out.push(cycle.to_vec());
@@ -198,31 +180,6 @@ pub fn has_elementary_cycle_longer_than<N>(graph: &DiGraph<N>, k: usize) -> bool
     false
 }
 
-/// Returns the length of some shortest path from `from` to `to` (in edges),
-/// or `None` if unreachable.
-pub fn shortest_path_len<N>(graph: &DiGraph<N>, from: NodeId, to: NodeId) -> Option<usize> {
-    if from == to {
-        return Some(0);
-    }
-    let n = graph.node_count();
-    let mut dist = vec![usize::MAX; n];
-    dist[from.index()] = 0;
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(from);
-    while let Some(v) = queue.pop_front() {
-        for &w in graph.successors(v) {
-            if dist[w.index()] == usize::MAX {
-                dist[w.index()] = dist[v.index()] + 1;
-                if w == to {
-                    return Some(dist[w.index()]);
-                }
-                queue.push_back(w);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,14 +209,6 @@ mod tests {
         ));
         assert!(!is_reachable(&g, NodeId(2), NodeId(0), &[]));
         assert!(is_reachable(&g, NodeId(2), NodeId(2), &[]));
-    }
-
-    #[test]
-    fn reachable_set_is_transitive_closure_row() {
-        let g = graph(&[(0, 1), (1, 2), (3, 0)], 4);
-        let mut set = reachable_set(&g, NodeId(0));
-        set.sort();
-        assert_eq!(set, vec![NodeId(0), NodeId(1), NodeId(2)]);
     }
 
     #[test]
@@ -310,15 +259,6 @@ mod tests {
             6,
         );
         assert!(has_elementary_cycle_longer_than(&g, 3));
-    }
-
-    #[test]
-    fn shortest_path() {
-        let g = graph(&[(0, 1), (1, 2), (2, 3), (0, 3)], 4);
-        assert_eq!(shortest_path_len(&g, NodeId(0), NodeId(3)), Some(1));
-        assert_eq!(shortest_path_len(&g, NodeId(1), NodeId(3)), Some(2));
-        assert_eq!(shortest_path_len(&g, NodeId(3), NodeId(0)), None);
-        assert_eq!(shortest_path_len(&g, NodeId(2), NodeId(2)), Some(0));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Strongly connected components (Tarjan) and condensation.
+//! Strongly connected components (Tarjan).
 //!
 //! Used by the attack-graph cycle classification (Sections 5–6) and by the
 //! cycle-query solver of Theorem 4, whose proof decomposes the k-partite
@@ -6,8 +6,8 @@
 
 use crate::{DiGraph, NodeId};
 
-/// The strongly connected components of a graph, in reverse topological order
-/// of the condensation (Tarjan's output order).
+/// The strongly connected components of a graph, sinks first (Tarjan's
+/// output order: a component comes before every component that reaches it).
 #[derive(Clone, Debug)]
 pub struct SccDecomposition {
     /// The vertex sets of the components.
@@ -30,20 +30,6 @@ impl SccDecomposition {
     /// The component index of a node.
     pub fn component_of(&self, node: NodeId) -> usize {
         self.component_of[node.index()]
-    }
-
-    /// True iff the component contains a cycle: it has more than one vertex,
-    /// or its single vertex has a self-loop in `graph`.
-    pub fn is_nontrivial<N>(&self, idx: usize, graph: &DiGraph<N>) -> bool {
-        let comp = &self.components[idx];
-        comp.len() > 1 || (comp.len() == 1 && graph.has_edge(comp[0], comp[0]))
-    }
-
-    /// Indices of all components containing a cycle.
-    pub fn nontrivial_components<N>(&self, graph: &DiGraph<N>) -> Vec<usize> {
-        (0..self.components.len())
-            .filter(|&i| self.is_nontrivial(i, graph))
-            .collect()
     }
 }
 
@@ -119,25 +105,6 @@ pub fn strongly_connected_components<N>(graph: &DiGraph<N>) -> SccDecomposition 
     }
 }
 
-/// Builds the condensation: one node per SCC (payload = component index),
-/// with an edge between distinct components whenever the original graph has
-/// an edge between their members.
-pub fn condensation<N>(graph: &DiGraph<N>) -> (SccDecomposition, DiGraph<usize>) {
-    let scc = strongly_connected_components(graph);
-    let mut cond: DiGraph<usize> = DiGraph::new();
-    for i in 0..scc.len() {
-        cond.add_node(i);
-    }
-    for (a, b) in graph.edges() {
-        let ca = scc.component_of(a);
-        let cb = scc.component_of(b);
-        if ca != cb {
-            cond.add_edge(NodeId::from_index(ca), NodeId::from_index(cb));
-        }
-    }
-    (scc, cond)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +126,6 @@ mod tests {
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.len(), 1);
         assert_eq!(scc.components[0].len(), 3);
-        assert!(scc.is_nontrivial(0, &g));
     }
 
     #[test]
@@ -167,7 +133,7 @@ mod tests {
         let g = graph(&[(0, 1), (1, 2), (0, 2)], 3);
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.len(), 3);
-        assert!(scc.nontrivial_components(&g).is_empty());
+        assert!(scc.components.iter().all(|c| c.len() == 1));
     }
 
     #[test]
@@ -176,28 +142,16 @@ mod tests {
         let g = graph(&[(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)], 4);
         let scc = strongly_connected_components(&g);
         assert_eq!(scc.len(), 2);
-        assert_eq!(scc.nontrivial_components(&g).len(), 2);
+        assert!(scc.components.iter().all(|c| c.len() == 2));
         assert_eq!(scc.component_of(NodeId(0)), scc.component_of(NodeId(1)));
         assert_ne!(scc.component_of(NodeId(0)), scc.component_of(NodeId(2)));
     }
 
     #[test]
-    fn self_loop_is_nontrivial() {
+    fn self_loop_stays_a_singleton() {
         let g = graph(&[(0, 0), (0, 1)], 2);
         let scc = strongly_connected_components(&g);
-        let loops = scc.nontrivial_components(&g);
-        assert_eq!(loops.len(), 1);
-        assert_eq!(scc.components[loops[0]], vec![NodeId(0)]);
-    }
-
-    #[test]
-    fn condensation_is_acyclic_and_preserves_reachability() {
-        let g = graph(&[(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)], 4);
-        let (scc, cond) = condensation(&g);
-        assert_eq!(scc.len(), 2);
-        assert_eq!(cond.node_count(), 2);
-        assert_eq!(cond.edge_count(), 1);
-        assert!(crate::cycles::is_acyclic(&cond));
+        assert_eq!(scc.components, vec![vec![NodeId(1)], vec![NodeId(0)]]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! The batch engine: many queries, one snapshot, one pool.
+//! The batch engine: many queries, one snapshot, shared caches.
 //!
 //! This is the "serve heavy traffic" story of the ROADMAP: a service holds
 //! one immutable [`Snapshot`] of the data and a stream of incoming queries.
-//! [`BatchEngine::run`] answers a whole batch concurrently — one job per
-//! query, inter-query parallelism — and returns the results **in input
-//! order**, so the caller's output is deterministic however the workers
-//! interleaved.
+//! The serving layer (`cqa-serve`) runs each query as one job on the
+//! engine's [`ParPool`] — inter-query parallelism — and
+//! [`BatchEngine::answer`] is what such a job runs.
 //!
 //! Two caches amortize repeated traffic, both shared across the whole
 //! process: compiled satisfaction plans go through
@@ -15,12 +14,12 @@
 //! the second time a query shape arrives, answering it is pure plan
 //! execution.
 //!
-//! Within one batch job the evaluation is deliberately **sequential**: a
-//! job that blocked on sub-jobs of the same pool could deadlock a small
-//! pool, and inter-query parallelism already saturates the workers when
-//! traffic is heavy.
+//! Within one job the evaluation is deliberately **sequential**: a job
+//! that blocked on sub-jobs of the same pool could deadlock a small pool,
+//! and inter-query parallelism already saturates the workers when traffic
+//! is heavy.
 
-use crate::pool::{par_map_opt, ParPool};
+use crate::pool::ParPool;
 use cqa_core::answers::{certain_answers, AnswerSets};
 use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_data::Snapshot;
@@ -34,7 +33,7 @@ use std::sync::Arc;
 /// least recently used engine is evicted and reclassified on its next use.
 pub const ENGINE_MEMO_CAPACITY: usize = 4096;
 
-/// The outcome of one query of a batch.
+/// The outcome of one query.
 #[derive(Debug)]
 pub enum BatchOutcome {
     /// A Boolean query: its certainty and possibility verdicts, plus the
@@ -50,11 +49,11 @@ pub enum BatchOutcome {
     /// A query with free variables: its certain and possible answer sets.
     Answers(AnswerSets),
     /// The query could not be answered (classification failed, self-join,
-    /// …). Batch processing continues past failed queries.
+    /// …). The engine keeps answering other queries.
     Error(String),
 }
 
-/// One named result of [`BatchEngine::run`], in input order.
+/// One named result of [`BatchEngine::answer`].
 #[derive(Debug)]
 pub struct BatchResult {
     /// The query's name, as submitted.
@@ -63,7 +62,7 @@ pub struct BatchResult {
     pub outcome: BatchOutcome,
 }
 
-/// Answers batches of queries over one frozen [`Snapshot`].
+/// Answers queries over one frozen [`Snapshot`].
 pub struct BatchEngine {
     snapshot: Snapshot,
     pool: ParPool,
@@ -81,7 +80,7 @@ impl BatchEngine {
         }
     }
 
-    /// The frozen snapshot every query of every batch is answered against.
+    /// The frozen snapshot every query is answered against.
     pub fn snapshot(&self) -> &Snapshot {
         &self.snapshot
     }
@@ -113,7 +112,7 @@ impl BatchEngine {
         }
     }
 
-    /// The pool batch jobs run on.
+    /// The pool the serving layer runs this engine's query jobs on.
     pub fn pool(&self) -> &ParPool {
         &self.pool
     }
@@ -123,33 +122,8 @@ impl BatchEngine {
         self.engines.len()
     }
 
-    /// Answers every query of the batch concurrently (one pool job per
-    /// query) and returns the results in **input order**. A query that
-    /// fails — or whose evaluation panics — yields [`BatchOutcome::Error`]
-    /// without disturbing the others: a poisoned query must not take the
-    /// serving process down.
-    pub fn run(&self, queries: Vec<(String, ConjunctiveQuery)>) -> Vec<BatchResult> {
-        let names: Vec<String> = queries.iter().map(|(name, _)| name.clone()).collect();
-        let snapshot = self.snapshot.clone();
-        let engines = self.engines.clone();
-        let results = par_map_opt(&self.pool, queries, move |_, (name, query)| {
-            let outcome = answer_one(&snapshot, &engines, &query);
-            BatchResult { name, outcome }
-        });
-        results
-            .into_iter()
-            .zip(names)
-            .map(|(result, name)| {
-                result.unwrap_or_else(|| BatchResult {
-                    name,
-                    outcome: BatchOutcome::Error("query evaluation panicked".to_string()),
-                })
-            })
-            .collect()
-    }
-
-    /// Answers a single query on the calling thread (the batch path without
-    /// the pool round-trip), sharing the same caches.
+    /// Answers one query on the calling thread (a pool job, when served),
+    /// through the engine's classified-engine memo.
     pub fn answer(&self, name: &str, query: &ConjunctiveQuery) -> BatchResult {
         BatchResult {
             name: name.to_string(),
@@ -214,7 +188,7 @@ mod tests {
     use cqa_query::{catalog, Term, Variable};
 
     #[test]
-    fn batches_answer_in_input_order_and_reuse_engines() {
+    fn answers_share_one_classified_engine_per_query_shape() {
         let db = catalog::conference_database();
         let engine = BatchEngine::new(db.snapshot(), ParPool::new(3));
         let boolean = catalog::conference().query;
@@ -236,8 +210,9 @@ mod tests {
                 }
             })
             .collect();
-        let results = engine.run(batch);
-        assert_eq!(results.len(), 12);
+        let results: Vec<BatchResult> = (batch.iter())
+            .map(|(name, query)| engine.answer(name, query))
+            .collect();
         for (i, result) in results.iter().enumerate() {
             if i % 2 == 0 {
                 assert_eq!(result.name, format!("b{i}"));
@@ -335,7 +310,7 @@ mod tests {
     }
 
     #[test]
-    fn failing_queries_report_errors_without_stopping_the_batch() {
+    fn a_failing_query_reports_an_error_and_the_engine_keeps_answering() {
         let schema = cqa_data::Schema::from_relations([("R", 2, 1)])
             .unwrap()
             .into_shared();
@@ -351,11 +326,13 @@ mod tests {
             .build()
             .unwrap();
         let engine = BatchEngine::new(db.snapshot(), ParPool::new(2));
-        let results = engine.run(vec![("bad".into(), self_join), ("good".into(), ok.clone())]);
-        assert!(matches!(results[0].outcome, BatchOutcome::Error(_)));
+        assert!(matches!(
+            engine.answer("bad", &self_join).outcome,
+            BatchOutcome::Error(_)
+        ));
         assert!(
             matches!(
-                results[1].outcome,
+                engine.answer("good", &ok).outcome,
                 BatchOutcome::Boolean { certain: true, .. }
             ),
             "R(a, a) is its own block: certain"

@@ -1,9 +1,8 @@
 //! The worker pool handle and the deterministic fan-out/merge primitive.
 //!
-//! Every merge in this crate funnels through one shape of parallelism:
-//! [`par_map`] (and its hole-reporting core `par_map_opt`) runs a closure
-//! over a list of items on the pool and returns the results **in item
-//! order**, whatever order the workers finished in — the property that
+//! Every merge funnels through one shape of parallelism: [`par_map`] runs a
+//! closure over a list of items on the pool and returns the results **in
+//! item order**, whatever order the workers finished in — the property that
 //! makes every merge deterministic.
 //!
 //! Jobs must be `'static`, so callers capture [`cqa_data::Snapshot`]s and
@@ -54,8 +53,7 @@ impl ParPool {
 
     /// Runs `job` on the pool, fire-and-forget. This is the raw dispatch
     /// primitive the serving layer (`cqa-serve`) uses to run one query per
-    /// job with its own cancellation token; prefer the structured
-    /// [`BatchEngine`](crate::BatchEngine) / `par_*` entry points when the
+    /// job with its own cancellation token; prefer [`par_map`] when the
     /// results must be merged. A panicking job is confined to itself: the
     /// worker survives and keeps taking jobs.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
@@ -75,21 +73,21 @@ impl std::fmt::Debug for ParPool {
 }
 
 /// Runs `f(index, item)` for every item on the pool and returns the
-/// results in **item order**, with `None` marking items whose job panicked
-/// (the pool survives a panicking job; its result slot simply never
-/// arrives). Callers decide what a hole means — the deterministic-merge
-/// primitive either way: however the workers interleave, the caller sees
-/// the same `Vec`.
-pub(crate) fn par_map_opt<T, R, F>(pool: &ParPool, items: Vec<T>, f: F) -> Vec<Option<R>>
+/// results in **item order**, whatever order the workers finished in — the
+/// deterministic-merge primitive: however the workers interleave, the merged
+/// `Vec` is byte-identical to the sequential map.
+///
+/// Every chunk's result is load-bearing (re-decided view candidates): a
+/// missing one would silently corrupt the recombined answer, so a job that
+/// panicked (the pool survives it; its result simply never arrives)
+/// propagates as a panic on the calling thread.
+pub fn par_map<T, R, F>(pool: &ParPool, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + 'static,
     R: Send + 'static,
     F: Fn(usize, T) -> R + Send + Sync + 'static,
 {
     let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let f = Arc::new(f);
     let (tx, rx) = mpsc::channel();
     for (i, item) in items.into_iter().enumerate() {
@@ -108,24 +106,6 @@ where
         slots[i] = Some(result);
     }
     slots
-}
-
-/// `par_map_opt` for merges where every chunk's result is load-bearing
-/// (re-decided view candidates): a hole would silently corrupt the
-/// recombined answer, so a panicked chunk propagates as a panic on the
-/// calling thread instead.
-///
-/// Public because downstream shard-and-merge consumers (`cqa-stream`'s
-/// retouched-candidate re-decision) need exactly this deterministic
-/// item-order guarantee: however the workers interleave, the merged `Vec`
-/// is byte-identical to the sequential map.
-pub fn par_map<T, R, F>(pool: &ParPool, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send + 'static,
-    R: Send + 'static,
-    F: Fn(usize, T) -> R + Send + Sync + 'static,
-{
-    par_map_opt(pool, items, f)
         .into_iter()
         .map(|r| r.expect("a pool job panicked and dropped its result"))
         .collect()
@@ -143,18 +123,12 @@ mod tests {
     }
 
     #[test]
-    fn par_map_opt_marks_panicked_jobs_with_holes() {
+    #[should_panic(expected = "a pool job panicked")]
+    fn par_map_reraises_a_panicked_job() {
         let pool = ParPool::new(2);
-        let results = par_map_opt(&pool, (0..8u32).collect(), |_, i| {
+        par_map(&pool, (0..8u32).collect(), |_, i| {
             assert!(i != 3, "planted panic");
             i * 10
         });
-        for (i, slot) in results.iter().enumerate() {
-            if i == 3 {
-                assert_eq!(*slot, None);
-            } else {
-                assert_eq!(*slot, Some(i as u32 * 10));
-            }
-        }
     }
 }

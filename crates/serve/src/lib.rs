@@ -1,8 +1,9 @@
-//! # cqa-serve — the network serving layer
+//! # cqa-serve — the serving layer
 //!
-//! Promotes the `certainty serve` stdin loop into a concurrent TCP server
-//! that answers certain-query-answering traffic over a **live, mutating**
-//! database — the "millions of users" story of the ROADMAP made concrete.
+//! Answers certain-query-answering traffic over a **live, mutating**
+//! database: a concurrent TCP server ([`Server`]), and the same connection
+//! handler over one byte stream ([`serve_stream`], which `certainty serve`
+//! runs on stdin/stdout without `--listen`).
 //!
 //! One listener speaks two dialects, told apart by the first bytes of each
 //! connection:
@@ -37,9 +38,9 @@
 //! block readers: every query grabs an `Arc` onto the *current*
 //! [`cqa_par::BatchEngine`] — a frozen [`cqa_data::Snapshot`] plus the
 //! process-wide caches — and answers entirely on that epoch. A write
-//! (`\insert` / `\remove` / `\remove-block`) mutates the master database
-//! under a writer lock, lets the delta log patch the index incrementally
-//! ([`cqa_data::DatabaseIndex`] delta maintenance, PR 6), forks the next
+//! (`\insert` / `\remove` / `\remove-block`) mutates a copy-on-write copy
+//! of the master database under a writer lock (the mutation maintains
+//! every index of [`cqa_data::DatabaseIndex`] itself), forks the next
 //! engine with [`cqa_par::BatchEngine::with_snapshot`] (sharing the
 //! classified-engine memo), and publishes it with one atomic pointer swap.
 //! A query therefore observes **exactly one** epoch — never a torn mix —
@@ -65,6 +66,15 @@
 //! ([`ServerConfig::query_chunk`]) and aborts gracefully, and the waiting
 //! connection handler responds `error: deadline exceeded` as soon as the
 //! deadline passes even if the worker is mid-chunk.
+//!
+//! **Pipelining.** A piped stdin script ([`serve_stream`]) has its query
+//! lines answered in parallel: while the next line is already buffered,
+//! the handler submits it before it waits, up to
+//! [`ServerConfig::max_inflight`] queries — the stream is the server's only
+//! client. Responses still come back in request order, and any request
+//! other than a query first waits for the earlier answers. A TCP
+//! connection keeps one query in flight, so no connection holds more than
+//! one admission slot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,5 +88,4 @@ mod stats;
 pub use admission::{Admission, CancelToken, Permit};
 pub use epoch::{EpochManager, ViewReading, WriteOutcome};
 pub use protocol::{render_result, Request, WriteOp};
-pub use server::{QueryStartHook, Server, ServerConfig, ServerHandle};
-pub use stats::stats_line;
+pub use server::{serve_stream, QueryStartHook, Server, ServerConfig, ServerHandle};

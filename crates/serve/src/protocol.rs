@@ -12,7 +12,7 @@
 //! blank        := ""            # comments ('#' to end of line) are stripped
 //! ```
 //!
-//! Query lines are exactly the `certainty serve` stdin format
+//! Query lines are the document format's query lines
 //! ([`cqa_parser::parse_query_line`]); an unnamed query gets the
 //! synthesized name `q<n>` where `n` counts the connection's requests
 //! from 1. Blank lines (and pure comments) produce **no** response; every

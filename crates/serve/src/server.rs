@@ -33,7 +33,7 @@ use cqa_core::answers::{possible_answers, AnswerSets};
 use cqa_data::{Schema, UncertainDatabase};
 use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool};
 use cqa_query::ConjunctiveQuery;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,15 +99,35 @@ impl std::fmt::Debug for ServerConfig {
 
 /// Everything the acceptor, the connection handlers and the pool jobs
 /// share.
-struct Shared {
-    schema: Arc<Schema>,
-    epochs: EpochManager,
-    admission: Admission,
-    pool: ParPool,
-    config: ServerConfig,
+pub(crate) struct Shared {
+    pub(crate) schema: Arc<Schema>,
+    pub(crate) epochs: EpochManager,
+    pub(crate) admission: Admission,
+    pub(crate) pool: ParPool,
+    pub(crate) config: ServerConfig,
     stop: AtomicBool,
-    served: AtomicUsize,
-    started: Instant,
+    pub(crate) served: AtomicUsize,
+    pub(crate) started: Instant,
+}
+
+impl Shared {
+    /// Builds the configured pool and freezes `db` as epoch zero.
+    pub(crate) fn new(db: UncertainDatabase, config: ServerConfig) -> Arc<Shared> {
+        let pool = match config.threads {
+            Some(n) => ParPool::new(n),
+            None => ParPool::with_available_parallelism(),
+        };
+        Arc::new(Shared {
+            schema: db.schema().clone(),
+            epochs: EpochManager::new(db, pool.clone()),
+            admission: Admission::new(config.max_inflight),
+            pool,
+            config,
+            stop: AtomicBool::new(false),
+            served: AtomicUsize::new(0),
+            started: Instant::now(),
+        })
+    }
 }
 
 /// A bound, not-yet-running server. [`run`](Server::run) blocks the calling
@@ -118,26 +138,39 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
+/// Serves the line protocol over one byte stream with the handler every
+/// TCP connection runs — admission, deadlines, writes, views — freezing
+/// `db` as epoch zero. `certainty serve` without `--listen` passes stdin
+/// and stdout. Returns at the end of `input` or after `\quit`, once every
+/// response is written.
+///
+/// The stream is the server's only client, so buffered query lines may
+/// fill every admission slot: up to `max_inflight` run at once.
+pub fn serve_stream(
+    db: UncertainDatabase,
+    config: ServerConfig,
+    input: impl Read,
+    output: impl Write,
+) -> io::Result<()> {
+    let shared = Shared::new(db, config);
+    let depth = shared.config.max_inflight.max(1);
+    serve_connection(
+        &shared,
+        BufReader::new(input),
+        BufWriter::new(output),
+        depth,
+    )
+}
+
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral test port) and
     /// freezes `db` as epoch zero.
     pub fn bind(db: UncertainDatabase, addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        let pool = match config.threads {
-            Some(n) => ParPool::new(n),
-            None => ParPool::with_available_parallelism(),
-        };
-        let shared = Arc::new(Shared {
-            schema: db.schema().clone(),
-            epochs: EpochManager::new(db, pool.clone()),
-            admission: Admission::new(config.max_inflight),
-            pool,
-            config,
-            stop: AtomicBool::new(false),
-            served: AtomicUsize::new(0),
-            started: Instant::now(),
-        });
-        Ok(Server { listener, shared })
+        Ok(Server {
+            listener,
+            shared: Shared::new(db, config),
+        })
     }
 
     /// The bound address (the ephemeral port after binding `:0`).
@@ -262,16 +295,6 @@ fn read_request_line(reader: &mut impl BufRead, max: usize) -> io::Result<Line> 
     Ok(Line::Request(buf))
 }
 
-/// What one request line asks the connection to do next.
-enum Dispatch {
-    /// No response (blank line or pure comment).
-    Silent,
-    /// Respond with this line and keep going.
-    Respond(String),
-    /// Respond with this line, then close the connection.
-    Close(String),
-}
-
 fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     cqa_obs::count!("serve.connections");
     // One-line responses must not sit in Nagle's buffer waiting for a
@@ -279,26 +302,51 @@ fn handle_connection(shared: Arc<Shared>, stream: TcpStream) {
     // trips on loopback.
     let _ = stream.set_nodelay(true);
     // IO errors mean the client is gone; nothing to report, nothing to
-    // wedge — the handler simply ends.
-    let _ = serve_connection(&shared, stream);
+    // wedge — the handler simply ends. Connections share admission, so
+    // each holds at most one slot: a client that pipelines waits for each
+    // answer and cannot crowd the others out.
+    let _ = stream.try_clone().and_then(|reader| {
+        serve_connection(&shared, BufReader::new(reader), BufWriter::new(stream), 1)
+    });
 }
 
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
+/// The line-protocol loop of one connection. Queries are pipelined: after
+/// submitting one, the handler reads the next request at once if a whole
+/// line is already buffered and fewer than `depth` queries are pending;
+/// otherwise it writes the pending answers, oldest first, before it blocks
+/// on a read. Every other request first waits for the pending answers, so
+/// responses keep request order and a write never overtakes an earlier
+/// query.
+fn serve_connection(
+    shared: &Arc<Shared>,
+    mut reader: BufReader<impl Read>,
+    mut writer: impl Write,
+    depth: usize,
+) -> io::Result<()> {
+    let mut pending = VecDeque::new();
     let mut request_no = 0usize;
     let mut first = true;
     loop {
+        let buffered = reader.buffer().contains(&b'\n');
+        drain(
+            shared,
+            &mut pending,
+            if buffered { depth - 1 } else { 0 },
+            &mut writer,
+        )?;
+        if !buffered {
+            writer.flush()?;
+        }
         let line = match read_request_line(&mut reader, shared.config.max_request_bytes)? {
-            Line::Eof => return Ok(()),
+            Line::Eof => return finish(shared, &mut pending, None, &mut writer),
             Line::TooLong => {
                 cqa_obs::count!("serve.protocol_errors");
                 let message = format!(
                     "request exceeds {} bytes; closing connection",
                     shared.config.max_request_bytes
                 );
-                writeln!(writer, "{}", protocol::render_error("request", &message))?;
-                return writer.flush();
+                let response = protocol::render_error("request", &message);
+                return finish(shared, &mut pending, Some(&response), &mut writer);
             }
             Line::Request(bytes) => {
                 if first && looks_like_http(&bytes) {
@@ -311,111 +359,164 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) -> io::Result<()> {
         let n = request_no + 1;
         // One request, one response — and a panic anywhere in parsing or
         // dispatch becomes an error response, never a dead connection.
-        let dispatch = catch_unwind(AssertUnwindSafe(|| dispatch_line(shared, &line, n)))
-            .unwrap_or_else(|_| {
-                cqa_obs::count!("serve.handler_panics");
-                Dispatch::Respond(protocol::render_error(
-                    &format!("q{n}"),
-                    "internal error while handling the request",
-                ))
-            });
-        match dispatch {
-            Dispatch::Silent => {}
-            Dispatch::Respond(response) => {
-                request_no = n;
-                writeln!(writer, "{response}")?;
-                writer.flush()?;
+        let Some(request) = guarded(n, || parse_line(shared, &line, n)).transpose() else {
+            continue;
+        };
+        request_no = n;
+        let request = match request {
+            Ok(Request::Query { name, query }) => {
+                match guarded(n, || submit_query(shared, name, query, n)) {
+                    Ok(query) => {
+                        pending.push_back(query);
+                        continue;
+                    }
+                    Err(rejected) => Err(rejected),
+                }
             }
-            Dispatch::Close(response) => {
-                writeln!(writer, "{response}")?;
-                return writer.flush();
-            }
-        }
+            Ok(Request::Quit) => return finish(shared, &mut pending, Some("bye"), &mut writer),
+            other => other,
+        };
+        drain(shared, &mut pending, 0, &mut writer)?;
+        let response = request.and_then(|request| guarded(n, || run_request(shared, request, n)));
+        writeln!(writer, "{}", response.unwrap_or_else(|e| e))?;
     }
 }
 
-/// Parses and executes one request line; `n` is its 1-based request number
-/// on this connection (blank lines don't consume numbers).
-fn dispatch_line(shared: &Arc<Shared>, line: &[u8], n: usize) -> Dispatch {
+/// Writes the answers of pending queries, oldest first, until at most
+/// `keep` remain.
+fn drain(
+    shared: &Arc<Shared>,
+    pending: &mut VecDeque<PendingQuery>,
+    keep: usize,
+    writer: &mut impl Write,
+) -> io::Result<()> {
+    while pending.len() > keep {
+        let query = pending
+            .pop_front()
+            .expect("more than `keep` queries pending");
+        let response = guarded(query.n, || Ok(query.wait(shared))).unwrap_or_else(|e| e);
+        writeln!(writer, "{response}")?;
+    }
+    Ok(())
+}
+
+/// Ends the connection: every pending answer, then `last`, then a flush.
+fn finish(
+    shared: &Arc<Shared>,
+    pending: &mut VecDeque<PendingQuery>,
+    last: Option<&str>,
+    writer: &mut impl Write,
+) -> io::Result<()> {
+    drain(shared, pending, 0, writer)?;
+    if let Some(last) = last {
+        writeln!(writer, "{last}")?;
+    }
+    writer.flush()
+}
+
+/// Runs `f`, turning a panic into request `n`'s "internal error" response.
+/// `Err` carries the response line of a request that goes no further.
+fn guarded<T>(n: usize, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| {
+        cqa_obs::count!("serve.handler_panics");
+        Err(protocol::render_error(
+            &format!("q{n}"),
+            "internal error while handling the request",
+        ))
+    })
+}
+
+/// Parses one request line; `n` is its 1-based request number on this
+/// connection (blank lines, which parse to `None`, don't consume numbers).
+fn parse_line(shared: &Shared, line: &[u8], n: usize) -> Result<Option<Request>, String> {
     let Ok(text) = std::str::from_utf8(line) else {
         cqa_obs::count!("serve.protocol_errors");
-        return Dispatch::Respond(protocol::render_error(
+        return Err(protocol::render_error(
             &format!("q{n}"),
             "request is not valid UTF-8",
         ));
     };
-    match protocol::parse_request(&shared.schema, text, n) {
-        Ok(None) => Dispatch::Silent,
-        Err(e) => {
-            cqa_obs::count!("serve.protocol_errors");
-            Dispatch::Respond(protocol::render_error(&format!("q{n}"), &e))
+    let request = protocol::parse_request(&shared.schema, text, n).map_err(|e| {
+        cqa_obs::count!("serve.protocol_errors");
+        protocol::render_error(&format!("q{n}"), &e)
+    })?;
+    if request.is_some() {
+        cqa_obs::count!("serve.requests");
+    }
+    Ok(request)
+}
+
+/// Runs one request to completion; a query waits for its answer.
+fn run_request(shared: &Arc<Shared>, request: Request, n: usize) -> Result<String, String> {
+    match request {
+        Request::Query { name, query } => Ok(submit_query(shared, name, query, n)?.wait(shared)),
+        Request::Write(op) => execute_write(shared, &op, n),
+        Request::Subscribe { name, query } => {
+            let reading = (shared.epochs.subscribe(&name, &query))
+                .map_err(|e| protocol::render_error(&name, &e))?;
+            Ok(format!(
+                "ok: subscribed {name}, epoch {}, {} certain / {} possible",
+                reading.epoch, reading.certain, reading.possible
+            ))
         }
-        Ok(Some(request)) => {
-            cqa_obs::count!("serve.requests");
-            match request {
-                Request::Query { name, query } => {
-                    Dispatch::Respond(execute_query(shared, name, query))
-                }
-                Request::Write(op) => Dispatch::Respond(execute_write(shared, &op, n)),
-                Request::Subscribe { name, query } => {
-                    Dispatch::Respond(match shared.epochs.subscribe(&name, &query) {
-                        Ok(reading) => format!(
-                            "ok: subscribed {name}, epoch {}, {} certain / {} possible",
-                            reading.epoch, reading.certain, reading.possible
-                        ),
-                        Err(e) => protocol::render_error(&name, &e),
-                    })
-                }
-                Request::View { name } => Dispatch::Respond(match shared.epochs.view(&name) {
-                    Some(reading) => reading.line.clone(),
-                    None => protocol::render_error(&name, &format!("unknown view `{name}`")),
-                }),
-                Request::Stats => Dispatch::Respond(stats::stats_line(
-                    &shared.epochs.current(),
-                    shared.served.load(Ordering::Relaxed),
-                    shared.started,
-                    shared.admission.inflight(),
-                    shared.epochs.view_count(),
-                    shared.epochs.pinned_epochs(),
-                )),
-                Request::Epoch => Dispatch::Respond(format!("epoch: {}", shared.epochs.epoch())),
-                Request::Quit => Dispatch::Close("bye".to_string()),
-            }
-        }
+        Request::View { name } => match shared.epochs.view(&name) {
+            Some(reading) => Ok(reading.line.clone()),
+            None => Err(protocol::render_error(
+                &name,
+                &format!("unknown view `{name}`"),
+            )),
+        },
+        Request::Stats => Ok(stats::stats_line(shared)),
+        Request::Epoch => Ok(format!("epoch: {}", shared.epochs.epoch())),
+        Request::Quit => Ok("bye".to_string()),
     }
 }
 
-fn execute_write(shared: &Arc<Shared>, op: &WriteOp, n: usize) -> String {
+fn execute_write(shared: &Arc<Shared>, op: &WriteOp, n: usize) -> Result<String, String> {
     cqa_obs::count!("serve.writes");
-    match shared.epochs.apply_write(op) {
-        Ok(outcome) => {
-            let verb = if !outcome.changed {
-                "no-op"
-            } else {
-                match op {
-                    WriteOp::Insert(_) => "inserted",
-                    WriteOp::RemoveFact(_) => "removed",
-                    WriteOp::RemoveBlock(_) => "removed block",
-                }
-            };
-            format!("ok: {verb}, epoch {}", outcome.epoch)
+    let outcome = (shared.epochs.apply_write(op))
+        .map_err(|e| protocol::render_error(&format!("q{n}"), &e))?;
+    let verb = if !outcome.changed {
+        "no-op"
+    } else {
+        match op {
+            WriteOp::Insert(_) => "inserted",
+            WriteOp::RemoveFact(_) => "removed",
+            WriteOp::RemoveBlock(_) => "removed block",
         }
-        Err(e) => protocol::render_error(&format!("q{n}"), &e),
-    }
+    };
+    Ok(format!("ok: {verb}, epoch {}", outcome.epoch))
 }
 
-/// Admission control → pool dispatch → deadline-bounded wait.
-fn execute_query(shared: &Arc<Shared>, name: String, query: ConjunctiveQuery) -> String {
+/// An admitted query running on the pool; [`wait`](PendingQuery::wait)
+/// renders its response.
+struct PendingQuery {
+    /// The request number, for a panic's error response.
+    n: usize,
+    name: String,
+    token: Arc<CancelToken>,
+    deadline: Option<Instant>,
+    rx: mpsc::Receiver<BatchResult>,
+}
+
+/// Admission control → pool dispatch of request `n`. `Err` is the
+/// overload response.
+fn submit_query(
+    shared: &Arc<Shared>,
+    name: String,
+    query: ConjunctiveQuery,
+    n: usize,
+) -> Result<PendingQuery, String> {
     cqa_obs::count!("serve.queries");
     let Some(permit) = shared.admission.try_acquire() else {
-        return protocol::render_error(
+        return Err(protocol::render_error(
             &name,
             &format!(
                 "overloaded: {} queries in flight (limit {}); retry later",
                 shared.admission.inflight(),
                 shared.admission.max()
             ),
-        );
+        ));
     };
     let deadline = shared.config.deadline.map(|d| Instant::now() + d);
     let token = Arc::new(CancelToken::new(deadline));
@@ -433,38 +534,57 @@ fn execute_query(shared: &Arc<Shared>, name: String, query: ConjunctiveQuery) ->
             let result = answer_with_cancel(&shared, &name, &query, &token);
             // Release the slot before the client can see the answer: a
             // client that has read its response must never find its own
-            // finished query still counted against the limit.
+            // finished query still counted against the limit. Let go of the
+            // server too: a stream handler that has every answer drops it
+            // on its own thread.
             drop(permit);
+            drop(shared);
             let _ = tx.send(result);
         });
     }
-    let received = match deadline {
-        None => rx.recv().map_err(|_| RecvFailure::Panicked),
-        Some(deadline) => rx.recv_timeout(remaining(deadline)).map_err(|e| match e {
-            mpsc::RecvTimeoutError::Timeout => RecvFailure::DeadlineExceeded,
-            mpsc::RecvTimeoutError::Disconnected => RecvFailure::Panicked,
-        }),
-    };
-    match received {
-        Ok(result) => {
-            shared.served.fetch_add(1, Ordering::Relaxed);
-            cqa_obs::count!("serve.served");
-            protocol::render_result(&result)
-        }
-        Err(RecvFailure::DeadlineExceeded) => {
-            // Trip the token so the worker abandons the query at its next
-            // chunk boundary; its late result lands in a dropped channel.
-            token.cancel();
-            cqa_obs::count!("serve.deadline_exceeded");
-            let budget = shared.config.deadline.unwrap_or_default();
-            protocol::render_error(
-                &name,
-                &format!("deadline exceeded after {} ms", budget.as_millis()),
-            )
-        }
-        Err(RecvFailure::Panicked) => {
-            cqa_obs::count!("serve.query_panics");
-            protocol::render_error(&name, "query evaluation panicked")
+    Ok(PendingQuery {
+        n,
+        name,
+        token,
+        deadline,
+        rx,
+    })
+}
+
+impl PendingQuery {
+    /// Deadline-bounded wait for the answer, rendered as the response.
+    fn wait(self, shared: &Shared) -> String {
+        let received = match self.deadline {
+            None => self.rx.recv().map_err(|_| RecvFailure::Panicked),
+            Some(deadline) => self
+                .rx
+                .recv_timeout(remaining(deadline))
+                .map_err(|e| match e {
+                    mpsc::RecvTimeoutError::Timeout => RecvFailure::DeadlineExceeded,
+                    mpsc::RecvTimeoutError::Disconnected => RecvFailure::Panicked,
+                }),
+        };
+        match received {
+            Ok(result) => {
+                shared.served.fetch_add(1, Ordering::Relaxed);
+                cqa_obs::count!("serve.served");
+                protocol::render_result(&result)
+            }
+            Err(RecvFailure::DeadlineExceeded) => {
+                // Trip the token so the worker abandons the query at its next
+                // chunk boundary; its late result lands in a dropped channel.
+                self.token.cancel();
+                cqa_obs::count!("serve.deadline_exceeded");
+                let budget = shared.config.deadline.unwrap_or_default();
+                protocol::render_error(
+                    &self.name,
+                    &format!("deadline exceeded after {} ms", budget.as_millis()),
+                )
+            }
+            Err(RecvFailure::Panicked) => {
+                cqa_obs::count!("serve.query_panics");
+                protocol::render_error(&self.name, "query evaluation panicked")
+            }
         }
     }
 }
@@ -615,21 +735,32 @@ fn http_exchange(
     let version = parts.next().unwrap_or("");
     let mut content_length = 0usize;
     let mut connection = String::new();
-    for _ in 0..64 {
+    let mut headers = 0;
+    // Framing can't be trusted past a header that is too long, a 65th
+    // header, or a body length that doesn't parse: answer and close.
+    loop {
         match read_request_line(reader, 8 * 1024)? {
             Line::Request(header) if header.is_empty() => break,
+            Line::Request(_) if headers == 64 => {
+                http_response(writer, 431, "Request Header Fields Too Large", false)?;
+                return Ok(false);
+            }
             Line::Request(header) => {
+                headers += 1;
                 let header = String::from_utf8_lossy(&header);
                 if let Some((key, value)) = header.split_once(':') {
                     if key.trim().eq_ignore_ascii_case("content-length") {
-                        content_length = value.trim().parse().unwrap_or(0);
+                        let Ok(length) = value.trim().parse() else {
+                            http_response(writer, 400, "Bad Request", false)?;
+                            return Ok(false);
+                        };
+                        content_length = length;
                     } else if key.trim().eq_ignore_ascii_case("connection") {
                         connection = value.trim().to_ascii_lowercase();
                     }
                 }
             }
             Line::TooLong => {
-                // Framing can't be trusted past an oversized header: close.
                 http_response(writer, 431, "Request Header Fields Too Large", false)?;
                 return Ok(false);
             }
@@ -678,16 +809,11 @@ fn http_exchange(
             reader.read_exact(&mut body)?;
             let text = String::from_utf8_lossy(&body);
             let line = text.lines().next().unwrap_or("");
-            let response = match catch_unwind(AssertUnwindSafe(|| {
-                dispatch_line(shared, line.as_bytes(), 1)
-            })) {
-                Ok(Dispatch::Silent) => String::new(),
-                Ok(Dispatch::Respond(r) | Dispatch::Close(r)) => r,
-                Err(_) => {
-                    cqa_obs::count!("serve.handler_panics");
-                    protocol::render_error("q1", "internal error while handling the request")
-                }
-            };
+            let response = guarded(1, || match parse_line(shared, line.as_bytes(), 1)? {
+                Some(request) => run_request(shared, request, 1),
+                None => Ok(String::new()),
+            })
+            .unwrap_or_else(|e| e);
             http_response_body(writer, 200, "OK", &format!("{response}\n"), keep_alive)?;
             Ok(keep_alive)
         }

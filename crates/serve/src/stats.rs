@@ -1,28 +1,23 @@
-//! The one-line serving-stats rendering shared by the network server's
-//! `\stats` command and the CLI's stdin serve loop.
+//! The one-line serving-stats rendering of the `\stats` command.
 
-use cqa_par::BatchEngine;
-use std::time::Instant;
+use crate::server::Shared;
+use std::sync::atomic::Ordering;
 
 /// One serving-stats line: throughput, read latency percentiles (from the
 /// `par.batch.query_nanos` histogram) and effective-write latency
 /// percentiles (`serve.write_nanos`), cache hit rates, pool and epoch state,
-/// and what the writes cost the store (index patches applied, chunks and
-/// shards copied). `inflight` is the admission-control occupancy (0 for the stdin
-/// loop, which has no admission control); `views` counts registered
-/// materialized views and `pinned` the old epochs still held by slow
-/// readers (both 0 for the stdin loop, which has neither).
-pub fn stats_line(
-    engine: &BatchEngine,
-    served: usize,
-    started: Instant,
-    inflight: usize,
-    views: usize,
-    pinned: usize,
-) -> String {
-    engine.pool().record_metrics();
+/// admission occupancy, registered views, old epochs still pinned by slow
+/// readers, and what the writes cost the store (index patches applied,
+/// chunks and shards copied).
+pub(crate) fn stats_line(shared: &Shared) -> String {
+    let engine = shared.epochs.current();
+    let served = shared.served.load(Ordering::Relaxed);
+    let inflight = shared.admission.inflight();
+    let views = shared.epochs.view_count();
+    let pinned = shared.epochs.pinned_epochs();
+    shared.pool.record_metrics();
     let snapshot = cqa_obs::Registry::global().snapshot();
-    let qps = served as f64 / started.elapsed().as_secs_f64().max(1e-9);
+    let qps = served as f64 / shared.started.elapsed().as_secs_f64().max(1e-9);
     let percentiles_ms = |histogram: &str| {
         snapshot
             .histogram(histogram)
@@ -51,7 +46,7 @@ pub fn stats_line(
          store copies {} chunks / {} shards",
         rate("exec.plan_cache"),
         rate("par.batch.engine"),
-        engine.pool().steals(),
+        shared.pool.steals(),
         engine.epoch(),
         snapshot.counter("data.index.delta_applied"),
         snapshot.counter("data.index.delta_fallback_rebuild"),
@@ -63,15 +58,38 @@ pub fn stats_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{parse_request, Request};
+    use crate::ServerConfig;
     use cqa_data::{Schema, UncertainDatabase};
-    use cqa_par::ParPool;
 
     #[test]
     fn stats_lines_render_every_field() {
         let schema = Schema::from_relations([("R", 2, 1)]).unwrap().into_shared();
-        let db = UncertainDatabase::new(schema);
-        let engine = BatchEngine::new(db.snapshot(), ParPool::new(1));
-        let line = stats_line(&engine, 42, Instant::now(), 3, 2, 1);
+        let shared = Shared::new(
+            UncertainDatabase::new(schema.clone()),
+            ServerConfig {
+                threads: Some(1),
+                ..ServerConfig::default()
+            },
+        );
+        let request = |line: &str| parse_request(&schema, line, 1).unwrap().unwrap();
+        shared.served.store(42, Ordering::Relaxed);
+        let _permits: Vec<_> = (0..3)
+            .map(|_| shared.admission.try_acquire().unwrap())
+            .collect();
+        for name in ["a", "b"] {
+            let Request::Subscribe { query, .. } = request("\\subscribe v R(x, y)") else {
+                panic!("expected a subscription");
+            };
+            shared.epochs.subscribe(name, &query).unwrap();
+        }
+        // A reader holding epoch 0 across a write pins it.
+        let _pinned = shared.epochs.current();
+        let Request::Write(op) = request("\\insert R(a, 1)") else {
+            panic!("expected a write");
+        };
+        shared.epochs.apply_write(&op).unwrap();
+        let line = stats_line(&shared);
         assert!(
             line.starts_with("stats: 42 served, 3 in flight, "),
             "{line}"
@@ -80,7 +98,7 @@ mod tests {
         assert!(line.contains("p99"), "{line}");
         assert!(line.contains(", write p50 "), "{line}");
         assert!(line.contains(" chunks / "), "{line}");
-        assert!(line.contains("epoch 0"), "{line}");
+        assert!(line.contains("epoch 1"), "{line}");
         assert!(line.contains("views 2, pinned epochs 1"), "{line}");
     }
 }

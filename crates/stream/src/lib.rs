@@ -20,7 +20,7 @@
 //!   folded into one relation-wide entry so provenance stays O(1) per atom
 //!   — with reverse indexes from block key and relation to dependent
 //!   candidates.
-//! * [`ViewMaintainer`] — consumes the `cqa_data` delta log
+//! * [`ViewMaintainer`] — consumes the changes a write recorded
 //!   ([`cqa_data::ChangeSet`]: fact inserts, fact removals, block removals)
 //!   and repairs the view **incrementally**: only candidates whose
 //!   provenance intersects the touched blocks are re-decided, new

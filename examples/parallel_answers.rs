@@ -1,18 +1,22 @@
-//! The parallel batch certainty engine, end to end.
+//! `certainty serve`'s pipeline, end to end, in process.
 //!
-//! Generates a few thousand uncertain conference facts, freezes them into a
-//! snapshot, and answers a batch of queries concurrently with `BatchEngine`
-//! — one pool job per query over the one frozen snapshot, results in input
-//! order (the `certainty serve` story) — then asserts that every result
-//! equals the sequential engine's.
+//! Generates a few thousand uncertain conference facts and pipes a script
+//! of protocol lines through `cqa_serve::serve_stream` — the connection
+//! handler `certainty serve` runs on stdin/stdout. The handler submits the
+//! buffered queries to its work-stealing pool together, each one job over
+//! the same frozen epoch, and writes the responses in request order; then
+//! every response line is asserted equal to the sequential engine's answer,
+//! rendered the same way.
 //!
 //! Run with `cargo run --release --example parallel_answers`.
 
 use cqa::core::answers::certain_answers;
 use cqa::core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa::gen::{GeneratorConfig, UncertainDbGenerator};
-use cqa::par::{BatchEngine, BatchOutcome, ParPool};
-use cqa::query::{catalog, ConjunctiveQuery, Term, Variable};
+use cqa::par::{BatchOutcome, BatchResult};
+use cqa::parser::parse_query_line;
+use cqa::query::catalog;
+use cqa::serve::{render_result, serve_stream, ServerConfig};
 
 fn main() {
     // The Figure 1 conference query, scaled up: ~600 match groups with
@@ -43,64 +47,41 @@ fn main() {
         db.fact_count(),
         db.block_count()
     );
-    let which = ConjunctiveQuery::builder(boolean.schema().clone())
-        .atom(
-            "C",
-            [Term::var("x"), Term::var("y"), Term::constant("Rome")],
-        )
-        .atom("R", [Term::var("x"), Term::constant("A")])
-        .free([Variable::new("x")])
-        .build()
-        .expect("valid query");
 
-    // Freeze the data: every query of the batch sees this exact state,
-    // however the writer mutates `db` afterwards.
-    let pool = ParPool::with_available_parallelism();
-    println!("pool: {} worker threads", pool.thread_count());
-    let batch_engine = BatchEngine::new(db.snapshot(), pool);
-    let batch: Vec<(String, ConjunctiveQuery)> = vec![
-        ("rome".into(), boolean.clone()),
-        ("which".into(), which.clone()),
-        ("rome-again".into(), boolean.clone()), // hits the engine cache
+    // One worker per hardware thread; the three lines are in flight at once.
+    let script = [
+        r#"rome :- C(x, y, "Rome"), R(x, "A")"#,
+        r#"which(x) :- C(x, y, "Rome"), R(x, "A")"#,
+        r#"rome-again :- C(x, y, "Rome"), R(x, "A")"#, // hits the engine memo
     ];
-    let results = batch_engine.run(batch);
-    for result in &results {
-        println!("batch {}: {}", result.name, summarize(&result.outcome));
-    }
-    println!(
-        "classified engines memoized: {}",
-        batch_engine.cached_engine_count()
-    );
+    let mut output = Vec::new();
+    serve_stream(
+        db.clone(),
+        ServerConfig::default(),
+        (script.join("\n") + "\n").as_bytes(),
+        &mut output,
+    )
+    .expect("an in-memory stream cannot fail");
+    let responses = String::from_utf8(output).expect("responses are UTF-8");
+    print!("{responses}");
 
-    // The contract: in input order, and identical to the sequential path.
-    let engine = CertaintyEngine::new(&boolean).expect("Theorem 1 query");
-    let rome = BatchOutcome::Boolean {
-        certain: engine.is_certain(&db),
-        possible: engine.is_possible(&db),
-        solver: engine.solver_name(),
-    };
-    let which_sets = BatchOutcome::Answers(certain_answers(&which, &db).expect("answerable query"));
-    let expected = [
-        ("rome", &rome),
-        ("which", &which_sets),
-        ("rome-again", &rome),
-    ];
-    assert_eq!(results.len(), expected.len());
-    for (result, (name, outcome)) in results.iter().zip(expected) {
-        assert_eq!(result.name, name);
-        assert_eq!(format!("{:?}", result.outcome), format!("{outcome:?}"));
-    }
-    println!("batch == sequential: ok");
-}
-
-fn summarize(outcome: &BatchOutcome) -> String {
-    match outcome {
-        BatchOutcome::Boolean {
-            certain, solver, ..
-        } => format!("certain={certain} via {solver}"),
-        BatchOutcome::Answers(sets) => {
-            format!("{}/{} certain", sets.certain.len(), sets.possible.len())
-        }
-        BatchOutcome::Error(e) => format!("error: {e}"),
-    }
+    // The contract: in request order, and identical to the sequential path.
+    let expected: Vec<String> = (script.iter().enumerate())
+        .map(|(i, line)| {
+            let (name, query) = parse_query_line(db.schema(), line, i + 1).expect("valid query");
+            let outcome = if query.is_boolean() {
+                let engine = CertaintyEngine::new(&query).expect("Theorem 1 query");
+                BatchOutcome::Boolean {
+                    certain: engine.is_certain(&db),
+                    possible: engine.is_possible(&db),
+                    solver: engine.solver_name(),
+                }
+            } else {
+                BatchOutcome::Answers(certain_answers(&query, &db).expect("answerable query"))
+            };
+            render_result(&BatchResult { name, outcome })
+        })
+        .collect();
+    assert_eq!(responses.lines().collect::<Vec<_>>(), expected);
+    println!("stream == sequential: ok");
 }

@@ -25,8 +25,9 @@
 //! * [`gen`] — seeded workload and instance generators;
 //! * [`parser`] — a small text format plus DOT export;
 //! * [`stream`] — materialized certain-answer views with block-level
-//!   provenance, repaired incrementally from the mutation delta log;
-//! * [`serve`] — the concurrent TCP/HTTP server: epoch snapshots,
+//!   provenance, repaired incrementally from the changes each write records;
+//! * [`serve`] — the concurrent TCP/HTTP server (and its connection handler
+//!   over any byte stream, e.g. stdin/stdout): epoch snapshots,
 //!   admission control, per-query deadlines, materialized views,
 //!   `/metrics`.
 //!

@@ -8,20 +8,12 @@ use cqa::core::fo::eval::evaluate_sentence;
 use cqa::core::solvers::{CertaintyEngine, CertaintySolver, ExactOracle, RewritingSolver};
 use cqa::exec::{ExecMode, FoPlan, QueryPlan};
 use cqa::gen::{random_acyclic_query, GeneratorConfig, UncertainDbGenerator};
-use cqa::par::{BatchEngine, BatchOutcome, ParPool};
+use cqa::par::{BatchOutcome, BatchResult};
 use cqa::prob::eval::{probability_exact, probability_over_repairs};
 use cqa::prob::{is_safe, BidDatabase};
 use cqa::query::{catalog, eval, gyo, join_tree, purify};
+use cqa::serve::{render_result, serve_stream, ServerConfig};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-
-/// Shared worker pools for the parallel-agreement suite: 1 thread (the
-/// degenerate case), 2, and 7 (odd, and more workers than most batches
-/// have jobs).
-fn shared_pools() -> &'static Vec<ParPool> {
-    static POOLS: OnceLock<Vec<ParPool>> = OnceLock::new();
-    POOLS.get_or_init(|| [1usize, 2, 7].into_iter().map(ParPool::new).collect())
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -286,26 +278,30 @@ proptest! {
 proptest! {
     // 256 cases: the served parallel path is cross-checked against the
     // sequential one on well over 200 randomized generator instances per
-    // run, at every pool size (1, 2 and 7 threads: one worker runs the batch
-    // in order, two split five jobs unevenly, seven outnumber them).
+    // run, at every pool size (1, 2 and 7 threads: the whole buffered
+    // script is in flight at once, so one worker runs it in order, two
+    // finish its five queries unevenly, seven outnumber them).
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Parallel and sequential evaluation agree **exactly**:
-    /// `BatchEngine::run` answers one mixed batch — the Boolean query, its
-    /// free-`x` variant, a self-join query, and a repeat of the first two
-    /// (classified-engine memo hits) — one pool job per query, and every
-    /// slot comes back in input order equal to the sequential
+    /// Parallel and sequential evaluation agree **exactly**: one mixed
+    /// script — the Boolean query, its free-`x` variant, a self-join query,
+    /// and a repeat of the first two (classified-engine memo hits) — goes
+    /// through `serve_stream` as protocol lines, where the handler pipelines
+    /// the buffered queries onto the pool, and every response line comes
+    /// back in request order equal to `render_result` of the sequential
     /// `CertaintyEngine` verdicts and solver / `certain_answers` sets, at
-    /// every thread count. The self-join query fails in its own slot
+    /// every thread count. The self-join query fails on its own line
     /// without disturbing the others.
     #[test]
     fn parallel_evaluation_agrees_with_sequential(seed in 0u64..100_000, which in 0usize..3) {
-        let entry = match which {
-            0 => catalog::conference(),
-            1 => catalog::fo_path2(),
-            _ => catalog::fo_path3(),
+        let (entry, body) = match which {
+            0 => (catalog::conference(), r#"C(x, y, "Rome"), R(x, "A")"#),
+            1 => (catalog::fo_path2(), "R(x, y), S(y, z)"),
+            _ => (catalog::fo_path3(), "R(x, y), S(y, z), T(z, w)"),
         };
         let q = entry.query;
+        let (_, spelled) = cqa::parser::parse_query_line(q.schema(), body, 1).unwrap();
+        prop_assert_eq!(spelled.to_string(), q.to_string(), "the script spells the catalog query");
         let db = UncertainDbGenerator::new(&q, GeneratorConfig {
             seed,
             matches: 1 + (seed % 5) as usize,
@@ -313,7 +309,6 @@ proptest! {
             extra_block_facts: (seed % 3) as usize,
             alternative_join_probability: 0.6,
         }).generate();
-        let snapshot = db.snapshot();
 
         // Non-Boolean: free the first variable, compare full answer sets.
         let free_q = cqa::query::ConjunctiveQuery::with_free_vars(
@@ -321,44 +316,56 @@ proptest! {
             q.atoms().to_vec(),
             vec![cqa::query::Variable::new("x")],
         ).unwrap();
-        // Every catalog schema here has a binary `R`.
-        let self_join = cqa::query::ConjunctiveQuery::builder(q.schema().clone())
-            .atom("R", [cqa::query::Term::var("x"), cqa::query::Term::var("y")])
-            .atom("R", [cqa::query::Term::var("y"), cqa::query::Term::var("z")])
-            .build().unwrap();
         let engine = CertaintyEngine::new(&q).unwrap();
-        let boolean = format!(
-            "{:?}",
-            BatchOutcome::Boolean {
-                certain: engine.is_certain(&db),
-                possible: engine.is_possible(&db),
-                solver: engine.solver_name(),
-            }
-        );
-        let answers = format!(
-            "{:?}",
-            BatchOutcome::Answers(cqa::core::answers::certain_answers(&free_q, &db).unwrap())
-        );
-        let batch = [
-            ("b", &q, Some(&boolean)),
-            ("f", &free_q, Some(&answers)),
-            ("self-join", &self_join, None),
-            ("b-again", &q, Some(&boolean)),
-            ("f-again", &free_q, Some(&answers)),
-        ];
-        for pool in shared_pools() {
-            let results = BatchEngine::new(snapshot.clone(), pool.clone()).run(
-                batch.iter().map(|(name, query, _)| (name.to_string(), (*query).clone())).collect(),
+        let sets = cqa::core::answers::certain_answers(&free_q, &db).unwrap();
+        // A response line shows the possible answers only as a count: hold
+        // the sets themselves to the reference evaluator and to the
+        // per-candidate verdicts.
+        prop_assert_eq!(&sets.possible, &eval::answers(&db, &free_q));
+        let free = free_q.free_vars().to_vec();
+        for tuple in &sets.possible {
+            prop_assert_eq!(
+                sets.certain.contains(tuple),
+                tuple_is_certain(&free_q, &free, tuple, &db).unwrap()
             );
-            prop_assert_eq!(results.len(), batch.len());
-            for (result, (name, _, expected)) in results.iter().zip(&batch) {
-                prop_assert_eq!(&result.name, name,
-                    "slot order at {} threads, {} seed {}", pool.thread_count(), entry.name, seed);
+        }
+        let line = |name: &str, outcome: BatchOutcome| {
+            render_result(&BatchResult { name: name.to_string(), outcome })
+        };
+        let boolean = |name: &str| line(name, BatchOutcome::Boolean {
+            certain: engine.is_certain(&db),
+            possible: engine.is_possible(&db),
+            solver: engine.solver_name(),
+        });
+        let answers = |name: &str| line(name, BatchOutcome::Answers(sets.clone()));
+        // Every catalog schema here has a binary `R`.
+        let script = [
+            format!("b :- {body}"),
+            format!("f(x) :- {body}"),
+            "self-join :- R(x, y), R(y, z)".to_string(),
+            format!("b-again :- {body}"),
+            format!("f-again(x) :- {body}"),
+        ].join("\n") + "\n";
+        let expected = [
+            Some(boolean("b")),
+            Some(answers("f")),
+            None,
+            Some(boolean("b-again")),
+            Some(answers("f-again")),
+        ];
+        for threads in [1, 2, 7] {
+            let config = ServerConfig { threads: Some(threads), ..ServerConfig::default() };
+            let mut output = Vec::new();
+            serve_stream(db.clone(), config, script.as_bytes(), &mut output).unwrap();
+            let output = String::from_utf8(output).unwrap();
+            let responses: Vec<&str> = output.lines().collect();
+            prop_assert_eq!(responses.len(), expected.len(), "{}", output);
+            for (response, expected) in responses.iter().zip(&expected) {
                 match expected {
-                    Some(expected) => prop_assert_eq!(&format!("{:?}", result.outcome), *expected,
-                        "{} at {} threads, {} seed {}", name, pool.thread_count(), entry.name, seed),
-                    None => prop_assert!(matches!(result.outcome, BatchOutcome::Error(_)),
-                        "{} at {} threads: {:?}", name, pool.thread_count(), result.outcome),
+                    Some(expected) => prop_assert_eq!(*response, expected.as_str(),
+                        "at {} threads, {} seed {}", threads, entry.name, seed),
+                    None => prop_assert!(response.starts_with("self-join: error: "),
+                        "at {} threads: {}", threads, response),
                 }
             }
         }

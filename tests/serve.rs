@@ -20,13 +20,13 @@ use cqa::core::answers::certain_answers;
 use cqa::data::Schema;
 use cqa::par::{BatchEngine, BatchOutcome, BatchResult, ParPool};
 use cqa::parser::parse_document;
-use cqa::serve::{protocol, Request, Server, ServerConfig, ServerHandle, WriteOp};
+use cqa::serve::{protocol, serve_stream, Request, Server, ServerConfig, ServerHandle, WriteOp};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Watchdog for client reads: loud failure instead of a hung test. No test
@@ -59,8 +59,11 @@ impl Client {
         }
     }
 
+    /// Sends `line` in one write: a server that closes after a partial read
+    /// must find nothing of it still in flight, or the close arrives as a
+    /// reset instead of an end of stream.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send request");
+        (self.writer.write_all(format!("{line}\n").as_bytes())).expect("send request");
     }
 
     fn recv(&mut self) -> String {
@@ -643,12 +646,14 @@ impl Gate {
         }
     }
 
-    /// Test side: block until `n` queries have reached the gate.
-    fn await_parked(&self, n: usize) {
-        let mut state = self.state.lock().expect("gate lock");
-        while state.0 < n {
-            state = self.cv.wait(state).expect("gate wait");
-        }
+    /// Test side: block until `n` queries have reached the gate, or the
+    /// watchdog fires; returns how many did.
+    fn await_parked(&self, n: usize) -> usize {
+        let state = self.state.lock().expect("gate lock");
+        let (state, _) = (self.cv)
+            .wait_timeout_while(state, WATCHDOG, |state| state.0 < n)
+            .expect("gate wait");
+        state.0
     }
 
     /// Test side: release every parked (and future) query.
@@ -705,7 +710,7 @@ fn saturated_server_rejects_overload_promptly() {
 
     let mut holder = Client::connect(handle.addr());
     holder.send(slow); // parks at the gate holding the only slot
-    gate.await_parked(1);
+    assert_eq!(gate.await_parked(1), 1);
     let mut rejected = Client::connect(handle.addr());
     assert_eq!(
         rejected.ask(fast),
@@ -755,6 +760,48 @@ fn a_finished_query_never_counts_against_the_limit() {
         );
     }
     assert!(client.ask("\\stats").contains(", 0 in flight,"));
+    handle.shutdown();
+}
+
+/// Connections share admission, so a connection that pipelines holds one
+/// slot at a time: under `max_inflight = 2`, a client that sends three
+/// queries in one write leaves room for another connection's query, and
+/// still gets its three answers in request order.
+#[test]
+fn a_pipelining_connection_holds_one_admission_slot() {
+    let doc = parse_document(&serving_document()).expect("parse document");
+    let gate = Gate::closed();
+    let handle = start(
+        doc.database.clone(),
+        ServerConfig {
+            max_inflight: 2,
+            ..gated_config(&gate)
+        },
+    );
+    let reference = BatchEngine::new(doc.database.snapshot(), ParPool::new(1));
+    let expected = |line: &str, n: usize| {
+        expected_response(&doc.schema, &reference, line, n).expect("reference")
+    };
+    let lines = [
+        "rome :- C(x, y, \"Rome\")",
+        "paris(x) :- C(x, y, \"Paris\")",
+        "ranked :- R(x, \"A\")",
+    ];
+    let mut pipelining = Client::connect(handle.addr());
+    let script = format!("{}\n", lines.join("\n"));
+    (pipelining.writer.write_all(script.as_bytes())).expect("send script");
+    assert_eq!(gate.await_parked(1), 1);
+    // Had the first connection read ahead, its queries would hold both
+    // slots and this one would be answered `overloaded`.
+    let mut other = Client::connect(handle.addr());
+    other.send(lines[1]);
+    assert_eq!(gate.await_parked(2), 2);
+    gate.open();
+    assert_eq!(other.recv(), expected(lines[1], 1));
+    for (i, line) in lines.iter().enumerate() {
+        assert_eq!(pipelining.recv(), expected(line, i + 1));
+    }
+    assert_eq!(handler_panics(), 0);
     handle.shutdown();
 }
 
@@ -926,6 +973,29 @@ fn http_endpoints_serve_metrics_and_queries() {
         response.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
         "{response}"
     );
+    // A body length that does not parse breaks framing: 400 and close, and
+    // the unread body is never served as a second request.
+    let response = http_exchange(
+        addr,
+        b"POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: twelve\r\n\r\nGET /metrics HTTP/1.1\r\n\r\n",
+    );
+    assert!(
+        response.starts_with("HTTP/1.1 400 Bad Request\r\n"),
+        "{response}"
+    );
+    assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
+    // So does a 65th header line: 431 and close.
+    let mut request = b"GET /metrics HTTP/1.1\r\n".to_vec();
+    for i in 0..65 {
+        request.extend_from_slice(format!("X-Filler-{i}: y\r\n").as_bytes());
+    }
+    request.extend_from_slice(b"\r\n");
+    let response = http_exchange(addr, &request);
+    assert!(
+        response.starts_with("HTTP/1.1 431 Request Header Fields Too Large\r\n"),
+        "{response}"
+    );
+    assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
     assert_eq!(handler_panics(), 0);
     handle.shutdown();
 }
@@ -1045,4 +1115,137 @@ fn views_are_served_over_both_protocols() {
     );
     assert_eq!(handler_panics(), 0);
     handle.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// One front door: the stream transport
+// ---------------------------------------------------------------------------
+
+/// `serve_stream` (what `certainty serve` runs on stdin/stdout) and a TCP
+/// connection are one handler: the same script gets byte-identical
+/// responses, writes and views included, and `\quit` ends both.
+#[test]
+fn the_stream_transport_answers_exactly_like_tcp() {
+    let doc = parse_document(&serving_document()).expect("parse document");
+    let script = [
+        "certain rome :- C(x, y, \"Rome\"), R(x, \"A\")",
+        "which(x) :- C(x, y, \"Rome\"), R(x, \"A\")",
+        "broken((",
+        "\\subscribe rome which(x) :- C(x, y, \"Rome\")",
+        "\\insert C(PODS, 2020, Rome)",
+        "\\view rome",
+        "which(x) :- C(x, y, \"Rome\"), R(x, \"A\")",
+        "\\remove-block C(PODS, 2020, Rome)",
+        "\\epoch",
+        "\\frobnicate",
+        "\\quit",
+    ];
+    let config = || ServerConfig {
+        threads: Some(2),
+        ..ServerConfig::default()
+    };
+    let handle = start(doc.database.clone(), config());
+    let mut client = Client::connect(handle.addr());
+    let over_tcp: Vec<String> = script.iter().map(|line| client.ask(line)).collect();
+    client.expect_eof();
+    handle.shutdown();
+
+    // A request after `\quit` is never read.
+    let input = format!("{}\n\\epoch\n", script.join("\n"));
+    let mut output = Vec::new();
+    serve_stream(doc.database, config(), input.as_bytes(), &mut output).expect("in-memory stream");
+    let output = String::from_utf8(output).expect("responses are UTF-8");
+    assert_eq!(output.lines().collect::<Vec<_>>(), over_tcp);
+    assert!(
+        over_tcp[4].starts_with("ok: inserted, epoch "),
+        "{over_tcp:?}"
+    );
+    assert_eq!(over_tcp.last().map(String::as_str), Some("bye"));
+    assert_eq!(handler_panics(), 0);
+}
+
+/// A query abandoned at its deadline outlives `serve_stream`, so its pool
+/// job holds the last handle on the server and drops the pool on its own
+/// worker once released. That must neither panic nor hang: the hook's
+/// sentinel is dropped with the server, and reports whether it was dropped
+/// while unwinding.
+#[test]
+fn a_query_abandoned_at_its_deadline_outlives_the_stream_quietly() {
+    struct Sentinel(mpsc::Sender<bool>);
+    impl Drop for Sentinel {
+        fn drop(&mut self) {
+            let _ = self.0.send(std::thread::panicking());
+        }
+    }
+    let doc = parse_document(&serving_document()).expect("parse document");
+    let gate = Gate::closed();
+    let (dropped, dropped_rx) = mpsc::channel();
+    let sentinel = Sentinel(dropped);
+    let hook_gate = gate.clone();
+    let config = ServerConfig {
+        threads: Some(2),
+        deadline: Some(Duration::from_millis(1)),
+        on_query_start: Some(Arc::new(move |_token| {
+            let _held = &sentinel;
+            hook_gate.enter();
+        })),
+        ..ServerConfig::default()
+    };
+    let input = "slow :- C(x, y, \"Rome\")\n";
+    let mut output = Vec::new();
+    serve_stream(doc.database, config, input.as_bytes(), &mut output).expect("in-memory stream");
+    assert_eq!(
+        String::from_utf8(output).expect("responses are UTF-8"),
+        "slow: error: deadline exceeded after 1 ms\n"
+    );
+    // The stream has ended; the query is parked or still queued.
+    gate.open();
+    let panicking =
+        (dropped_rx.recv_timeout(WATCHDOG)).expect("the pool job lets go of the server");
+    assert!(
+        !panicking,
+        "dropping the last server handle on a pool worker panicked"
+    );
+    assert_eq!(handler_panics(), 0);
+}
+
+/// Query lines already buffered on one stream are in flight together — all
+/// `K` reach the gate before any is answered — and their responses still
+/// come back in request order.
+#[test]
+fn buffered_queries_run_together_and_answer_in_request_order() {
+    const K: usize = 4;
+    let doc = parse_document(&serving_document()).expect("parse document");
+    let reference = BatchEngine::new(doc.database.snapshot(), ParPool::new(1));
+    let lines: Vec<String> = (0..K)
+        .map(|i| format!("city{i}(x) :- C(x, y, \"city{i}\")"))
+        .collect();
+    let gate = Gate::closed();
+    let config = ServerConfig {
+        threads: Some(K),
+        ..gated_config(&gate)
+    };
+    let (db, input) = (doc.database.clone(), lines.join("\n") + "\n");
+    let mut output = Vec::new();
+    let parked = std::thread::scope(|s| {
+        let server = s.spawn(|| serve_stream(db, config, input.as_bytes(), &mut output));
+        let parked = gate.await_parked(K);
+        gate.open();
+        server
+            .join()
+            .expect("stream thread")
+            .expect("in-memory stream");
+        parked
+    });
+    assert_eq!(
+        parked, K,
+        "buffered queries are submitted before any is answered"
+    );
+    let expected: Vec<String> = (lines.iter().enumerate())
+        .map(|(i, line)| {
+            expected_response(&doc.schema, &reference, line, i + 1).expect("reference")
+        })
+        .collect();
+    let output = String::from_utf8(output).expect("responses are UTF-8");
+    assert_eq!(output.lines().collect::<Vec<_>>(), expected);
 }
