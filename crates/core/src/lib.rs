@@ -20,6 +20,8 @@
 //!   (rewriting-based, Theorem 3, Theorem 4 / Corollary 1, the two-atom base
 //!   case, and an exact exponential oracle used as the coNP baseline),
 //!   plus the [`solvers::CertaintyEngine`] dispatcher;
+//! * [`purify`](mod@purify) — Lemma 1 purification, which every solver runs
+//!   first;
 //! * [`reductions`] — the polynomial-time reductions used in the paper
 //!   (the `θ̂` construction of Theorem 2 and the all-key padding of Lemma 9);
 //! * [`answers`] — certain answers to non-Boolean queries.
@@ -31,6 +33,7 @@ pub mod answers;
 pub mod attack;
 pub mod classify;
 pub mod fo;
+pub mod purify;
 pub mod reductions;
 pub mod solvers;
 

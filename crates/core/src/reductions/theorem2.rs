@@ -27,8 +27,10 @@
 //! hard instances for arbitrary strong-cycle queries.
 
 use crate::attack::{AttackGraph, CycleAnalysis};
+use crate::purify::purify;
 use cqa_data::{Fact, UncertainDatabase, Value};
-use cqa_query::{catalog, eval, purify, ConjunctiveQuery, QueryError, Valuation, Variable};
+use cqa_exec::QueryPlan;
+use cqa_query::{catalog, ConjunctiveQuery, QueryError, Valuation, Variable};
 
 /// The Theorem 2 reduction for a fixed target query `q`.
 pub struct Theorem2Reduction {
@@ -133,8 +135,11 @@ impl Theorem2Reduction {
     /// instance of `CERTAINTY(target)` with the same (non-)membership.
     pub fn apply(&self, db0: &UncertainDatabase) -> UncertainDatabase {
         // The construction assumes a purified source instance (Lemma 1).
-        let db0 = purify::purify(db0, &self.q0);
-        let valuations = eval::all_valuations(&db0, &self.q0);
+        let (db0, _) = purify(db0, &self.q0);
+        let index = db0.index();
+        let valuations = QueryPlan::compile(&self.q0, Some(index.statistics()))
+            .prepare(&index)
+            .all_valuations();
         let mut facts: Vec<Fact> = Vec::new();
         for theta in &valuations {
             let lifted = self.lift(theta);
@@ -218,8 +223,9 @@ mod tests {
             &[("a", "b"), ("a", "e"), ("a2", "b")],
             &[("b", "c", "a"), ("e", "c", "a"), ("b", "c", "a2")],
         );
-        let purified = purify::purify(&db0, reduction.source_query());
-        let valuations = eval::all_valuations(&purified, reduction.source_query());
+        let (purified, _) = purify(&db0, reduction.source_query());
+        let valuations =
+            cqa_query::eval::naive::all_valuations(&purified, reduction.source_query());
         let db = reduction.apply(&db0);
         // At most |V| facts per atom of the target query.
         assert!(db.fact_count() <= valuations.len() * target.len());

@@ -19,11 +19,12 @@
 //! a k-cycle that is not forbidden or an elementary cycle longer than `k`.
 
 use super::CertaintySolver;
+use crate::purify::purify;
 use cqa_data::{FxHashMap, FxHashSet, UncertainDatabase, Value};
 use cqa_graph::paths::{for_each_cycle_of_length, has_elementary_cycle_longer_than};
 use cqa_graph::scc::strongly_connected_components;
 use cqa_graph::{DiGraph, NodeId};
-use cqa_query::{purify, AtomId, ConjunctiveQuery, QueryError, Term, Variable};
+use cqa_query::{AtomId, ConjunctiveQuery, QueryError, Term, Variable};
 
 /// The detected shape of a `C(k)` / `AC(k)` query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -272,7 +273,7 @@ impl CertaintySolver for CycleQuerySolver {
     }
 
     fn is_certain(&self, db: &UncertainDatabase) -> bool {
-        let purified = purify::purify(db, &self.query);
+        let (purified, _) = purify(db, &self.query);
         if purified.is_empty() {
             return false;
         }

@@ -18,8 +18,9 @@
 //! still-undecided blocks do not satisfy `q` already *is* a falsifying branch.
 
 use super::CertaintySolver;
+use crate::purify::purify;
 use cqa_data::{Fact, UncertainDatabase};
-use cqa_query::{eval, purify, ConjunctiveQuery, QueryError};
+use cqa_query::{eval, ConjunctiveQuery, QueryError, Valuation};
 
 /// Exact (worst-case exponential) certainty check by falsifying-repair search.
 pub struct ExactOracle {
@@ -50,25 +51,11 @@ impl ExactOracle {
         if self.query.is_empty() {
             return None; // The empty query is satisfied by every repair.
         }
-        // Purify as in Lemma 1, but remember the unsupported witness fact of
-        // every removed block: the lemma's proof extends a falsifying repair
-        // of the purified database with exactly those facts (in reverse
-        // removal order) to obtain a falsifying repair of the original.
-        let mut purified = db.clone();
-        let mut removed_witnesses: Vec<Fact> = Vec::new();
-        loop {
-            let doomed = purified
-                .facts()
-                .find(|f| !purify::supports(&purified, &self.query, f))
-                .cloned();
-            match doomed {
-                Some(fact) => {
-                    removed_witnesses.push(fact.clone());
-                    purified.remove_block_of(&fact);
-                }
-                None => break,
-            }
-        }
+        // Purify (Lemma 1), keeping one irrelevant witness fact per removed
+        // block: the lemma's proof extends a falsifying repair of the
+        // purified database with exactly those facts to a falsifying repair
+        // of the original.
+        let (purified, removed_witnesses) = purify(db, &self.query);
 
         // Blocks ordered largest-first: inconsistent blocks carry the choice.
         let mut blocks: Vec<Vec<Fact>> = purified.blocks().map(|b| b.facts().to_vec()).collect();
@@ -84,10 +71,21 @@ impl ExactOracle {
             let candidate = db.with_facts(facts);
             debug_assert!(candidate.is_consistent());
             debug_assert_eq!(candidate.block_count(), db.block_count());
-            debug_assert!(!eval::satisfies(&candidate, &self.query));
+            debug_assert!(!eval::naive::satisfies(&candidate, &self.query));
             return Some(candidate);
         }
         None
+    }
+
+    /// True iff some valuation image of the query on `db` contains `fact`.
+    /// Decided by the naive evaluator: `db` is tiny and mutated at every
+    /// search node, so an index snapshot would be rebuilt per probe.
+    fn supports(&self, db: &UncertainDatabase, fact: &Fact) -> bool {
+        let schema = self.query.schema();
+        self.query.atoms().iter().any(|atom| {
+            (Valuation::new().unify_with_fact(atom, fact, schema))
+                .is_some_and(|theta| eval::naive::satisfies_with(db, &self.query, &theta))
+        })
     }
 
     /// Backtracking over blocks. `chosen` holds one fact per already-decided
@@ -107,11 +105,9 @@ impl ExactOracle {
         // completion of this branch can falsify it. The parent node was not
         // satisfied (it would have been pruned), so the chosen facts satisfy
         // q iff some valuation image uses the fact added last — an anchored
-        // probe instead of a from-scratch decision. The naive variant is the
-        // right evaluator here: `chosen_db` is tiny and mutated at every
-        // node, so an index snapshot would be rebuilt per probe.
+        // probe instead of a from-scratch decision.
         if let Some(last) = chosen.last() {
-            if purify::supports_naive(chosen_db, &self.query, last) {
+            if self.supports(chosen_db, last) {
                 return false;
             }
         }
@@ -185,7 +181,7 @@ mod tests {
         let repair = oracle.find_falsifying_repair(&db).unwrap();
         assert!(repair.is_consistent());
         assert!(repair.is_subset_of(&db));
-        assert!(!eval::satisfies(&repair, &q));
+        assert!(!eval::naive::satisfies(&repair, &q));
         assert_eq!(repair.block_count(), db.block_count());
     }
 

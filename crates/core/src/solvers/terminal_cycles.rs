@@ -19,8 +19,10 @@
 
 use super::{rewriting::eliminate_unattacked_atom, CertaintySolver, TwoAtomSolver};
 use crate::attack::{AttackGraph, CycleAnalysis};
+use crate::purify::purify;
 use cqa_data::{Fact, FxHashMap, UncertainDatabase, Value};
-use cqa_query::{eval, purify, ConjunctiveQuery, QueryError, Valuation, Variable};
+use cqa_exec::QueryPlan;
+use cqa_query::{ConjunctiveQuery, QueryError, Valuation, Variable};
 use std::collections::BTreeSet;
 
 /// Certainty solver for queries whose attack cycles are all weak and terminal.
@@ -49,7 +51,7 @@ impl TerminalCycleSolver {
         if query.is_empty() {
             return true;
         }
-        let db = purify::purify(db, query);
+        let (db, _) = purify(db, query);
         if db.is_empty() {
             return false;
         }
@@ -124,7 +126,10 @@ impl TerminalCycleSolver {
         // Sublemma 5: db ∈ CERTAINTY(q) iff the union of the kept partitions
         // satisfies q.
         let union_db = db.with_facts(kept_union);
-        eval::satisfies(&union_db, query)
+        let index = union_db.index();
+        QueryPlan::compile(query, Some(index.statistics()))
+            .prepare(&index)
+            .satisfies()
     }
 }
 

@@ -24,8 +24,9 @@
 
 use super::{rewriting::RewritingSolver, CertaintySolver};
 use crate::attack::AttackGraph;
+use crate::purify::purify;
 use cqa_data::{Fact, FxHashMap, FxHashSet, UncertainDatabase};
-use cqa_query::{eval, purify, ConjunctiveQuery, QueryError, Valuation};
+use cqa_query::{ConjunctiveQuery, QueryError, Valuation};
 
 /// Certainty solver for Boolean two-atom queries without self-joins.
 pub struct TwoAtomSolver {
@@ -226,8 +227,10 @@ impl CertaintySolver for TwoAtomSolver {
             // rewriting path above must have been taken.
             unreachable!("single-atom queries are handled by the rewriting solver");
         }
-        let purified = purify::purify(db, &self.query);
-        if !eval::satisfies(&purified, &self.query) {
+        // A purified database satisfies the (non-empty) query iff it has a
+        // fact left: every remaining fact lies in a valuation image.
+        let (purified, _) = purify(db, &self.query);
+        if purified.is_empty() {
             return false;
         }
         !self.falsifying_repair_exists(&purified)

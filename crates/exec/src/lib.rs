@@ -1,15 +1,17 @@
 //! # cqa-exec — compiled physical-plan execution
 //!
-//! The interpreters in `cqa_query::eval` and `cqa_core::fo::eval` walk their
-//! query/formula trees on every call: join order is re-derived per search
-//! node, probe keys are re-assembled from hash-map valuations, and every
-//! extension clones a valuation. This crate is the compile-once /
-//! execute-many counterpart:
+//! The reference interpreters — `cqa_query::eval::naive` for conjunctive
+//! queries, `cqa_core::fo::eval` for formulas — walk their query/formula
+//! trees on every call, extending hash-map valuations by cloning. This
+//! crate is the compile-once / execute-many counterpart, and the engine
+//! every production `db |= q` decision runs:
 //!
 //! * [`QueryPlan`] lowers a [`cqa_query::ConjunctiveQuery`] into a fixed
 //!   sequence of **keyed probe / index scan** steps over a register file
 //!   (one dense slot per variable), ordered once by a [cost model](cost)
-//!   fed from [`cqa_data::Statistics`];
+//!   fed from [`cqa_data::Statistics`]; variables the caller binds at
+//!   execute time can be declared as parameters
+//!   ([`QueryPlan::compile_bound`]), so anchored checks probe on them;
 //! * [`FoPlan`] lowers a [`cqa_query::FoFormula`] — in particular the
 //!   certain rewritings of Theorem 1 — into physical operators: existential
 //!   **index scans**, **block-quantified ∀** operators for the

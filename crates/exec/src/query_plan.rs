@@ -4,12 +4,17 @@
 //! sequence of probe steps over a register file. The join order is chosen
 //! **once**, greedily, by the cost model: at each step the atom with the
 //! smallest estimated candidate count given the already-bound variables is
-//! appended (the compile-time analogue of the interpreter's per-node
-//! fail-first choice). Execution is then a plain backtracking loop over the
-//! steps: probe, iterate the dense candidate ids, apply the per-position
-//! actions, descend — no ordering decisions, no valuation cloning.
+//! appended (fail-first, decided at compile time). Execution is then a plain
+//! backtracking loop over the steps: probe, iterate the dense candidate ids,
+//! apply the per-position actions, descend — no ordering decisions, no
+//! valuation cloning.
 //!
-//! `cqa_query::eval` remains the reference semantics; the property suite
+//! [`QueryPlan::compile_bound`] takes **parameters**: variables the caller
+//! binds at execute time through [`PreparedQuery::satisfies_with`]. They
+//! count as bound from the first step on, so "does this fact or tuple
+//! extend to a match" probes on them instead of scanning a relation.
+//!
+//! `cqa_query::eval::naive` is the reference semantics; the property suite
 //! checks observational equality on randomized instances.
 
 use crate::cost::CostModel;
@@ -39,6 +44,8 @@ pub struct QueryPlan {
     pub(crate) steps: Vec<Step>,
     pub(crate) slots: Vec<Variable>,
     pub(crate) free_slots: Vec<Slot>,
+    /// Slots every execution's base binds (see [`QueryPlan::compile_bound`]).
+    params: Vec<Slot>,
     /// Cost-model estimate of the total number of search nodes a full
     /// execution visits (see [`QueryPlan::estimated_work`]).
     estimated_work: f64,
@@ -50,6 +57,19 @@ impl QueryPlan {
     /// join order; without them, neutral defaults still order keyed probes
     /// before full scans.
     pub fn compile(query: &ConjunctiveQuery, stats: Option<&Statistics>) -> QueryPlan {
+        QueryPlan::compile_bound(query, &[], stats)
+    }
+
+    /// Compiles `query` with `params` bound before the first step: the join
+    /// order treats them as known, so probes key on them from the start.
+    /// Every execution must supply them through
+    /// [`PreparedQuery::satisfies_with`]'s base. Parameters that do not
+    /// occur in the query are ignored.
+    pub fn compile_bound(
+        query: &ConjunctiveQuery,
+        params: &[Variable],
+        stats: Option<&Statistics>,
+    ) -> QueryPlan {
         let cost = CostModel::new(stats);
         // Dense slots by first occurrence, in atom order (deterministic and
         // independent of the join order chosen below).
@@ -63,7 +83,14 @@ impl QueryPlan {
                 });
             }
         }
+        let params: Vec<Slot> = params
+            .iter()
+            .filter_map(|v| slot_of.get(v).copied())
+            .collect();
         let mut bound = vec![false; slots.len()];
+        for &slot in &params {
+            bound[slot] = true;
+        }
         let mut remaining: Vec<AtomId> = (0..query.len()).collect();
         let mut steps: Vec<Step> = Vec::with_capacity(query.len());
         while !remaining.is_empty() {
@@ -116,6 +143,7 @@ impl QueryPlan {
             steps,
             slots,
             free_slots,
+            params,
             estimated_work,
         }
     }
@@ -328,34 +356,52 @@ impl PreparedQuery<'_> {
         out
     }
 
-    /// True iff some valuation satisfies the query on the snapshot.
+    /// The register file holding `base`'s bindings of the query's
+    /// variables.
+    ///
+    /// # Panics
+    /// Under debug assertions, if `base` leaves a plan parameter unbound: the
+    /// plan's probes key on it, so running would silently match nothing.
+    fn registers(&self, base: &Valuation) -> Registers {
+        let mut regs = Registers::new(self.plan.slots.len());
+        for (slot, var) in self.plan.slots.iter().enumerate() {
+            if let Some(value) = base.get(var) {
+                regs.set(slot, value.clone());
+            }
+        }
+        debug_assert!(
+            self.plan
+                .params
+                .iter()
+                .all(|&slot| regs.get(slot).is_some()),
+            "the base must bind every plan parameter"
+        );
+        regs
+    }
+
+    /// True iff some valuation satisfies the query on the snapshot. The plan
+    /// must have no parameters.
     pub fn satisfies(&self) -> bool {
-        self.entry_point(false, || {
-            let mut regs = Registers::new(self.plan.slots.len());
-            self.run(&mut regs, &mut |_| true)
-        })
+        self.satisfies_with(&Valuation::new())
     }
 
     /// True iff some valuation *extending `base`* satisfies the query.
-    /// Bindings of variables that do not occur in the query are ignored,
-    /// exactly as in `cqa_query::eval::satisfies_with`.
+    /// `base` must bind every parameter of the plan
+    /// ([`QueryPlan::compile_bound`]); it may bind other variables too, and
+    /// bindings of variables that do not occur in the query are ignored.
     pub fn satisfies_with(&self, base: &Valuation) -> bool {
         self.entry_point(false, || {
-            let mut regs = Registers::new(self.plan.slots.len());
-            for (slot, var) in self.plan.slots.iter().enumerate() {
-                if let Some(value) = base.get(var) {
-                    regs.set(slot, value.clone());
-                }
-            }
+            let mut regs = self.registers(base);
             self.run(&mut regs, &mut |_| true)
         })
     }
 
-    /// All satisfying valuations over `vars(q)`.
+    /// All satisfying valuations over `vars(q)`. The plan must have no
+    /// parameters.
     pub fn all_valuations(&self) -> Vec<Valuation> {
         self.entry_point(false, || {
             let mut out = Vec::new();
-            let mut regs = Registers::new(self.plan.slots.len());
+            let mut regs = self.registers(&Valuation::new());
             self.run(&mut regs, &mut |regs| {
                 out.push(Valuation::from_pairs(
                     self.plan
@@ -372,8 +418,9 @@ impl PreparedQuery<'_> {
 
     /// The answer tuples: projections of the satisfying valuations onto the
     /// query's free variables (the empty tuple for a satisfied Boolean
-    /// query).
+    /// query). The plan must have no parameters.
     pub fn answers(&self) -> BTreeSet<Vec<Value>> {
+        debug_assert!(self.plan.params.is_empty(), "answers runs without a base");
         let vectorized = self.use_vec();
         if vectorized {
             cqa_obs::count!("exec.query.answers.vec");
@@ -431,8 +478,9 @@ impl PreparedQuery<'_> {
         let Some(candidates) = spec.candidates(&self.index, self.handles[depth].as_ref(), regs)
         else {
             // A key register is unbound: impossible by construction (probe
-            // keys only use slots bound by earlier steps), kept as a safe
-            // "no candidates" answer.
+            // keys only use parameters, debug-asserted bound on entry, and
+            // slots bound by earlier steps), kept as a safe "no candidates"
+            // answer.
             self.flush_step(depth, 0, 0);
             return false;
         };
@@ -460,22 +508,22 @@ impl PreparedQuery<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_query::{catalog, eval, Term};
+    use cqa_query::{catalog, eval::naive, Term};
 
     #[test]
-    fn compiled_plan_matches_the_interpreter_on_figure1() {
+    fn compiled_plan_matches_the_reference_on_figure1() {
         let q = catalog::conference().query;
         let db = catalog::conference_database();
         let index = db.index();
         let plan = QueryPlan::compile(&q, Some(index.statistics()));
         assert_eq!(plan.len(), 2);
         assert!(QueryPlan::compile(&q, None).estimated_work() >= 1.0);
-        assert_eq!(plan.satisfies(&db), eval::satisfies(&db, &q));
+        assert_eq!(plan.satisfies(&db), naive::satisfies(&db, &q));
         let mut compiled: Vec<String> = (plan.prepare(&index).all_valuations())
             .iter()
             .map(|v| format!("{v:?}"))
             .collect();
-        let mut reference: Vec<String> = eval::all_valuations(&db, &q)
+        let mut reference: Vec<String> = naive::all_valuations(&db, &q)
             .iter()
             .map(|v| format!("{v:?}"))
             .collect();
@@ -497,8 +545,64 @@ mod tests {
         assert!(!plan.satisfies_with(&miss));
         assert_eq!(
             plan.satisfies_with(&hit),
-            eval::satisfies_with(&db, &q, &hit)
+            naive::satisfies_with(&db, &q, &hit)
         );
+    }
+
+    /// `R(x, y), S(y, z)` over 10,000 two-fact `R` blocks and 10,000 `S`
+    /// facts, compiled with `x` as a parameter.
+    fn parameterized_join() -> (UncertainDatabase, QueryPlan) {
+        let schema = cqa_data::Schema::from_relations([("R", 2, 1), ("S", 2, 1)])
+            .unwrap()
+            .into_shared();
+        let mut db = UncertainDatabase::new(schema.clone());
+        for i in 0..10_000 {
+            db.insert_values("R", [format!("k{i}"), format!("a{i}")])
+                .unwrap();
+            db.insert_values("R", [format!("k{i}"), format!("b{i}")])
+                .unwrap();
+            db.insert_values("S", [format!("a{i}"), format!("c{i}")])
+                .unwrap();
+        }
+        let q = ConjunctiveQuery::builder(schema)
+            .atom("R", [Term::var("x"), Term::var("y")])
+            .atom("S", [Term::var("y"), Term::var("z")])
+            .build()
+            .unwrap();
+        let plan =
+            QueryPlan::compile_bound(&q, &[Variable::new("x")], Some(db.index().statistics()));
+        (db, plan)
+    }
+
+    #[test]
+    fn parameters_are_probed_not_scanned() {
+        let (db, plan) = parameterized_join();
+        let index = db.index();
+        for (key, expected) in [("k5000", true), ("k10000", false), ("k", false)] {
+            let sink = Arc::new(TraceSink::new(plan.trace_ops()));
+            let prepared = plan.prepare(&index).with_trace(sink.clone());
+            let base = Valuation::from_pairs([(Variable::new("x"), Value::str(key))]);
+            assert_eq!(prepared.satisfies_with(&base), expected, "x = {key}");
+            // Each step reads at most one block: the two `R(key, ·)` facts,
+            // then one `S` fact per `y` they bind. A plan that ignored the
+            // parameter would open with a 10,000-row scan.
+            for step in 0..plan.trace_ops() {
+                assert!(
+                    sink.op(step).rows() <= 2,
+                    "x = {key}:\n{}",
+                    plan.explain_analyze(&sink)
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "every plan parameter")]
+    fn a_base_missing_a_parameter_is_a_caller_bug() {
+        let (db, plan) = parameterized_join();
+        let base = Valuation::from_pairs([(Variable::new("y"), Value::str("a1"))]);
+        plan.prepare(&db.index()).satisfies_with(&base);
     }
 
     #[test]
@@ -517,7 +621,11 @@ mod tests {
             .unwrap();
         let db = catalog::conference_database();
         let plan = QueryPlan::compile(&q, Some(db.index().statistics()));
-        assert_eq!(plan.answers(&db), eval::answers(&db, &q));
+        let reference: BTreeSet<Vec<Value>> = naive::all_valuations(&db, &q)
+            .iter()
+            .filter_map(|v| v.project(q.free_vars()))
+            .collect();
+        assert_eq!(plan.answers(&db), reference);
     }
 
     #[test]
@@ -546,7 +654,7 @@ mod tests {
             .unwrap();
         assert!(r_line.contains("R("), "R should be joined first:\n{text}");
         assert!(!plan.satisfies(&db)); // no S(b, _) fact
-        assert_eq!(plan.satisfies(&db), eval::satisfies(&db, &q));
+        assert_eq!(plan.satisfies(&db), naive::satisfies(&db, &q));
     }
 
     #[test]

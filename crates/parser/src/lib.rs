@@ -317,7 +317,7 @@ certain which(x) :- C(x, y, "Rome"), R(x, "A")
         assert_eq!(name, "rome");
         assert!(q.is_boolean());
         assert_eq!(q.len(), 2);
-        assert!(cqa_query::eval::satisfies(&doc.database, q));
+        assert!(cqa_query::eval::naive::satisfies(&doc.database, q));
         let (_, q2) = &doc.queries[1];
         assert_eq!(q2.free_vars().len(), 1);
     }
@@ -355,7 +355,7 @@ certain which(x) :- C(x, y, "Rome"), R(x, "A")
         let (_, q) = &doc.queries[0];
         // In the query, x is a variable and "y" a constant.
         assert_eq!(q.vars().len(), 1);
-        assert!(cqa_query::eval::satisfies(&doc.database, q));
+        assert!(cqa_query::eval::naive::satisfies(&doc.database, q));
     }
 
     #[test]

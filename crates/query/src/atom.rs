@@ -47,11 +47,6 @@ impl Atom {
         &self.terms[..schema.relation(self.relation).key_len()]
     }
 
-    /// The non-key terms (`ȳ`).
-    pub fn non_key_terms<'a>(&'a self, schema: &Schema) -> &'a [Term] {
-        &self.terms[schema.relation(self.relation).key_len()..]
-    }
-
     /// `key(F)`: the set of variables occurring in the key positions.
     pub fn key_vars(&self, schema: &Schema) -> BTreeSet<Variable> {
         self.key_terms(schema)
@@ -75,11 +70,6 @@ impl Atom {
         self.terms
             .iter()
             .any(|t| t.as_var().is_some_and(|v| v == var))
-    }
-
-    /// True iff no variable occurs (the atom is a fact pattern).
-    pub fn is_ground(&self) -> bool {
-        self.terms.iter().all(|t| !t.is_var())
     }
 
     /// Renders the atom with the relation name from the schema, separating
@@ -142,7 +132,6 @@ mod tests {
         );
         assert!(a.contains_var(&Variable::new("y")));
         assert!(!a.contains_var(&Variable::new("z")));
-        assert!(!a.is_ground());
     }
 
     #[test]
@@ -153,7 +142,6 @@ mod tests {
             "S",
             vec![Term::Const(Value::str("a")), Term::Const(Value::int(1))],
         );
-        assert!(a.is_ground());
         assert!(a.vars().is_empty());
     }
 

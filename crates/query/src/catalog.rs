@@ -343,7 +343,7 @@ mod tests {
         let db = conference_database();
         assert_eq!(db.fact_count(), 6);
         assert_eq!(db.repair_count(), Some(4));
-        assert!(crate::eval::satisfies(&db, &conference().query));
+        assert!(crate::eval::naive::satisfies(&db, &conference().query));
     }
 
     #[test]

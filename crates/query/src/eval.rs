@@ -1,196 +1,22 @@
-//! Query evaluation over (uncertain) databases.
+//! Query evaluation over (uncertain) databases: the reference semantics.
 //!
 //! `db |= q` holds iff there is a valuation `θ` over `vars(q)` with
 //! `θ(q) ⊆ db` (Section 3). Evaluation here treats the uncertain database as
 //! a plain relational instance — certainty semantics (truth in *every*
 //! repair) is implemented on top of this by `cqa-core`.
 //!
-//! # The indexed join
-//!
-//! Evaluation is a backtracking join driven by the database's secondary
-//! indexes ([`cqa_data::DatabaseIndex`]). At every search node the evaluator
-//! computes, for each not-yet-joined atom, the positions that are already
-//! *bound* — constant positions plus positions holding a variable the
-//! current partial valuation maps — and probes the hash index on exactly
-//! that position subset. The atom with the fewest candidate facts is joined
-//! next (a fail-first dynamic ordering); an atom with zero candidates prunes
-//! the node immediately, which is sound because binding more variables can
-//! only shrink a candidate set.
-//!
-//! Compared to the textbook nested-loop join (retained in [`naive`] as the
-//! reference implementation and benchmark baseline), each join step costs a
-//! hash probe over a dense `u32` candidate list instead of a scan of the
-//! whole database, and the join order adapts to the data instead of being
-//! fixed up front.
+//! Production code evaluates conjunctive queries through compiled
+//! `cqa_exec::QueryPlan`s. The one evaluator kept here is [`naive`]: the
+//! reference the property suites hold those plans to, and the right tool
+//! where a database is tiny and evaluated once (a single repair or possible
+//! world), so building an index would dominate.
 
-use crate::{Atom, ConjunctiveQuery, Term, Valuation};
-use cqa_data::{DatabaseIndex, PositionIndex, PositionSet, Rows, UncertainDatabase, Value};
+use crate::{ConjunctiveQuery, Valuation};
+use cqa_data::UncertainDatabase;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-/// The candidate facts for one atom at one search node: either every fact of
-/// the atom's relation (no position bound yet) or the probe result of the
-/// index on the bound positions, with the probe key coded once at
-/// construction.
-enum Candidates {
-    All,
-    Probe(Arc<PositionIndex>, Option<u64>),
-}
-
-impl Candidates {
-    fn for_atom(index: &DatabaseIndex, atom: &Atom, current: &Valuation) -> Candidates {
-        let mut bound = PositionSet::empty();
-        let mut key: Vec<Value> = Vec::new();
-        // An index covers `MAX_WIDTH` positions; further bound positions
-        // are left to unification: the probe then returns a candidate
-        // superset and unification still filters exactly.
-        for (pos, term) in atom.terms().iter().enumerate() {
-            if key.len() == PositionIndex::MAX_WIDTH || pos >= PositionSet::MAX_POSITIONS {
-                break;
-            }
-            let value = match term {
-                Term::Const(c) => Some(c.clone()),
-                Term::Var(v) => current.get(v).cloned(),
-            };
-            if let Some(value) = value {
-                bound.insert(pos);
-                key.push(value);
-            }
-        }
-        if bound.is_empty() {
-            Candidates::All
-        } else {
-            let pindex = index.position_index(atom.relation(), bound);
-            Candidates::Probe(pindex, index.pack_key(&key))
-        }
-    }
-
-    fn rows<'a>(&'a self, index: &DatabaseIndex, atom: &Atom) -> Rows<'a> {
-        match self {
-            Candidates::All => index.all_rows(atom.relation()),
-            Candidates::Probe(pindex, key) => pindex.probe(*key),
-        }
-    }
-}
-
-/// Backtracking join over the index. Calls `on_match` for every valuation
-/// `θ` over `vars(q)` with `θ(q) ⊆ db` that extends the search's base
-/// valuation; stops early if `on_match` returns `true` and reports whether
-/// it did. `remaining` holds the ids of the atoms still to be joined (order
-/// irrelevant; the next atom is chosen dynamically).
-fn search<F>(
-    index: &DatabaseIndex,
-    query: &ConjunctiveQuery,
-    remaining: &mut Vec<usize>,
-    current: &Valuation,
-    on_match: &mut F,
-) -> bool
-where
-    F: FnMut(&Valuation) -> bool,
-{
-    if remaining.is_empty() {
-        return on_match(current);
-    }
-    // Fail-first: join the atom with the fewest candidates under the current
-    // bindings; zero candidates anywhere prunes the whole node.
-    let mut best: Option<(usize, usize, Candidates)> = None;
-    for (slot, &aid) in remaining.iter().enumerate() {
-        let atom = query.atom(aid);
-        let candidates = Candidates::for_atom(index, atom, current);
-        let count = candidates.rows(index, atom).len();
-        if count == 0 {
-            return false;
-        }
-        if best.as_ref().is_none_or(|&(_, n, _)| count < n) {
-            best = Some((slot, count, candidates));
-        }
-    }
-    let (slot, _, candidates) = best.expect("remaining is non-empty");
-    let aid = remaining.swap_remove(slot);
-    let atom = query.atom(aid);
-    let schema = query.schema();
-    let mut found = false;
-    for row in candidates.rows(index, atom) {
-        let fact = index.fact(atom.relation(), row);
-        if let Some(extended) = current.unify_with_fact(atom, fact, schema) {
-            if search(index, query, remaining, &extended, on_match) {
-                found = true;
-                break;
-            }
-        }
-    }
-    remaining.push(aid);
-    found
-}
-
-/// Runs the indexed join, feeding matches to `on_match` until it returns
-/// `true`; reports whether it did.
-fn run<F>(
-    db: &UncertainDatabase,
-    query: &ConjunctiveQuery,
-    base: &Valuation,
-    on_match: &mut F,
-) -> bool
-where
-    F: FnMut(&Valuation) -> bool,
-{
-    let index = db.index();
-    let mut remaining: Vec<usize> = (0..query.len()).collect();
-    search(&index, query, &mut remaining, base, on_match)
-}
-
-/// True iff `db |= q`, i.e. some valuation maps every atom of `q` into `db`.
-pub fn satisfies(db: &UncertainDatabase, query: &ConjunctiveQuery) -> bool {
-    satisfies_with(db, query, &Valuation::new())
-}
-
-/// True iff some valuation *extending `base`* maps every atom of `q` into `db`.
-pub fn satisfies_with(db: &UncertainDatabase, query: &ConjunctiveQuery, base: &Valuation) -> bool {
-    run(db, query, base, &mut |_| true)
-}
-
-/// Finds one satisfying valuation, if any.
-pub fn find_valuation(db: &UncertainDatabase, query: &ConjunctiveQuery) -> Option<Valuation> {
-    let mut found = None;
-    run(db, query, &Valuation::new(), &mut |v| {
-        found = Some(v.clone());
-        true
-    });
-    found
-}
-
-/// Enumerates **all** valuations `θ` over `vars(q)` with `θ(q) ⊆ db`.
-///
-/// The result is deduplicated (the same total valuation cannot be produced
-/// twice by the backtracking join, but callers should not rely on order).
-pub fn all_valuations(db: &UncertainDatabase, query: &ConjunctiveQuery) -> Vec<Valuation> {
-    let mut out = Vec::new();
-    run(db, query, &Valuation::new(), &mut |v| {
-        out.push(v.clone());
-        false
-    });
-    out
-}
-
-/// The answers to a (possibly non-Boolean) query on `db`: the set of tuples
-/// of constants for the free variables under some satisfying valuation.
-///
-/// For a Boolean query this returns `{[]}` if `db |= q` and `{}` otherwise.
-pub fn answers(db: &UncertainDatabase, query: &ConjunctiveQuery) -> BTreeSet<Vec<Value>> {
-    let mut out = BTreeSet::new();
-    run(db, query, &Valuation::new(), &mut |v| {
-        if let Some(tuple) = v.project(query.free_vars()) {
-            out.insert(tuple);
-        }
-        false
-    });
-    out
-}
-
-/// The pre-index nested-loop evaluator, retained verbatim as the reference
-/// implementation: the property tests assert that the indexed join above
-/// agrees with it on randomized instances, and the benchmark harness uses it
-/// as the baseline the index layer is measured against.
+/// The nested-loop evaluator: no index, a static greedy join order, and a
+/// scan of the atom's whole relation at every search depth.
 pub mod naive {
     use super::*;
 
@@ -254,12 +80,14 @@ pub mod naive {
         false
     }
 
-    /// Reference implementation of [`super::satisfies`].
+    /// True iff `db |= q`, i.e. some valuation maps every atom of `q` into
+    /// `db`.
     pub fn satisfies(db: &UncertainDatabase, query: &ConjunctiveQuery) -> bool {
         satisfies_with(db, query, &Valuation::new())
     }
 
-    /// Reference implementation of [`super::satisfies_with`].
+    /// True iff some valuation *extending `base`* maps every atom of `q`
+    /// into `db`.
     pub fn satisfies_with(
         db: &UncertainDatabase,
         query: &ConjunctiveQuery,
@@ -269,7 +97,8 @@ pub mod naive {
         search(db, query, &order, 0, base, &mut |_| true)
     }
 
-    /// Reference implementation of [`super::all_valuations`].
+    /// Enumerates **all** valuations `θ` over `vars(q)` with `θ(q) ⊆ db`
+    /// (each once, in no particular order).
     pub fn all_valuations(db: &UncertainDatabase, query: &ConjunctiveQuery) -> Vec<Valuation> {
         let order = atom_order(db, query);
         let mut out = Vec::new();
@@ -283,9 +112,9 @@ pub mod naive {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::{Term, Variable};
-    use cqa_data::Schema;
+    use super::naive::*;
+    use crate::{ConjunctiveQuery, Term, Valuation, Variable};
+    use cqa_data::{Schema, UncertainDatabase, Value};
     use std::sync::Arc;
 
     fn conference_db() -> (Arc<Schema>, UncertainDatabase) {
@@ -323,9 +152,9 @@ mod tests {
         let vals = all_valuations(&db, &q);
         assert_eq!(vals.len(), 2);
         for v in &vals {
-            assert!(v.is_total_on(&q.vars()));
-            let facts = v.apply_query(&q).unwrap();
-            assert!(facts.iter().all(|f| db.contains(f)));
+            for atom in q.atoms() {
+                assert!(db.contains(&v.apply_atom(atom).unwrap()));
+            }
         }
     }
 
@@ -340,7 +169,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(!satisfies(&db, &q));
-        assert!(find_valuation(&db, &q).is_none());
         assert!(all_valuations(&db, &q).is_empty());
     }
 
@@ -352,34 +180,6 @@ mod tests {
         let empty_db = UncertainDatabase::new(schema);
         assert!(satisfies(&empty_db, &q));
         assert_eq!(all_valuations(&empty_db, &q).len(), 1);
-    }
-
-    #[test]
-    fn answers_project_free_variables() {
-        let (schema, db) = conference_db();
-        let q = ConjunctiveQuery::builder(schema)
-            .atom(
-                "C",
-                [Term::var("x"), Term::var("y"), Term::constant("Rome")],
-            )
-            .atom("R", [Term::var("x"), Term::constant("A")])
-            .free([Variable::new("x")])
-            .build()
-            .unwrap();
-        let ans = answers(&db, &q);
-        let expected: BTreeSet<Vec<Value>> = [vec![Value::str("PODS")], vec![Value::str("KDD")]]
-            .into_iter()
-            .collect();
-        assert_eq!(ans, expected);
-    }
-
-    #[test]
-    fn boolean_answers_are_the_empty_tuple() {
-        let (schema, db) = conference_db();
-        let q = rome_query(&schema);
-        let ans = answers(&db, &q);
-        assert_eq!(ans.len(), 1);
-        assert!(ans.contains(&Vec::new()));
     }
 
     #[test]
@@ -428,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn ground_atoms_probe_the_full_tuple() {
+    fn ground_atoms_match_whole_facts() {
         let (schema, db) = conference_db();
         let present = ConjunctiveQuery::builder(schema.clone())
             .atom(
@@ -454,69 +254,5 @@ mod tests {
             .unwrap();
         assert!(satisfies(&db, &present));
         assert!(!satisfies(&db, &absent));
-    }
-
-    #[test]
-    fn relations_wider_than_the_position_limit_still_evaluate() {
-        // Positions ≥ PositionSet::MAX_POSITIONS cannot be indexed; the join
-        // must fall back to a superset probe plus unification, not panic.
-        let wide = 70usize;
-        let schema = Schema::from_relations([("W", wide, 1)])
-            .unwrap()
-            .into_shared();
-        let mut db = UncertainDatabase::new(schema.clone());
-        let mut row = vec!["k"; wide];
-        row[wide - 1] = "last";
-        db.insert_values("W", row.clone()).unwrap();
-        let mut hit_terms: Vec<Term> = (0..wide - 1).map(|_| Term::var("x")).collect();
-        hit_terms.push(Term::constant("last"));
-        let mut miss_terms: Vec<Term> = (0..wide - 1).map(|_| Term::var("x")).collect();
-        miss_terms.push(Term::constant("other"));
-        let hit = ConjunctiveQuery::builder(schema.clone())
-            .atom("W", hit_terms)
-            .build()
-            .unwrap();
-        let miss = ConjunctiveQuery::builder(schema)
-            .atom("W", miss_terms)
-            .build()
-            .unwrap();
-        assert!(satisfies(&db, &hit));
-        assert!(!satisfies(&db, &miss));
-        assert_eq!(satisfies(&db, &hit), naive::satisfies(&db, &hit));
-        assert_eq!(satisfies(&db, &miss), naive::satisfies(&db, &miss));
-    }
-
-    #[test]
-    fn indexed_and_naive_agree_on_handwritten_cases() {
-        let (schema, db) = conference_db();
-        let queries = [
-            rome_query(&schema),
-            ConjunctiveQuery::builder(schema.clone())
-                .atom("C", [Term::var("x"), Term::var("y"), Term::var("z")])
-                .atom("R", [Term::var("x"), Term::var("r")])
-                .build()
-                .unwrap(),
-            ConjunctiveQuery::builder(schema.clone())
-                .atom(
-                    "C",
-                    [Term::var("x"), Term::var("y"), Term::constant("Tokyo")],
-                )
-                .build()
-                .unwrap(),
-        ];
-        for q in &queries {
-            assert_eq!(satisfies(&db, q), naive::satisfies(&db, q), "{q}");
-            let mut indexed: Vec<String> = all_valuations(&db, q)
-                .iter()
-                .map(|v| format!("{v:?}"))
-                .collect();
-            let mut reference: Vec<String> = naive::all_valuations(&db, q)
-                .iter()
-                .map(|v| format!("{v:?}"))
-                .collect();
-            indexed.sort();
-            reference.sort();
-            assert_eq!(indexed, reference, "{q}");
-        }
     }
 }

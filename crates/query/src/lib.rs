@@ -10,13 +10,13 @@
 //! * [`Variable`], [`Term`], [`Atom`], [`ConjunctiveQuery`] — queries are
 //!   finite sets of atoms `R(x̄, ȳ)` whose key positions are a prefix of the
 //!   attribute list (signatures live in the shared [`cqa_data::Schema`]);
-//! * [`Valuation`] and query evaluation (`db |= q`, enumeration of all
-//!   valuations, answers to non-Boolean queries);
+//! * [`Valuation`] and the reference evaluator [`eval::naive`] (`db |= q`
+//!   by nested loops; the compiled `cqa-exec` plans are what production
+//!   code runs);
 //! * substitutions `q[x ↦ a]` (Definition 7);
 //! * functional dependencies `K(q)` and attribute closures (Definition 1);
 //! * join trees and the Connectedness Condition, plus the GYO acyclicity
 //!   test (Section 3, "Join tree and acyclic conjunctive query");
-//! * purification of uncertain databases (Lemma 1);
 //! * a catalog of the queries used throughout the paper (`q0`, `q1` of
 //!   Fig. 2, the Fig. 4 query, `C(k)` and `AC(k)` of Definition 8, …);
 //! * [`FoFormula`] — the first-order formula AST in which certain rewritings
@@ -34,7 +34,6 @@ pub mod fd;
 pub mod fo_formula;
 pub mod gyo;
 pub mod join_tree;
-pub mod purify;
 mod query;
 pub mod substitute;
 mod term;

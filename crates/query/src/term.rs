@@ -74,14 +74,6 @@ impl Term {
         }
     }
 
-    /// Returns the constant if this term is one.
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Var(_) => None,
-            Term::Const(c) => Some(c),
-        }
-    }
-
     /// True iff the term is a variable.
     pub fn is_var(&self) -> bool {
         matches!(self, Term::Var(_))
@@ -127,8 +119,6 @@ mod tests {
         assert!(v.is_var());
         assert!(!c.is_var());
         assert_eq!(v.as_var().unwrap().name(), "x");
-        assert_eq!(c.as_const().unwrap(), &Value::str("Rome"));
-        assert!(v.as_const().is_none());
         assert!(c.as_var().is_none());
     }
 

@@ -4,7 +4,7 @@
 //! total mapping `θ` from `U` to the set of constants. Such valuation `θ` is
 //! extended to be the identity on constants and on variables not in `U`."*
 
-use crate::{Atom, ConjunctiveQuery, Term, Variable};
+use crate::{Atom, Term, Variable};
 use cqa_data::{Fact, Schema, Value};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
@@ -14,8 +14,7 @@ use std::fmt;
 ///
 /// During query evaluation valuations are built up incrementally, so the type
 /// supports partial mappings; the paper's "valuation over `vars(q)`"
-/// corresponds to a valuation that is total on the query's variables, which
-/// [`Valuation::is_total_on`] checks.
+/// corresponds to a valuation that is total on the query's variables.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Valuation {
     bindings: FxHashMap<Variable, Value>,
@@ -70,11 +69,6 @@ impl Valuation {
         v
     }
 
-    /// True iff every variable of `vars` is bound.
-    pub fn is_total_on<'a>(&self, vars: impl IntoIterator<Item = &'a Variable>) -> bool {
-        vars.into_iter().all(|v| self.bindings.contains_key(v))
-    }
-
     /// Applies the valuation to a term; variables not bound map to `None`.
     pub fn apply_term(&self, term: &Term) -> Option<Value> {
         match term {
@@ -88,12 +82,6 @@ impl Valuation {
     pub fn apply_atom(&self, atom: &Atom) -> Option<Fact> {
         let values: Option<Vec<Value>> = atom.terms().iter().map(|t| self.apply_term(t)).collect();
         Some(Fact::new(atom.relation(), values?))
-    }
-
-    /// Applies the valuation to all atoms of a query, producing `θ(q)`.
-    /// Returns `None` if some variable of the query is unbound.
-    pub fn apply_query(&self, query: &ConjunctiveQuery) -> Option<Vec<Fact>> {
-        query.atoms().iter().map(|a| self.apply_atom(a)).collect()
     }
 
     /// Attempts to extend this valuation so that `θ(atom) = fact`.
@@ -120,16 +108,6 @@ impl Valuation {
             }
         }
         Some(extended)
-    }
-
-    /// Restricts the valuation to the given variables.
-    pub fn restrict_to<'a>(&self, vars: impl IntoIterator<Item = &'a Variable>) -> Valuation {
-        Valuation {
-            bindings: vars
-                .into_iter()
-                .filter_map(|v| self.bindings.get(v).map(|val| (v.clone(), val.clone())))
-                .collect(),
-        }
     }
 
     /// The bound values of the listed variables, in order; `None` if some
@@ -233,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn projection_and_restriction() {
+    fn projection_follows_the_listed_order() {
         let v = Valuation::from_pairs([
             (Variable::new("x"), Value::str("a")),
             (Variable::new("y"), Value::str("b")),
@@ -244,10 +222,6 @@ mod tests {
             Some(vec![Value::str("c"), Value::str("a")])
         );
         assert_eq!(v.project(&[Variable::new("w")]), None);
-        let r = v.restrict_to(&[Variable::new("x")]);
-        assert_eq!(r.len(), 1);
-        assert!(v.is_total_on(&[Variable::new("x"), Variable::new("y")]));
-        assert!(!r.is_total_on(&[Variable::new("y")]));
     }
 
     #[test]

@@ -163,11 +163,6 @@ impl VarSet {
         self.0 & !other.0 == 0
     }
 
-    /// True iff the two sets share no element.
-    pub fn is_disjoint(&self, other: &VarSet) -> bool {
-        self.0 & other.0 == 0
-    }
-
     /// Iterates over the positions in ascending order.
     pub fn iter(self) -> impl Iterator<Item = usize> {
         (0..MAX_VARS).filter(move |&i| self.contains(i))
@@ -227,7 +222,6 @@ mod tests {
         assert!(!a.is_subset_of(&b));
         assert!(a.intersection(b).is_subset_of(&a));
         assert!(VarSet::empty().is_subset_of(&a));
-        assert!(VarSet::empty().is_disjoint(&a));
         a.remove(5);
         assert_eq!(a, VarSet::singleton(0));
     }

@@ -7,7 +7,6 @@ use cqa_core::answers::CertainAnswersEngine;
 use cqa_data::{ChangeSet, Snapshot, Value};
 use cqa_exec::QueryPlan;
 use cqa_par::{par_map, ParPool};
-use cqa_query::eval::satisfies_with;
 use cqa_query::substitute::ground_with;
 use cqa_query::{ConjunctiveQuery, Valuation, Variable};
 use std::collections::BTreeSet;
@@ -60,6 +59,7 @@ impl Default for ViewMaintainer {
 /// Everything a sharded decision job needs, behind one `Arc`.
 struct DecideCtx {
     engine: Arc<CertainAnswersEngine>,
+    possible_plan: Arc<QueryPlan>,
     query: ConjunctiveQuery,
     free: Vec<Variable>,
 }
@@ -270,6 +270,7 @@ impl ViewMaintainer {
     ) -> Result<Vec<Option<(bool, Provenance)>>, String> {
         let ctx = Arc::new(DecideCtx {
             engine: view.engine().clone(),
+            possible_plan: view.possible_plan().clone(),
             query: view.query().clone(),
             free: view.free_vars().to_vec(),
         });
@@ -334,21 +335,22 @@ impl ViewMaintainer {
     }
 }
 
-/// The per-chunk decision kernel: possible-membership through the
-/// interpreter's `satisfies_with` (one grounded satisfaction probe, no
-/// compile), certainty through the view's batch engine, provenance through
-/// the position-index probes.
+/// The per-chunk decision kernel: possible-membership through the view's
+/// compiled possibility plan (the tuple is its base, so every probe keys on
+/// the free variables; prepared once per chunk), certainty through the
+/// view's batch engine, provenance through the position-index probes.
 fn decide_chunk(
     ctx: &DecideCtx,
     snapshot: &Snapshot,
     chunk: Vec<Vec<Value>>,
 ) -> Result<Vec<Option<(bool, Provenance)>>, String> {
     let db = snapshot.database();
+    let possible = ctx.possible_plan.prepare(snapshot.index());
     let alive: Vec<bool> = chunk
         .iter()
         .map(|tuple| {
             let base = Valuation::from_pairs(ctx.free.iter().cloned().zip(tuple.iter().cloned()));
-            satisfies_with(db, &ctx.query, &base)
+            possible.satisfies_with(&base)
         })
         .collect();
     let alive_tuples: Vec<Vec<Value>> = chunk

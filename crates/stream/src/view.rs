@@ -2,7 +2,7 @@
 
 use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
 use cqa_data::{Fact, PositionIndex, PositionSet, RelationId, Schema, Snapshot, Value};
-use cqa_exec::ExecMode;
+use cqa_exec::{ExecMode, QueryPlan};
 use cqa_query::{ConjunctiveQuery, Term, Valuation, Variable};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeSet;
@@ -100,6 +100,9 @@ pub struct MaterializedView {
     query: ConjunctiveQuery,
     free: Vec<Variable>,
     engine: Arc<CertainAnswersEngine>,
+    /// The query with its free variables as parameters: decides whether a
+    /// candidate tuple is still a possible answer.
+    possible_plan: Arc<QueryPlan>,
     certain: BTreeSet<Vec<Value>>,
     possible: BTreeSet<Vec<Value>>,
     provenance: FxHashMap<Vec<Value>, Provenance>,
@@ -112,13 +115,16 @@ impl MaterializedView {
     /// Registers a view for `query` under `name`. Classifies the query once
     /// (the engine decides every future candidate through the same compiled
     /// open rewriting, or the classified per-candidate fallback outside the
-    /// first-order region). Fails only on malformed queries (self-joins).
+    /// first-order region), and compiles the possibility check once.
+    /// Fails only on malformed queries (self-joins).
     pub fn new(name: impl Into<String>, query: &ConjunctiveQuery) -> Result<Self, String> {
         let engine = CertainAnswersEngine::new(query).map_err(|e| e.to_string())?;
+        let free = query.free_vars().to_vec();
         Ok(MaterializedView {
             name: name.into(),
             query: query.clone(),
-            free: query.free_vars().to_vec(),
+            possible_plan: Arc::new(QueryPlan::compile_bound(query, &free, None)),
+            free,
             engine: Arc::new(engine),
             certain: BTreeSet::new(),
             possible: BTreeSet::new(),
@@ -157,6 +163,13 @@ impl MaterializedView {
     /// The shared certainty engine deciding this view's candidates.
     pub(crate) fn engine(&self) -> &Arc<CertainAnswersEngine> {
         &self.engine
+    }
+
+    /// The compiled possibility check: the query with the free variables as
+    /// parameters, so a candidate tuple is the base of one
+    /// `satisfies_with`.
+    pub(crate) fn possible_plan(&self) -> &Arc<QueryPlan> {
+        &self.possible_plan
     }
 
     /// The epoch of the database state the view currently reflects.

@@ -5,15 +5,39 @@ use cqa::core::answers::{tuple_is_certain, CertainAnswersEngine};
 use cqa::core::attack::{AttackGraph, CycleAnalysis};
 use cqa::core::classify::{classify, ComplexityClass};
 use cqa::core::fo::eval::evaluate_sentence;
+use cqa::core::purify::purify;
 use cqa::core::solvers::{CertaintyEngine, CertaintySolver, ExactOracle, RewritingSolver};
 use cqa::exec::{ExecMode, FoPlan, QueryPlan};
 use cqa::gen::{random_acyclic_query, GeneratorConfig, UncertainDbGenerator};
 use cqa::par::{BatchOutcome, BatchResult};
 use cqa::prob::eval::{probability_exact, probability_over_repairs};
 use cqa::prob::{is_safe, BidDatabase};
-use cqa::query::{catalog, eval, gyo, join_tree, purify};
+use cqa::query::{catalog, eval, gyo, join_tree, ConjunctiveQuery, Valuation};
 use cqa::serve::{render_result, serve_stream, ServerConfig};
 use proptest::prelude::*;
+
+/// Lemma 1 as the paper states it: remove the block of one irrelevant fact
+/// at a time (relevance decided by the naive evaluator) until every fact
+/// lies in some valuation image.
+fn purify_one_block_at_a_time(
+    db: &cqa_data::UncertainDatabase,
+    q: &ConjunctiveQuery,
+) -> cqa_data::UncertainDatabase {
+    let relevant = |d: &cqa_data::UncertainDatabase, fact: &cqa_data::Fact| {
+        q.atoms().iter().any(|atom| {
+            (Valuation::new().unify_with_fact(atom, fact, q.schema()))
+                .is_some_and(|theta| eval::naive::satisfies_with(d, q, &theta))
+        })
+    };
+    let mut current = db.clone();
+    loop {
+        let doomed = current.facts().find(|f| !relevant(&current, f)).cloned();
+        match doomed {
+            Some(fact) => current.remove_block_of(&fact),
+            None => return current,
+        };
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -79,10 +103,20 @@ proptest! {
     }
 
     /// Purification (Lemma 1) never changes membership in CERTAINTY(q), and
-    /// the purified database is a subset supporting every remaining fact.
+    /// the plan-driven rounds reach exactly the database the lemma's
+    /// one-block-at-a-time loop reaches on the naive evaluator, with one
+    /// witness per removed block.
     #[test]
-    fn purification_preserves_certainty(seed in 0u64..2_000) {
-        let q = catalog::conference().query;
+    fn purification_preserves_certainty(seed in 0u64..2_000, which in 0usize..6) {
+        let entry = match which {
+            0 => catalog::conference(),
+            1 => catalog::fo_path3(),
+            2 => catalog::fig4(),
+            3 => catalog::ac_k(3),
+            4 => catalog::c_k(3),
+            _ => catalog::q0(),
+        };
+        let q = entry.query;
         let db = UncertainDbGenerator::new(&q, GeneratorConfig {
             seed,
             matches: 3,
@@ -90,11 +124,15 @@ proptest! {
             extra_block_facts: 1,
             alternative_join_probability: 0.4,
         }).generate();
+        let (purified, witnesses) = purify(&db, &q);
+        prop_assert_eq!(&purified, &purify_one_block_at_a_time(&db, &q),
+            "query {}, seed {}", entry.name, seed);
+        prop_assert_eq!(witnesses.len(), db.block_count() - purified.block_count());
+        for witness in &witnesses {
+            prop_assert!(db.contains(witness) && purified.block_of(witness).is_none());
+        }
         prop_assume!(db.repair_count_log2() <= 14.0);
-        let purified = purify::purify(&db, &q);
-        prop_assert!(purified.is_subset_of(&db));
-        prop_assert!(purify::is_purified(&purified, &q));
-        let certain = |d: &cqa_data::UncertainDatabase| d.repairs().all(|r| eval::satisfies(&r, &q));
+        let certain = |d: &cqa_data::UncertainDatabase| d.repairs().all(|r| eval::naive::satisfies(&r, &q));
         prop_assert_eq!(certain(&db), certain(&purified));
     }
 
@@ -168,14 +206,17 @@ proptest! {
 }
 
 proptest! {
-    // 256 cases so the indexed join is cross-checked on well over 200
+    // 256 cases so the compiled join plan is cross-checked on well over 200
     // randomized generator instances per run.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The indexed bind-aware join agrees with the retained naive
-    /// nested-loop reference evaluator: same satisfaction verdict, the same
-    /// set of satisfying valuations, and the same verdicts under partial
-    /// base bindings (both the binding of a real witness and a junk binding).
+    /// The compiled join plan agrees with the naive nested-loop reference
+    /// evaluator: same satisfaction verdict and the same set of satisfying
+    /// valuations without parameters, and — compiled with a random subset of
+    /// the variables as execute-time parameters — the same verdicts under
+    /// partial bases (a real witness restricted to the parameters, and to
+    /// one variable more), a junk base of active-domain values, and a base
+    /// binding a parameter to a value no fact carries.
     #[test]
     fn indexed_join_agrees_with_naive_reference(seed in 0u64..100_000, which in 0usize..4) {
         let entry = match which {
@@ -192,32 +233,51 @@ proptest! {
             extra_block_facts: (seed % 3) as usize,
             alternative_join_probability: 0.6,
         }).generate();
-        prop_assert_eq!(eval::satisfies(&db, &q), eval::naive::satisfies(&db, &q));
+        let index = db.index();
+        let plan = QueryPlan::compile(&q, Some(index.statistics()));
+        prop_assert_eq!(plan.prepare(&index).satisfies(), eval::naive::satisfies(&db, &q));
         let witnesses = eval::naive::all_valuations(&db, &q);
-        let mut indexed: Vec<String> =
-            eval::all_valuations(&db, &q).iter().map(|v| format!("{v:?}")).collect();
+        let mut compiled: Vec<String> =
+            plan.prepare(&index).all_valuations().iter().map(|v| format!("{v:?}")).collect();
         let mut reference: Vec<String> =
             witnesses.iter().map(|v| format!("{v:?}")).collect();
-        indexed.sort();
+        compiled.sort();
         reference.sort();
-        prop_assert_eq!(indexed, reference, "query {}, seed {}", entry.name, seed);
-        if let Some(total) = witnesses.into_iter().next() {
-            let vars: Vec<cqa::query::Variable> = q.vars().into_iter().collect();
-            let partial = total.restrict_to(vars.iter().take(1 + seed as usize % vars.len().max(1)));
-            prop_assert!(eval::satisfies_with(&db, &q, &partial));
-            prop_assert_eq!(
-                eval::satisfies_with(&db, &q, &partial),
-                eval::naive::satisfies_with(&db, &q, &partial)
-            );
+        prop_assert_eq!(compiled, reference, "query {}, seed {}", entry.name, seed);
+
+        let vars: Vec<cqa::query::Variable> = q.vars().into_iter().collect();
+        let mix = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let params: Vec<cqa::query::Variable> = (vars.iter().enumerate())
+            .filter(|(i, _)| (mix >> i) & 1 == 1)
+            .map(|(_, v)| v.clone())
+            .collect();
+        let bound = QueryPlan::compile_bound(&q, &params, Some(index.statistics()));
+        let prepared = bound.prepare(&index);
+        let agree = |base: &Valuation| {
+            let verdict = prepared.satisfies_with(base);
+            (verdict == eval::naive::satisfies_with(&db, &q, base)).then_some(verdict)
+        };
+        if let Some(total) = witnesses.first() {
+            for extra in [0, 1] {
+                let partial = Valuation::from_pairs(params.iter().chain(vars.iter().take(extra))
+                    .map(|v| (v.clone(), total.get(v).expect("witnesses are total").clone())));
+                prop_assert_eq!(agree(&partial), Some(true),
+                    "witness base {:?}, query {}, seed {}", partial, entry.name, seed);
+            }
         }
-        if let Some(var) = q.vars().into_iter().next() {
-            let junk = cqa::query::Valuation::from_pairs([
-                (var, cqa_data::Value::str("__not_in_any_fact__")),
-            ]);
-            prop_assert_eq!(
-                eval::satisfies_with(&db, &q, &junk),
-                eval::naive::satisfies_with(&db, &q, &junk)
+        let domain: Vec<cqa_data::Value> = db.active_domain().into_iter().collect();
+        prop_assume!(!domain.is_empty());
+        let junk = Valuation::from_pairs(params.iter().enumerate().map(|(i, v)| {
+            (v.clone(), domain[(mix as usize / 7 + 3 * i) % domain.len()].clone())
+        }));
+        prop_assert!(agree(&junk).is_some(), "junk base {:?}, query {}, seed {}", junk, entry.name, seed);
+        if let Some(first) = params.first() {
+            let absent = junk.overridden(
+                std::slice::from_ref(first),
+                &[cqa_data::Value::str("__not_in_any_fact__")],
             );
+            prop_assert_eq!(agree(&absent), Some(false),
+                "absent base {:?}, query {}, seed {}", absent, entry.name, seed);
         }
     }
 }
@@ -227,8 +287,8 @@ proptest! {
     // the interpreters on well over 200 randomized generator instances.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Compiled plans agree with the interpreters they replace:
-    /// `cqa_exec::QueryPlan` with `cqa_query::eval` (verdict and full
+    /// Compiled plans agree with the reference interpreters:
+    /// `cqa_exec::QueryPlan` with `cqa_query::eval::naive` (verdict and full
     /// valuation set), and — on the Theorem 1 catalog queries —
     /// `cqa_exec::FoPlan` on the certain rewriting with the generic model
     /// checker `cqa_core::fo::eval` and with the solver's interpreted
@@ -250,15 +310,15 @@ proptest! {
         }).generate();
         let index = db.index();
 
-        // Query side: the compiled join plan vs the tree-walking join.
+        // Query side: the compiled join plan vs the nested-loop reference.
         let plan = QueryPlan::compile(&q, Some(index.statistics()));
         let prepared = plan.prepare(&index);
-        prop_assert_eq!(prepared.satisfies(), eval::satisfies(&db, &q),
+        prop_assert_eq!(prepared.satisfies(), eval::naive::satisfies(&db, &q),
             "query plan verdict, {} seed {}", entry.name, seed);
         let mut compiled: Vec<String> =
             prepared.all_valuations().iter().map(|v| format!("{v:?}")).collect();
         let mut reference: Vec<String> =
-            eval::all_valuations(&db, &q).iter().map(|v| format!("{v:?}")).collect();
+            eval::naive::all_valuations(&db, &q).iter().map(|v| format!("{v:?}")).collect();
         compiled.sort();
         reference.sort();
         prop_assert_eq!(compiled, reference, "query plan valuations, {} seed {}", entry.name, seed);
@@ -321,7 +381,11 @@ proptest! {
         // A response line shows the possible answers only as a count: hold
         // the sets themselves to the reference evaluator and to the
         // per-candidate verdicts.
-        prop_assert_eq!(&sets.possible, &eval::answers(&db, &free_q));
+        let reference: std::collections::BTreeSet<Vec<cqa_data::Value>> =
+            (eval::naive::all_valuations(&db, &free_q).iter())
+                .filter_map(|v| v.project(free_q.free_vars()))
+                .collect();
+        prop_assert_eq!(&sets.possible, &reference);
         let free = free_q.free_vars().to_vec();
         for tuple in &sets.possible {
             prop_assert_eq!(
