@@ -1,9 +1,12 @@
-//! Instance builders and timing helpers shared by the `experiments`
-//! (paper reproduction) and `bench_obs` (observability-overhead gate)
-//! binaries. The client-observed benchmark lives in `harness/`.
+//! The paper's checks ([`paper`], E1–E12) plus the instance builders and
+//! timing helpers shared by the `experiments` (paper reproduction) and
+//! `bench_obs` (observability-overhead gate) binaries. The client-observed
+//! benchmark lives in `harness/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod paper;
 
 use cqa_data::UncertainDatabase;
 use cqa_gen::{cycle_instance, CycleInstanceConfig, GeneratorConfig, UncertainDbGenerator};

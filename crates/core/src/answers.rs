@@ -13,20 +13,10 @@
 use crate::fo::{certain_rewriting_open, FoFormula};
 use crate::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_data::{UncertainDatabase, Value};
-use cqa_exec::{ExecMode, FoPlan, PlanCache, StatsStamp};
+use cqa_exec::{ExecMode, FoPlan, QueryPlan, StatsStamp};
 use cqa_query::{substitute, ConjunctiveQuery, QueryError, Variable};
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
-
-/// Process-wide memo of compiled satisfaction plans: repeated
-/// [`certain_answers`] calls for the same `(schema, query)` — a CLI loop, a
-/// service answering the same query against evolving data — compile once.
-/// The `cqa-par` batch engine answers open queries through
-/// [`certain_answers`], so its pool jobs amortize the same compilations.
-pub fn shared_plan_cache() -> &'static PlanCache {
-    static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(PlanCache::new)
-}
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// The certain answers (and, for context, the possible answers) of a query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,17 +32,16 @@ pub struct AnswerSets {
 /// query without self-joins.
 ///
 /// For a Boolean query the result contains the empty tuple iff the query is
-/// certain. Internally this builds a [`CertainAnswersEngine`] — classify and
-/// compile once, then decide every candidate through one prepared plan —
-/// rather than re-classifying the grounded query per candidate.
+/// certain. Internally this builds a one-shot [`CertainAnswersEngine`] —
+/// classify and compile once per call, then decide every candidate through
+/// one prepared plan — rather than re-classifying the grounded query per
+/// candidate. A service answering the same query repeatedly keeps the
+/// engine instead (`cqa-par`'s `BatchEngine` memoizes one per query).
 pub fn certain_answers(
     query: &ConjunctiveQuery,
     db: &UncertainDatabase,
 ) -> Result<AnswerSets, QueryError> {
-    let possible = possible_answers(query, db)?;
-    let engine = CertainAnswersEngine::new(query)?;
-    let certain = engine.certain_of(db, &possible)?;
-    Ok(AnswerSets { certain, possible })
+    CertainAnswersEngine::new(query)?.answer_sets(db)
 }
 
 /// A compile-once engine for deciding which candidate tuples are certain
@@ -74,25 +63,31 @@ pub fn certain_answers(
 /// Queries outside the first-order region (cyclic attack graph) fall back to
 /// the per-candidate [`CertaintyEngine`] path, whose non-FO solvers are
 /// inherently per-ground-query.
+///
+/// The engine owns every plan its query needs: the join [`QueryPlan`] that
+/// enumerates the possible answers and the open rewriting's [`FoPlan`].
+/// Both are compiled on first use against one database's statistics and
+/// stamped with them. Databases keep their index snapshots warm across
+/// mutations, so a long-lived engine can see the data grow far past its
+/// compile-time cardinalities; once the stamp has
+/// [drifted](StatsStamp::drifted_from) both plans are recompiled together
+/// against the current statistics (counted as `core.answers.plan_stale`).
 pub struct CertainAnswersEngine {
     query: ConjunctiveQuery,
     free: Vec<Variable>,
-    open: Option<OpenRewriting>,
+    /// The open rewriting `φ(x̄)`, when the attack graph is acyclic.
+    open: Option<FoFormula>,
+    plans: RwLock<Option<Arc<Plans>>>,
     mode: ExecMode,
 }
 
-/// The open rewriting `φ(x̄)` and its lazily compiled plan, stamped with the
-/// statistics it was compiled against (statistics of the first database seen
-/// pick the guard atoms, mirroring [`crate::solvers::RewritingSolver`]).
-///
-/// Databases now keep their index snapshots warm across mutations (delta
-/// maintenance), so a long-lived engine can see the data grow far past its
-/// compile-time cardinalities; when the stamp has
-/// [drifted](StatsStamp::drifted_from) the plan is recompiled against the
-/// current statistics (counted as `core.answers.plan_stale`).
-struct OpenRewriting {
-    formula: FoFormula,
-    plan: RwLock<Option<(Arc<FoPlan>, StatsStamp)>>,
+/// An engine's compiled plans and the statistics they were compiled
+/// against (statistics of the first database seen pick the join order and
+/// the guard atoms, mirroring [`crate::solvers::RewritingSolver`]).
+struct Plans {
+    possible: QueryPlan,
+    open: Option<Arc<FoPlan>>,
+    stamp: StatsStamp,
 }
 
 impl CertainAnswersEngine {
@@ -103,16 +98,11 @@ impl CertainAnswersEngine {
     /// exactly the queries [`tuple_is_certain`] decides.
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
         query.require_self_join_free()?;
-        let open = certain_rewriting_open(query)
-            .ok()
-            .map(|formula| OpenRewriting {
-                formula,
-                plan: RwLock::new(None),
-            });
         Ok(CertainAnswersEngine {
             query: query.clone(),
             free: query.free_vars().to_vec(),
-            open,
+            open: certain_rewriting_open(query).ok(),
+            plans: RwLock::new(None),
             mode: ExecMode::Auto,
         })
     }
@@ -130,38 +120,55 @@ impl CertainAnswersEngine {
         self.open.is_some()
     }
 
-    /// The compiled plan of the open rewriting, compiled on first use with
-    /// `db`'s statistics — and recompiled when those statistics have
-    /// drifted beyond [`cqa_exec::cache::DRIFT_FACTOR`] since compile time.
-    pub fn open_plan(&self, db: &UncertainDatabase) -> Option<Arc<FoPlan>> {
-        let open = self.open.as_ref()?;
+    /// The engine's plans for `db`, compiled on first use with `db`'s
+    /// statistics — and recompiled, both together, when those statistics
+    /// have drifted beyond [`cqa_exec::cache::DRIFT_FACTOR`] since compile
+    /// time.
+    fn plans(&self, db: &UncertainDatabase) -> Arc<Plans> {
         let index = db.index();
         let stats = index.statistics();
-        {
-            let cached = open.plan.read().unwrap_or_else(PoisonError::into_inner);
-            if let Some((plan, stamp)) = cached.as_ref() {
-                if !stamp.drifted_from(Some(stats)) {
-                    return Some(plan.clone());
-                }
+        let stale = {
+            let cached = self.plans.read().unwrap_or_else(PoisonError::into_inner);
+            match cached.as_ref() {
+                Some(plans) if !plans.stamp.drifted_from(Some(stats)) => return plans.clone(),
+                cached => cached.is_some(),
             }
-        }
-        let had_plan = {
-            let cached = open.plan.read().unwrap_or_else(PoisonError::into_inner);
-            cached.is_some()
         };
-        if had_plan {
+        if stale {
             cqa_obs::count!("core.answers.plan_stale");
         }
         // Compile outside the lock; racing recompiles are both compiled
         // against current statistics, so last-writer-wins is fine.
-        let plan = Arc::new(FoPlan::compile(
-            &open.formula,
-            self.query.schema(),
-            Some(stats),
-        ));
-        let stamp = StatsStamp::of(Some(stats));
-        *open.plan.write().unwrap_or_else(PoisonError::into_inner) = Some((plan.clone(), stamp));
-        Some(plan)
+        let plans = Arc::new(Plans {
+            possible: QueryPlan::compile(&self.query, Some(stats)),
+            open: (self.open.as_ref()).map(|formula| {
+                Arc::new(FoPlan::compile(formula, self.query.schema(), Some(stats)))
+            }),
+            stamp: StatsStamp::of(Some(stats)),
+        });
+        *self.plans.write().unwrap_or_else(PoisonError::into_inner) = Some(plans.clone());
+        plans
+    }
+
+    /// The compiled plan of the open rewriting, or `None` on the fallback
+    /// path. It is compiled with the possible-answers plan on first use and
+    /// recompiled with it on statistics drift.
+    pub fn open_plan(&self, db: &UncertainDatabase) -> Option<Arc<FoPlan>> {
+        self.plans(db).open.clone()
+    }
+
+    /// The possible answers of the query on `db`, through the engine's
+    /// join plan: tuples that are answers on `db` itself — equivalently,
+    /// answers in *some* repair. These are the candidates for certainty.
+    pub fn possible(&self, db: &UncertainDatabase) -> BTreeSet<Vec<Value>> {
+        self.plans(db).possible.answers(db)
+    }
+
+    /// The possible answers on `db` and which of them are certain.
+    pub fn answer_sets(&self, db: &UncertainDatabase) -> Result<AnswerSets, QueryError> {
+        let possible = self.possible(db);
+        let certain = self.certain_of(db, &possible)?;
+        Ok(AnswerSets { certain, possible })
     }
 
     /// Decides certainty of each candidate tuple: `out[i]` ⇔ the Boolean
@@ -211,18 +218,17 @@ impl CertainAnswersEngine {
 /// itself — equivalently, answers in *some* repair (conjunctive queries are
 /// monotone). These are exactly the candidates for certainty.
 ///
-/// Evaluated through the compiled join plan of the process-wide
-/// [`shared_plan_cache`] (`cqa_query::eval` remains the reference; the
-/// property suite keeps them identical).
+/// Compiles the query's join plan once per call (`cqa_query::eval::naive`
+/// remains the reference; the property suite keeps them identical); a
+/// caller asking repeatedly keeps a [`CertainAnswersEngine`] and asks its
+/// [`possible`](CertainAnswersEngine::possible) instead.
 pub fn possible_answers(
     query: &ConjunctiveQuery,
     db: &UncertainDatabase,
 ) -> Result<BTreeSet<Vec<Value>>, QueryError> {
     query.require_self_join_free()?;
     let index = db.index();
-    Ok(shared_plan_cache()
-        .plan(query, Some(index.statistics()))
-        .answers(db))
+    Ok(QueryPlan::compile(query, Some(index.statistics())).answers(db))
 }
 
 /// Decides certainty of one candidate tuple: the Boolean query obtained by
@@ -245,13 +251,10 @@ mod tests {
     use super::*;
     use cqa_query::{catalog, Term, Variable};
 
-    #[test]
-    fn conference_certain_answers() {
-        // q(x) :- C(x, y, 'Rome'), R(x, 'A'): which conferences certainly put
-        // an A-ranked event in Rome?
-        let boolean = catalog::conference();
-        let schema = boolean.query.schema().clone();
-        let query = ConjunctiveQuery::builder(schema)
+    /// q(x) :- C(x, y, 'Rome'), R(x, 'A'): which conferences certainly put
+    /// an A-ranked event in Rome?
+    fn open_conference_query() -> ConjunctiveQuery {
+        ConjunctiveQuery::builder(catalog::conference().query.schema().clone())
             .atom(
                 "C",
                 [Term::var("x"), Term::var("y"), Term::constant("Rome")],
@@ -259,7 +262,12 @@ mod tests {
             .atom("R", [Term::var("x"), Term::constant("A")])
             .free([Variable::new("x")])
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn conference_certain_answers() {
+        let query = open_conference_query();
         let db = catalog::conference_database();
         let answers = certain_answers(&query, &db).unwrap();
         // Possible: PODS (if Rome repair chosen) and KDD (if rank-A repair chosen).
@@ -303,16 +311,7 @@ mod tests {
 
     #[test]
     fn the_engine_matches_the_per_tuple_reference_in_every_mode() {
-        let schema = catalog::conference().query.schema().clone();
-        let query = ConjunctiveQuery::builder(schema)
-            .atom(
-                "C",
-                [Term::var("x"), Term::var("y"), Term::constant("Rome")],
-            )
-            .atom("R", [Term::var("x"), Term::constant("A")])
-            .free([Variable::new("x")])
-            .build()
-            .unwrap();
+        let query = open_conference_query();
         let db = catalog::conference_database();
         let free = query.free_vars().to_vec();
         // Candidates beyond the possible answers, including a value outside
@@ -334,6 +333,42 @@ mod tests {
                 "{mode:?}"
             );
         }
+    }
+
+    #[test]
+    fn drifted_statistics_recompile_both_plans_together() {
+        let query = open_conference_query();
+        let mut db = catalog::conference_database();
+        let engine = CertainAnswersEngine::new(&query).unwrap();
+        let stale = || {
+            cqa_obs::Registry::global()
+                .snapshot()
+                .counter("core.answers.plan_stale")
+        };
+        let before = stale();
+        let plans = engine.plans(&db);
+        // Same statistics: the same compiled plans, and they execute.
+        assert!(Arc::ptr_eq(&plans, &engine.plans(&db)));
+        assert_eq!(engine.possible(&db), possible_answers(&query, &db).unwrap());
+        // Grow one relation past DRIFT_FACTOR: both plans (one slot)
+        // recompile against the fresh statistics, as one stale event.
+        let r = db.schema().relation_id("R").unwrap();
+        let count = db.index().statistics().relation(r).fact_count();
+        for i in 0..(count * cqa_exec::cache::DRIFT_FACTOR + 1) {
+            db.insert_values("R", [format!("conf{i}"), format!("t{i}")])
+                .unwrap();
+        }
+        let recompiled = engine.plans(&db);
+        assert!(!Arc::ptr_eq(&plans, &recompiled));
+        assert_ne!(plans.stamp, recompiled.stamp);
+        assert_eq!(stale() - before, 1);
+        // The new stamp is fresh: no further recompile, and answers agree.
+        assert!(Arc::ptr_eq(&recompiled, &engine.plans(&db)));
+        assert_eq!(stale() - before, 1);
+        assert_eq!(
+            engine.answer_sets(&db).unwrap(),
+            certain_answers(&query, &db).unwrap()
+        );
     }
 
     #[test]

@@ -59,17 +59,6 @@ pub enum ComplexityClass {
     OutsideAcyclicScope,
 }
 
-impl ComplexityClass {
-    /// True iff the classification guarantees a polynomial-time algorithm
-    /// (first-order expressible queries included).
-    pub fn is_tractable(&self) -> bool {
-        matches!(
-            self,
-            ComplexityClass::FirstOrderExpressible | ComplexityClass::PolynomialTime(_)
-        )
-    }
-}
-
 impl fmt::Display for ComplexityClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -313,7 +302,5 @@ mod tests {
                 .contains("Theorem 4")
         );
         assert!(ComplexityClass::CoNpComplete.to_string().contains("coNP"));
-        assert!(ComplexityClass::FirstOrderExpressible.is_tractable());
-        assert!(!ComplexityClass::CoNpComplete.is_tractable());
     }
 }

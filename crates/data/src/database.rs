@@ -347,17 +347,6 @@ impl UncertainDatabase {
         }
     }
 
-    /// Returns a new database containing only the facts of the given relations.
-    pub fn restrict_to_relations(&self, relations: &[RelationId]) -> UncertainDatabase {
-        let facts: Vec<Fact> = self
-            .facts()
-            .filter(|f| relations.contains(&f.relation()))
-            .cloned()
-            .collect();
-        UncertainDatabase::from_facts(self.schema().clone(), facts)
-            .expect("facts of a database are schema-valid")
-    }
-
     /// Returns a new database with the same schema containing the given facts.
     pub fn with_facts(&self, facts: impl IntoIterator<Item = Fact>) -> UncertainDatabase {
         UncertainDatabase::from_facts(self.schema().clone(), facts)
@@ -562,8 +551,12 @@ mod tests {
         let schema = db.schema().clone();
         let c = schema.relation_id("C").unwrap();
         let r = schema.relation_id("R").unwrap();
-        let only_c = db.restrict_to_relations(&[c]);
-        let only_r = db.restrict_to_relations(&[r]);
+        let only = |relation| {
+            let mut only = db.clone();
+            only.retain_facts(|f| f.relation() == relation);
+            only
+        };
+        let (only_c, only_r) = (only(c), only(r));
         assert_eq!(only_c.fact_count(), 3);
         assert_eq!(only_r.fact_count(), 3);
         let back = only_c.union(&only_r).unwrap();

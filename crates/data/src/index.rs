@@ -787,8 +787,6 @@ impl DatabaseIndex {
     fn close_mutation(&mut self, relation: usize) {
         if self.columnar.get().is_some() {
             cqa_obs::count!("data.index.delta_applied");
-            // The rebuild fallback is gone; its counter stays registered.
-            cqa_obs::count!("data.index.delta_fallback_rebuild", 0);
         }
         if let Some(statistics) = self.statistics.get_mut() {
             let of_relation = &mut statistics.relations[relation];

@@ -192,11 +192,6 @@ impl Schema {
             .enumerate()
             .map(|(i, r)| (RelationId(i as u32), r))
     }
-
-    /// Iterates over all relation ids.
-    pub fn relation_ids(&self) -> impl Iterator<Item = RelationId> + '_ {
-        (0..self.relations.len() as u32).map(RelationId)
-    }
 }
 
 impl fmt::Display for Schema {

@@ -1,49 +1,39 @@
-//! Memoization of compiled plans per `(schema, query)`.
+//! The per-query memo's building blocks.
 //!
-//! Plans depend only on the query text, the schema and (for ordering, not
-//! correctness) statistics, so a long-running service compiling each
-//! incoming query once amortizes planning across every later snapshot. The
-//! cache key is a structural fingerprint — relation signatures plus the
-//! query rendering — rather than a pointer, so schema clones hit the same
-//! entry and a dropped-and-reallocated schema cannot alias a stale one.
+//! The serving path classifies, rewrites and compiles each query once and
+//! keeps the result on one memoized engine per query (`cqa-par`'s
+//! `BatchEngine` memo). This module supplies what that memo and its engines
+//! share:
 //!
-//! The cache is **bounded**: its storage is the generic [`LruCache`] (which
-//! also bounds the per-shape engine memos of `cqa-par` and `cqa-serve`), and
-//! beyond its capacity the least-recently-used entry is evicted, so a service fed an unbounded stream of distinct
-//! queries cannot grow without limit. Recency is tracked by a per-entry
-//! stamp bumped from a global tick on every hit, which keeps the hot path
-//! under the shared read lock; eviction (rare by construction) does an
-//! O(n) min-stamp scan under the write lock. Hits, misses and evictions
-//! are counted in the metrics registry under `exec.plan_cache.*`.
-//!
-//! Since the data layer keeps index snapshots alive across mutations (delta
-//! maintenance instead of invalidation), a cached plan can now outlive the
-//! statistics it was compiled against by *a lot*. Every entry therefore
-//! remembers a [`StatsStamp`] of its compile-time statistics; a hit whose
-//! current statistics have [drifted](StatsStamp::drifted_from) beyond
-//! [`DRIFT_FACTOR`] recompiles the plan with the fresh statistics (counted
-//! as `exec.plan_cache.stale`), so long-lived services keep honest join
-//! orders as the data grows or shrinks underneath them.
+//! * [`fingerprint`] — the memo key: relation signatures plus the query
+//!   rendering, rather than a pointer, so schema clones hit the same entry
+//!   and a dropped-and-reallocated schema cannot alias a stale one;
+//! * [`LruCache`] — the memo's storage, **bounded**: beyond its capacity the
+//!   least-recently-used entry is evicted, so a service fed an unbounded
+//!   stream of distinct queries cannot grow without limit. Recency is
+//!   tracked by a per-entry stamp bumped from a global tick on every hit,
+//!   which keeps the hot path under the shared read lock; eviction (rare by
+//!   construction) does an O(n) min-stamp scan under the write lock;
+//! * [`StatsStamp`] — the statistics an engine's plans were compiled
+//!   against. The data layer keeps index snapshots alive across mutations,
+//!   so a memoized engine can outlive its compile-time statistics by *a
+//!   lot*; once the current statistics have
+//!   [drifted](StatsStamp::drifted_from) beyond [`DRIFT_FACTOR`] the engine
+//!   recompiles, so long-lived services keep honest join orders as the data
+//!   grows or shrinks underneath them.
 
-use crate::QueryPlan;
 use cqa_data::Statistics;
 use cqa_query::ConjunctiveQuery;
 use rustc_hash::FxHashMap;
-use std::collections::hash_map::Entry;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-/// Default capacity: far above any workload in this repo (the CLI and the
-/// batch engine see tens of distinct queries), so eviction only engages
-/// under a genuinely unbounded query stream.
-pub const DEFAULT_CAPACITY: usize = 1024;
-
 /// Cardinality ratio beyond which compile-time statistics are considered
-/// stale: a relation must grow or shrink ≥ 4× before a cached plan is
+/// stale: a relation must grow or shrink ≥ 4× before an engine's plans are
 /// recompiled. Join-order quality degrades logarithmically with estimate
 /// error, so small drift is harmless while recompiling per mutation would
-/// forfeit the cache entirely.
+/// forfeit compiling once.
 pub const DRIFT_FACTOR: usize = 4;
 
 /// A compact summary of the [`Statistics`] a plan was compiled against:
@@ -104,8 +94,8 @@ pub enum Lookup {
 }
 
 /// A thread-safe, poison-proof, LRU-bounded map from a query
-/// [`fingerprint`] to a shared value: the [`PlanCache`]'s storage, and the
-/// bound on the per-shape engine memos of `cqa-par` and `cqa-serve`.
+/// [`fingerprint`] to a shared value: the storage of `cqa-par`'s per-query
+/// engine memo.
 pub struct LruCache<V> {
     slots: RwLock<FxHashMap<String, Slot<V>>>,
     capacity: usize,
@@ -128,29 +118,24 @@ impl<V> LruCache<V> {
     }
 
     /// The value cached under `key`, marked as just used.
-    pub fn get(&self, key: &str) -> Option<Arc<V>> {
+    fn get(&self, key: &str) -> Option<Arc<V>> {
         let slots = self.slots.read().unwrap_or_else(PoisonError::into_inner);
         let slot = slots.get(key)?;
         slot.touched.store(self.next_tick(), Ordering::Relaxed);
         Some(slot.value.clone())
     }
 
-    /// Stores `value` under `key` — replacing a cached value when `replace`
-    /// is set, keeping it otherwise — and evicts the least recently used
-    /// entry if that outgrew the capacity. Returns the value now cached and
-    /// whether an entry was evicted.
-    fn put(&self, key: String, value: Arc<V>, replace: bool) -> (Arc<V>, bool) {
+    /// Stores `value` under `key` — keeping an already cached value — and
+    /// evicts the least recently used entry if that outgrew the capacity.
+    /// Returns the value now cached and whether an entry was evicted.
+    fn put(&self, key: String, value: Arc<V>) -> (Arc<V>, bool) {
         let mut slots = self.slots.write().unwrap_or_else(PoisonError::into_inner);
         let touched = AtomicU64::new(self.next_tick());
-        let kept = match slots.entry(key) {
-            Entry::Occupied(mut slot) => {
-                if replace {
-                    slot.insert(Slot { value, touched });
-                }
-                slot.get().value.clone()
-            }
-            Entry::Vacant(slot) => slot.insert(Slot { value, touched }).value.clone(),
-        };
+        let kept = slots
+            .entry(key)
+            .or_insert(Slot { value, touched })
+            .value
+            .clone();
         if slots.len() <= self.capacity {
             return (kept, false);
         }
@@ -175,7 +160,7 @@ impl<V> LruCache<V> {
         if let Some(value) = self.get(&key) {
             return Ok((value, Lookup::Hit));
         }
-        let (value, evicted) = self.put(key, Arc::new(build()?), false);
+        let (value, evicted) = self.put(key, Arc::new(build()?));
         Ok((value, Lookup::Miss { evicted }))
     }
 
@@ -193,28 +178,10 @@ impl<V> LruCache<V> {
     }
 }
 
-/// A compiled plan plus the statistics it was compiled against.
-struct CachedPlan {
-    plan: Arc<QueryPlan>,
-    stamp: StatsStamp,
-}
-
-/// A thread-safe, poison-proof, LRU-bounded cache of compiled
-/// [`QueryPlan`]s.
-pub struct PlanCache {
-    plans: LruCache<CachedPlan>,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::with_capacity(DEFAULT_CAPACITY)
-    }
-}
-
-/// The cache key of a query: relation signatures followed by the query
-/// rendering. Exported so other per-query caches (the `cqa-par` batch
-/// engine's classified-engine memo) key on exactly the same notion of
-/// "same (schema, query)" and cannot drift from this cache.
+/// The memo key of a query: relation signatures followed by the query
+/// rendering. The rendering's head (`q()` for a Boolean query, `q(x, …)`
+/// otherwise) keeps a Boolean query and an open query of the same body
+/// apart.
 pub fn fingerprint(query: &ConjunctiveQuery) -> String {
     let mut key = String::new();
     for (_, relation) in query.schema().iter() {
@@ -230,141 +197,59 @@ pub fn fingerprint(query: &ConjunctiveQuery) -> String {
     key
 }
 
-impl PlanCache {
-    /// Creates an empty cache with the [default capacity](DEFAULT_CAPACITY).
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// Creates an empty cache evicting beyond `capacity` plans (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache {
-            plans: LruCache::with_capacity(capacity),
-        }
-    }
-
-    /// The compiled plan for `query`, compiling (with `stats` guiding the
-    /// join order) only on the first request for this `(schema, query)` —
-    /// or again when `stats` have drifted ≥ [`DRIFT_FACTOR`] from the
-    /// cached plan's compile-time statistics.
-    pub fn plan(&self, query: &ConjunctiveQuery, stats: Option<&Statistics>) -> Arc<QueryPlan> {
-        let key = fingerprint(query);
-        let stale = match self.plans.get(&key) {
-            Some(cached) if !cached.stamp.drifted_from(stats) => {
-                cqa_obs::count!("exec.plan_cache.hit");
-                return cached.plan.clone();
-            }
-            Some(_) => {
-                cqa_obs::count!("exec.plan_cache.stale");
-                true
-            }
-            None => {
-                cqa_obs::count!("exec.plan_cache.miss");
-                false
-            }
-        };
-        // A drifted entry is replaced (a racing recompile was also compiled
-        // against fresh statistics); a racing first compile keeps one plan.
-        let compiled = Arc::new(CachedPlan {
-            plan: Arc::new(QueryPlan::compile(query, stats)),
-            stamp: StatsStamp::of(stats),
-        });
-        let (cached, evicted) = self.plans.put(key, compiled, stale);
-        if evicted {
-            cqa_obs::count!("exec.plan_cache.eviction");
-        }
-        cached.plan.clone()
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// True iff no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cqa_query::catalog;
-    use std::sync::Arc as StdArc;
+
+    fn insert(cache: &LruCache<usize>, key: &str, value: usize) -> (Arc<usize>, Lookup) {
+        cache
+            .get_or_try_insert_with(key.to_string(), || Ok::<_, ()>(value))
+            .unwrap()
+    }
 
     #[test]
-    fn identical_queries_share_one_plan() {
-        let cache = PlanCache::new();
-        let q = catalog::conference().query;
-        let a = cache.plan(&q, None);
-        let b = cache.plan(&q.clone(), None);
-        assert!(StdArc::ptr_eq(&a, &b));
+    fn a_key_is_built_once_and_shared() {
+        let cache = LruCache::with_capacity(4);
+        let (a, lookup) = insert(&cache, "k", 1);
+        assert_eq!(lookup, Lookup::Miss { evicted: false });
+        let (b, lookup) = insert(&cache, "k", 2);
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(*b, 1, "a hit never rebuilds");
         assert_eq!(cache.len(), 1);
-        let other = catalog::fo_path2().query;
-        let c = cache.plan(&other, None);
-        assert!(!StdArc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 2);
+        // A failed build caches nothing.
+        let failed = cache.get_or_try_insert_with("e".to_string(), || Err::<usize, _>("no"));
+        assert!(failed.is_err());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn cached_plans_execute() {
-        let cache = PlanCache::new();
-        let q = catalog::conference().query;
-        let db = catalog::conference_database();
-        let index = db.index();
-        let plan = cache.plan(&q, Some(index.statistics()));
-        assert!(plan.satisfies(&db));
-    }
-
-    #[test]
-    fn capacity_evicts_the_least_recently_used_plan() {
-        let cache = PlanCache::with_capacity(2);
-        let first = catalog::conference().query;
-        let second = catalog::fo_path2().query;
-        let third = catalog::fo_path3().query;
-        let a = cache.plan(&first, None);
-        cache.plan(&second, None);
+    fn capacity_evicts_the_least_recently_used_entry() {
+        let cache = LruCache::with_capacity(2);
+        let (first, _) = insert(&cache, "first", 1);
+        insert(&cache, "second", 2);
         // Touch `first` so `second` is now the least recently used.
-        cache.plan(&first, None);
-        cache.plan(&third, None);
+        insert(&cache, "first", 1);
+        let (_, lookup) = insert(&cache, "third", 3);
+        assert_eq!(lookup, Lookup::Miss { evicted: true });
         assert_eq!(cache.len(), 2);
-        // `first` survived the eviction; `second` was dropped and
-        // recompiles to a fresh allocation.
-        let a2 = cache.plan(&first, None);
-        assert!(StdArc::ptr_eq(&a, &a2));
+        // `first` survived the eviction; `second` was dropped and rebuilds.
+        let (again, lookup) = insert(&cache, "first", 1);
+        assert_eq!(lookup, Lookup::Hit);
+        assert!(Arc::ptr_eq(&first, &again));
+        let (_, lookup) = insert(&cache, "second", 2);
+        assert_eq!(lookup, Lookup::Miss { evicted: true });
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn drifted_statistics_recompile_the_cached_plan() {
-        let cache = PlanCache::new();
-        let q = catalog::conference().query;
-        let mut db = catalog::conference_database();
-        let plan = cache.plan(&q, Some(db.index().statistics()));
-        // Same statistics: cache hit, same allocation.
-        let again = cache.plan(&q, Some(db.index().statistics()));
-        assert!(StdArc::ptr_eq(&plan, &again));
-        // Grow one relation past DRIFT_FACTOR: the hit is declared stale
-        // and the plan recompiles against the fresh statistics.
-        let before = db
-            .index()
-            .statistics()
-            .relation(db.schema().relation_id("R").unwrap())
-            .fact_count();
-        for i in 0..(before * DRIFT_FACTOR + 1) {
-            db.insert_values("R", [format!("conf{i}"), format!("t{i}")])
-                .unwrap();
-        }
-        let recompiled = cache.plan(&q, Some(db.index().statistics()));
-        assert!(!StdArc::ptr_eq(&plan, &recompiled));
+    fn capacity_is_at_least_one() {
+        let cache = LruCache::with_capacity(0);
+        insert(&cache, "a", 1);
+        insert(&cache, "b", 2);
         assert_eq!(cache.len(), 1);
-        // The replacement's stamp is fresh: no further recompile.
-        let stable = cache.plan(&q, Some(db.index().statistics()));
-        assert!(StdArc::ptr_eq(&recompiled, &stable));
-        // Callers without statistics never trigger a drift recompile.
-        let blind = cache.plan(&q, None);
-        assert!(StdArc::ptr_eq(&recompiled, &blind));
+        assert!(!cache.is_empty());
     }
 
     #[test]
@@ -376,13 +261,5 @@ mod tests {
         assert!(!stamp.drifted_from(None));
         // A blind stamp drifts as soon as real statistics appear.
         assert!(StatsStamp::of(None).drifted_from(Some(index.statistics())));
-    }
-
-    #[test]
-    fn capacity_is_at_least_one() {
-        let cache = PlanCache::with_capacity(0);
-        cache.plan(&catalog::conference().query, None);
-        cache.plan(&catalog::fo_path2().query, None);
-        assert_eq!(cache.len(), 1);
     }
 }

@@ -19,7 +19,10 @@
 //!   active-domain sweep), column and domain scans for unguarded
 //!   quantifiers, membership lookups, and complement (`¬` / anti-join)
 //!   nodes;
-//! * [`PlanCache`] memoizes compiled query plans per `(schema, query)`.
+//! * [`cache`] holds what a per-query memo of compiled engines shares: the
+//!   [`fingerprint`](cache::fingerprint) key, the bounded
+//!   [`LruCache`](cache::LruCache) and the [`StatsStamp`] that tells an
+//!   engine when its plans have outlived their statistics.
 //!
 //! Plans are immutable and `Send + Sync`: compile once per query, then
 //! [`QueryPlan::prepare`] / [`FoPlan::prepare`] against any
@@ -47,7 +50,7 @@ mod probe;
 pub mod query_plan;
 pub mod vec;
 
-pub use cache::{PlanCache, StatsStamp};
+pub use cache::StatsStamp;
 pub use fo_plan::{FoPlan, PreparedFo};
 pub use query_plan::{PreparedQuery, QueryPlan};
 pub use vec::ExecMode;

@@ -34,7 +34,7 @@ impl fmt::Display for NodeId {
 pub struct DiGraph<N> {
     nodes: Vec<N>,
     succ: Vec<Vec<NodeId>>,
-    pred: Vec<Vec<NodeId>>,
+    in_degree: Vec<usize>,
     edges: FxHashSet<(NodeId, NodeId)>,
 }
 
@@ -43,7 +43,7 @@ impl<N> Default for DiGraph<N> {
         DiGraph {
             nodes: Vec::new(),
             succ: Vec::new(),
-            pred: Vec::new(),
+            in_degree: Vec::new(),
             edges: FxHashSet::default(),
         }
     }
@@ -60,7 +60,7 @@ impl<N> DiGraph<N> {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(payload);
         self.succ.push(Vec::new());
-        self.pred.push(Vec::new());
+        self.in_degree.push(0);
         id
     }
 
@@ -70,7 +70,7 @@ impl<N> DiGraph<N> {
             return false;
         }
         self.succ[from.index()].push(to);
-        self.pred[to.index()].push(from);
+        self.in_degree[to.index()] += 1;
         true
     }
 
@@ -79,27 +79,9 @@ impl<N> DiGraph<N> {
         self.nodes.len()
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// The payload of a node.
     pub fn node(&self, id: NodeId) -> &N {
         &self.nodes[id.index()]
-    }
-
-    /// Iterates over all node ids.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
-    }
-
-    /// Iterates over `(id, payload)` pairs.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId(i as u32), n))
     }
 
     /// Successors of a node.
@@ -107,29 +89,14 @@ impl<N> DiGraph<N> {
         &self.succ[id.index()]
     }
 
-    /// Predecessors of a node.
-    pub fn predecessors(&self, id: NodeId) -> &[NodeId] {
-        &self.pred[id.index()]
-    }
-
-    /// Out-degree of a node.
-    pub fn out_degree(&self, id: NodeId) -> usize {
-        self.succ[id.index()].len()
-    }
-
     /// In-degree of a node.
     pub fn in_degree(&self, id: NodeId) -> usize {
-        self.pred[id.index()].len()
+        self.in_degree[id.index()]
     }
 
     /// True iff the edge `from -> to` is present.
     pub fn has_edge(&self, from: NodeId, to: NodeId) -> bool {
         self.edges.contains(&(from, to))
-    }
-
-    /// Iterates over all edges.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edges.iter().copied()
     }
 }
 
@@ -148,12 +115,9 @@ mod tests {
         assert!(g.add_edge(c, a));
         assert!(!g.add_edge(a, b)); // duplicate
         assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 3);
         assert_eq!(g.successors(a), &[b]);
-        assert_eq!(g.predecessors(a), &[c]);
         assert!(g.has_edge(a, b));
         assert!(!g.has_edge(b, a));
-        assert_eq!(g.out_degree(a), 1);
-        assert_eq!(g.in_degree(a), 1);
+        assert_eq!(g.in_degree(a), 1, "the duplicate edge is not counted");
     }
 }

@@ -45,11 +45,6 @@ impl Tree {
         &self.edges
     }
 
-    /// Neighbours of a vertex.
-    pub fn neighbors(&self, v: usize) -> &[usize] {
-        &self.adjacency[v]
-    }
-
     /// The unique path between two vertices, as the list of vertices from
     /// `from` to `to` (inclusive). Returns `None` if they are disconnected
     /// (cannot happen in a spanning tree, but kept total for robustness).

@@ -1,4 +1,4 @@
-//! The batch engine: many queries, one snapshot, shared caches.
+//! The batch engine: many queries, one snapshot, one engine memo.
 //!
 //! This is the "serve heavy traffic" story of the ROADMAP: a service holds
 //! one immutable [`Snapshot`] of the data and a stream of incoming queries.
@@ -6,13 +6,15 @@
 //! engine's [`ParPool`] — inter-query parallelism — and
 //! [`BatchEngine::answer`] is what such a job runs.
 //!
-//! Two caches amortize repeated traffic, both shared across the whole
-//! process: compiled satisfaction plans go through
-//! [`cqa_core::answers::shared_plan_cache`], and classified
-//! [`CertaintyEngine`]s (classification + attack graph + compiled rewriting)
-//! are memoized per `(schema, query)` fingerprint in the engine cache here —
-//! the second time a query shape arrives, answering it is pure plan
-//! execution.
+//! The paper measures data complexity: the query is fixed and the data
+//! varies. So each query is classified, rewritten and compiled once, and the
+//! result is kept in **one** place: a memo of per-query engines keyed by
+//! [`fingerprint`], shared by every epoch forked from the same engine. A
+//! Boolean query's entry is a [`CertaintyEngine`] (classification, attack
+//! graph, solver and satisfaction plan); an open query's is a
+//! [`CertainAnswersEngine`] (open rewriting, possible-answers join plan and
+//! rewriting plan). The second time a query shape arrives, answering it is
+//! pure plan execution.
 //!
 //! Within one job the evaluation is deliberately **sequential**: a job
 //! that blocked on sub-jobs of the same pool could deadlock a small pool,
@@ -20,18 +22,18 @@
 //! is heavy.
 
 use crate::pool::ParPool;
-use cqa_core::answers::{certain_answers, AnswerSets};
+use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
 use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_data::Snapshot;
 use cqa_exec::cache::{fingerprint, Lookup, LruCache};
-use cqa_query::ConjunctiveQuery;
+use cqa_query::{ConjunctiveQuery, QueryError};
 use std::sync::Arc;
 
-/// Capacity of the per-query-shape engine memos (this one and `cqa-serve`'s
-/// answer-engine memo). A fingerprint includes the query's constants, so a
-/// client cycling constants mints shapes without limit; past this many the
-/// least recently used engine is evicted and reclassified on its next use.
-pub const ENGINE_MEMO_CAPACITY: usize = 4096;
+/// Capacity of the per-query engine memo, Boolean and open engines
+/// together. A fingerprint includes the query's constants, so a client
+/// cycling constants mints shapes without limit; past this many the least
+/// recently used engine is evicted and rebuilt on its next use.
+pub const ENGINE_MEMO_CAPACITY: usize = 8192;
 
 /// The outcome of one query.
 #[derive(Debug)]
@@ -66,8 +68,15 @@ pub struct BatchResult {
 pub struct BatchEngine {
     snapshot: Snapshot,
     pool: ParPool,
-    /// Memoized classified engines per `(schema, query)` fingerprint.
-    engines: Arc<LruCache<CertaintyEngine>>,
+    /// Memoized per-query engines per `(schema, query)` fingerprint.
+    engines: Arc<LruCache<MemoEngine>>,
+}
+
+/// One memo entry. Its kind follows from its key: the fingerprint's
+/// rendering starts with `q()` exactly for a Boolean query.
+enum MemoEngine {
+    Boolean(Box<CertaintyEngine>),
+    Open(Arc<CertainAnswersEngine>),
 }
 
 impl BatchEngine {
@@ -94,14 +103,14 @@ impl BatchEngine {
     }
 
     /// A new engine over `snapshot` that **shares** this engine's pool and
-    /// memoized classified engines. This is the epoch-swap primitive of the
+    /// memoized per-query engines. This is the epoch-swap primitive of the
     /// serving layer: readers keep answering on the old engine's frozen
     /// snapshot while the writer builds the next epoch's engine from the
     /// delta-patched index; publishing the new engine is then one atomic
     /// pointer swap, and known query shapes stay pure plan execution on
     /// both sides of the swap — classification and rewriting shape depend
-    /// only on the query and the schema, not the data (plans re-check
-    /// statistics drift in their own caches). Counted as
+    /// only on the query and the schema, not the data (an open engine
+    /// re-checks its plans' statistics drift itself). Counted as
     /// `par.batch.epoch_fork`.
     pub fn with_snapshot(&self, snapshot: Snapshot) -> BatchEngine {
         cqa_obs::count!("par.batch.epoch_fork");
@@ -117,68 +126,81 @@ impl BatchEngine {
         &self.pool
     }
 
-    /// Number of classified engines currently memoized.
+    /// Number of per-query engines currently memoized, of both kinds.
     pub fn cached_engine_count(&self) -> usize {
         self.engines.len()
     }
 
-    /// Answers one query on the calling thread (a pool job, when served),
-    /// through the engine's classified-engine memo.
-    pub fn answer(&self, name: &str, query: &ConjunctiveQuery) -> BatchResult {
-        BatchResult {
-            name: name.to_string(),
-            outcome: answer_one(&self.snapshot, &self.engines, query),
-        }
-    }
-}
-
-/// Answers one query against the snapshot, memoizing classified engines.
-/// Each call records its wall time into the `par.batch.query_nanos`
-/// histogram (the source of the serving layer's p50/p99).
-fn answer_one(
-    snapshot: &Snapshot,
-    engines: &LruCache<CertaintyEngine>,
-    query: &ConjunctiveQuery,
-) -> BatchOutcome {
-    let started = std::time::Instant::now();
-    let outcome = answer_one_inner(snapshot, engines, query);
-    cqa_obs::observe_duration!("par.batch.query_nanos", started.elapsed());
-    outcome
-}
-
-fn answer_one_inner(
-    snapshot: &Snapshot,
-    engines: &LruCache<CertaintyEngine>,
-    query: &ConjunctiveQuery,
-) -> BatchOutcome {
-    let db = snapshot.database();
-    if !query.is_boolean() {
-        return match certain_answers(query, db) {
-            Ok(sets) => BatchOutcome::Answers(sets),
-            Err(e) => BatchOutcome::Error(e.to_string()),
-        };
-    }
-    // Classification runs outside the memo's lock; a concurrent duplicate
-    // loses the entry race harmlessly (both engines answer alike).
-    let engine =
-        match engines.get_or_try_insert_with(fingerprint(query), || CertaintyEngine::new(query)) {
-            Ok((engine, Lookup::Hit)) => {
-                cqa_obs::count!("par.batch.engine.hit");
-                engine
-            }
-            Ok((engine, Lookup::Miss { evicted })) => {
+    /// The memoized engine of `query`, built on first sight of its
+    /// fingerprint. Counted as `par.batch.engine.{hit,miss,eviction}`.
+    fn engine(&self, query: &ConjunctiveQuery) -> Result<Arc<MemoEngine>, QueryError> {
+        // Classification runs outside the memo's lock; a concurrent
+        // duplicate loses the entry race harmlessly (both engines answer
+        // alike).
+        let (engine, lookup) = self
+            .engines
+            .get_or_try_insert_with(fingerprint(query), || {
+                Ok(if query.is_boolean() {
+                    MemoEngine::Boolean(Box::new(CertaintyEngine::new(query)?))
+                } else {
+                    MemoEngine::Open(Arc::new(CertainAnswersEngine::new(query)?))
+                })
+            })?;
+        match lookup {
+            Lookup::Hit => cqa_obs::count!("par.batch.engine.hit"),
+            Lookup::Miss { evicted } => {
                 cqa_obs::count!("par.batch.engine.miss");
                 if evicted {
                     cqa_obs::count!("par.batch.engine.eviction");
                 }
-                engine
             }
-            Err(e) => return BatchOutcome::Error(e.to_string()),
+        }
+        Ok(engine)
+    }
+
+    /// The memoized answer engine of the open query `query`: its open
+    /// rewriting and the plans compiled for it, shared across epochs. The
+    /// serving layer decides an open query's candidates through it in
+    /// cancellable chunks. A Boolean query's memo entry is its
+    /// [`CertaintyEngine`], so asking for one is an error.
+    pub fn answer_engine(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Arc<CertainAnswersEngine>, String> {
+        match &*self.engine(query).map_err(|e| e.to_string())? {
+            MemoEngine::Open(engine) => Ok(engine.clone()),
+            MemoEngine::Boolean(_) => Err("a Boolean query has no answer engine".to_string()),
+        }
+    }
+
+    /// Answers one query on the calling thread (a pool job, when served),
+    /// through the engine memo. Each call records its wall time into the
+    /// `par.batch.query_nanos` histogram (the source of the serving layer's
+    /// p50/p99).
+    pub fn answer(&self, name: &str, query: &ConjunctiveQuery) -> BatchResult {
+        let started = std::time::Instant::now();
+        let outcome = match self.engine(query) {
+            Err(e) => BatchOutcome::Error(e.to_string()),
+            Ok(engine) => {
+                let db = self.snapshot.database();
+                match &*engine {
+                    MemoEngine::Boolean(engine) => BatchOutcome::Boolean {
+                        certain: engine.is_certain(db),
+                        possible: engine.is_possible(db),
+                        solver: engine.solver_name(),
+                    },
+                    MemoEngine::Open(engine) => match engine.answer_sets(db) {
+                        Ok(sets) => BatchOutcome::Answers(sets),
+                        Err(e) => BatchOutcome::Error(e.to_string()),
+                    },
+                }
+            }
         };
-    BatchOutcome::Boolean {
-        certain: engine.is_certain(db),
-        possible: engine.is_possible(db),
-        solver: engine.solver_name(),
+        cqa_obs::observe_duration!("par.batch.query_nanos", started.elapsed());
+        BatchResult {
+            name: name.to_string(),
+            outcome,
+        }
     }
 }
 
@@ -186,9 +208,22 @@ fn answer_one_inner(
 mod tests {
     use super::*;
     use cqa_query::{catalog, Term, Variable};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The memo's counters are process-wide: tests that read them, and
+    /// every test that moves them, take turns.
+    fn counted() -> MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn counter(name: &str) -> u64 {
+        cqa_obs::Registry::global().snapshot().counter(name)
+    }
 
     #[test]
     fn answers_share_one_classified_engine_per_query_shape() {
+        let _turn = counted();
         let db = catalog::conference_database();
         let engine = BatchEngine::new(db.snapshot(), ParPool::new(3));
         let boolean = catalog::conference().query;
@@ -235,14 +270,16 @@ mod tests {
                 assert_eq!(sets.possible.len(), 2);
             }
         }
-        // All six Boolean repetitions share one classified engine.
-        assert_eq!(engine.cached_engine_count(), 1);
+        // The six Boolean repetitions share one classified engine and the
+        // six open ones one answer engine.
+        assert_eq!(engine.cached_engine_count(), 2);
         assert_eq!(engine.snapshot().fact_count(), 6);
         assert_eq!(engine.pool().thread_count(), 3);
     }
 
     #[test]
     fn with_snapshot_forks_an_epoch_sharing_the_engine_memo() {
+        let _turn = counted();
         let mut db = catalog::conference_database();
         let old = BatchEngine::new(db.snapshot(), ParPool::new(2));
         let query = catalog::conference().query;
@@ -254,7 +291,7 @@ mod tests {
         db.insert_values("R", ["conf_new", "t_new"]).unwrap();
         assert_ne!(old.epoch(), db.epoch());
         let new = old.with_snapshot(db.snapshot());
-        // The fork shares the classified-engine memo and the pool, but the
+        // The fork shares the engine memo and the pool, but the
         // old engine keeps answering on its frozen epoch. Classification is
         // data-independent, so the memo survives the swap.
         assert_eq!(new.cached_engine_count(), 1);
@@ -267,50 +304,97 @@ mod tests {
     }
 
     #[test]
+    fn an_open_query_misses_once_then_hits_across_an_epoch_fork() {
+        let _turn = counted();
+        let mut db = catalog::conference_database();
+        let old = BatchEngine::new(db.snapshot(), ParPool::new(1));
+        let query = ConjunctiveQuery::builder(db.schema().clone())
+            .atom("R", [Term::var("x"), Term::constant("A")])
+            .free([Variable::new("x")])
+            .build()
+            .unwrap();
+        let counts = || {
+            (
+                counter("par.batch.engine.miss"),
+                counter("par.batch.engine.hit"),
+            )
+        };
+        let (misses, hits) = counts();
+        let BatchOutcome::Answers(before) = old.answer("q", &query).outcome else {
+            panic!("an open query has answer sets");
+        };
+        assert_eq!(counts(), (misses + 1, hits));
+        db.insert_values("R", ["ICDT", "A"]).unwrap();
+        let new = old.with_snapshot(db.snapshot());
+        let BatchOutcome::Answers(after) = new.answer("q", &query).outcome else {
+            panic!("an open query has answer sets");
+        };
+        assert_eq!(counts(), (misses + 1, hits + 1));
+        // One engine, answering each epoch from its own snapshot.
+        assert_eq!(new.cached_engine_count(), 1);
+        assert_eq!(before.certain.len() + 1, after.certain.len());
+    }
+
+    #[test]
     fn distinct_constant_shapes_cannot_grow_the_engine_memo_past_its_capacity() {
+        let _turn = counted();
         let schema = cqa_data::Schema::from_relations([("R", 2, 1)])
             .unwrap()
             .into_shared();
         let mut db = cqa_data::UncertainDatabase::new(schema.clone());
         db.insert_values("R", ["x0", "a"]).unwrap();
+        db.insert_values("R", ["x1", "b"]).unwrap();
         let engine = BatchEngine::new(db.snapshot(), ParPool::new(1));
-        // R("x<i>", y): one memo key per constant, the way a client cycling
-        // constants mints them.
+        // R("x<i>", y), Boolean for even `i` and open in `y` for odd `i`: one
+        // memo key per constant, the way a client cycling constants mints
+        // them, and both kinds of engine share the one bound.
         let shape = |i: usize| {
+            let free = (i % 2 == 1).then(|| Variable::new("y"));
             ConjunctiveQuery::builder(schema.clone())
                 .atom("R", [Term::constant(format!("x{i}")), Term::var("y")])
+                .free(free)
                 .build()
                 .unwrap()
         };
-        let evictions = || {
-            cqa_obs::Registry::global()
-                .snapshot()
-                .counter("par.batch.engine.eviction")
-        };
-        let before = evictions();
+        let before = counter("par.batch.engine.eviction");
         let first = engine.answer("q", &shape(0));
         assert!(matches!(
             first.outcome,
             BatchOutcome::Boolean { certain: true, .. }
         ));
-        for i in 1..ENGINE_MEMO_CAPACITY + 100 {
+        let open = engine.answer_engine(&shape(1)).unwrap();
+        for i in 2..ENGINE_MEMO_CAPACITY + 100 {
             engine.answer("q", &shape(i));
         }
         assert_eq!(engine.cached_engine_count(), ENGINE_MEMO_CAPACITY);
-        assert_eq!(evictions() - before, 100);
-        // Shape 0 was the least recently used, so it is long evicted; asking
-        // again reclassifies it and answers exactly as before.
+        assert_eq!(counter("par.batch.engine.eviction") - before, 100);
+        // Shapes 0 and 1 were the least recently used, so they are long
+        // evicted; asking again rebuilds engines that answer exactly as
+        // before.
         let again = engine.answer("q", &shape(0));
         assert_eq!(
             format!("{:?}", again.outcome),
             format!("{:?}", first.outcome)
         );
+        let open_again = engine.answer_engine(&shape(1)).unwrap();
+        assert!(!Arc::ptr_eq(&open, &open_again));
+        let candidates = [
+            vec![cqa_data::Value::str("b")],
+            vec![cqa_data::Value::str("a")],
+        ];
+        let snapshot = engine.snapshot().database();
+        assert_eq!(open.verdicts(snapshot, &candidates).unwrap(), [true, false]);
+        assert_eq!(
+            open_again.verdicts(snapshot, &candidates).unwrap(),
+            [true, false]
+        );
         assert_eq!(engine.cached_engine_count(), ENGINE_MEMO_CAPACITY);
-        assert_eq!(evictions() - before, 101);
+        assert_eq!(counter("par.batch.engine.eviction") - before, 102);
     }
 
     #[test]
     fn a_failing_query_reports_an_error_and_the_engine_keeps_answering() {
+        let _turn = counted();
         let schema = cqa_data::Schema::from_relations([("R", 2, 1)])
             .unwrap()
             .into_shared();

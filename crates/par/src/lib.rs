@@ -7,8 +7,8 @@
 //! immutable [`cqa_data::Snapshot`]:
 //!
 //! * **whole queries** — a service answering many queries over one frozen
-//!   snapshot runs them concurrently through shared plan and engine caches
-//!   ([`BatchEngine`], behind `certainty serve`);
+//!   snapshot runs them concurrently through one shared memo of per-query
+//!   engines ([`BatchEngine`], behind `certainty serve`);
 //! * **candidate chunks** — a layer that re-decides many candidate tuples
 //!   of one query (`cqa-stream`'s view repair) splits them into chunks and
 //!   merges the per-chunk results in order through [`par_map`].

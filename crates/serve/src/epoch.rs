@@ -33,8 +33,7 @@
 use crate::protocol::{self, WriteOp};
 use cqa_core::answers::CertainAnswersEngine;
 use cqa_data::{ChangeSet, Delta, Fact, UncertainDatabase};
-use cqa_exec::cache::{fingerprint, Lookup, LruCache};
-use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool, ENGINE_MEMO_CAPACITY};
+use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool};
 use cqa_stream::{MaterializedView, ViewMaintainer};
 use rustc_hash::FxHashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -85,16 +84,11 @@ struct MasterState {
 }
 
 /// The server's shared epoch state: master database + published engine and
-/// views + the cross-epoch memo of open-rewriting answer engines.
+/// views. The per-query engine memo lives on the engines, shared by every
+/// epoch they fork.
 pub struct EpochManager {
     master: Mutex<MasterState>,
     current: RwLock<Published>,
-    /// Memoized [`CertainAnswersEngine`]s per `(schema, query)`
-    /// fingerprint, shared across epochs — classification and rewriting
-    /// shape are data-independent, and the compiled open plan re-checks
-    /// statistics drift itself. This is the non-Boolean counterpart of the
-    /// [`BatchEngine`]'s classified-engine memo.
-    answer_engines: LruCache<CertainAnswersEngine>,
     maintainer: ViewMaintainer,
     /// Previously published engines some reader still held when last
     /// looked at ([`pinned_epochs`](Self::pinned_epochs)). The manager
@@ -129,7 +123,6 @@ impl EpochManager {
                 engine,
                 views: Arc::new(FxHashMap::default()),
             }),
-            answer_engines: LruCache::with_capacity(ENGINE_MEMO_CAPACITY),
             maintainer: ViewMaintainer::with_pool(pool),
             retired: Mutex::new(Vec::new()),
             #[cfg(test)]
@@ -312,35 +305,13 @@ impl EpochManager {
         }
     }
 
-    /// The memoized open-rewriting answer engine for `query`, classifying
-    /// and compiling on first sight of the shape. Counted as
-    /// `serve.answer_engine.{hit,miss}`.
+    /// The memoized answer engine of the open query `query`, from the
+    /// current epoch's engine memo ([`BatchEngine::answer_engine`]).
     pub fn answer_engine(
         &self,
         query: &cqa_query::ConjunctiveQuery,
     ) -> Result<Arc<CertainAnswersEngine>, String> {
-        // Classification runs outside the memo's lock; a racing duplicate
-        // loses the entry race harmlessly (both engines answer alike).
-        let (engine, lookup) = self
-            .answer_engines
-            .get_or_try_insert_with(fingerprint(query), || {
-                CertainAnswersEngine::new(query).map_err(|e| e.to_string())
-            })?;
-        match lookup {
-            Lookup::Hit => cqa_obs::count!("serve.answer_engine.hit"),
-            Lookup::Miss { evicted } => {
-                cqa_obs::count!("serve.answer_engine.miss");
-                if evicted {
-                    cqa_obs::count!("serve.answer_engine.eviction");
-                }
-            }
-        }
-        Ok(engine)
-    }
-
-    /// Number of memoized answer engines (tests pin memo reuse).
-    pub fn answer_engine_count(&self) -> usize {
-        self.answer_engines.len()
+        self.current().answer_engine(query)
     }
 }
 
@@ -483,60 +454,28 @@ mod tests {
     fn answer_engines_are_memoized_across_epochs() {
         let manager = manager();
         let schema = manager.current().snapshot().schema().clone();
-        let query = ConjunctiveQuery::builder(schema.clone())
-            .atom("R", [Term::var("x"), Term::var("y")])
-            .free([Variable::new("x")])
-            .build()
-            .unwrap();
+        let query = open_query(&schema);
         let first = manager.answer_engine(&query).unwrap();
         manager
             .apply_write(&WriteOp::Insert(fact(&schema, "c", 3)))
             .unwrap();
         let second = manager.answer_engine(&query).unwrap();
         assert!(Arc::ptr_eq(&first, &second), "memo survives epochs");
-        assert_eq!(manager.answer_engine_count(), 1);
-    }
-
-    #[test]
-    fn distinct_constant_shapes_cannot_grow_the_answer_engine_memo_past_its_capacity() {
-        let manager = manager();
-        let schema = manager.current().snapshot().schema().clone();
-        // R(<constant>, y) with y free: one memo key per constant; shape 0
-        // names the one stored key, so its verdicts are not all false.
-        let shape = |i: usize| {
-            let key = if i == 0 {
-                "a".to_string()
-            } else {
-                format!("x{i}")
-            };
-            ConjunctiveQuery::builder(schema.clone())
-                .atom("R", [Term::constant(key), Term::var("y")])
-                .free([Variable::new("y")])
-                .build()
-                .unwrap()
+        assert_eq!(manager.current().cached_engine_count(), 1);
+        // The Boolean query of the same body is a second entry of the one
+        // memo, answered by its classified engine.
+        let boolean = ConjunctiveQuery::builder(schema.clone())
+            .atom("R", [Term::var("x"), Term::var("y")])
+            .build()
+            .unwrap();
+        let BatchOutcome::Boolean { certain, .. } = manager.current().answer("b", &boolean).outcome
+        else {
+            panic!("a Boolean query has a Boolean outcome");
         };
-        let evictions = || {
-            cqa_obs::Registry::global()
-                .snapshot()
-                .counter("serve.answer_engine.eviction")
-        };
-        let db = manager.current().snapshot().database().clone();
-        let candidates = [vec![Value::str("1")], vec![Value::str("2")]];
-        let verdicts = |engine: &CertainAnswersEngine| engine.verdicts(&db, &candidates).unwrap();
-        let before = evictions();
-        let first = manager.answer_engine(&shape(0)).unwrap();
-        for i in 1..ENGINE_MEMO_CAPACITY + 100 {
-            manager.answer_engine(&shape(i)).unwrap();
-        }
-        assert_eq!(manager.answer_engine_count(), ENGINE_MEMO_CAPACITY);
-        assert_eq!(evictions() - before, 100);
-        // Shape 0 was the least recently used, so it is long evicted; asking
-        // again rebuilds an engine that answers exactly like the first.
-        let again = manager.answer_engine(&shape(0)).unwrap();
-        assert!(!Arc::ptr_eq(&first, &again));
-        assert_eq!(verdicts(&first), [true, false]);
-        assert_eq!(verdicts(&again), verdicts(&first));
-        assert_eq!(manager.answer_engine_count(), ENGINE_MEMO_CAPACITY);
+        assert!(certain);
+        assert!(manager.answer_engine(&boolean).is_err());
+        assert_eq!(manager.current().cached_engine_count(), 2);
+        assert!(Arc::ptr_eq(&first, &manager.answer_engine(&query).unwrap()));
     }
 
     #[test]

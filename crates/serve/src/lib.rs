@@ -31,18 +31,18 @@
 //!       │  chunked evaluation with CancelToken checks        │
 //!       ▼                                                    ▼
 //!   response line ◄── deadline? ◄── BatchEngine @ epoch N (frozen Snapshot,
-//!                                   shared classified-engine memo)
+//!                                   shared per-query engine memo)
 //! ```
 //!
 //! **Epochs (MVCC-lite).** Readers never block writers and writers never
 //! block readers: every query grabs an `Arc` onto the *current*
 //! [`cqa_par::BatchEngine`] — a frozen [`cqa_data::Snapshot`] plus the
-//! process-wide caches — and answers entirely on that epoch. A write
+//! shared per-query engine memo — and answers entirely on that epoch. A write
 //! (`\insert` / `\remove` / `\remove-block`) mutates a copy-on-write copy
 //! of the master database under a writer lock (the mutation maintains
 //! every index of [`cqa_data::DatabaseIndex`] itself), forks the next
 //! engine with [`cqa_par::BatchEngine::with_snapshot`] (sharing the
-//! classified-engine memo), and publishes it with one atomic pointer swap.
+//! engine memo), and publishes it with one atomic pointer swap.
 //! A query therefore observes **exactly one** epoch — never a torn mix —
 //! which `tests/serve.rs` checks under concurrent read/write interleavings.
 //!

@@ -29,7 +29,7 @@ use crate::admission::{Admission, CancelToken};
 use crate::epoch::EpochManager;
 use crate::protocol::{self, Request, WriteOp};
 use crate::stats;
-use cqa_core::answers::{possible_answers, AnswerSets};
+use cqa_core::answers::AnswerSets;
 use cqa_data::{Schema, UncertainDatabase};
 use cqa_par::{BatchEngine, BatchOutcome, BatchResult, ParPool};
 use cqa_query::ConjunctiveQuery;
@@ -623,9 +623,9 @@ fn answer_with_cancel(
     result
 }
 
-/// The open-query path: enumerate candidates, then decide certainty in
-/// chunks through the epoch-shared [`CertainAnswersEngine`] memo, honoring
-/// cancellation between chunks.
+/// The open-query path: take the query's memoized answer engine from the
+/// pinned epoch's engine memo, enumerate candidates through it, then decide
+/// certainty in chunks, honoring cancellation between chunks.
 fn open_query_in_chunks(
     shared: &Shared,
     engine: &BatchEngine,
@@ -634,14 +634,11 @@ fn open_query_in_chunks(
     token: &CancelToken,
 ) -> BatchResult {
     let db = engine.snapshot().database();
-    let possible = match possible_answers(query, db) {
-        Ok(possible) => possible,
-        Err(e) => return failed(name, &e.to_string()),
-    };
-    let answers_engine = match shared.epochs.answer_engine(query) {
+    let answers_engine = match engine.answer_engine(query) {
         Ok(answers_engine) => answers_engine,
         Err(e) => return failed(name, &e),
     };
+    let possible = answers_engine.possible(db);
     let tuples: Vec<Vec<cqa_data::Value>> = possible.iter().cloned().collect();
     let mut certain = BTreeSet::new();
     for chunk in tuples.chunks(shared.config.query_chunk.max(1)) {

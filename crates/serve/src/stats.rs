@@ -5,10 +5,10 @@ use std::sync::atomic::Ordering;
 
 /// One serving-stats line: throughput, read latency percentiles (from the
 /// `par.batch.query_nanos` histogram) and effective-write latency
-/// percentiles (`serve.write_nanos`), cache hit rates, pool and epoch state,
-/// admission occupancy, registered views, old epochs still pinned by slow
-/// readers, and what the writes cost the store (index patches applied,
-/// chunks and shards copied).
+/// percentiles (`serve.write_nanos`), the engine memo's hit rate, pool and
+/// epoch state, admission occupancy, registered views, old epochs still
+/// pinned by slow readers, and what the writes cost the store (index patches
+/// applied, chunks and shards copied).
 pub(crate) fn stats_line(shared: &Shared) -> String {
     let engine = shared.epochs.current();
     let served = shared.served.load(Ordering::Relaxed);
@@ -40,16 +40,14 @@ pub(crate) fn stats_line(shared: &Shared) -> String {
         "stats: {served} served, {inflight} in flight, {qps:.1} qps, \
          p50 {p50:.3} ms, p99 {p99:.3} ms, \
          write p50 {write_p50:.3} ms, p99 {write_p99:.3} ms, \
-         plan-cache {}, engine-cache {}, steals {}, epoch {}, \
+         engine-cache {}, steals {}, epoch {}, \
          views {views}, pinned epochs {pinned}, \
-         index deltas {} applied / {} rebuilt, \
+         index deltas {} applied, \
          store copies {} chunks / {} shards",
-        rate("exec.plan_cache"),
         rate("par.batch.engine"),
         shared.pool.steals(),
         engine.epoch(),
         snapshot.counter("data.index.delta_applied"),
-        snapshot.counter("data.index.delta_fallback_rebuild"),
         snapshot.counter("data.store.chunks_copied"),
         snapshot.counter("data.store.shards_copied"),
     )
@@ -97,6 +95,8 @@ mod tests {
         assert!(line.contains("qps"), "{line}");
         assert!(line.contains("p99"), "{line}");
         assert!(line.contains(", write p50 "), "{line}");
+        assert!(line.contains(" ms, engine-cache "), "{line}");
+        assert!(line.contains(" applied, store copies "), "{line}");
         assert!(line.contains(" chunks / "), "{line}");
         assert!(line.contains("epoch 1"), "{line}");
         assert!(line.contains("views 2, pinned epochs 1"), "{line}");

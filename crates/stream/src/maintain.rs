@@ -2,7 +2,6 @@
 //! threshold and optional sharding of the retouched-candidate set.
 
 use crate::view::{provenance_of, BlockKey, MaterializedView, Provenance};
-use cqa_core::answers::possible_answers;
 use cqa_core::answers::CertainAnswersEngine;
 use cqa_data::{ChangeSet, Snapshot, Value};
 use cqa_exec::QueryPlan;
@@ -108,8 +107,7 @@ impl ViewMaintainer {
         snapshot: &Snapshot,
     ) -> Result<(), String> {
         let db = snapshot.database();
-        let possible = possible_answers(view.query(), db).map_err(|e| e.to_string())?;
-        let tuples: Vec<Vec<Value>> = possible.into_iter().collect();
+        let tuples: Vec<Vec<Value>> = view.engine().possible(db).into_iter().collect();
         let verdicts = view
             .engine()
             .verdicts(db, &tuples)

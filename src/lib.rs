@@ -56,7 +56,7 @@ pub mod prelude {
         AttackGraph,
     };
     pub use cqa_data::{Fact, Schema, Snapshot, UncertainDatabase, Value};
-    pub use cqa_exec::{FoPlan, PlanCache, QueryPlan};
+    pub use cqa_exec::{FoPlan, QueryPlan};
     pub use cqa_obs::{Registry, Snapshot as MetricsSnapshot, TraceSink};
     pub use cqa_par::{BatchEngine, ParPool};
     pub use cqa_query::{Atom, ConjunctiveQuery, Term, Variable};

@@ -345,7 +345,7 @@ proptest! {
 
     /// Parallel and sequential evaluation agree **exactly**: one mixed
     /// script — the Boolean query, its free-`x` variant, a self-join query,
-    /// and a repeat of the first two (classified-engine memo hits) — goes
+    /// and a repeat of the first two (engine memo hits) — goes
     /// through `serve_stream` as protocol lines, where the handler pipelines
     /// the buffered queries onto the pool, and every response line comes
     /// back in request order equal to `render_result` of the sequential
