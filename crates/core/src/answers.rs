@@ -7,16 +7,15 @@
 //! in *every* repair. A tuple is a candidate only if it is an answer on the
 //! full database (answers are monotone), and a candidate is certain iff the
 //! Boolean query obtained by substituting it for the free variables is
-//! certain — which is decided by the classified solvers of
-//! [`crate::solvers`].
+//! certain — decided by the query's one classified engine
+//! ([`CertainAnswersEngine`]).
 
-use crate::fo::{certain_rewriting_open, FoFormula};
 use crate::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_data::{UncertainDatabase, Value};
-use cqa_exec::{ExecMode, FoPlan, QueryPlan, StatsStamp};
-use cqa_query::{substitute, ConjunctiveQuery, QueryError, Variable};
+use cqa_exec::{ExecMode, FoPlan, QueryPlan};
+use cqa_query::{ConjunctiveQuery, QueryError};
 use std::collections::BTreeSet;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// The certain answers (and, for context, the possible answers) of a query.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,8 +33,7 @@ pub struct AnswerSets {
 /// For a Boolean query the result contains the empty tuple iff the query is
 /// certain. Internally this builds a one-shot [`CertainAnswersEngine`] —
 /// classify and compile once per call, then decide every candidate through
-/// one prepared plan — rather than re-classifying the grounded query per
-/// candidate. A service answering the same query repeatedly keeps the
+/// the one engine. A service answering the same query repeatedly keeps the
 /// engine instead (`cqa-par`'s `BatchEngine` memoizes one per query).
 pub fn certain_answers(
     query: &ConjunctiveQuery,
@@ -44,65 +42,27 @@ pub fn certain_answers(
     CertainAnswersEngine::new(query)?.answer_sets(db)
 }
 
-/// A compile-once engine for deciding which candidate tuples are certain
-/// answers.
+/// A classify-once engine for deciding which candidate tuples are certain
+/// answers: the query's [`CertaintyEngine`] plus answer-set enumeration.
 ///
-/// The naive lift of the Boolean solvers grounds the query with each
-/// candidate and classifies + compiles the grounded query from scratch —
-/// per candidate. But the attack graph depends only on the *variable*
-/// structure of the query (constants are opaque to attacks, and a
-/// self-join-free query cannot collapse atoms under a ground substitution),
-/// so every grounding of the same query lands in the same complexity class
-/// with the same rewriting shape. This engine exploits that: it classifies
-/// the query **once**, builds the **open** certain rewriting `φ(x̄)`
-/// ([`certain_rewriting_open`]) with the free variables kept free, compiles
-/// it into a single [`FoPlan`], and then decides all candidates by batch
-/// evaluation ([`cqa_exec::PreparedFo::eval_tuples`]) — which routes large
-/// batches through the vectorized executor.
-///
-/// Queries outside the first-order region (cyclic attack graph) fall back to
-/// the per-candidate [`CertaintyEngine`] path, whose non-FO solvers are
-/// inherently per-ground-query.
-///
-/// The engine owns every plan its query needs: the join [`QueryPlan`] that
-/// enumerates the possible answers and the open rewriting's [`FoPlan`].
-/// Both are compiled on first use against one database's statistics and
-/// stamped with them. Databases keep their index snapshots warm across
-/// mutations, so a long-lived engine can see the data grow far past its
-/// compile-time cardinalities; once the stamp has
-/// [drifted](StatsStamp::drifted_from) both plans are recompiled together
-/// against the current statistics (counted as `core.answers.plan_stale`).
+/// In the Theorem 1 region the engine's compiled **open** rewriting `φ(x̄)`
+/// ([`crate::fo::certain_rewriting_open`]) decides all candidates in one
+/// batch ([`cqa_exec::PreparedFo::eval_tuples`], which routes large batches
+/// through the vectorized executor); elsewhere each candidate is one
+/// [`CertaintySolver::decide`] call on the same classified solver. The join
+/// plan enumerating the candidates and the rewriting plan share the
+/// engine's stats-stamped slot ([`CertaintyEngine::plans`]).
 pub struct CertainAnswersEngine {
-    query: ConjunctiveQuery,
-    free: Vec<Variable>,
-    /// The open rewriting `φ(x̄)`, when the attack graph is acyclic.
-    open: Option<FoFormula>,
-    plans: RwLock<Option<Arc<Plans>>>,
+    engine: CertaintyEngine,
     mode: ExecMode,
 }
 
-/// An engine's compiled plans and the statistics they were compiled
-/// against (statistics of the first database seen pick the join order and
-/// the guard atoms, mirroring [`crate::solvers::RewritingSolver`]).
-struct Plans {
-    possible: QueryPlan,
-    open: Option<Arc<FoPlan>>,
-    stamp: StatsStamp,
-}
-
 impl CertainAnswersEngine {
-    /// Classifies `query` and, when its attack graph is acyclic, builds and
-    /// keeps the open certain rewriting. Fails only on malformed queries
-    /// (self-joins); classification failures select the per-candidate
-    /// fallback path instead, so [`certain_of`](Self::certain_of) decides
-    /// exactly the queries [`tuple_is_certain`] decides.
+    /// Classifies `query` once and builds its engine. Fails on malformed
+    /// queries (self-joins).
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
-        query.require_self_join_free()?;
         Ok(CertainAnswersEngine {
-            query: query.clone(),
-            free: query.free_vars().to_vec(),
-            open: certain_rewriting_open(query).ok(),
-            plans: RwLock::new(None),
+            engine: CertaintyEngine::new(query)?,
             mode: ExecMode::Auto,
         })
     }
@@ -114,54 +74,25 @@ impl CertainAnswersEngine {
         self
     }
 
-    /// Whether candidates are decided through the compiled open rewriting
-    /// (`true`) or the per-candidate classified-solver fallback (`false`).
-    pub fn uses_open_rewriting(&self) -> bool {
-        self.open.is_some()
+    /// The query's classified engine: a Boolean query's certainty and
+    /// possibility verdicts, its solver and its plans.
+    pub fn engine(&self) -> &CertaintyEngine {
+        &self.engine
     }
 
-    /// The engine's plans for `db`, compiled on first use with `db`'s
-    /// statistics — and recompiled, both together, when those statistics
-    /// have drifted beyond [`cqa_exec::cache::DRIFT_FACTOR`] since compile
-    /// time.
-    fn plans(&self, db: &UncertainDatabase) -> Arc<Plans> {
-        let index = db.index();
-        let stats = index.statistics();
-        let stale = {
-            let cached = self.plans.read().unwrap_or_else(PoisonError::into_inner);
-            match cached.as_ref() {
-                Some(plans) if !plans.stamp.drifted_from(Some(stats)) => return plans.clone(),
-                cached => cached.is_some(),
-            }
-        };
-        if stale {
-            cqa_obs::count!("core.answers.plan_stale");
-        }
-        // Compile outside the lock; racing recompiles are both compiled
-        // against current statistics, so last-writer-wins is fine.
-        let plans = Arc::new(Plans {
-            possible: QueryPlan::compile(&self.query, Some(stats)),
-            open: (self.open.as_ref()).map(|formula| {
-                Arc::new(FoPlan::compile(formula, self.query.schema(), Some(stats)))
-            }),
-            stamp: StatsStamp::of(Some(stats)),
-        });
-        *self.plans.write().unwrap_or_else(PoisonError::into_inner) = Some(plans.clone());
-        plans
-    }
-
-    /// The compiled plan of the open rewriting, or `None` on the fallback
-    /// path. It is compiled with the possible-answers plan on first use and
-    /// recompiled with it on statistics drift.
+    /// The compiled plan of the open rewriting, or `None` outside the
+    /// Theorem 1 region (candidates are then decided one by one). It is
+    /// compiled with the possible-answers plan on first use and recompiled
+    /// with it on statistics drift.
     pub fn open_plan(&self, db: &UncertainDatabase) -> Option<Arc<FoPlan>> {
-        self.plans(db).open.clone()
+        self.engine.rewriting_plan(db)
     }
 
     /// The possible answers of the query on `db`, through the engine's
     /// join plan: tuples that are answers on `db` itself — equivalently,
     /// answers in *some* repair. These are the candidates for certainty.
     pub fn possible(&self, db: &UncertainDatabase) -> BTreeSet<Vec<Value>> {
-        self.plans(db).possible.answers(db)
+        self.engine.plans(db).join.answers(db)
     }
 
     /// The possible answers on `db` and which of them are certain.
@@ -172,8 +103,7 @@ impl CertainAnswersEngine {
     }
 
     /// Decides certainty of each candidate tuple: `out[i]` ⇔ the Boolean
-    /// query grounded with `tuples[i]` is certain. This is the batch
-    /// counterpart of [`tuple_is_certain`], byte-identical in its verdicts.
+    /// query grounded with `tuples[i]` is certain.
     pub fn verdicts(
         &self,
         db: &UncertainDatabase,
@@ -185,15 +115,15 @@ impl CertainAnswersEngine {
                 cqa_obs::count!("core.answers.batch_tuples", tuples.len() as u64);
                 let index = db.index();
                 let prepared = plan.prepare(&index).with_mode(self.mode);
-                Ok(prepared.eval_tuples(&self.free, tuples))
+                Ok(prepared.eval_tuples(self.engine.query().free_vars(), tuples))
             }
             None => {
                 cqa_obs::count!("core.answers.fallback");
                 cqa_obs::count!("core.answers.fallback_tuples", tuples.len() as u64);
-                tuples
+                Ok(tuples
                     .iter()
-                    .map(|tuple| tuple_is_certain(&self.query, &self.free, tuple, db))
-                    .collect()
+                    .map(|tuple| self.engine.decide(db, tuple))
+                    .collect())
             }
         }
     }
@@ -231,25 +161,21 @@ pub fn possible_answers(
     Ok(QueryPlan::compile(query, Some(index.statistics())).answers(db))
 }
 
-/// Decides certainty of one candidate tuple: the Boolean query obtained by
-/// substituting `tuple` for `free` must be certain. This per-candidate step
-/// is what [`certain_answers`] runs in a loop and the parallel layer runs on
-/// worker threads.
-pub fn tuple_is_certain(
-    query: &ConjunctiveQuery,
-    free: &[cqa_query::Variable],
-    tuple: &[Value],
-    db: &UncertainDatabase,
-) -> Result<bool, QueryError> {
-    let grounded = substitute::substitute_seq(query, free, tuple);
-    let engine = CertaintyEngine::new(&grounded)?;
-    Ok(engine.is_certain(db))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cqa_query::{catalog, Term, Variable};
+    use crate::solvers::ExactOracle;
+    use cqa_query::{catalog, substitute, Term, Variable};
+
+    /// The reference verdict of one candidate: a fresh engine on the
+    /// grounded query `q[x̄ ↦ tuple]`, checked against repair enumeration.
+    fn grounded_verdict(query: &ConjunctiveQuery, tuple: &[Value], db: &UncertainDatabase) -> bool {
+        let grounded = substitute::substitute_seq(query, query.free_vars(), tuple);
+        let verdict = CertaintyEngine::new(&grounded).unwrap().is_certain(db);
+        let brute_force = ExactOracle::new(&grounded).unwrap();
+        assert_eq!(verdict, brute_force.is_certain_bruteforce(db), "{tuple:?}");
+        verdict
+    }
 
     /// q(x) :- C(x, y, 'Rome'), R(x, 'A'): which conferences certainly put
     /// an A-ranked event in Rome?
@@ -313,7 +239,6 @@ mod tests {
     fn the_engine_matches_the_per_tuple_reference_in_every_mode() {
         let query = open_conference_query();
         let db = catalog::conference_database();
-        let free = query.free_vars().to_vec();
         // Candidates beyond the possible answers, including a value outside
         // the active domain, must get the same verdicts as the reference.
         let mut candidates = possible_answers(&query, &db).unwrap();
@@ -321,12 +246,12 @@ mod tests {
         candidates.insert(vec![Value::str("never-seen")]);
         let reference: BTreeSet<Vec<Value>> = candidates
             .iter()
-            .filter(|t| tuple_is_certain(&query, &free, t, &db).unwrap())
+            .filter(|t| grounded_verdict(&query, t, &db))
             .cloned()
             .collect();
         for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
             let engine = CertainAnswersEngine::new(&query).unwrap().with_mode(mode);
-            assert!(engine.uses_open_rewriting());
+            assert!(engine.open_plan(&db).is_some());
             assert_eq!(
                 engine.certain_of(&db, &candidates).unwrap(),
                 reference,
@@ -336,46 +261,11 @@ mod tests {
     }
 
     #[test]
-    fn drifted_statistics_recompile_both_plans_together() {
-        let query = open_conference_query();
-        let mut db = catalog::conference_database();
-        let engine = CertainAnswersEngine::new(&query).unwrap();
-        let stale = || {
-            cqa_obs::Registry::global()
-                .snapshot()
-                .counter("core.answers.plan_stale")
-        };
-        let before = stale();
-        let plans = engine.plans(&db);
-        // Same statistics: the same compiled plans, and they execute.
-        assert!(Arc::ptr_eq(&plans, &engine.plans(&db)));
-        assert_eq!(engine.possible(&db), possible_answers(&query, &db).unwrap());
-        // Grow one relation past DRIFT_FACTOR: both plans (one slot)
-        // recompile against the fresh statistics, as one stale event.
-        let r = db.schema().relation_id("R").unwrap();
-        let count = db.index().statistics().relation(r).fact_count();
-        for i in 0..(count * cqa_exec::cache::DRIFT_FACTOR + 1) {
-            db.insert_values("R", [format!("conf{i}"), format!("t{i}")])
-                .unwrap();
-        }
-        let recompiled = engine.plans(&db);
-        assert!(!Arc::ptr_eq(&plans, &recompiled));
-        assert_ne!(plans.stamp, recompiled.stamp);
-        assert_eq!(stale() - before, 1);
-        // The new stamp is fresh: no further recompile, and answers agree.
-        assert!(Arc::ptr_eq(&recompiled, &engine.plans(&db)));
-        assert_eq!(stale() - before, 1);
-        assert_eq!(
-            engine.answer_sets(&db).unwrap(),
-            certain_answers(&query, &db).unwrap()
-        );
-    }
-
-    #[test]
     fn non_fo_queries_fall_back_to_the_classified_solvers() {
         // The attack graph of {R(y;z), S(z;y)} has a cycle among the bound
-        // variables, so no open rewriting exists; the engine must fall back
-        // to the per-candidate classified solvers and still agree with them.
+        // variables, so no open rewriting exists; the engine must decide
+        // candidate by candidate through its classified solver and still
+        // agree with the reference.
         let schema = cqa_data::Schema::from_relations([("R", 2, 1), ("S", 2, 1), ("F", 2, 1)])
             .unwrap()
             .into_shared();
@@ -394,12 +284,11 @@ mod tests {
         db.insert_values("F", ["a", "w1"]).unwrap();
         db.insert_values("F", ["a", "w2"]).unwrap();
         let engine = CertainAnswersEngine::new(&query).unwrap();
-        assert!(!engine.uses_open_rewriting());
-        let free = query.free_vars().to_vec();
+        assert!(engine.open_plan(&db).is_none());
         let candidates = possible_answers(&query, &db).unwrap();
         let reference: BTreeSet<Vec<Value>> = candidates
             .iter()
-            .filter(|t| tuple_is_certain(&query, &free, t, &db).unwrap())
+            .filter(|t| grounded_verdict(&query, t, &db))
             .cloned()
             .collect();
         assert_eq!(engine.certain_of(&db, &candidates).unwrap(), reference);

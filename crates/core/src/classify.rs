@@ -18,7 +18,9 @@
 
 use crate::attack::{AttackGraph, CycleAnalysis};
 use crate::solvers::cycle_query::{detect_cycle_query, CycleQueryShape};
-use cqa_query::{join_tree, ConjunctiveQuery, QueryError};
+use cqa_data::{FxHashMap, Value};
+use cqa_query::{join_tree, substitute, ConjunctiveQuery, QueryError, Variable};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Why a non-first-order query is nevertheless tractable.
@@ -148,6 +150,30 @@ pub fn classify(query: &ConjunctiveQuery) -> Result<Classification, QueryError> 
         cycles: Some(cycles),
         cycle_query_shape: shape,
     })
+}
+
+/// `q[v̄ ↦ ⟂]`: Lemma 5's substitution `q[v̄ ↦ ā]` with placeholder
+/// constants for the unknown `ā`. Attacks, acyclicity and the `C(k)` /
+/// `AC(k)` shape depend only on which positions hold constants, so the
+/// result has the attack graph and the class of every grounding of `v̄`.
+pub(crate) fn freeze<'v>(
+    query: &ConjunctiveQuery,
+    vars: impl IntoIterator<Item = &'v Variable>,
+) -> ConjunctiveQuery {
+    let placeholders: FxHashMap<Variable, Value> = (vars.into_iter())
+        .map(|v| (v.clone(), Value::str(format!("⟂frozen:{v}"))))
+        .collect();
+    substitute::substitute_map(query, &placeholders)
+}
+
+/// The Boolean query an open query is classified as: its free variables
+/// [frozen](freeze). A Boolean query is its own frozen query.
+pub(crate) fn frozen(query: &ConjunctiveQuery) -> Cow<'_, ConjunctiveQuery> {
+    if query.is_boolean() {
+        Cow::Borrowed(query)
+    } else {
+        Cow::Owned(freeze(query, query.free_vars()))
+    }
 }
 
 #[cfg(test)]

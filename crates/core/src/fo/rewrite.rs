@@ -16,6 +16,7 @@
 
 use super::FoFormula;
 use crate::attack::AttackGraph;
+use crate::classify::{freeze, frozen};
 use cqa_data::FxHashMap;
 use cqa_query::{Atom, ConjunctiveQuery, QueryError, Term, Variable};
 
@@ -25,21 +26,7 @@ use cqa_query::{Atom, ConjunctiveQuery, QueryError, Term, Variable};
 /// attack graph has a cycle (Theorem 1: no certain rewriting exists then).
 pub fn certain_rewriting(query: &ConjunctiveQuery) -> Result<FoFormula, QueryError> {
     query.require_boolean()?;
-    query.require_self_join_free()?;
-    let graph = AttackGraph::build(query)?;
-    if !graph.is_acyclic() {
-        return Err(QueryError::Unsupported {
-            reason: "the attack graph has a cycle: CERTAINTY(q) is not first-order expressible \
-                     (Theorem 1)"
-                .into(),
-        });
-    }
-    let mut fresh = 0usize;
-    Ok(rewrite(
-        query,
-        &std::collections::BTreeSet::new(),
-        &mut fresh,
-    ))
+    certain_rewriting_open(query)
 }
 
 /// Builds an **open** certain rewriting `φ(x̄)` for a query with free
@@ -57,22 +44,13 @@ pub fn certain_rewriting(query: &ConjunctiveQuery) -> Result<FoFormula, QueryErr
 /// that could collapse under the substitution).
 ///
 /// Fails if the query has a self-join, is cyclic, or the attack graph of the
-/// frozen (Boolean) query has a cycle. Boolean queries reduce to
+/// frozen (Boolean) query has a cycle. On a Boolean query this is
 /// [`certain_rewriting`].
 pub fn certain_rewriting_open(query: &ConjunctiveQuery) -> Result<FoFormula, QueryError> {
-    let free: std::collections::BTreeSet<Variable> = query.free_vars().iter().cloned().collect();
-    if free.is_empty() {
-        return certain_rewriting(query);
-    }
     query.require_self_join_free()?;
     // FO-expressibility check on the frozen query (free variables become
     // placeholder constants, the `q[x̄ ↦ ā]` substitution of Lemma 5).
-    let freeze_map: FxHashMap<Variable, cqa_data::Value> = free
-        .iter()
-        .map(|v| (v.clone(), cqa_data::Value::str(format!("⟂frozen:{v}"))))
-        .collect();
-    let frozen = cqa_query::substitute::substitute_map(query, &freeze_map);
-    let graph = AttackGraph::build(&frozen)?;
+    let graph = AttackGraph::build(&frozen(query))?;
     if !graph.is_acyclic() {
         return Err(QueryError::Unsupported {
             reason: "the attack graph has a cycle: CERTAINTY(q) is not first-order expressible \
@@ -80,8 +58,15 @@ pub fn certain_rewriting_open(query: &ConjunctiveQuery) -> Result<FoFormula, Que
                 .into(),
         });
     }
-    let mut fresh = 0usize;
-    Ok(rewrite(query, &free, &mut fresh))
+    Ok(open_rewriting(query))
+}
+
+/// The open rewriting `φ(x̄)` of a query already known to be first-order
+/// expressible (its frozen attack graph is acyclic): the
+/// [`certain_rewriting_open`] construction without re-checking.
+pub(crate) fn open_rewriting(query: &ConjunctiveQuery) -> FoFormula {
+    let free = query.free_vars().iter().cloned().collect();
+    rewrite(query, &free, &mut 0)
 }
 
 fn fresh_var(counter: &mut usize) -> Variable {
@@ -130,16 +115,7 @@ fn rewrite(
     // recursion, so freeze them before computing the attack graph (this is
     // exactly the `q[x̄ ↦ ā]` substitution of Corollary 8.11 / Lemma 5, with
     // placeholder constants standing in for the unknown ā).
-    let freeze_map: FxHashMap<Variable, cqa_data::Value> = query
-        .vars()
-        .into_iter()
-        .filter(|v| bound.contains(v))
-        .map(|v| {
-            let placeholder = cqa_data::Value::str(format!("⟂frozen:{v}"));
-            (v, placeholder)
-        })
-        .collect();
-    let frozen = cqa_query::substitute::substitute_map(query, &freeze_map);
+    let frozen = freeze(query, bound);
     let graph = AttackGraph::build(&frozen).expect("rewriting recursion preserves acyclicity");
     let atom_id = graph
         .unattacked_atoms()

@@ -154,7 +154,7 @@ impl CycleQuerySolver {
     }
 
     /// Runs the Theorem 4 decision procedure on a purified database.
-    fn decide(&self, db: &UncertainDatabase) -> bool {
+    fn decide_purified(&self, db: &UncertainDatabase) -> bool {
         let k = self.shape.k;
         // One index snapshot serves every per-relation pass below; the
         // k-partite graph and the forbidden-cycle set are then built without
@@ -272,12 +272,13 @@ impl CertaintySolver for CycleQuerySolver {
         &self.query
     }
 
-    fn is_certain(&self, db: &UncertainDatabase) -> bool {
+    fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
+        debug_assert!(params.is_empty(), "C(k) and AC(k) queries are Boolean");
         let (purified, _) = purify(db, &self.query);
         if purified.is_empty() {
             return false;
         }
-        self.decide(&purified)
+        self.decide_purified(&purified)
     }
 }
 

@@ -17,10 +17,11 @@
 //! falsifying repair, and a branch whose chosen facts plus all facts of the
 //! still-undecided blocks do not satisfy `q` already *is* a falsifying branch.
 
-use super::CertaintySolver;
+use super::{ground, CertaintySolver};
 use crate::purify::purify;
-use cqa_data::{Fact, UncertainDatabase};
+use cqa_data::{Fact, UncertainDatabase, Value};
 use cqa_query::{eval, ConjunctiveQuery, QueryError, Valuation};
+use std::borrow::Cow;
 
 /// Exact (worst-case exponential) certainty check by falsifying-repair search.
 pub struct ExactOracle {
@@ -28,9 +29,10 @@ pub struct ExactOracle {
 }
 
 impl ExactOracle {
-    /// Builds the oracle; accepts any Boolean conjunctive query.
+    /// Builds the oracle; accepts any conjunctive query. `decide` binds an
+    /// open query's free variables per call; the other entry points take
+    /// the query as Boolean.
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
-        query.require_boolean()?;
         Ok(ExactOracle {
             query: query.clone(),
         })
@@ -161,8 +163,11 @@ impl CertaintySolver for ExactOracle {
         &self.query
     }
 
-    fn is_certain(&self, db: &UncertainDatabase) -> bool {
-        self.find_falsifying_repair(db).is_none()
+    fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
+        match ground(&self.query, params) {
+            Cow::Borrowed(_) => self.find_falsifying_repair(db).is_none(),
+            Cow::Owned(query) => ExactOracle { query }.find_falsifying_repair(db).is_none(),
+        }
     }
 }
 

@@ -15,73 +15,71 @@
 //! first-order formula in [`crate::fo::rewrite`].
 //!
 //! Since the rewriting is fixed once the query is, the solver **compiles**
-//! it: construction builds `φ_q`, the first `is_certain` call lowers it into
-//! a [`cqa_exec::FoPlan`] (using the statistics of the first database seen
-//! to pick guard atoms), and every later call executes the cached plan
-//! against the database's index snapshot. The direct recursion is retained
-//! as [`RewritingSolver::is_certain_interpreted`] — the reference semantics
+//! it: construction builds the open rewriting `φ(x̄)` (`φ_q` for a Boolean
+//! query), the first `decide` call lowers it into a [`cqa_exec::FoPlan`]
+//! (using the statistics of the database at hand to pick guard atoms), and
+//! every later call executes the stamped plan against the database's index
+//! snapshot, binding the free variables `x̄` to the call's parameters. The
+//! direct recursion is retained as
+//! [`RewritingSolver::is_certain_interpreted`] — the reference semantics
 //! the compiled plan is property-tested against.
 //!
 //! The recursion step is also exposed as [`eliminate_unattacked_atom`] so the
 //! Theorem 3 solver can reuse it.
 
-use super::CertaintySolver;
+use super::{CertaintySolver, PlanSlot};
 use crate::attack::AttackGraph;
-use crate::fo::{certain_rewriting, FoFormula};
+use crate::fo::{certain_rewriting_open, FoFormula};
 use cqa_data::{Block, UncertainDatabase, Value};
 use cqa_exec::FoPlan;
 use cqa_query::{substitute, AtomId, ConjunctiveQuery, QueryError, Term, Valuation};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Certainty solver for queries whose attack graph is acyclic.
 pub struct RewritingSolver {
-    query: ConjunctiveQuery,
-    formula: FoFormula,
-    plan: OnceLock<FoPlan>,
+    /// The query, its open rewriting and their plans, shared with the engine.
+    pub(super) plans: Arc<PlanSlot>,
 }
 
 impl RewritingSolver {
-    /// Builds the solver. Fails if the query is not Boolean, not self-join
-    /// free, is cyclic, or its attack graph has a cycle (in which case no
+    /// Builds the solver. Fails if the query is not self-join free, is
+    /// cyclic, or its (frozen) attack graph has a cycle (in which case no
     /// certain first-order rewriting exists, by Theorem 1).
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
-        // `certain_rewriting` performs the full precondition ladder (Boolean,
-        // self-join free, acyclic, acyclic attack graph); its `Unsupported`
+        // `certain_rewriting_open` performs the full precondition ladder
+        // (self-join free, acyclic, acyclic attack graph); its `Unsupported`
         // error is produced exactly for a cyclic attack graph, which this
         // solver has always reported as `CyclicQuery`.
-        let formula = match certain_rewriting(query) {
+        let formula = match certain_rewriting_open(query) {
             Ok(formula) => formula,
             Err(QueryError::Unsupported { .. }) => return Err(QueryError::CyclicQuery),
             Err(other) => return Err(other),
         };
         Ok(RewritingSolver {
-            query: query.clone(),
-            formula,
-            plan: OnceLock::new(),
+            plans: PlanSlot::new(query, Some(formula)),
         })
     }
 
-    /// The certain first-order rewriting `φ_q` this solver evaluates.
+    /// The certain first-order rewriting this solver evaluates: `φ_q`, or
+    /// `φ(x̄)` with the query's free variables free.
     pub fn formula(&self) -> &FoFormula {
-        &self.formula
+        (self.plans.rewriting.as_ref()).expect("a rewriting solver has a rewriting")
     }
 
     /// The compiled physical plan of the rewriting, compiled on first use
     /// (`db` supplies the statistics that pick guard atoms and columns) and
-    /// cached for the lifetime of the solver.
-    pub fn plan(&self, db: &UncertainDatabase) -> &FoPlan {
-        self.plan.get_or_init(|| {
-            let index = db.index();
-            FoPlan::compile(&self.formula, self.query.schema(), Some(index.statistics()))
-        })
+    /// recompiled once those statistics have drifted.
+    pub fn plan(&self, db: &UncertainDatabase) -> Arc<FoPlan> {
+        (self.plans.get(db).rewriting.clone()).expect("a rewriting solver compiles its rewriting")
     }
 
-    /// The reference implementation: the unattacked-atom elimination
-    /// recursion, interpreted directly on the database. The compiled plan
-    /// must stay observationally identical to this (and to the generic
-    /// model checker on `φ_q`); `tests/properties.rs` enforces it.
+    /// The reference implementation for a Boolean query: the
+    /// unattacked-atom elimination recursion, interpreted directly on the
+    /// database. The compiled plan must stay observationally identical to
+    /// this (and to the generic model checker on `φ_q`);
+    /// `tests/properties.rs` enforces it.
     pub fn is_certain_interpreted(&self, db: &UncertainDatabase) -> bool {
-        Self::certain(&self.query, db)
+        Self::certain(self.query(), db)
     }
 
     fn certain(query: &ConjunctiveQuery, db: &UncertainDatabase) -> bool {
@@ -161,18 +159,19 @@ impl CertaintySolver for RewritingSolver {
     }
 
     fn query(&self) -> &ConjunctiveQuery {
-        &self.query
+        &self.plans.query
     }
 
-    fn is_certain(&self, db: &UncertainDatabase) -> bool {
-        self.plan(db).eval(db)
+    fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
+        let plan = self.plan(db);
+        let prepared = plan.prepare(&db.index());
+        if params.is_empty() {
+            return prepared.eval();
+        }
+        prepared.eval_tuples(self.query().free_vars(), &[params.to_vec()])[0]
     }
 
-    fn explain_plan(&self, db: &UncertainDatabase) -> Option<String> {
-        Some(self.plan(db).explain())
-    }
-
-    fn rewriting_plan(&self, db: &UncertainDatabase) -> Option<&FoPlan> {
+    fn rewriting_plan(&self, db: &UncertainDatabase) -> Option<Arc<FoPlan>> {
         Some(self.plan(db))
     }
 }
@@ -361,7 +360,7 @@ mod tests {
         assert!(explain.contains("∃-scan"), "{explain}");
         assert!(explain.contains("∀-block"), "{explain}");
         // The plan is compiled once and reused.
-        assert!(std::ptr::eq(solver.plan(&db), solver.plan(&db)));
+        assert!(Arc::ptr_eq(&solver.plan(&db), &solver.plan(&db)));
     }
 
     #[test]

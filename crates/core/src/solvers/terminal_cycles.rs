@@ -17,8 +17,9 @@
 //!    (`⌈db_i⌉` in the paper's notation), and finally check whether their
 //!    union satisfies `q` (Sublemma 5).
 
-use super::{rewriting::eliminate_unattacked_atom, CertaintySolver, TwoAtomSolver};
+use super::{ground, rewriting::eliminate_unattacked_atom, CertaintySolver, TwoAtomSolver};
 use crate::attack::{AttackGraph, CycleAnalysis};
+use crate::classify::frozen;
 use crate::purify::purify;
 use cqa_data::{Fact, FxHashMap, UncertainDatabase, Value};
 use cqa_exec::QueryPlan;
@@ -31,13 +32,12 @@ pub struct TerminalCycleSolver {
 }
 
 impl TerminalCycleSolver {
-    /// Builds the solver. Fails if the query is not Boolean / has self-joins /
-    /// is cyclic, or if its attack graph has a strong or non-terminal cycle
+    /// Builds the solver. Fails if the query has self-joins or is cyclic,
+    /// or if its (frozen) attack graph has a strong or non-terminal cycle
     /// (in which case Theorem 3 does not apply).
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
-        query.require_boolean()?;
         query.require_self_join_free()?;
-        let graph = AttackGraph::build(query)?;
+        let graph = AttackGraph::build(&frozen(query))?;
         let cycles = CycleAnalysis::analyze(&graph);
         if cycles.has_strong_cycle() || !cycles.all_cycles_terminal() {
             return Err(QueryError::CyclicQuery);
@@ -142,8 +142,8 @@ impl CertaintySolver for TerminalCycleSolver {
         &self.query
     }
 
-    fn is_certain(&self, db: &UncertainDatabase) -> bool {
-        Self::certain(&self.query, db)
+    fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
+        Self::certain(&ground(&self.query, params), db)
     }
 }
 

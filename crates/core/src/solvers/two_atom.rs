@@ -25,7 +25,7 @@
 use super::{rewriting::RewritingSolver, CertaintySolver};
 use crate::attack::AttackGraph;
 use crate::purify::purify;
-use cqa_data::{Fact, FxHashMap, FxHashSet, UncertainDatabase};
+use cqa_data::{Fact, FxHashMap, FxHashSet, UncertainDatabase, Value};
 use cqa_query::{ConjunctiveQuery, QueryError, Valuation};
 
 /// Certainty solver for Boolean two-atom queries without self-joins.
@@ -215,7 +215,8 @@ impl CertaintySolver for TwoAtomSolver {
         &self.query
     }
 
-    fn is_certain(&self, db: &UncertainDatabase) -> bool {
+    fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
+        debug_assert!(params.is_empty(), "two-atom queries are Boolean");
         if self.query.is_empty() {
             return true;
         }

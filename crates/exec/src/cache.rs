@@ -64,14 +64,13 @@ impl StatsStamp {
         let Some(stats) = stats else {
             return false;
         };
-        let current: Vec<usize> = stats.iter().map(|(_, r)| r.fact_count()).collect();
-        if self.fact_counts.len() != current.len() {
-            return true;
-        }
-        self.fact_counts.iter().zip(&current).any(|(&old, &new)| {
-            let (lo, hi) = if old <= new { (old, new) } else { (new, old) };
-            hi.max(1) >= lo.max(1) * DRIFT_FACTOR
-        })
+        // Compared in place: every read of a memoized engine asks this.
+        self.fact_counts.len() != stats.iter().count()
+            || (self.fact_counts.iter().zip(stats.iter())).any(|(&old, (_, relation))| {
+                let new = relation.fact_count();
+                let (lo, hi) = if old <= new { (old, new) } else { (new, old) };
+                hi.max(1) >= lo.max(1) * DRIFT_FACTOR
+            })
     }
 }
 

@@ -9,12 +9,11 @@
 //! The paper measures data complexity: the query is fixed and the data
 //! varies. So each query is classified, rewritten and compiled once, and the
 //! result is kept in **one** place: a memo of per-query engines keyed by
-//! [`fingerprint`], shared by every epoch forked from the same engine. A
-//! Boolean query's entry is a [`CertaintyEngine`] (classification, attack
-//! graph, solver and satisfaction plan); an open query's is a
-//! [`CertainAnswersEngine`] (open rewriting, possible-answers join plan and
-//! rewriting plan). The second time a query shape arrives, answering it is
-//! pure plan execution.
+//! [`fingerprint`], shared by every epoch forked from the same engine. Every
+//! entry, Boolean or open, is a [`CertainAnswersEngine`]: the query's one
+//! classified `CertaintyEngine` (solver, join plan and, in the Theorem 1
+//! region, rewriting plan) plus answer-set enumeration. The second time a
+//! query shape arrives, answering it is pure plan execution.
 //!
 //! Within one job the evaluation is deliberately **sequential**: a job
 //! that blocked on sub-jobs of the same pool could deadlock a small pool,
@@ -23,13 +22,13 @@
 
 use crate::pool::ParPool;
 use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
-use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
+use cqa_core::solvers::CertaintySolver;
 use cqa_data::Snapshot;
 use cqa_exec::cache::{fingerprint, Lookup, LruCache};
-use cqa_query::{ConjunctiveQuery, QueryError};
+use cqa_query::ConjunctiveQuery;
 use std::sync::Arc;
 
-/// Capacity of the per-query engine memo, Boolean and open engines
+/// Capacity of the per-query engine memo, Boolean and open queries
 /// together. A fingerprint includes the query's constants, so a client
 /// cycling constants mints shapes without limit; past this many the least
 /// recently used engine is evicted and rebuilt on its next use.
@@ -69,14 +68,7 @@ pub struct BatchEngine {
     snapshot: Snapshot,
     pool: ParPool,
     /// Memoized per-query engines per `(schema, query)` fingerprint.
-    engines: Arc<LruCache<MemoEngine>>,
-}
-
-/// One memo entry. Its kind follows from its key: the fingerprint's
-/// rendering starts with `q()` exactly for a Boolean query.
-enum MemoEngine {
-    Boolean(Box<CertaintyEngine>),
-    Open(Arc<CertainAnswersEngine>),
+    engines: Arc<LruCache<CertainAnswersEngine>>,
 }
 
 impl BatchEngine {
@@ -126,26 +118,25 @@ impl BatchEngine {
         &self.pool
     }
 
-    /// Number of per-query engines currently memoized, of both kinds.
+    /// Number of per-query engines currently memoized.
     pub fn cached_engine_count(&self) -> usize {
         self.engines.len()
     }
 
-    /// The memoized engine of `query`, built on first sight of its
-    /// fingerprint. Counted as `par.batch.engine.{hit,miss,eviction}`.
-    fn engine(&self, query: &ConjunctiveQuery) -> Result<Arc<MemoEngine>, QueryError> {
+    /// The memoized engine of `query`, built — classified once — on first
+    /// sight of its fingerprint: its plans, shared across epochs. The
+    /// serving layer decides an open query's candidates through it in
+    /// cancellable chunks. Counted as `par.batch.engine.{hit,miss,eviction}`.
+    pub fn answer_engine(
+        &self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Arc<CertainAnswersEngine>, String> {
         // Classification runs outside the memo's lock; a concurrent
         // duplicate loses the entry race harmlessly (both engines answer
         // alike).
-        let (engine, lookup) = self
-            .engines
-            .get_or_try_insert_with(fingerprint(query), || {
-                Ok(if query.is_boolean() {
-                    MemoEngine::Boolean(Box::new(CertaintyEngine::new(query)?))
-                } else {
-                    MemoEngine::Open(Arc::new(CertainAnswersEngine::new(query)?))
-                })
-            })?;
+        let (engine, lookup) = (self.engines)
+            .get_or_try_insert_with(fingerprint(query), || CertainAnswersEngine::new(query))
+            .map_err(|e| e.to_string())?;
         match lookup {
             Lookup::Hit => cqa_obs::count!("par.batch.engine.hit"),
             Lookup::Miss { evicted } => {
@@ -158,43 +149,27 @@ impl BatchEngine {
         Ok(engine)
     }
 
-    /// The memoized answer engine of the open query `query`: its open
-    /// rewriting and the plans compiled for it, shared across epochs. The
-    /// serving layer decides an open query's candidates through it in
-    /// cancellable chunks. A Boolean query's memo entry is its
-    /// [`CertaintyEngine`], so asking for one is an error.
-    pub fn answer_engine(
-        &self,
-        query: &ConjunctiveQuery,
-    ) -> Result<Arc<CertainAnswersEngine>, String> {
-        match &*self.engine(query).map_err(|e| e.to_string())? {
-            MemoEngine::Open(engine) => Ok(engine.clone()),
-            MemoEngine::Boolean(_) => Err("a Boolean query has no answer engine".to_string()),
-        }
-    }
-
     /// Answers one query on the calling thread (a pool job, when served),
     /// through the engine memo. Each call records its wall time into the
     /// `par.batch.query_nanos` histogram (the source of the serving layer's
     /// p50/p99).
     pub fn answer(&self, name: &str, query: &ConjunctiveQuery) -> BatchResult {
         let started = std::time::Instant::now();
-        let outcome = match self.engine(query) {
-            Err(e) => BatchOutcome::Error(e.to_string()),
-            Ok(engine) => {
-                let db = self.snapshot.database();
-                match &*engine {
-                    MemoEngine::Boolean(engine) => BatchOutcome::Boolean {
-                        certain: engine.is_certain(db),
-                        possible: engine.is_possible(db),
-                        solver: engine.solver_name(),
-                    },
-                    MemoEngine::Open(engine) => match engine.answer_sets(db) {
-                        Ok(sets) => BatchOutcome::Answers(sets),
-                        Err(e) => BatchOutcome::Error(e.to_string()),
-                    },
+        let db = self.snapshot.database();
+        let outcome = match self.answer_engine(query) {
+            Err(e) => BatchOutcome::Error(e),
+            Ok(engine) if query.is_boolean() => {
+                let engine = engine.engine();
+                BatchOutcome::Boolean {
+                    certain: engine.is_certain(db),
+                    possible: engine.is_possible(db),
+                    solver: engine.solver_name(),
                 }
             }
+            Ok(engine) => match engine.answer_sets(db) {
+                Ok(sets) => BatchOutcome::Answers(sets),
+                Err(e) => BatchOutcome::Error(e.to_string()),
+            },
         };
         cqa_obs::observe_duration!("par.batch.query_nanos", started.elapsed());
         BatchResult {

@@ -305,7 +305,7 @@ impl EpochManager {
         }
     }
 
-    /// The memoized answer engine of the open query `query`, from the
+    /// The memoized engine of `query`, from the
     /// current epoch's engine memo ([`BatchEngine::answer_engine`]).
     pub fn answer_engine(
         &self,
@@ -473,7 +473,10 @@ mod tests {
             panic!("a Boolean query has a Boolean outcome");
         };
         assert!(certain);
-        assert!(manager.answer_engine(&boolean).is_err());
+        // Its entry is an engine of the same type: asking for it hits the
+        // memo instead of building a third entry.
+        let boolean_engine = manager.answer_engine(&boolean).unwrap();
+        assert!(!Arc::ptr_eq(&first, &boolean_engine));
         assert_eq!(manager.current().cached_engine_count(), 2);
         assert!(Arc::ptr_eq(&first, &manager.answer_engine(&query).unwrap()));
     }

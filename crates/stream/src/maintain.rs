@@ -3,11 +3,12 @@
 
 use crate::view::{provenance_of, BlockKey, MaterializedView, Provenance};
 use cqa_core::answers::CertainAnswersEngine;
+use cqa_core::solvers::CertaintySolver;
 use cqa_data::{ChangeSet, Snapshot, Value};
 use cqa_exec::QueryPlan;
 use cqa_par::{par_map, ParPool};
 use cqa_query::substitute::ground_with;
-use cqa_query::{ConjunctiveQuery, Valuation, Variable};
+use cqa_query::Valuation;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,8 +60,6 @@ impl Default for ViewMaintainer {
 struct DecideCtx {
     engine: Arc<CertainAnswersEngine>,
     possible_plan: Arc<QueryPlan>,
-    query: ConjunctiveQuery,
-    free: Vec<Variable>,
 }
 
 impl ViewMaintainer {
@@ -269,8 +268,6 @@ impl ViewMaintainer {
         let ctx = Arc::new(DecideCtx {
             engine: view.engine().clone(),
             possible_plan: view.possible_plan().clone(),
-            query: view.query().clone(),
-            free: view.free_vars().to_vec(),
         });
         match self.shards(candidates.len()) {
             None => decide_chunk(&ctx, snapshot, candidates),
@@ -299,11 +296,10 @@ impl ViewMaintainer {
         tuples: &[Vec<Value>],
     ) -> Vec<Provenance> {
         let query = view.query().clone();
-        let free = view.free_vars().to_vec();
         match self.shards(tuples.len()) {
             None => tuples
                 .iter()
-                .map(|t| provenance_of(&query, &free, t, snapshot))
+                .map(|t| provenance_of(&query, t, snapshot))
                 .collect(),
             Some((pool, shards)) => {
                 let chunk_size = tuples.len().div_ceil(shards);
@@ -313,7 +309,7 @@ impl ViewMaintainer {
                 par_map(&pool, chunks, move |_, chunk: Vec<Vec<Value>>| {
                     chunk
                         .iter()
-                        .map(|t| provenance_of(&query, &free, t, &snapshot))
+                        .map(|t| provenance_of(&query, t, &snapshot))
                         .collect::<Vec<_>>()
                 })
                 .into_iter()
@@ -343,11 +339,13 @@ fn decide_chunk(
     chunk: Vec<Vec<Value>>,
 ) -> Result<Vec<Option<(bool, Provenance)>>, String> {
     let db = snapshot.database();
+    let query = ctx.engine.engine().query();
     let possible = ctx.possible_plan.prepare(snapshot.index());
     let alive: Vec<bool> = chunk
         .iter()
         .map(|tuple| {
-            let base = Valuation::from_pairs(ctx.free.iter().cloned().zip(tuple.iter().cloned()));
+            let base =
+                Valuation::from_pairs(query.free_vars().iter().cloned().zip(tuple.iter().cloned()));
             possible.satisfies_with(&base)
         })
         .collect();
@@ -370,7 +368,7 @@ fn decide_chunk(
                 return None;
             }
             let certain = verdicts.next().expect("one verdict per alive candidate");
-            let prov = provenance_of(&ctx.query, &ctx.free, tuple, snapshot);
+            let prov = provenance_of(query, tuple, snapshot);
             Some((certain, prov))
         })
         .collect())

@@ -1,6 +1,7 @@
 //! The materialized view: decided answer sets plus block-level provenance.
 
 use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
+use cqa_core::solvers::CertaintySolver;
 use cqa_data::{Fact, PositionIndex, PositionSet, RelationId, Schema, Snapshot, Value};
 use cqa_exec::{ExecMode, QueryPlan};
 use cqa_query::{ConjunctiveQuery, Term, Valuation, Variable};
@@ -97,8 +98,7 @@ impl Provenance {
 /// touched block into the candidate set to re-decide.
 pub struct MaterializedView {
     name: String,
-    query: ConjunctiveQuery,
-    free: Vec<Variable>,
+    /// The query's one engine: its classification, solver and plans.
     engine: Arc<CertainAnswersEngine>,
     /// The query with its free variables as parameters: decides whether a
     /// candidate tuple is still a possible answer.
@@ -114,17 +114,14 @@ pub struct MaterializedView {
 impl MaterializedView {
     /// Registers a view for `query` under `name`. Classifies the query once
     /// (the engine decides every future candidate through the same compiled
-    /// open rewriting, or the classified per-candidate fallback outside the
+    /// open rewriting, or the same classified solver outside the
     /// first-order region), and compiles the possibility check once.
     /// Fails only on malformed queries (self-joins).
     pub fn new(name: impl Into<String>, query: &ConjunctiveQuery) -> Result<Self, String> {
         let engine = CertainAnswersEngine::new(query).map_err(|e| e.to_string())?;
-        let free = query.free_vars().to_vec();
         Ok(MaterializedView {
             name: name.into(),
-            query: query.clone(),
-            possible_plan: Arc::new(QueryPlan::compile_bound(query, &free, None)),
-            free,
+            possible_plan: Arc::new(QueryPlan::compile_bound(query, query.free_vars(), None)),
             engine: Arc::new(engine),
             certain: BTreeSet::new(),
             possible: BTreeSet::new(),
@@ -138,7 +135,7 @@ impl MaterializedView {
     /// Pins the executor mode of the certainty engine (the property suite
     /// runs every mode against the reference).
     pub fn with_mode(mut self, mode: ExecMode) -> Result<Self, String> {
-        let engine = CertainAnswersEngine::new(&self.query)
+        let engine = CertainAnswersEngine::new(self.query())
             .map_err(|e| e.to_string())?
             .with_mode(mode);
         self.engine = Arc::new(engine);
@@ -152,12 +149,12 @@ impl MaterializedView {
 
     /// The registered query.
     pub fn query(&self) -> &ConjunctiveQuery {
-        &self.query
+        self.engine.engine().query()
     }
 
     /// The query's free variables (answer-tuple coordinates, in order).
     pub fn free_vars(&self) -> &[Variable] {
-        &self.free
+        self.query().free_vars()
     }
 
     /// The shared certainty engine deciding this view's candidates.
@@ -317,14 +314,13 @@ impl std::fmt::Debug for MaterializedView {
 /// independent of the relation's block count.
 pub(crate) fn provenance_of(
     query: &ConjunctiveQuery,
-    free: &[Variable],
     tuple: &[Value],
     snapshot: &Snapshot,
 ) -> Provenance {
     let db = snapshot.database();
     let index = snapshot.index();
     let schema = db.schema();
-    let base = Valuation::from_pairs(free.iter().cloned().zip(tuple.iter().cloned()));
+    let base = Valuation::from_pairs(query.free_vars().iter().cloned().zip(tuple.iter().cloned()));
     let mut prov = Provenance::default();
     for atom in query.atoms() {
         // The pattern's fixed positions: the first ones (an index's width)
@@ -384,8 +380,7 @@ mod tests {
         db.insert_values("R", ["b", "9"]).unwrap();
         let snapshot = db.snapshot();
         let schema = db.schema();
-        let free = query.free_vars().to_vec();
-        let prov = provenance_of(&query, &free, &[Value::str("a")], &snapshot);
+        let prov = provenance_of(&query, &[Value::str("a")], &snapshot);
         let r = schema.relation_id("R").unwrap();
         let s = schema.relation_id("S").unwrap();
         assert!(prov.covers(&BlockKey::new(r, vec![Value::str("a")])));
@@ -405,7 +400,7 @@ mod tests {
         let mut view = MaterializedView::new("v", &query).unwrap();
         let snapshot = db.snapshot();
         let tuple = vec![Value::str("a")];
-        let prov = provenance_of(&query, &view.free.clone(), &tuple, &snapshot);
+        let prov = provenance_of(&query, &tuple, &snapshot);
         let edges = prov.edges();
         view.install(tuple.clone(), true, prov);
         assert_eq!(view.provenance_edges(), edges);

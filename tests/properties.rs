@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) for the paper's structural lemmas and for
 //! solver agreement on randomly generated queries and databases.
 
-use cqa::core::answers::{tuple_is_certain, CertainAnswersEngine};
+use cqa::core::answers::CertainAnswersEngine;
 use cqa::core::attack::{AttackGraph, CycleAnalysis};
 use cqa::core::classify::{classify, ComplexityClass};
 use cqa::core::fo::eval::evaluate_sentence;
@@ -36,6 +36,110 @@ fn purify_one_block_at_a_time(
             Some(fact) => current.remove_block_of(&fact),
             None => return current,
         };
+    }
+}
+
+/// The reference verdict of one candidate answer: a fresh engine on the
+/// grounded query `q[x̄ ↦ tuple]`, checked against repair enumeration on
+/// instances with at most 2^10 repairs.
+fn grounded_verdict(
+    q: &ConjunctiveQuery,
+    tuple: &[cqa_data::Value],
+    db: &cqa_data::UncertainDatabase,
+) -> bool {
+    let grounded = cqa::query::substitute::substitute_seq(q, q.free_vars(), tuple);
+    let verdict = CertaintyEngine::new(&grounded).unwrap().is_certain(db);
+    if db.repair_count_log2() <= 10.0 {
+        let oracle = ExactOracle::new(&grounded).unwrap();
+        assert_eq!(
+            verdict,
+            oracle.is_certain_bruteforce(db),
+            "{grounded}\n{db}"
+        );
+    }
+    verdict
+}
+
+/// Frees `free` in `q` and checks that one classification stands for every
+/// grounding: `classify(q[x̄ ↦ t])` equals the class the open engine
+/// computed from the frozen query — for tuples with repeated components,
+/// with values outside the dictionary and with the query's own constants —
+/// and the open engine takes the first-order (batch rewriting) path
+/// exactly in the Theorem 1 region.
+fn assert_classified_once(q: &ConjunctiveQuery, free: Vec<cqa::query::Variable>) {
+    let open =
+        ConjunctiveQuery::with_free_vars(q.schema().clone(), q.atoms().to_vec(), free).unwrap();
+    let answers = CertainAnswersEngine::new(&open).unwrap();
+    let class = answers.engine().class();
+    let first_order = *class == ComplexityClass::FirstOrderExpressible;
+    let empty = cqa_data::UncertainDatabase::new(q.schema().clone());
+    assert_eq!(
+        answers.open_plan(&empty).is_some(),
+        first_order,
+        "{open}: {class}"
+    );
+    assert_eq!(
+        answers.engine().solver_name() == "rewriting",
+        first_order,
+        "{open}: {class}"
+    );
+    let n = open.free_vars().len();
+    let own_constant = (q.atoms().iter())
+        .flat_map(|atom| atom.terms())
+        .find_map(|term| match term {
+            cqa::query::Term::Const(c) => Some(c.clone()),
+            cqa::query::Term::Var(_) => None,
+        })
+        .unwrap_or(cqa_data::Value::Int(0));
+    let tuples = [
+        vec![cqa_data::Value::str("a"); n],
+        vec![own_constant; n],
+        (0..n)
+            .map(|i| cqa_data::Value::str(format!("__never_seen_{i}")))
+            .collect(),
+        (0..n).map(|i| cqa_data::Value::Int(i as i64)).collect(),
+    ];
+    for tuple in &tuples {
+        let grounded = cqa::query::substitute::substitute_seq(&open, open.free_vars(), tuple);
+        assert_eq!(
+            &classify(&grounded).unwrap().class,
+            class,
+            "{open} at {tuple:?}"
+        );
+    }
+}
+
+#[test]
+fn catalog_classification_is_invariant_under_grounding() {
+    for entry in catalog::all() {
+        let vars: Vec<cqa::query::Variable> = entry.query.vars().into_iter().collect();
+        for mask in 0..1u32 << vars.len() {
+            let free = (vars.iter().enumerate())
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, v)| v.clone())
+                .collect();
+            assert_classified_once(&entry.query, free);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Lemma 5's substitution on random acyclic queries with a random set of
+    /// free variables: see [`assert_classified_once`].
+    #[test]
+    fn classification_is_invariant_under_grounding(
+        seed in 0u64..100_000,
+        atoms in 1usize..7,
+        mask in 0u64..1 << 12,
+    ) {
+        let q = random_acyclic_query(seed, atoms, 4);
+        let free = (q.vars().into_iter().enumerate())
+            .filter(|(i, _)| mask & (1 << (i % 12)) != 0)
+            .map(|(_, v)| v)
+            .collect();
+        assert_classified_once(&q, free);
     }
 }
 
@@ -386,11 +490,10 @@ proptest! {
                 .filter_map(|v| v.project(free_q.free_vars()))
                 .collect();
         prop_assert_eq!(&sets.possible, &reference);
-        let free = free_q.free_vars().to_vec();
         for tuple in &sets.possible {
             prop_assert_eq!(
                 sets.certain.contains(tuple),
-                tuple_is_certain(&free_q, &free, tuple, &db).unwrap()
+                grounded_verdict(&free_q, tuple, &db)
             );
         }
         let line = |name: &str, outcome: BatchOutcome| {
@@ -512,14 +615,13 @@ proptest! {
             // boundary of the batch path.
             let mut candidates = row_answers;
             candidates.insert(vec![cqa_data::Value::str("__foreign__")]);
-            let free = free_q.free_vars().to_vec();
             let reference: std::collections::BTreeSet<Vec<cqa_data::Value>> = candidates.iter()
-                .filter(|t| tuple_is_certain(&free_q, &free, t, &db).unwrap())
+                .filter(|t| grounded_verdict(&free_q, t, &db))
                 .cloned()
                 .collect();
             for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
                 let engine = CertainAnswersEngine::new(&free_q).unwrap().with_mode(mode);
-                prop_assert!(engine.uses_open_rewriting());
+                prop_assert!(engine.open_plan(&db).is_some());
                 prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
                     "certain_of {:?}, {} seed {}", mode, name, seed);
             }
@@ -527,14 +629,13 @@ proptest! {
             // Fallback boundary: the mode knob must be inert on the
             // per-candidate path, and the verdicts must match the reference.
             let candidates = cqa::core::answers::possible_answers(&q, &db).unwrap();
-            let free = q.free_vars().to_vec();
             let reference: std::collections::BTreeSet<Vec<cqa_data::Value>> = candidates.iter()
-                .filter(|t| tuple_is_certain(&q, &free, t, &db).unwrap())
+                .filter(|t| grounded_verdict(&q, t, &db))
                 .cloned()
                 .collect();
             for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
                 let engine = CertainAnswersEngine::new(&q).unwrap().with_mode(mode);
-                prop_assert!(!engine.uses_open_rewriting());
+                prop_assert!(engine.open_plan(&db).is_none());
                 prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
                     "fallback certain_of {:?}, {} seed {}", mode, name, seed);
             }
