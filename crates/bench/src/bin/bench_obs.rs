@@ -24,7 +24,7 @@
 use cqa_bench::{ms, quick_flag, scaled_instance, time_min, write_bench_json};
 use cqa_core::answers::{possible_answers, CertainAnswersEngine};
 use cqa_core::solvers::RewritingSolver;
-use cqa_exec::{ExecMode, FoPlan, QueryPlan};
+use cqa_exec::{FoPlan, QueryPlan};
 use cqa_obs::TraceSink;
 use cqa_query::{catalog, ConjunctiveQuery, Variable};
 use std::fmt::Write as _;
@@ -91,9 +91,7 @@ fn main() {
         // -- batched vectorized certain answers (no trace hook: the engine
         //    owns its plans). Results asserted identical across toggles.
         let candidates = possible_answers(&query, &db).expect("workload queries are answerable");
-        let engine = CertainAnswersEngine::new(&query)
-            .expect("answerable")
-            .with_mode(ExecMode::Vectorized);
+        let engine = CertainAnswersEngine::new(&query).expect("answerable");
         cqa_obs::set_enabled(false);
         let reference = engine.certain_of(&db, &candidates).expect("answerable");
         cqa_obs::set_enabled(true);
@@ -113,12 +111,9 @@ fn main() {
             boolean_query.schema(),
             Some(index.statistics()),
         );
-        let fo = fo_plan.prepare(&index).with_mode(ExecMode::Vectorized);
+        let fo = fo_plan.prepare(&index);
         let fo_sink = Arc::new(TraceSink::new(fo_plan.trace_ops()));
-        let fo_traced = fo_plan
-            .prepare(&index)
-            .with_mode(ExecMode::Vectorized)
-            .with_trace(fo_sink.clone());
+        let fo_traced = fo_plan.prepare(&index).with_trace(fo_sink.clone());
         assert_eq!(
             fo_traced.eval(),
             fo.eval(),
@@ -129,12 +124,9 @@ fn main() {
 
         // -- Possible-answer join: plain prepared vs a trace-sink one.
         let join_plan = QueryPlan::compile(&query, Some(index.statistics()));
-        let join = join_plan.prepare(&index).with_mode(ExecMode::Vectorized);
+        let join = join_plan.prepare(&index);
         let join_sink = Arc::new(TraceSink::new(join_plan.trace_ops()));
-        let join_traced = join_plan
-            .prepare(&index)
-            .with_mode(ExecMode::Vectorized)
-            .with_trace(join_sink.clone());
+        let join_traced = join_plan.prepare(&index).with_trace(join_sink.clone());
         assert_eq!(
             join_traced.answers(),
             join.answers(),

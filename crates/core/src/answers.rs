@@ -12,7 +12,7 @@
 
 use crate::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_data::{UncertainDatabase, Value};
-use cqa_exec::{ExecMode, FoPlan, QueryPlan};
+use cqa_exec::{FoPlan, QueryPlan};
 use cqa_query::{ConjunctiveQuery, QueryError};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -47,14 +47,12 @@ pub fn certain_answers(
 ///
 /// In the Theorem 1 region the engine's compiled **open** rewriting `φ(x̄)`
 /// ([`crate::fo::certain_rewriting_open`]) decides all candidates in one
-/// batch ([`cqa_exec::PreparedFo::eval_tuples`], which routes large batches
-/// through the vectorized executor); elsewhere each candidate is one
+/// vectorized batch ([`cqa_exec::PreparedFo::eval_tuples`]); elsewhere each candidate is one
 /// [`CertaintySolver::decide`] call on the same classified solver. The join
 /// plan enumerating the candidates and the rewriting plan share the
 /// engine's stats-stamped slot ([`CertaintyEngine::plans`]).
 pub struct CertainAnswersEngine {
     engine: CertaintyEngine,
-    mode: ExecMode,
 }
 
 impl CertainAnswersEngine {
@@ -63,15 +61,7 @@ impl CertainAnswersEngine {
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
         Ok(CertainAnswersEngine {
             engine: CertaintyEngine::new(query)?,
-            mode: ExecMode::Auto,
         })
-    }
-
-    /// Overrides the executor mode of the batch path (tests force the
-    /// vectorized and row-at-a-time kernels against each other).
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// The query's classified engine: a Boolean query's certainty and
@@ -114,7 +104,7 @@ impl CertainAnswersEngine {
                 cqa_obs::count!("core.answers.batch");
                 cqa_obs::count!("core.answers.batch_tuples", tuples.len() as u64);
                 let index = db.index();
-                let prepared = plan.prepare(&index).with_mode(self.mode);
+                let prepared = plan.prepare(&index);
                 Ok(prepared.eval_tuples(self.engine.query().free_vars(), tuples))
             }
             None => {
@@ -236,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn the_engine_matches_the_per_tuple_reference_in_every_mode() {
+    fn the_engine_matches_the_per_tuple_reference() {
         let query = open_conference_query();
         let db = catalog::conference_database();
         // Candidates beyond the possible answers, including a value outside
@@ -249,15 +239,9 @@ mod tests {
             .filter(|t| grounded_verdict(&query, t, &db))
             .cloned()
             .collect();
-        for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
-            let engine = CertainAnswersEngine::new(&query).unwrap().with_mode(mode);
-            assert!(engine.open_plan(&db).is_some());
-            assert_eq!(
-                engine.certain_of(&db, &candidates).unwrap(),
-                reference,
-                "{mode:?}"
-            );
-        }
+        let engine = CertainAnswersEngine::new(&query).unwrap();
+        assert!(engine.open_plan(&db).is_some());
+        assert_eq!(engine.certain_of(&db, &candidates).unwrap(), reference);
     }
 
     #[test]

@@ -63,8 +63,7 @@ pub trait CertaintySolver {
 
     /// The compiled certain-rewriting plan the solver evaluates, when it
     /// has one (the Theorem 1 region), so a caller can prepare it with a
-    /// trace sink or a pinned [`cqa_exec::ExecMode`]; solvers without a
-    /// rewriting plan return `None`.
+    /// trace sink; solvers without a rewriting plan return `None`.
     fn rewriting_plan(&self, _db: &UncertainDatabase) -> Option<Arc<FoPlan>> {
         None
     }
@@ -274,9 +273,8 @@ impl CertaintySolver for CertaintyEngine {
     }
 
     /// The compiled certain-rewriting plan (the Theorem 1 region) — the plan
-    /// [`CertaintySolver::decide`] executes, for callers that trace it or
-    /// pin its [`cqa_exec::ExecMode`]. `None` means the solver decides
-    /// certainty without a rewriting plan.
+    /// [`CertaintySolver::decide`] executes, for callers that trace it.
+    /// `None` means the solver decides certainty without a rewriting plan.
     fn rewriting_plan(&self, db: &UncertainDatabase) -> Option<Arc<FoPlan>> {
         self.plans(db).rewriting.clone()
     }

@@ -23,7 +23,6 @@
 //! polynomial on adversarial residual components.
 
 use super::{rewriting::RewritingSolver, CertaintySolver};
-use crate::attack::AttackGraph;
 use crate::purify::purify;
 use cqa_data::{Fact, FxHashMap, FxHashSet, UncertainDatabase, Value};
 use cqa_query::{ConjunctiveQuery, QueryError, Valuation};
@@ -238,24 +237,6 @@ impl CertaintySolver for TwoAtomSolver {
     }
 }
 
-/// Returns true when the two-atom query falls on the tractable side of the
-/// Kolaitis–Pema dichotomy, i.e. `key(F) ⊆ vars(G)` and `key(G) ⊆ vars(F)`
-/// (equivalently, by Lemma 7(2), when it can appear as a weak terminal
-/// 2-cycle). Exposed for the classifier's diagnostics and for tests.
-pub fn is_kp_tractable(query: &ConjunctiveQuery) -> bool {
-    if query.len() != 2 {
-        return false;
-    }
-    if AttackGraph::build(query).is_ok_and(|g| g.is_acyclic()) {
-        return true;
-    }
-    let key_f = query.key_vars(0);
-    let key_g = query.key_vars(1);
-    let vars_f = query.vars_of(0);
-    let vars_g = query.vars_of(1);
-    key_f.is_subset(&vars_g) && key_g.is_subset(&vars_f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,14 +351,6 @@ mod tests {
                 "seed {seed}\n{db}"
             );
         }
-    }
-
-    #[test]
-    fn kp_tractability_predicate() {
-        assert!(is_kp_tractable(&catalog::c2_swap().query));
-        assert!(is_kp_tractable(&catalog::fo_path2().query));
-        assert!(!is_kp_tractable(&catalog::q0().query));
-        assert!(!is_kp_tractable(&catalog::q1().query)); // four atoms
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub enum Delta {
     },
 }
 
-/// The net effect of the recorded mutations: which facts were inserted,
-/// which were removed, and whether any block disappeared.
+/// The net effect of the recorded mutations: which facts were inserted and
+/// which were removed.
 ///
 /// Recording *nets out* transient facts: removing a fact that was itself
 /// inserted earlier in the changeset cancels the insertion instead of
@@ -38,7 +38,6 @@ pub enum Delta {
 pub struct ChangeSet {
     inserted: Vec<Fact>,
     removed: Vec<Fact>,
-    block_removed: bool,
 }
 
 impl ChangeSet {
@@ -51,11 +50,7 @@ impl ChangeSet {
     pub fn record(&mut self, delta: Delta) {
         match delta {
             Delta::Inserted(fact) => self.inserted.push(fact),
-            Delta::Removed {
-                fact,
-                emptied_block,
-            } => {
-                self.block_removed |= emptied_block;
+            Delta::Removed { fact, .. } => {
                 // A fact inserted and removed again nets out entirely.
                 if let Some(pos) = self.inserted.iter().position(|f| *f == fact) {
                     self.inserted.swap_remove(pos);
@@ -76,11 +71,6 @@ impl ChangeSet {
         &self.removed
     }
 
-    /// True iff some removal emptied (and thus removed) a whole block.
-    pub fn any_block_removed(&self) -> bool {
-        self.block_removed
-    }
-
     /// The delta volume: number of recorded insertions plus removals.
     pub fn len(&self) -> usize {
         self.inserted.len() + self.removed.len()
@@ -95,7 +85,6 @@ impl ChangeSet {
     pub fn clear(&mut self) {
         self.inserted.clear();
         self.removed.clear();
-        self.block_removed = false;
     }
 }
 
@@ -135,9 +124,7 @@ mod tests {
         assert_eq!(cs.removed().len(), 1);
         assert_eq!(cs.inserted().len(), 1);
         assert_eq!(cs.len(), 2);
-        assert!(cs.any_block_removed());
         cs.clear();
         assert!(cs.is_empty());
-        assert!(!cs.any_block_removed());
     }
 }

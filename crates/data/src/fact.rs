@@ -81,11 +81,6 @@ impl Fact {
         &self.values[k..]
     }
 
-    /// Key-equality (Section 3): same relation name and same key prefix.
-    pub fn key_equal(&self, other: &Fact, schema: &Schema) -> bool {
-        self.relation == other.relation && self.key(schema) == other.key(schema)
-    }
-
     /// Renders the fact using the relation names of `schema`.
     pub fn display<'a>(&'a self, schema: &'a Schema) -> impl fmt::Display + 'a {
         FactDisplay { fact: self, schema }
@@ -153,14 +148,16 @@ mod tests {
         let a = c(&s, ["PODS", "2016", "Rome"]);
         let b = c(&s, ["PODS", "2016", "Paris"]);
         let d = c(&s, ["KDD", "2017", "Rome"]);
-        assert!(a.key_equal(&b, &s));
-        assert!(!a.key_equal(&d, &s));
+        // Key-equality (Section 3): same relation name and same key prefix.
+        let key_equal = |f: &Fact, g: &Fact| f.relation() == g.relation() && f.key(&s) == g.key(&s);
+        assert!(key_equal(&a, &b));
+        assert!(!key_equal(&a, &d));
         // Key-equality requires the same relation name.
         let r = Fact::new(
             s.relation_id("R").unwrap(),
             vec![Value::str("PODS"), Value::str("A")],
         );
-        assert!(!a.key_equal(&r, &s));
+        assert!(!key_equal(&a, &r));
     }
 
     #[test]

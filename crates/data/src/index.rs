@@ -286,11 +286,6 @@ impl RelationStatistics {
     pub fn distinct_count(&self, position: usize) -> Option<usize> {
         self.distinct.get(position).copied()
     }
-
-    /// Distinct counts for every position, in position order.
-    pub fn distinct_counts(&self) -> &[usize] {
-        &self.distinct
-    }
 }
 
 /// Database-wide statistics: one [`RelationStatistics`] per relation.
@@ -962,7 +957,12 @@ mod tests {
         assert_eq!(stats.relation(c).fact_count(), 3);
         assert_eq!(stats.relation(c).block_count(), 2);
         // C columns: {PODS, KDD}, {2016, 2017}, {Rome, Paris}.
-        assert_eq!(stats.relation(c).distinct_counts(), &[2, 2, 2]);
+        let distinct = |rel, arity| -> Vec<Option<usize>> {
+            (0..arity)
+                .map(|p| stats.relation(rel).distinct_count(p))
+                .collect()
+        };
+        assert_eq!(distinct(c, 3), [Some(2), Some(2), Some(2)]);
         assert_eq!(stats.relation(r).distinct_count(0), Some(2));
         assert_eq!(stats.relation(r).distinct_count(1), Some(2));
         assert_eq!(stats.relation(r).distinct_count(7), None);
@@ -1031,8 +1031,13 @@ mod tests {
         let stats = index.statistics();
         assert_eq!(stats.relation(c).fact_count(), 2);
         assert_eq!(stats.relation(c).block_count(), 1);
-        assert_eq!(stats.relation(c).distinct_counts(), &[1, 1, 2]);
-        assert_eq!(stats.relation(r).distinct_counts(), &[2, 2]);
+        let distinct = |rel, arity| -> Vec<Option<usize>> {
+            (0..arity)
+                .map(|p| stats.relation(rel).distinct_count(p))
+                .collect()
+        };
+        assert_eq!(distinct(c, 3), [Some(1), Some(1), Some(2)]);
+        assert_eq!(distinct(r, 2), [Some(2), Some(2)]);
         assert_eq!(bucket(&index, c, &[0, 1], &["KDD", "2017"]).len(), 2);
         assert!(bucket(&index, c, &[0, 1], &["PODS", "2016"]).is_empty());
         assert_eq!(bucket(&index, r, &[0], &["VLDB"]).len(), 1);

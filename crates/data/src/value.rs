@@ -73,14 +73,6 @@ impl Value {
         }
     }
 
-    /// Returns the components if this is a tuple value.
-    pub fn as_tuple(&self) -> Option<&[Value]> {
-        match self {
-            Value::Tuple(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// A human-readable rendering that is also accepted back by the
     /// `cqa-parser` crate (strings are quoted only when necessary).
     pub fn render(&self) -> Cow<'_, str> {
@@ -206,11 +198,5 @@ mod tests {
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::int(3).as_int(), Some(3));
         assert!(Value::int(3).as_str().is_none());
-        assert_eq!(
-            Value::pair(Value::int(1), Value::int(2))
-                .as_tuple()
-                .map(<[Value]>::len),
-            Some(2)
-        );
     }
 }

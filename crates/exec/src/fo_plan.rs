@@ -28,6 +28,11 @@
 //! time, so shadowing is resolved once and runtime binding is a plain
 //! register write with scoped undo.
 //!
+//! A [`PreparedFo`] always evaluates through the vectorized executor
+//! ([`mod@crate::vec`]). The row interpreter here is its per-row kernel:
+//! the operators without a batch kernel and tuples without dictionary
+//! codes run through it, and nothing else does.
+//!
 //! `cqa_core::fo::eval` remains the reference semantics; the property suite
 //! checks observational equality on randomized instances.
 
@@ -39,7 +44,6 @@ use cqa_data::{
 use cqa_obs::TraceSink;
 use cqa_query::fo_formula::FoFormula;
 use cqa_query::{Term, Variable};
-use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -121,9 +125,6 @@ pub struct FoPlan {
     /// sentences produced by `certain_rewriting`).
     pub(crate) free: Vec<(Variable, Slot)>,
     probe_count: usize,
-    /// Cost-model estimate of the operator-visit count of one evaluation
-    /// (see [`FoPlan::estimated_work`]).
-    estimated_work: f64,
 }
 
 impl FoPlan {
@@ -153,37 +154,17 @@ impl FoPlan {
             })
             .collect();
         let root = lowerer.lower(formula);
-        // Active-domain size proxy for the unguarded quantifier fallbacks:
-        // every domain value appears in some fact, so the total cardinality
-        // bounds it.
-        let adom_estimate: f64 = schema
-            .iter()
-            .map(|(id, _)| lowerer.cost.cardinality(id))
-            .sum();
-        let estimated_work = estimated_op_work(&root, &lowerer.cost, adom_estimate);
         FoPlan {
             schema: schema.clone(),
             root,
             slots: lowerer.slots,
             free,
             probe_count: lowerer.probe_count,
-            estimated_work,
         }
     }
 
-    /// Cost-model estimate of how many operator visits one evaluation
-    /// costs: scan and quantifier fan-outs multiply down the tree,
-    /// conjunctions and disjunctions add up. An *estimate*, never consulted
-    /// for correctness — the [`ExecMode::Auto`](crate::ExecMode::Auto) gate
-    /// evaluates sentences batch-at-a-time once it clears
-    /// [`FO_VEC_CUTOFF`](crate::vec::FO_VEC_CUTOFF).
-    pub fn estimated_work(&self) -> f64 {
-        self.estimated_work
-    }
-
-    /// Binds the plan to an index snapshot, resolving every probe handle.
-    /// The execution path defaults to [`crate::vec::default_mode`]; override
-    /// it per instance with [`PreparedFo::with_mode`].
+    /// Binds the plan to an index snapshot, resolving every probe handle
+    /// and lowering the operator tree to its batch form.
     pub fn prepare<'p>(&'p self, index: &Arc<DatabaseIndex>) -> PreparedFo<'p> {
         let mut handles = Vec::new();
         handles.resize_with(self.probe_count, || None);
@@ -193,7 +174,6 @@ impl FoPlan {
             plan: self,
             index: index.clone(),
             handles,
-            mode: crate::vec::default_mode(),
             vec,
             trace: None,
         }
@@ -202,13 +182,6 @@ impl FoPlan {
     /// Convenience: evaluates the plan as a sentence on `db`.
     pub fn eval(&self, db: &UncertainDatabase) -> bool {
         self.prepare(&db.index()).eval()
-    }
-
-    /// Convenience: evaluates with bindings for the formula's free
-    /// variables (unbound free variables make atoms and equalities false,
-    /// the interpreter's convention).
-    pub fn eval_with(&self, db: &UncertainDatabase, env: &FxHashMap<Variable, Value>) -> bool {
-        self.prepare(&db.index()).eval_with(env)
     }
 
     /// Number of trace cells a [`cqa_obs::TraceSink`] for this plan needs:
@@ -227,25 +200,13 @@ impl FoPlan {
     /// [`FoPlan::explain`] plus the **actuals** a traced execution
     /// recorded: per-operator invocation/row/match counts (and waves /
     /// row-fallback rows where they occurred) next to the estimates, and a
-    /// header line with wall time and the executor path taken.
+    /// header line with run count and wall time.
     pub fn explain_analyze(&self, trace: &TraceSink) -> String {
         self.render_with(Some(trace))
     }
 
     fn render_with(&self, trace: Option<&TraceSink>) -> String {
         let mut out = String::new();
-        let path = if self.estimated_work >= crate::vec::FO_VEC_CUTOFF {
-            "vectorized"
-        } else {
-            "row-at-a-time"
-        };
-        let _ = writeln!(
-            out,
-            "  exec: est work ≈ {:.0} vs auto cutoff {:.0} → {path} path \
-             (operators marked [vec]/[row])",
-            self.estimated_work,
-            crate::vec::FO_VEC_CUTOFF,
-        );
         if let Some(sink) = trace {
             let _ = writeln!(
                 out,
@@ -883,52 +844,16 @@ fn flatten_and(formula: &FoFormula) -> Vec<&FoFormula> {
     }
 }
 
-/// Cost-model estimate of the operator visits one evaluation of `op`
-/// costs: constant-time operators count 1, scans and quantifiers multiply
-/// their estimated fan-out into their body, `all`/`any` sum their parts.
-/// `adom` is the active-domain size proxy for unguarded domain loops.
-fn estimated_op_work(op: &FoOp, cost: &CostModel, adom: f64) -> f64 {
-    match op {
-        FoOp::Bool(_) | FoOp::Lookup(_) | FoOp::Eq(_, _) => 1.0,
-        FoOp::Not(inner) => estimated_op_work(inner, cost, adom),
-        FoOp::All(parts) | FoOp::Any(parts) => parts
-            .iter()
-            .map(|p| estimated_op_work(p, cost, adom))
-            .sum::<f64>()
-            .max(1.0),
-        FoOp::ExistsScan { spec, body } | FoOp::ForallBlock { spec, body } => {
-            spec.estimated_rows.max(1.0) * estimated_op_work(body, cost, adom)
-        }
-        FoOp::ExistsColumn {
-            relation,
-            position,
-            body,
-            ..
-        } => cost.distinct(*relation, *position).max(1.0) * estimated_op_work(body, cost, adom),
-        FoOp::ExistsDomain { body, .. } | FoOp::ForallDomain { body, .. } => {
-            adom.max(1.0) * estimated_op_work(body, cost, adom)
-        }
-    }
-}
-
 /// An [`FoPlan`] resolved against one [`DatabaseIndex`] snapshot.
 pub struct PreparedFo<'p> {
     pub(crate) plan: &'p FoPlan,
     pub(crate) index: Arc<DatabaseIndex>,
     pub(crate) handles: Vec<Option<BoundProbe>>,
-    pub(crate) mode: crate::vec::ExecMode,
     pub(crate) vec: crate::vec::VecFo<'p>,
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
 impl PreparedFo<'_> {
-    /// Overrides the execution-path choice for this prepared instance (the
-    /// property suites pin each path explicitly).
-    pub fn with_mode(mut self, mode: crate::vec::ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Installs a trace sink: every subsequent evaluation records its
     /// per-operator events into it (the sink's cells are atomic, so
     /// evaluations on several threads can report into one sink). Tracing
@@ -946,71 +871,28 @@ impl PreparedFo<'_> {
         self
     }
 
-    /// The execution mode this prepared instance runs under.
-    pub fn mode(&self) -> crate::vec::ExecMode {
-        self.mode
-    }
-
-    /// True iff sentence-level entry points take the batch path.
-    fn use_vec(&self) -> bool {
-        match self.mode {
-            crate::vec::ExecMode::RowAtATime => false,
-            crate::vec::ExecMode::Vectorized => true,
-            crate::vec::ExecMode::Auto => self.plan.estimated_work >= crate::vec::FO_VEC_CUTOFF,
-        }
-    }
-
-    /// Records path choice and wall time of one entry-point run into the
+    /// Records one vectorized entry-point run and its wall time into the
     /// installed trace sink (a no-op without one).
-    fn entry_point<T>(&self, vectorized: bool, run: impl FnOnce() -> T) -> T {
+    fn entry_point<T>(&self, run: impl FnOnce() -> T) -> T {
         let Some(sink) = &self.trace else {
             return run();
         };
-        if vectorized {
-            sink.count_vec_run();
-        } else {
-            sink.count_row_run();
-        }
+        sink.count_vec_run();
         let started = Instant::now();
         let out = run();
         sink.add_wall(started.elapsed());
         out
     }
 
-    /// Evaluates the plan as a sentence.
+    /// Evaluates the plan as a sentence (unbound free variables make atoms
+    /// and equalities false).
     pub fn eval(&self) -> bool {
-        let vectorized = self.use_vec();
-        if vectorized {
-            cqa_obs::count!("exec.fo.eval.vec");
-        } else {
-            cqa_obs::count!("exec.fo.eval.row");
-        }
-        self.entry_point(vectorized, || {
-            if vectorized {
-                crate::vec::eval_sentence(self)
-            } else {
-                let mut regs = Registers::new(self.plan.slots.len());
-                self.eval_op(&self.plan.root, &mut regs)
-            }
-        })
+        cqa_obs::count!("exec.fo.eval.vec");
+        self.entry_point(|| crate::vec::eval_sentence(self))
     }
 
-    /// Evaluates with bindings for the formula's free variables.
-    pub fn eval_with(&self, env: &FxHashMap<Variable, Value>) -> bool {
-        cqa_obs::count!("exec.fo.eval.row");
-        self.entry_point(false, || {
-            let mut regs = Registers::new(self.plan.slots.len());
-            for (var, slot) in &self.plan.free {
-                if let Some(value) = env.get(var) {
-                    regs.set(*slot, value.clone());
-                }
-            }
-            self.eval_op(&self.plan.root, &mut regs)
-        })
-    }
-
-    /// Row-path evaluation of one `vars ↦ tuple` binding (positional
-    /// [`PreparedFo::eval_with`] without the map allocation).
+    /// The row kernel's verdict under `vars ↦ tuple` — what the vectorized
+    /// executor runs for a tuple whose values have no dictionary code.
     pub(crate) fn eval_tuple_row(&self, vars: &[Variable], tuple: &[Value]) -> bool {
         let mut regs = Registers::new(self.plan.slots.len());
         for (var, value) in vars.iter().zip(tuple) {
@@ -1022,32 +904,13 @@ impl PreparedFo<'_> {
     }
 
     /// Batch-evaluates the open formula under `vars ↦ tuples[i]` for every
-    /// tuple, returning one verdict per tuple (positionally). Equivalent to
-    /// [`PreparedFo::eval_with`] in a loop; under `Auto`/`Vectorized` the
-    /// batch runs through the vectorized kernels — the entry point
-    /// `certain_answers` batches its candidate tuples through.
+    /// tuple, returning one verdict per tuple (positionally); free variables
+    /// not in `vars` stay unbound. The entry point the certain answers of an
+    /// open query batch their candidate tuples through.
     pub fn eval_tuples(&self, vars: &[Variable], tuples: &[Vec<Value>]) -> Vec<bool> {
-        let use_vec = match self.mode {
-            crate::vec::ExecMode::RowAtATime => false,
-            crate::vec::ExecMode::Vectorized => true,
-            crate::vec::ExecMode::Auto => tuples.len() >= crate::vec::TUPLE_BATCH_MIN,
-        };
         cqa_obs::observe!("exec.fo.batch_tuples", tuples.len() as u64);
-        if use_vec {
-            cqa_obs::count!("exec.fo.eval_tuples.vec");
-        } else {
-            cqa_obs::count!("exec.fo.eval_tuples.row");
-        }
-        self.entry_point(use_vec, || {
-            if use_vec {
-                crate::vec::eval_tuples(self, vars, tuples)
-            } else {
-                tuples
-                    .iter()
-                    .map(|tuple| self.eval_tuple_row(vars, tuple))
-                    .collect()
-            }
-        })
+        cqa_obs::count!("exec.fo.eval_tuples.vec");
+        self.entry_point(|| crate::vec::eval_tuples(self, vars, tuples))
     }
 
     /// Flushes one operator visit's locally-counted events to the trace
@@ -1268,7 +1131,6 @@ mod tests {
         let plan = compile(&exists, &db);
         assert!(plan.explain().contains("∃-scan"));
         assert!(plan.eval(&db));
-        assert!(plan.estimated_work() >= 1.0);
         // ∃x∃y (R(x, y) ∧ y = '2') — a root ∃-scan over all three R facts
         // whose only witness is not the first candidate.
         let later_witness = FoFormula::exists(
@@ -1381,11 +1243,11 @@ mod tests {
         let open = FoFormula::atom(r, vec![Term::var("x"), Term::constant("1")]);
         let plan = compile(&open, &db);
         assert_eq!(plan.free.len(), 1);
-        let mut env = FxHashMap::default();
-        env.insert(Variable::new("x"), Value::str("a"));
-        assert!(plan.eval_with(&db, &env));
-        env.insert(Variable::new("x"), Value::str("z"));
-        assert!(!plan.eval_with(&db, &env));
+        let tuples = [vec![Value::str("a")], vec![Value::str("z")]];
+        let verdicts = plan
+            .prepare(&db.index())
+            .eval_tuples(&[Variable::new("x")], &tuples);
+        assert_eq!(verdicts, [true, false]);
         // Unbound free variables make atoms false (interpreter convention).
         assert!(!plan.eval(&db));
     }

@@ -33,8 +33,10 @@
 //! On top of the compiled plans, the [`mod@vec`] module adds a **vectorized
 //! block-at-a-time executor**: batches of dictionary codes flow through the
 //! same operator trees (selection vectors, packed-key batch hash probes,
-//! grouped any/all aggregation), selected per entry point by the cost model
-//! via [`ExecMode`].
+//! grouped any/all aggregation). Every formula evaluation and every
+//! `answers` join runs there, except a join whose estimated work exceeds
+//! the memory bound [`vec::QUERY_VEC_MAX`]; the early-exit join checks keep
+//! the row engine.
 //!
 //! The interpreters remain the *reference semantics*: compiled,
 //! interpreted, and vectorized evaluation must stay observationally
@@ -53,4 +55,3 @@ pub mod vec;
 pub use cache::StatsStamp;
 pub use fo_plan::{FoPlan, PreparedFo};
 pub use query_plan::{PreparedQuery, QueryPlan};
-pub use vec::ExecMode;

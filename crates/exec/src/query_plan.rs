@@ -7,7 +7,10 @@
 //! appended (fail-first, decided at compile time). Execution is then a plain
 //! backtracking loop over the steps: probe, iterate the dense candidate ids,
 //! apply the per-position actions, descend — no ordering decisions, no
-//! valuation cloning.
+//! valuation cloning. The early-exit entry points (`satisfies*`,
+//! `all_valuations`) run that loop; [`PreparedQuery::answers`] runs the
+//! vectorized batch join over the same steps, unless the plan's estimated
+//! work exceeds the join memory bound [`QUERY_VEC_MAX`].
 //!
 //! [`QueryPlan::compile_bound`] takes **parameters**: variables the caller
 //! binds at execute time through [`PreparedQuery::satisfies_with`]. They
@@ -19,7 +22,7 @@
 
 use crate::cost::CostModel;
 use crate::probe::{BoundProbe, ProbeSpec, Registers, Slot, SlotState};
-use crate::vec::{QUERY_VEC_CUTOFF, QUERY_VEC_MAX};
+use crate::vec::QUERY_VEC_MAX;
 use cqa_data::{DatabaseIndex, Schema, Statistics, UncertainDatabase, Value};
 use cqa_obs::TraceSink;
 use cqa_query::{AtomId, ConjunctiveQuery, Valuation, Variable};
@@ -130,8 +133,7 @@ impl QueryPlan {
         let free_slots = query.free_vars().iter().map(|v| slot_of[v]).collect();
         // Upper-bound estimate of visited search nodes: the candidate
         // fan-out multiplies down the step sequence (fail-first pruning only
-        // shrinks it). This is what the `ExecMode::Auto` cost gate compares
-        // against the `cqa_exec::vec` cutoffs.
+        // shrinks it). `answers` compares it against the join memory bound.
         let mut estimated_work = 0.0;
         let mut fanout = 1.0;
         for step in &steps {
@@ -151,18 +153,15 @@ impl QueryPlan {
     /// Cost-model estimate of the number of search nodes a full execution
     /// visits: the running product of the per-step candidate estimates,
     /// summed over the steps. An *estimate*, never consulted for
-    /// correctness — the [`ExecMode::Auto`](crate::ExecMode::Auto) gate
-    /// batches `answers` only inside the
-    /// [`QUERY_VEC_CUTOFF`]`..=`[`QUERY_VEC_MAX`] window (a search of a few thousand nodes does not repay batch set-up,
-    /// a giant one would materialize unbounded intermediates).
+    /// correctness: `answers` runs the batch join unless it exceeds the
+    /// memory bound [`QUERY_VEC_MAX`], past which a batch join could
+    /// materialize unbounded intermediates.
     pub fn estimated_work(&self) -> f64 {
         self.estimated_work
     }
 
     /// Binds the plan to an index snapshot, resolving every probe handle, so
     /// repeated executions against the snapshot skip the handle lookups.
-    /// The execution path defaults to [`crate::vec::default_mode`]; override
-    /// it per instance with [`PreparedQuery::with_mode`].
     pub fn prepare<'p>(&'p self, index: &Arc<DatabaseIndex>) -> PreparedQuery<'p> {
         let handles: Vec<Option<BoundProbe>> = (self.steps.iter())
             .map(|step| step.spec.bind(index))
@@ -177,7 +176,6 @@ impl QueryPlan {
             plan: self,
             index: index.clone(),
             handles,
-            mode: crate::vec::default_mode(),
             vec_steps,
             trace: None,
         }
@@ -223,20 +221,27 @@ impl QueryPlan {
         self.render_with(Some(trace))
     }
 
+    /// True iff `answers` streams through the row engine: the plan's
+    /// estimated work exceeds the join memory bound [`QUERY_VEC_MAX`] (or
+    /// there is no step to batch).
+    fn streams_rows(&self) -> bool {
+        self.steps.is_empty() || self.estimated_work > QUERY_VEC_MAX
+    }
+
     fn render_with(&self, trace: Option<&TraceSink>) -> String {
         let mut out = String::new();
         if self.steps.is_empty() {
             out.push_str("  (empty query: always satisfied)\n");
             return out;
         }
-        let path = if (QUERY_VEC_CUTOFF..=QUERY_VEC_MAX).contains(&self.estimated_work) {
-            "vectorized batch join"
-        } else {
+        let path = if self.streams_rows() {
             "row-at-a-time backtracking"
+        } else {
+            "vectorized batch join"
         };
         let _ = writeln!(
             out,
-            "  exec: est work ≈ {:.0} vs auto window {QUERY_VEC_CUTOFF:.0}..{QUERY_VEC_MAX:.0} → {path} for answers",
+            "  exec: est work ≈ {:.0} vs memory bound {QUERY_VEC_MAX:.0} → {path} for answers",
             self.estimated_work,
         );
         if let Some(sink) = trace {
@@ -287,22 +292,11 @@ pub struct PreparedQuery<'p> {
     pub(crate) plan: &'p QueryPlan,
     pub(crate) index: Arc<DatabaseIndex>,
     pub(crate) handles: Vec<Option<BoundProbe>>,
-    pub(crate) mode: crate::vec::ExecMode,
     pub(crate) vec_steps: Vec<crate::vec::VProbe>,
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
 impl PreparedQuery<'_> {
-    /// Overrides the execution-path choice for this prepared instance (the
-    /// property suites pin each path explicitly). The choice applies to
-    /// [`PreparedQuery::answers`]; the early-exit entry points
-    /// (`satisfies*`, `all_valuations`) always run the row engine, whose
-    /// short-circuiting beats batch materialization.
-    pub fn with_mode(mut self, mode: crate::vec::ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
     /// Installs a trace sink: every subsequent execution records its
     /// per-step events into it (the sink's cells are atomic, so executions
     /// on several threads can report into one sink). Tracing never changes
@@ -318,25 +312,6 @@ impl PreparedQuery<'_> {
         );
         self.trace = Some(sink);
         self
-    }
-
-    /// The execution mode this prepared instance runs under.
-    pub fn mode(&self) -> crate::vec::ExecMode {
-        self.mode
-    }
-
-    /// True iff `answers`-style entry points take the batch-join path.
-    fn use_vec(&self) -> bool {
-        if self.vec_steps.is_empty() {
-            return false;
-        }
-        match self.mode {
-            crate::vec::ExecMode::RowAtATime => false,
-            crate::vec::ExecMode::Vectorized => true,
-            crate::vec::ExecMode::Auto => {
-                (QUERY_VEC_CUTOFF..=QUERY_VEC_MAX).contains(&self.plan.estimated_work)
-            }
-        }
     }
 
     /// Records path choice and wall time of one entry-point run into the
@@ -418,10 +393,12 @@ impl PreparedQuery<'_> {
 
     /// The answer tuples: projections of the satisfying valuations onto the
     /// query's free variables (the empty tuple for a satisfied Boolean
-    /// query). The plan must have no parameters.
+    /// query). The plan must have no parameters. Runs the batch join,
+    /// unless the plan's estimated work exceeds the join memory bound
+    /// [`QUERY_VEC_MAX`]: then the row engine streams the matches.
     pub fn answers(&self) -> BTreeSet<Vec<Value>> {
         debug_assert!(self.plan.params.is_empty(), "answers runs without a base");
-        let vectorized = self.use_vec();
+        let vectorized = !self.plan.streams_rows();
         if vectorized {
             cqa_obs::count!("exec.query.answers.vec");
         } else {

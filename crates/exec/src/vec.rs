@@ -18,12 +18,17 @@
 //!   form), `all`/`any` narrow/union selections.
 //!
 //! Operators with no batch kernel (`∃-column`, `∃-domain`, `∀-domain`) fall
-//! back to the row interpreter *per batch row* — the plans guarantee both
-//! paths agree, and the property suite enforces observational equality.
+//! back to the row interpreter *per batch row*, and so do candidate tuples
+//! whose values have no dictionary code — the plans guarantee both paths
+//! agree, and this module's tests pin the row kernel against the batch
+//! kernels.
 //!
-//! Path selection is governed by [`ExecMode`]: the row path stays the
-//! default for cheap plans (batch setup costs more than it saves), the
-//! vectorized path takes over when the cost model predicts enough work.
+//! Each plan kind has one executor, chosen by what it is, not by a knob:
+//! every [`PreparedFo`] evaluation runs here; [`PreparedQuery::answers`]
+//! runs the batch join unless the plan's estimated work exceeds
+//! [`QUERY_VEC_MAX`], and the early-exit join entry points (`satisfies*`,
+//! `all_valuations`) stay on the row engine, whose first-match
+//! short-circuit beats batch materialization.
 
 use crate::fo_plan::{FoOp, PreparedFo};
 use crate::probe::{BoundProbe, KeyCode, KeySource, PosAction, ProbeSpec, Registers, Slot};
@@ -34,45 +39,15 @@ use cqa_query::Variable;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// How a prepared plan chooses between the row-at-a-time and vectorized
-/// executors. The choice never affects results — the property suites assert
-/// byte-identical answers on both paths — only speed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Let the cost model decide per entry point (the default): batch
-    /// kernels when the estimated work clears [`FO_VEC_CUTOFF`] /
-    /// [`QUERY_VEC_CUTOFF`], rows otherwise.
-    Auto,
-    /// Always take the vectorized path where a batch kernel exists
-    /// (unsupported operators still run their row fallback). Used by the
-    /// property suites to pin the path under test.
-    Vectorized,
-    /// Never vectorize. The reference execution path.
-    RowAtATime,
-}
-
-/// Auto-mode threshold on [`crate::FoPlan::estimated_work`] above which
-/// sentence evaluation batches.
-pub const FO_VEC_CUTOFF: f64 = 4096.0;
-/// Auto-mode threshold on [`crate::QueryPlan::estimated_work`] above which
-/// `answers` batches.
-pub const QUERY_VEC_CUTOFF: f64 = 4096.0;
-/// Auto-mode ceiling for batch joins: above this the intermediate batches
-/// could outgrow memory, so Auto stays row-at-a-time (`Vectorized` still
-/// forces the batch path).
+/// The join memory bound: a [`crate::QueryPlan`] whose
+/// [`estimated_work`](crate::QueryPlan::estimated_work) exceeds it streams
+/// its `answers` through the row engine, because its batch join's
+/// intermediates could outgrow memory. This is the one executor choice a
+/// plan makes; it is computed from the plan and cannot be set.
 pub const QUERY_VEC_MAX: f64 = 5.0e7;
-/// Auto-mode minimum batch size for `eval_tuples`: below this the per-batch
-/// setup outweighs the saving.
-pub const TUPLE_BATCH_MIN: usize = 32;
 /// Root candidates are processed in chunks of this size so a batch join's
 /// intermediates stay bounded.
 pub(crate) const ROOT_CHUNK: usize = 4096;
-
-/// The mode every freshly prepared plan runs under. Tests pin a path per
-/// prepared instance via `with_mode`.
-pub fn default_mode() -> ExecMode {
-    ExecMode::Auto
-}
 
 /// Where one batch-side code comes from: a constant resolved against the
 /// snapshot dictionary (`None` = outside the active domain, matches
@@ -928,9 +903,9 @@ pub(crate) fn eval_sentence(prepared: &PreparedFo<'_>) -> bool {
 }
 
 /// Vectorized batch evaluation of an open formula over `tuples`:
-/// `out[i]` ⇔ `eval_with` under `vars ↦ tuples[i]`. Tuples carrying values
-/// outside the active domain are routed through the row path (their codes
-/// do not exist).
+/// `out[i]` ⇔ the formula holds under `vars ↦ tuples[i]`. Tuples carrying
+/// values outside the active domain run the row kernel
+/// ([`PreparedFo::eval_tuple_row`]; their codes do not exist).
 pub(crate) fn eval_tuples(
     prepared: &PreparedFo<'_>,
     vars: &[Variable],
@@ -1070,12 +1045,33 @@ mod tests {
         db
     }
 
-    fn both_modes(formula: &FoFormula, db: &UncertainDatabase) -> (bool, bool) {
-        let index = db.index();
-        let plan = FoPlan::compile(formula, db.schema(), Some(index.statistics()));
-        let row = plan.prepare(&index).with_mode(ExecMode::RowAtATime).eval();
-        let vec = plan.prepare(&index).with_mode(ExecMode::Vectorized).eval();
-        (row, vec)
+    fn compile(formula: &FoFormula, db: &UncertainDatabase) -> FoPlan {
+        FoPlan::compile(formula, db.schema(), Some(db.index().statistics()))
+    }
+
+    /// The sentence's verdict from the row kernel alone (`eval_op` on the
+    /// plan root) and from the vectorized executor.
+    fn row_and_vec(formula: &FoFormula, db: &UncertainDatabase) -> (bool, bool) {
+        let plan = compile(formula, db);
+        let prepared = plan.prepare(&db.index());
+        let row = prepared.eval_op(&plan.root, &mut Registers::new(plan.slots.len()));
+        (row, eval_sentence(&prepared))
+    }
+
+    /// Per-tuple verdicts of an open formula from the row kernel alone and
+    /// from one vectorized batch.
+    fn tuples_row_and_vec(
+        formula: &FoFormula,
+        db: &UncertainDatabase,
+        vars: &[Variable],
+        tuples: &[Vec<Value>],
+    ) -> (Vec<bool>, Vec<bool>) {
+        let plan = compile(formula, db);
+        let prepared = plan.prepare(&db.index());
+        let row = (tuples.iter())
+            .map(|tuple| prepared.eval_tuple_row(vars, tuple))
+            .collect();
+        (row, eval_tuples(&prepared, vars, tuples))
     }
 
     #[test]
@@ -1142,13 +1138,122 @@ mod tests {
             ),
         ];
         for (i, sentence) in sentences.iter().enumerate() {
-            let (row, vec) = both_modes(sentence, &db);
+            let (row, vec) = row_and_vec(sentence, &db);
             assert_eq!(row, vec, "sentence {i}");
         }
     }
 
     #[test]
-    fn vectorized_eval_tuples_matches_eval_with() {
+    fn fallback_operators_run_the_row_kernel_inside_the_batch_executor() {
+        let db = db();
+        let r = db.schema().relation_id("R").unwrap();
+        let s = db.schema().relation_id("S").unwrap();
+        let var = cqa_query::Variable::new;
+        let x = || Term::var("x");
+        let y = || Term::var("y");
+        let not = |f: FoFormula| FoFormula::Not(Box::new(f));
+        // (operator, sentence, verdict): each sentence lowers to the named
+        // operator, which has no batch kernel.
+        let cases = [
+            // ∃x (∃y R(x,y) ∧ ¬R(x,'1')) — no conjunct guards x, so x
+            // ranges over R's key column; x = 'c' witnesses.
+            (
+                "∃-column",
+                FoFormula::exists(
+                    vec![var("x")],
+                    FoFormula::and(vec![
+                        FoFormula::exists(vec![var("y")], FoFormula::atom(r, vec![x(), y()])),
+                        not(FoFormula::atom(r, vec![x(), Term::constant("1")])),
+                    ]),
+                ),
+                true,
+            ),
+            // ∃x (∃y R(x,y) ∧ ¬∃y R(x,y)) — a contradiction over the same
+            // column: false.
+            (
+                "∃-column",
+                FoFormula::exists(
+                    vec![var("x")],
+                    FoFormula::and(vec![
+                        FoFormula::exists(vec![var("y")], FoFormula::atom(r, vec![x(), y()])),
+                        not(FoFormula::exists(
+                            vec![var("y")],
+                            FoFormula::atom(r, vec![x(), y()]),
+                        )),
+                    ]),
+                ),
+                false,
+            ),
+            // ∃x ¬R(x,'1') — a negated body restricts nothing: ∃-domain.
+            (
+                "∃-domain",
+                FoFormula::exists(
+                    vec![var("x")],
+                    not(FoFormula::atom(r, vec![x(), Term::constant("1")])),
+                ),
+                true,
+            ),
+            // ∃x ¬(x = x) — false over any domain.
+            (
+                "∃-domain",
+                FoFormula::exists(vec![var("x")], not(FoFormula::Equals(x(), x()))),
+                false,
+            ),
+            // ∀x ¬R(x,x) — true: no R fact repeats its value.
+            (
+                "∀-domain",
+                FoFormula::forall(vec![var("x")], not(FoFormula::atom(r, vec![x(), x()]))),
+                true,
+            ),
+            // ∀x ¬S(x,'x') — false: S(1, x).
+            (
+                "∀-domain",
+                FoFormula::forall(
+                    vec![var("x")],
+                    not(FoFormula::atom(s, vec![x(), Term::constant("x")])),
+                ),
+                false,
+            ),
+        ];
+        for (operator, sentence, verdict) in &cases {
+            let text = compile(sentence, &db).explain();
+            assert!(text.contains(operator), "{operator} expected in\n{text}");
+            assert_eq!(
+                row_and_vec(sentence, &db),
+                (*verdict, *verdict),
+                "{operator}: {text}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_mixing_coded_and_foreign_tuples_matches_the_row_kernel() {
+        let db = db();
+        let r = db.schema().relation_id("R").unwrap();
+        // Open formula over v: ∀z ¬R(z, v) — "no R fact ends in v", a
+        // ∀-domain (row fallback) under a batch-bound free variable.
+        let open = FoFormula::forall(
+            vec![cqa_query::Variable::new("z")],
+            FoFormula::Not(Box::new(FoFormula::atom(
+                r,
+                vec![Term::var("z"), Term::var("v")],
+            ))),
+        );
+        assert!(compile(&open, &db).explain().contains("∀-domain"));
+        let vars = [cqa_query::Variable::new("v")];
+        // '1', '3', 'x' and 'a' have dictionary codes; 'zz' and 'qq' do not
+        // and take the row kernel, interleaved with coded rows.
+        let tuples: Vec<Vec<Value>> = ["1", "zz", "x", "3", "qq", "a"]
+            .iter()
+            .map(|v| vec![Value::str(*v)])
+            .collect();
+        let (row, vec) = tuples_row_and_vec(&open, &db, &vars, &tuples);
+        assert_eq!(row, vec);
+        assert_eq!(vec, [false, true, true, false, true, true]);
+    }
+
+    #[test]
+    fn vectorized_eval_tuples_matches_the_row_kernel() {
         let db = db();
         let r = db.schema().relation_id("R").unwrap();
         // Open formula over x: ∃y R(x, y) ∧ ¬R(x, '2').
@@ -1162,8 +1267,6 @@ mod tests {
                 vec![Term::var("x"), Term::constant("2")],
             ))),
         ]);
-        let index = db.index();
-        let plan = FoPlan::compile(&open, db.schema(), Some(index.statistics()));
         let vars = [cqa_query::Variable::new("x")];
         // 'zz' is outside the active domain: exercises the foreign-row
         // fallback inside the batch path.
@@ -1171,14 +1274,7 @@ mod tests {
             .iter()
             .map(|v| vec![Value::str(*v)])
             .collect();
-        let row = plan
-            .prepare(&index)
-            .with_mode(ExecMode::RowAtATime)
-            .eval_tuples(&vars, &tuples);
-        let vec = plan
-            .prepare(&index)
-            .with_mode(ExecMode::Vectorized)
-            .eval_tuples(&vars, &tuples);
+        let (row, vec) = tuples_row_and_vec(&open, &db, &vars, &tuples);
         assert_eq!(row, vec);
         assert_eq!(row, vec![false, true, true, false]);
     }
@@ -1194,10 +1290,14 @@ mod tests {
             .unwrap();
         let index = db.index();
         let plan = QueryPlan::compile(&q, Some(index.statistics()));
-        let row = plan.prepare(&index).with_mode(ExecMode::RowAtATime);
-        let vec = plan.prepare(&index).with_mode(ExecMode::Vectorized);
-        assert_eq!(row.answers(), vec.answers());
-        assert!(!vec.answers().is_empty());
+        let prepared = plan.prepare(&index);
+        // The row engine's matches, projected onto the free variables.
+        let row: BTreeSet<Vec<Value>> = (prepared.all_valuations().iter())
+            .filter_map(|v| v.project(q.free_vars()))
+            .collect();
+        assert_eq!(query_answers(&prepared), row);
+        assert_eq!(prepared.answers(), row);
+        assert!(!row.is_empty());
     }
 
     #[test]
@@ -1225,8 +1325,8 @@ mod tests {
                 Term::constant("e"),
             ],
         );
-        assert_eq!(both_modes(&hit, &db), (true, true));
-        assert_eq!(both_modes(&miss, &db), (false, false));
+        assert_eq!(row_and_vec(&hit, &db), (true, true));
+        assert_eq!(row_and_vec(&miss, &db), (false, false));
     }
 
     #[test]
@@ -1242,7 +1342,6 @@ mod tests {
         );
         let plan = FoPlan::compile(&mixed, db.schema(), None);
         let text = plan.explain();
-        assert!(text.contains("exec: est work"), "{text}");
         assert!(text.contains("[row]"), "{text}");
         assert!(text.contains("[vec]"), "{text}");
     }

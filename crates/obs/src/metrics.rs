@@ -2,7 +2,6 @@
 //! fixed-bucket log-scale histogram with percentile extraction.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A monotonically increasing event counter. All operations are relaxed
 /// atomics: increments from any thread, no ordering guarantees between
@@ -16,12 +15,6 @@ impl Counter {
     /// A counter at zero.
     pub fn new() -> Counter {
         Counter::default()
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     /// Adds `n`.
@@ -135,12 +128,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a duration as nanoseconds (saturating on the absurd).
-    #[inline]
-    pub fn record_duration(&self, duration: Duration) {
-        self.record(duration.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Number of observations recorded.
@@ -268,7 +255,7 @@ mod tests {
     #[test]
     fn counters_and_gauges_do_arithmetic() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(41);
         assert_eq!(c.get(), 42);
         let g = Gauge::new();
@@ -375,13 +362,5 @@ mod tests {
         assert_eq!(delta.buckets[bucket_index(100)], 1);
         assert_eq!(delta.buckets[bucket_index(7000)], 1);
         assert_eq!(delta.buckets[bucket_index(5)], 0);
-    }
-
-    #[test]
-    fn durations_record_as_nanoseconds() {
-        let hist = Histogram::new();
-        hist.record_duration(Duration::from_micros(3));
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.snapshot().sum, 3_000);
     }
 }

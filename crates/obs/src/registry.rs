@@ -311,7 +311,7 @@ mod tests {
         let a = reg.counter("x.hits");
         let b = reg.counter("x.hits");
         assert!(Arc::ptr_eq(&a, &b));
-        a.inc();
+        a.add(1);
         b.add(2);
         assert_eq!(reg.snapshot().counter("x.hits"), 3);
     }

@@ -1,36 +1,13 @@
-//! Graphviz DOT export for join trees and attack graphs.
+//! Graphviz DOT export for attack graphs.
 //!
 //! Useful for eyeballing the structures the classification rests on; the
 //! output of the `certainty attack-graph --dot` CLI command reproduces
 //! Figures 2, 4 and 5 of the paper when fed the catalog queries.
 
 use cqa_core::attack::{AttackGraph, AttackStrength};
-use cqa_query::{ConjunctiveQuery, JoinTree};
 
 fn escape(label: &str) -> String {
     label.replace('"', "\\\"")
-}
-
-/// Renders a join tree as an undirected Graphviz graph; edge labels carry the
-/// shared-variable sets, as in Figure 2 (left).
-pub fn join_tree_to_dot(query: &ConjunctiveQuery, tree: &JoinTree) -> String {
-    let schema = query.schema();
-    let mut out = String::from("graph join_tree {\n  node [shape=box];\n");
-    for (id, atom) in query.atoms_with_ids() {
-        out.push_str(&format!(
-            "  a{id} [label=\"{}\"];\n",
-            escape(&atom.display(schema).to_string())
-        ));
-    }
-    for (a, b, label) in tree.labeled_edges() {
-        let vars: Vec<String> = label.iter().map(|v| v.to_string()).collect();
-        out.push_str(&format!(
-            "  a{a} -- a{b} [label=\"{{{}}}\"];\n",
-            escape(&vars.join(","))
-        ));
-    }
-    out.push_str("}\n");
-    out
 }
 
 /// Renders an attack graph as a directed Graphviz graph; strong attacks are
@@ -77,16 +54,6 @@ mod tests {
         );
         assert_eq!(dot.matches("->").count(), graph.edges().len());
         assert!(dot.contains("R(u, 'a', x)") || dot.contains("R(u; 'a', x)"));
-    }
-
-    #[test]
-    fn join_tree_dot_lists_every_atom_and_edge() {
-        let q = catalog::q1().query;
-        let tree = JoinTree::build(&q).unwrap();
-        let dot = join_tree_to_dot(&q, &tree);
-        assert!(dot.starts_with("graph"));
-        assert_eq!(dot.matches(" -- ").count(), q.len() - 1);
-        assert_eq!(dot.matches("[label=\"").count(), q.len() + (q.len() - 1));
     }
 
     #[test]

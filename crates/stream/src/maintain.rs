@@ -92,11 +92,6 @@ impl ViewMaintainer {
         self
     }
 
-    /// The damage threshold in effect.
-    pub fn threshold(&self) -> usize {
-        self.threshold
-    }
-
     /// Decides the view from scratch against `snapshot`: possible answers,
     /// batch certainty, and fresh provenance for every candidate. Used at
     /// registration and as the past-threshold fallback.
@@ -127,8 +122,9 @@ impl ViewMaintainer {
     /// intersects a touched block, (b) candidates an inserted fact
     /// pattern-matches, and (c) candidates newly discovered from inserted
     /// facts through a compiled plan of the partially grounded query. Past
-    /// [`threshold`](Self::threshold) re-decided candidates, the repair
-    /// falls back to [`initialize`](Self::initialize).
+    /// the damage threshold ([`DEFAULT_VIEW_THRESHOLD`] unless
+    /// [`with_threshold`](Self::with_threshold) overrides it) of re-decided
+    /// candidates, the repair falls back to [`initialize`](Self::initialize).
     pub fn repair(
         &self,
         view: &mut MaterializedView,

@@ -3,7 +3,7 @@
 use cqa_core::answers::{AnswerSets, CertainAnswersEngine};
 use cqa_core::solvers::CertaintySolver;
 use cqa_data::{Fact, PositionIndex, PositionSet, RelationId, Schema, Snapshot, Value};
-use cqa_exec::{ExecMode, QueryPlan};
+use cqa_exec::QueryPlan;
 use cqa_query::{ConjunctiveQuery, Term, Valuation, Variable};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeSet;
@@ -132,16 +132,6 @@ impl MaterializedView {
         })
     }
 
-    /// Pins the executor mode of the certainty engine (the property suite
-    /// runs every mode against the reference).
-    pub fn with_mode(mut self, mode: ExecMode) -> Result<Self, String> {
-        let engine = CertainAnswersEngine::new(self.query())
-            .map_err(|e| e.to_string())?
-            .with_mode(mode);
-        self.engine = Arc::new(engine);
-        Ok(self)
-    }
-
     /// The view's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -211,12 +201,6 @@ impl MaterializedView {
     /// The candidates whose verdict depends on `relation` in its entirety.
     pub fn relation_dependents_of(&self, relation: RelationId) -> Option<&FxHashSet<Vec<Value>>> {
         self.relation_dependents.get(&relation)
-    }
-
-    /// Number of tracked provenance edges (block-level plus relation-wide)
-    /// — tests pin that repair keeps the provenance index tight.
-    pub fn provenance_edges(&self) -> usize {
-        self.provenance.values().map(Provenance::edges).sum()
     }
 
     /// Installs the verdict of one candidate: present in `possible`,
@@ -401,12 +385,15 @@ mod tests {
         let snapshot = db.snapshot();
         let tuple = vec![Value::str("a")];
         let prov = provenance_of(&query, &tuple, &snapshot);
-        let edges = prov.edges();
+        let edges = |view: &MaterializedView| -> usize {
+            view.provenance.values().map(Provenance::edges).sum()
+        };
+        let installed = prov.edges();
         view.install(tuple.clone(), true, prov);
-        assert_eq!(view.provenance_edges(), edges);
+        assert_eq!(edges(&view), installed);
         assert!(view.certain().contains(&tuple));
         view.evict(&tuple);
-        assert_eq!(view.provenance_edges(), 0);
+        assert_eq!(edges(&view), 0);
         assert!(view.dependents.is_empty(), "no dangling reverse edges");
         assert!(
             view.relation_dependents.is_empty(),

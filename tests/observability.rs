@@ -1,25 +1,23 @@
 //! Observability must never change answers: tracing and the metrics toggle
 //! are observers, not participants. These properties run randomly generated
-//! queries and databases through every executor mode with and without a
+//! queries and databases through the compiled executors with and without a
 //! [`TraceSink`] attached and demand byte-identical results, and pin the
 //! facade-level metrics API (`Registry`, `Snapshot`, `hit_rate`).
 
 use cqa::core::solvers::RewritingSolver;
-use cqa::exec::{ExecMode, FoPlan, QueryPlan};
+use cqa::exec::{FoPlan, QueryPlan};
 use cqa::gen::{random_acyclic_query, GeneratorConfig, UncertainDbGenerator};
 use cqa::obs::TraceSink;
 use cqa::query::catalog;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-const MODES: [ExecMode; 3] = [ExecMode::Auto, ExecMode::Vectorized, ExecMode::RowAtATime];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// A traced join-plan execution returns exactly the answers of the
-    /// untraced one, in every executor mode, and fills every operator cell
-    /// it promised (`trace_ops`).
+    /// untraced one and fills every operator cell it promised
+    /// (`trace_ops`).
     #[test]
     fn traced_join_plans_answer_identically(seed in 0u64..3_000, atoms in 1usize..5) {
         let q = random_acyclic_query(seed, atoms, 3);
@@ -32,19 +30,17 @@ proptest! {
         }).generate();
         let index = db.index();
         let plan = QueryPlan::compile(&q, Some(index.statistics()));
-        for mode in MODES {
-            let plain = plan.prepare(&index).with_mode(mode);
-            let sink = Arc::new(TraceSink::new(plan.trace_ops()));
-            let traced = plan.prepare(&index).with_mode(mode).with_trace(sink.clone());
-            prop_assert_eq!(traced.answers(), plain.answers(), "mode {:?}", mode);
-            prop_assert_eq!(traced.satisfies(), plain.satisfies(), "mode {:?}", mode);
-            prop_assert_eq!(sink.op_count(), plan.trace_ops());
-        }
+        let plain = plan.prepare(&index);
+        let sink = Arc::new(TraceSink::new(plan.trace_ops()));
+        let traced = plan.prepare(&index).with_trace(sink.clone());
+        prop_assert_eq!(traced.answers(), plain.answers());
+        prop_assert_eq!(traced.satisfies(), plain.satisfies());
+        prop_assert_eq!(sink.op_count(), plan.trace_ops());
     }
 
     /// A traced certain-rewriting execution returns the verdict of the
-    /// untraced one, in every executor mode, whenever the random query
-    /// classifies as first-order expressible.
+    /// untraced one whenever the random query classifies as first-order
+    /// expressible.
     #[test]
     fn traced_rewritings_answer_identically(seed in 0u64..3_000, atoms in 1usize..5) {
         let q = random_acyclic_query(seed, atoms, 3);
@@ -60,13 +56,11 @@ proptest! {
         }).generate();
         let index = db.index();
         let plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics()));
-        for mode in MODES {
-            let plain = plan.prepare(&index).with_mode(mode);
-            let sink = Arc::new(TraceSink::new(plan.trace_ops()));
-            let traced = plan.prepare(&index).with_mode(mode).with_trace(sink.clone());
-            prop_assert_eq!(traced.eval(), plain.eval(), "mode {:?}", mode);
-            prop_assert_eq!(sink.op_count(), plan.trace_ops());
-        }
+        let plain = plan.prepare(&index);
+        let sink = Arc::new(TraceSink::new(plan.trace_ops()));
+        let traced = plan.prepare(&index).with_trace(sink.clone());
+        prop_assert_eq!(traced.eval(), plain.eval());
+        prop_assert_eq!(sink.op_count(), plan.trace_ops());
     }
 }
 

@@ -9,7 +9,6 @@
 
 use cqa::core::answers::{certain_answers, CertainAnswersEngine};
 use cqa::core::solvers::{CertaintyEngine, CertaintySolver};
-use cqa::exec::ExecMode;
 use cqa::gen::{GeneratorConfig, UncertainDbGenerator};
 use cqa::parser::parse_document;
 use cqa::query::{catalog, ConjunctiveQuery, Variable};
@@ -65,15 +64,13 @@ fn committed_fixture_answers_like_the_parsed_document() {
             reference,
             "{name} diverged after reload"
         );
-        for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
-            let engine = CertainAnswersEngine::new(query).unwrap().with_mode(mode);
-            let candidates = cqa::core::answers::possible_answers(query, &loaded).unwrap();
-            assert_eq!(
-                engine.certain_of(&loaded, &candidates).unwrap(),
-                engine.certain_of(&doc.database, &candidates).unwrap(),
-                "{name} diverged after reload in {mode:?}"
-            );
-        }
+        let engine = CertainAnswersEngine::new(query).unwrap();
+        let candidates = cqa::core::answers::possible_answers(query, &loaded).unwrap();
+        assert_eq!(
+            engine.certain_of(&loaded, &candidates).unwrap(),
+            engine.certain_of(&doc.database, &candidates).unwrap(),
+            "{name} diverged after reload"
+        );
     }
 }
 

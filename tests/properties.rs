@@ -7,7 +7,7 @@ use cqa::core::classify::{classify, ComplexityClass};
 use cqa::core::fo::eval::evaluate_sentence;
 use cqa::core::purify::purify;
 use cqa::core::solvers::{CertaintyEngine, CertaintySolver, ExactOracle, RewritingSolver};
-use cqa::exec::{ExecMode, FoPlan, QueryPlan};
+use cqa::exec::{FoPlan, QueryPlan};
 use cqa::gen::{random_acyclic_query, GeneratorConfig, UncertainDbGenerator};
 use cqa::par::{BatchOutcome, BatchResult};
 use cqa::prob::eval::{probability_exact, probability_over_repairs};
@@ -540,22 +540,21 @@ proptest! {
 }
 
 proptest! {
-    // 256 cases: the vectorized block-at-a-time executor is cross-checked
-    // against the row-at-a-time engine and the interpreted references on
-    // well over 200 randomized generator instances per run. The executor
-    // mode is *forced* both ways through the `with_mode` knob, so every
-    // case exercises the vectorized kernels even below the cost model's
-    // auto cutoff — the fallback boundary the auto path would otherwise
-    // hide.
+    // 256 cases: the vectorized block-at-a-time executor — the one path
+    // every compiled rewriting and every `answers` join takes — is
+    // cross-checked against the interpreted references on well over 200
+    // randomized generator instances per run. Tiny instances included: the
+    // batch kernels run at every size.
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Vectorized and row-at-a-time execution agree **exactly**: on the
-    /// Theorem 1 catalog queries, `is_certain` through the compiled
-    /// rewriting (vec vs row vs the generic model checker, three-way) and
-    /// `certain_answers` through the compile-once engine (vec vs row vs the
-    /// per-candidate classified-solver reference, byte-identical answer
-    /// sets); and on a query with a cyclic attack graph, the engine's
-    /// per-candidate fallback is verified mode-independent.
+    /// The vectorized executor agrees **exactly** with the interpreters: on
+    /// the Theorem 1 catalog queries, `is_certain` through the compiled
+    /// rewriting (vs the generic model checker and the interpreted
+    /// rewriting), the join answers of the freed query (vs `eval::naive`),
+    /// and `certain_answers` through the compile-once engine (vs the
+    /// per-candidate grounded reference, byte-identical answer sets); and on
+    /// a query with a cyclic attack graph, the engine's per-candidate
+    /// fallback matches the same reference.
     #[test]
     fn vectorized_execution_agrees_with_row_and_interpreters(seed in 0u64..100_000, which in 0usize..4) {
         let (q, name) = match which {
@@ -587,58 +586,57 @@ proptest! {
         let index = db.index();
 
         if which < 3 {
-            // Boolean rewriting: vec vs row vs the generic model checker.
+            // Boolean rewriting: the compiled plan vs the generic model
+            // checker vs the interpreted rewriting.
             let solver = RewritingSolver::new(&q).unwrap();
             let fo_plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics()));
-            let row = fo_plan.prepare(&index).with_mode(ExecMode::RowAtATime).eval();
-            let vec_verdict = fo_plan.prepare(&index).with_mode(ExecMode::Vectorized).eval();
-            prop_assert_eq!(vec_verdict, row,
-                "is_certain vec vs row, {} seed {}\n{}", name, seed, fo_plan.explain());
-            prop_assert_eq!(vec_verdict, evaluate_sentence(solver.formula(), &db),
-                "is_certain vec vs model checker, {} seed {}\n{}", name, seed, fo_plan.explain());
+            let verdict = fo_plan.prepare(&index).eval();
+            prop_assert_eq!(verdict, evaluate_sentence(solver.formula(), &db),
+                "is_certain vs model checker, {} seed {}\n{}", name, seed, fo_plan.explain());
+            prop_assert_eq!(verdict, solver.is_certain_interpreted(&db),
+                "is_certain vs interpreted rewriting, {} seed {}\n{}", name, seed, fo_plan.explain());
 
-            // Join answers on the freed query: vec vs row, byte-identical.
+            // Join answers on the freed query vs the naive evaluator,
+            // byte-identical.
             let free_q = cqa::query::ConjunctiveQuery::with_free_vars(
                 q.schema().clone(),
                 q.atoms().to_vec(),
                 vec![cqa::query::Variable::new("x")],
             ).unwrap();
             let plan = QueryPlan::compile(&free_q, Some(index.statistics()));
-            let row_answers = plan.prepare(&index).with_mode(ExecMode::RowAtATime).answers();
-            let vec_answers = plan.prepare(&index).with_mode(ExecMode::Vectorized).answers();
-            prop_assert_eq!(&vec_answers, &row_answers,
-                "join answers vec vs row, {} seed {}", name, seed);
+            let answers = plan.prepare(&index).answers();
+            let naive: std::collections::BTreeSet<Vec<cqa_data::Value>> =
+                (eval::naive::all_valuations(&db, &free_q).iter())
+                    .filter_map(|v| v.project(free_q.free_vars()))
+                    .collect();
+            prop_assert_eq!(&answers, &naive, "join answers vs naive, {} seed {}", name, seed);
 
-            // Certain answers through the compile-once engine: vec vs row vs
-            // the per-candidate classified-solver reference. A value outside
-            // the active domain rides along to cross the foreign-tuple
-            // boundary of the batch path.
-            let mut candidates = row_answers;
+            // Certain answers through the compile-once engine vs the
+            // per-candidate grounded reference. A value outside the active
+            // domain rides along to cross the foreign-tuple boundary of the
+            // batch path.
+            let mut candidates = answers;
             candidates.insert(vec![cqa_data::Value::str("__foreign__")]);
             let reference: std::collections::BTreeSet<Vec<cqa_data::Value>> = candidates.iter()
                 .filter(|t| grounded_verdict(&free_q, t, &db))
                 .cloned()
                 .collect();
-            for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
-                let engine = CertainAnswersEngine::new(&free_q).unwrap().with_mode(mode);
-                prop_assert!(engine.open_plan(&db).is_some());
-                prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
-                    "certain_of {:?}, {} seed {}", mode, name, seed);
-            }
+            let engine = CertainAnswersEngine::new(&free_q).unwrap();
+            prop_assert!(engine.open_plan(&db).is_some());
+            prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
+                "certain_of, {} seed {}", name, seed);
         } else {
-            // Fallback boundary: the mode knob must be inert on the
-            // per-candidate path, and the verdicts must match the reference.
+            // Fallback boundary: the per-candidate path's verdicts must
+            // match the reference.
             let candidates = cqa::core::answers::possible_answers(&q, &db).unwrap();
             let reference: std::collections::BTreeSet<Vec<cqa_data::Value>> = candidates.iter()
                 .filter(|t| grounded_verdict(&q, t, &db))
                 .cloned()
                 .collect();
-            for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
-                let engine = CertainAnswersEngine::new(&q).unwrap().with_mode(mode);
-                prop_assert!(engine.open_plan(&db).is_none());
-                prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
-                    "fallback certain_of {:?}, {} seed {}", mode, name, seed);
-            }
+            let engine = CertainAnswersEngine::new(&q).unwrap();
+            prop_assert!(engine.open_plan(&db).is_none());
+            prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
+                "fallback certain_of, {} seed {}", name, seed);
         }
     }
 }
@@ -697,7 +695,7 @@ proptest! {
     /// No-op mutations must leave the epoch and the storage untouched, a
     /// pinned snapshot must keep reading what it was frozen with, and saving
     /// the mutated database must round-trip byte-stably with identical
-    /// certain answers across every [`ExecMode`].
+    /// verdicts and certain answers.
     #[test]
     fn delta_patched_index_matches_rebuild_and_store_round_trips(
         seed in 0u64..100_000, which in 0usize..3
@@ -876,7 +874,7 @@ proptest! {
         }
 
         // Persistence: the mutated database must survive a save → load
-        // round trip byte-stably and answer identically in every mode.
+        // round trip byte-stably and answer identically.
         let bytes = cqa_data::store::save_to_vec(&db);
         let loaded = cqa_data::store::load_from_slice(&bytes).expect("a fresh save loads");
         prop_assert_eq!(&bytes, &cqa_data::store::save_to_vec(&loaded),
@@ -890,17 +888,15 @@ proptest! {
             vec![cqa::query::Variable::new("x")],
         ).unwrap();
         let candidates = cqa::core::answers::possible_answers(&free_q, &db).unwrap();
-        for mode in [ExecMode::RowAtATime, ExecMode::Vectorized, ExecMode::Auto] {
-            prop_assert_eq!(
-                fo_plan.prepare(&loaded_index).with_mode(mode).eval(),
-                fo_plan.prepare(&patched).with_mode(mode).eval(),
-                "verdict after reload {:?}, {} seed {}", mode, name, seed);
-            let engine = CertainAnswersEngine::new(&free_q).unwrap().with_mode(mode);
-            let on_patched = engine.certain_of(&db, &candidates).unwrap();
-            prop_assert_eq!(&engine.certain_of(&rebuilt, &candidates).unwrap(), &on_patched,
-                "certain answers patched vs rebuilt {:?}, {} seed {}", mode, name, seed);
-            prop_assert_eq!(&engine.certain_of(&loaded, &candidates).unwrap(), &on_patched,
-                "certain answers after reload {:?}, {} seed {}", mode, name, seed);
-        }
+        prop_assert_eq!(
+            fo_plan.prepare(&loaded_index).eval(),
+            fo_plan.prepare(&patched).eval(),
+            "verdict after reload, {} seed {}", name, seed);
+        let engine = CertainAnswersEngine::new(&free_q).unwrap();
+        let on_patched = engine.certain_of(&db, &candidates).unwrap();
+        prop_assert_eq!(&engine.certain_of(&rebuilt, &candidates).unwrap(), &on_patched,
+            "certain answers patched vs rebuilt, {} seed {}", name, seed);
+        prop_assert_eq!(&engine.certain_of(&loaded, &candidates).unwrap(), &on_patched,
+            "certain answers after reload, {} seed {}", name, seed);
     }
 }

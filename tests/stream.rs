@@ -12,19 +12,14 @@
 //! script keeps revisiting the same blocks: spoiler inserts, block
 //! evictions and re-inserts of previously removed facts all occur.
 //!
-//! The three views are also pinned to one [`ExecMode`] each (row, vectorized,
-//! auto), and the executor-path counters are read around every repair: a
-//! view whose pinned mode were ignored would still answer right, so the
-//! suite checks that the row view never batches and the vectorized view
-//! never runs rows. Under the default damage threshold a repair over this
-//! small domain must stay incremental — never a full recompute.
+//! Under the default damage threshold a repair over this small domain must
+//! stay incremental — never a full recompute.
 
 use cqa::core::answers::certain_answers;
 use cqa::data::{ChangeSet, Delta, Fact, Schema, UncertainDatabase, Value};
-use cqa::exec::ExecMode;
 use cqa::par::ParPool;
 use cqa::query::{ConjunctiveQuery, Term, Variable};
-use cqa::stream::{MaterializedView, ViewMaintainer, DEFAULT_VIEW_THRESHOLD};
+use cqa::stream::{MaterializedView, ViewMaintainer};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -50,36 +45,27 @@ fn query(schema: &Arc<Schema>) -> ConjunctiveQuery {
         .unwrap()
 }
 
-/// The three maintainers under test, each with the executor mode its view
-/// is pinned to. They share long-lived pools across proptest cases
-/// (spawning fresh OS threads 256×3 times would dominate the run).
-fn maintainers() -> Vec<(ViewMaintainer, ExecMode)> {
+/// The three maintainers under test, each with whether it keeps the
+/// default damage threshold (and so must always repair incrementally).
+/// They share long-lived pools across proptest cases (spawning fresh OS
+/// threads 256×3 times would dominate the run).
+fn maintainers() -> Vec<(ViewMaintainer, bool)> {
     static POOLS: OnceLock<(ParPool, ParPool)> = OnceLock::new();
     let (two, seven) = POOLS.get_or_init(|| (ParPool::new(2), ParPool::new(7)));
     vec![
-        (ViewMaintainer::new(), ExecMode::RowAtATime),
+        (ViewMaintainer::new(), true),
         // Tiny threshold: large-damage steps take the fallback path.
         (
             ViewMaintainer::with_pool(two.clone())
                 .with_shard_cutoff(1)
                 .with_threshold(4),
-            ExecMode::Vectorized,
+            false,
         ),
         (
             ViewMaintainer::with_pool(seven.clone()).with_shard_cutoff(1),
-            ExecMode::Auto,
+            true,
         ),
     ]
-}
-
-/// How many candidate batches the certainty engines have decided on the
-/// (vectorized, row) executor path so far, process-wide.
-fn batch_paths() -> (u64, u64) {
-    let registry = cqa::obs::Registry::global();
-    (
-        registry.counter("exec.fo.eval_tuples.vec").get(),
-        registry.counter("exec.fo.eval_tuples.row").get(),
-    )
 }
 
 struct Script {
@@ -178,10 +164,8 @@ proptest! {
         }
         let maintainers = maintainers();
         let mut views = Vec::new();
-        for (maintainer, mode) in &maintainers {
-            let mut view = MaterializedView::new("v", &query)
-                .and_then(|view| view.with_mode(*mode))
-                .expect("register view");
+        for (maintainer, _) in &maintainers {
+            let mut view = MaterializedView::new("v", &query).expect("register view");
             maintainer
                 .initialize(&mut view, &db.snapshot())
                 .expect("initial decision");
@@ -194,20 +178,13 @@ proptest! {
             let snapshot = db.snapshot();
             let reference = certain_answers(&query, snapshot.database())
                 .expect("reference evaluation");
-            for (view, (maintainer, mode)) in views.iter_mut().zip(&maintainers) {
-                let (vec_before, row_before) = batch_paths();
+            for (view, (maintainer, default_threshold)) in views.iter_mut().zip(&maintainers) {
                 let outcome = maintainer
                     .repair(view, &snapshot, &changes)
                     .expect("incremental repair");
-                let (vec_after, row_after) = batch_paths();
-                match mode {
-                    ExecMode::RowAtATime => prop_assert_eq!(vec_after, vec_before),
-                    ExecMode::Vectorized => prop_assert_eq!(row_after, row_before),
-                    ExecMode::Auto => {}
-                }
                 // At most four candidates exist over this domain, so only
                 // the maintainer with the tiny threshold may ever fall back.
-                if maintainer.threshold() == DEFAULT_VIEW_THRESHOLD {
+                if *default_threshold {
                     prop_assert!(
                         !outcome.full_recompute,
                         "damage of {} fell back to a full recompute at step {} (seed {})",
