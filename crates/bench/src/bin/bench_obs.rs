@@ -110,7 +110,8 @@ fn main() {
             solver.formula(),
             boolean_query.schema(),
             Some(index.statistics()),
-        );
+        )
+        .expect("a Theorem 1 rewriting is guarded");
         let fo = fo_plan.prepare(&index);
         let fo_sink = Arc::new(TraceSink::new(fo_plan.trace_ops()));
         let fo_traced = fo_plan.prepare(&index).with_trace(fo_sink.clone());

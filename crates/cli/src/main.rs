@@ -253,7 +253,8 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
                 if query.is_boolean() {
                     match certain_rewriting(query) {
                         Ok(formula) => {
-                            let fo = FoPlan::compile(&formula, query.schema(), Some(stats));
+                            let fo = FoPlan::compile(&formula, query.schema(), Some(stats))
+                                .expect("a Theorem 1 rewriting is guarded");
                             writeln!(out, "{name}: certain rewriting plan (Theorem 1)")?;
                             if analyze {
                                 let sink = Arc::new(TraceSink::new(fo.trace_ops()));
@@ -273,7 +274,8 @@ fn run(out: &mut impl Write) -> Result<(), Box<dyn Error>> {
                 } else {
                     match certain_rewriting_open(query) {
                         Ok(formula) => {
-                            let fo = FoPlan::compile(&formula, query.schema(), Some(stats));
+                            let fo = FoPlan::compile(&formula, query.schema(), Some(stats))
+                                .expect("a Theorem 1 rewriting is guarded");
                             writeln!(
                                 out,
                                 "{name}: open certain rewriting plan (Theorem 1; candidate \

@@ -131,7 +131,8 @@ impl PlanSlot {
         let plans = Arc::new(Plans {
             join: QueryPlan::compile(&self.query, Some(stats)),
             rewriting: (self.rewriting.as_ref()).map(|formula| {
-                Arc::new(FoPlan::compile(formula, self.query.schema(), Some(stats)))
+                let plan = FoPlan::compile(formula, self.query.schema(), Some(stats));
+                Arc::new(plan.expect("a Theorem 1 rewriting is guarded"))
             }),
             stamp: StatsStamp::of(Some(stats)),
         });

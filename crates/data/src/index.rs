@@ -521,8 +521,9 @@ impl DatabaseIndex {
 
     /// The sorted, deduplicated active domain. Derived on first use from
     /// the dictionary's live codes (from the facts when nothing is coded
-    /// yet) and re-derived after a mutation — only the ∃/∀-domain fallbacks
-    /// and the model checker read it.
+    /// yet) and re-derived after a mutation — the model checker, the store
+    /// writer's sorted dictionary and [`crate::UncertainDatabase::active_domain`]
+    /// read it; no compiled plan does.
     pub fn active_domain(&self) -> &[Value] {
         self.active_domain.get_or_init(|| {
             cqa_obs::count!("data.active_domain.build");

@@ -18,18 +18,18 @@ const DEFAULT_DISTINCT: f64 = 32.0;
 
 /// A thin, copyable view over optional statistics.
 #[derive(Clone, Copy)]
-pub struct CostModel<'a> {
+pub(crate) struct CostModel<'a> {
     stats: Option<&'a Statistics>,
 }
 
 impl<'a> CostModel<'a> {
     /// Builds a cost model over optional statistics.
-    pub fn new(stats: Option<&'a Statistics>) -> Self {
+    pub(crate) fn new(stats: Option<&'a Statistics>) -> Self {
         CostModel { stats }
     }
 
     /// Estimated number of facts of the relation.
-    pub fn cardinality(&self, relation: RelationId) -> f64 {
+    pub(crate) fn cardinality(&self, relation: RelationId) -> f64 {
         match self.stats {
             Some(s) => s.relation(relation).fact_count() as f64,
             None => DEFAULT_CARDINALITY,
@@ -37,7 +37,7 @@ impl<'a> CostModel<'a> {
     }
 
     /// Estimated number of distinct values in one column (at least 1).
-    pub fn distinct(&self, relation: RelationId, position: usize) -> f64 {
+    pub(crate) fn distinct(&self, relation: RelationId, position: usize) -> f64 {
         let d = match self.stats {
             Some(s) => s
                 .relation(relation)
@@ -51,7 +51,7 @@ impl<'a> CostModel<'a> {
 
     /// Estimated candidates per probe of `relation` on `probed` positions:
     /// `|R| / Π distinct(p)` under independence and uniformity.
-    pub fn estimate_rows(&self, relation: RelationId, probed: PositionSet) -> f64 {
+    pub(crate) fn estimate_rows(&self, relation: RelationId, probed: PositionSet) -> f64 {
         let mut estimate = self.cardinality(relation);
         for pos in probed.iter() {
             estimate /= self.distinct(relation, pos);

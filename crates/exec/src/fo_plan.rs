@@ -7,43 +7,42 @@
 //! ∃ vars(F) [ R(x̄, ȳ) ∧ ∀ w̄ ( R(x̄, w̄) → ( equalities ∧ rest ) ) ]
 //! ```
 //!
-//! — into a tree of physical operators over a register file:
+//! — into a tree of physical operators over numbered variable slots. Only
+//! this **guarded** form compiles: every `∃` variable must be bound by a
+//! positive conjunct atom, and every `∀` must be an implication whose
+//! antecedent atom binds all its variables. Theorem 1's rewritings always
+//! have this form; an unguarded quantifier is [`QueryError::Unsupported`].
+//! The operators:
 //!
-//! * **`∃-scan`** — an existential quantifier whose variables occur in a
-//!   positive conjunct atom iterates that atom's facts (an index probe on
-//!   the already-bound positions) instead of the active domain;
+//! * **`∃-scan`** — an existential quantifier iterates its guard atom's
+//!   facts (an index probe on the already-bound positions) instead of the
+//!   active domain;
 //! * **`∀-block`** — the ∀-over-block shape above iterates the facts of the
 //!   guard atom's probe bucket (for a rewriting: the facts of one block)
 //!   instead of sweeping `|adom|^|w̄|` assignments — the operator that makes
 //!   compiled rewriting evaluation fast;
-//! * **`∃-column` / `∃-domain` / `∀-domain`** — quantified variables not
-//!   covered by a guard atom fall back to a distinct-column scan (the
-//!   compiled form of the interpreter's restricted domains) or the active
-//!   domain;
 //! * **`lookup`** — a fully-bound atom is a single hash probe;
 //! * **`¬`** — complement; `¬` over a scan is the anti-join form in which
 //!   negation executes.
 //!
 //! Quantifier variables are **alpha-renamed to fresh slots** at compile
-//! time, so shadowing is resolved once and runtime binding is a plain
-//! register write with scoped undo.
+//! time, so shadowing is resolved once.
 //!
-//! A [`PreparedFo`] always evaluates through the vectorized executor
-//! ([`mod@crate::vec`]). The row interpreter here is its per-row kernel:
-//! the operators without a batch kernel and tuples without dictionary
-//! codes run through it, and nothing else does.
+//! A [`PreparedFo`] evaluates through the vectorized executor
+//! ([`mod@crate::vec`]), which has a batch kernel for every operator.
 //!
-//! `cqa_core::fo::eval` remains the reference semantics; the property suite
-//! checks observational equality on randomized instances.
+//! `cqa_core::fo::eval` remains the reference semantics, and evaluates any
+//! formula; the property suite checks observational equality on randomized
+//! instances.
 
 use crate::cost::CostModel;
-use crate::probe::{BoundProbe, KeySource, ProbeSpec, Registers, Slot, SlotState};
+use crate::probe::{BoundProbe, KeySource, ProbeSpec, Slot, SlotState};
 use cqa_data::{
     DatabaseIndex, PositionSet, RelationId, Schema, Statistics, UncertainDatabase, Value,
 };
 use cqa_obs::TraceSink;
 use cqa_query::fo_formula::FoFormula;
-use cqa_query::{Term, Variable};
+use cqa_query::{QueryError, Term, Variable};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -69,30 +68,6 @@ pub(crate) enum FoOp {
     /// ∀ over the facts of a guard atom (the block-quantified operator):
     /// every unifying candidate must satisfy the body.
     ForallBlock { spec: ProbeSpec, body: Box<FoOp> },
-    /// ∃ over the distinct values of one column (restricted domain).
-    ExistsColumn {
-        relation: RelationId,
-        position: usize,
-        slot: Slot,
-        probe_id: usize,
-        body: Box<FoOp>,
-    },
-    /// ∃ over the active domain (no restriction found).
-    ExistsDomain {
-        slot: Slot,
-        /// Trace-cell id (shares the probe-id space so one sink indexes
-        /// every traced operator of the plan; no index handle is resolved
-        /// for it).
-        trace_id: usize,
-        body: Box<FoOp>,
-    },
-    /// ∀ over the active domain.
-    ForallDomain {
-        slot: Slot,
-        /// Trace-cell id (same id space as `ExistsDomain::trace_id`).
-        trace_id: usize,
-        body: Box<FoOp>,
-    },
 }
 
 impl FoOp {
@@ -103,11 +78,7 @@ impl FoOp {
             FoOp::Bool(_) | FoOp::Lookup(_) | FoOp::Eq(_, _) => false,
             FoOp::Not(inner) => inner.has_scan(),
             FoOp::All(parts) | FoOp::Any(parts) => parts.iter().any(FoOp::has_scan),
-            FoOp::ExistsScan { .. }
-            | FoOp::ForallBlock { .. }
-            | FoOp::ExistsColumn { .. }
-            | FoOp::ExistsDomain { .. }
-            | FoOp::ForallDomain { .. } => true,
+            FoOp::ExistsScan { .. } | FoOp::ForallBlock { .. } => true,
         }
     }
 }
@@ -128,13 +99,19 @@ pub struct FoPlan {
 }
 
 impl FoPlan {
-    /// Compiles `formula` over `schema`. Statistics guide guard-atom and
-    /// column choices; they affect speed only, never the verdict.
+    /// Compiles `formula` over `schema`. Statistics guide guard-atom
+    /// choices; they affect speed only, never the verdict.
+    ///
+    /// # Errors
+    /// [`QueryError::Unsupported`] if a quantifier is unguarded: an `∃`
+    /// variable that no positive conjunct atom binds, or a `∀` that is not
+    /// an implication from an atom binding all its variables. Certain
+    /// rewritings (Theorem 1) never are.
     pub fn compile(
         formula: &FoFormula,
         schema: &Arc<Schema>,
         stats: Option<&Statistics>,
-    ) -> FoPlan {
+    ) -> Result<FoPlan, QueryError> {
         let mut lowerer = Lowerer {
             cost: CostModel::new(stats),
             slots: Vec::new(),
@@ -153,14 +130,14 @@ impl FoPlan {
                 (v, slot)
             })
             .collect();
-        let root = lowerer.lower(formula);
-        FoPlan {
+        let root = lowerer.lower(formula)?;
+        Ok(FoPlan {
             schema: schema.clone(),
             root,
             slots: lowerer.slots,
             free,
             probe_count: lowerer.probe_count,
-        }
+        })
     }
 
     /// Binds the plan to an index snapshot, resolving every probe handle
@@ -169,7 +146,7 @@ impl FoPlan {
         let mut handles = Vec::new();
         handles.resize_with(self.probe_count, || None);
         resolve_probes(&self.root, index, &mut handles);
-        let vec = crate::vec::VecFo::build(&self.root, index, self.slots.len(), &handles);
+        let vec = crate::vec::VecFo::build(&self.root, index, &handles);
         PreparedFo {
             plan: self,
             index: index.clone(),
@@ -185,8 +162,7 @@ impl FoPlan {
     }
 
     /// Number of trace cells a [`cqa_obs::TraceSink`] for this plan needs:
-    /// one per probing/scanning operator (probe ids and domain trace ids
-    /// share the space).
+    /// one per probing/scanning operator.
     pub fn trace_ops(&self) -> usize {
         self.probe_count
     }
@@ -198,9 +174,9 @@ impl FoPlan {
     }
 
     /// [`FoPlan::explain`] plus the **actuals** a traced execution
-    /// recorded: per-operator invocation/row/match counts (and waves /
-    /// row-fallback rows where they occurred) next to the estimates, and a
-    /// header line with run count and wall time.
+    /// recorded: per-operator invocation/row/match counts (and waves where
+    /// they occurred) next to the estimates, and a header line with run
+    /// count and wall time.
     pub fn explain_analyze(&self, trace: &TraceSink) -> String {
         self.render_with(Some(trace))
     }
@@ -210,9 +186,8 @@ impl FoPlan {
         if let Some(sink) = trace {
             let _ = writeln!(
                 out,
-                "  actual: {} vectorized + {} row run(s), wall {:.3} ms",
+                "  actual: {} vectorized run(s), wall {:.3} ms",
                 sink.vec_runs(),
-                sink.row_runs(),
                 sink.wall().as_secs_f64() * 1e3,
             );
         }
@@ -222,16 +197,15 @@ impl FoPlan {
 
     fn render(&self, op: &FoOp, depth: usize, trace: Option<&TraceSink>, out: &mut String) {
         let pad = "  ".repeat(depth);
-        let mark = crate::vec::fo_op_marker(op);
         let act = trace_suffix(trace, fo_op_trace_id(op));
         match op {
             FoOp::Bool(b) => {
-                let _ = writeln!(out, "{pad}{b} {mark}");
+                let _ = writeln!(out, "{pad}{b}");
             }
             FoOp::Lookup(spec) => {
                 let _ = writeln!(
                     out,
-                    "{pad}lookup {} {mark}{act}",
+                    "{pad}lookup {}{act}",
                     spec.render(&self.schema, &self.slots)
                 );
             }
@@ -240,20 +214,20 @@ impl FoPlan {
                     KeySource::Const(c) => format!("{c:?}"),
                     KeySource::Slot(s) => self.slots[*s].to_string(),
                 };
-                let _ = writeln!(out, "{pad}{} = {} {mark}", name(a), name(b));
+                let _ = writeln!(out, "{pad}{} = {}", name(a), name(b));
             }
             FoOp::Not(inner) => {
-                let _ = writeln!(out, "{pad}¬ {mark}");
+                let _ = writeln!(out, "{pad}¬");
                 self.render(inner, depth + 1, trace, out);
             }
             FoOp::All(parts) => {
-                let _ = writeln!(out, "{pad}all {mark}");
+                let _ = writeln!(out, "{pad}all");
                 for p in parts {
                     self.render(p, depth + 1, trace, out);
                 }
             }
             FoOp::Any(parts) => {
-                let _ = writeln!(out, "{pad}any {mark}");
+                let _ = writeln!(out, "{pad}any");
                 for p in parts {
                     self.render(p, depth + 1, trace, out);
                 }
@@ -261,7 +235,7 @@ impl FoPlan {
             FoOp::ExistsScan { spec, body } => {
                 let _ = writeln!(
                     out,
-                    "{pad}∃-scan {:<40} est ≈ {:.1} rows {mark}{act}",
+                    "{pad}∃-scan {:<40} est ≈ {:.1} rows{act}",
                     spec.render(&self.schema, &self.slots),
                     spec.estimated_rows
                 );
@@ -270,33 +244,10 @@ impl FoPlan {
             FoOp::ForallBlock { spec, body } => {
                 let _ = writeln!(
                     out,
-                    "{pad}∀-block {:<39} est ≈ {:.1} rows {mark}{act}",
+                    "{pad}∀-block {:<39} est ≈ {:.1} rows{act}",
                     spec.render(&self.schema, &self.slots),
                     spec.estimated_rows
                 );
-                self.render(body, depth + 1, trace, out);
-            }
-            FoOp::ExistsColumn {
-                relation,
-                position,
-                slot,
-                body,
-                ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}∃-column {} ∈ {}.{position} {mark}{act}",
-                    self.slots[*slot],
-                    self.schema.relation(*relation).name
-                );
-                self.render(body, depth + 1, trace, out);
-            }
-            FoOp::ExistsDomain { slot, body, .. } => {
-                let _ = writeln!(out, "{pad}∃-domain {} {mark}{act}", self.slots[*slot]);
-                self.render(body, depth + 1, trace, out);
-            }
-            FoOp::ForallDomain { slot, body, .. } => {
-                let _ = writeln!(out, "{pad}∀-domain {} {mark}{act}", self.slots[*slot]);
                 self.render(body, depth + 1, trace, out);
             }
         }
@@ -305,15 +256,11 @@ impl FoPlan {
 
 /// The trace-cell id of one operator, `None` for operators that are not
 /// traced (constant-time combinators).
-pub(crate) fn fo_op_trace_id(op: &FoOp) -> Option<usize> {
+fn fo_op_trace_id(op: &FoOp) -> Option<usize> {
     match op {
         FoOp::Bool(_) | FoOp::Eq(_, _) | FoOp::Not(_) | FoOp::All(_) | FoOp::Any(_) => None,
         FoOp::Lookup(spec) | FoOp::ExistsScan { spec, .. } | FoOp::ForallBlock { spec, .. } => {
             Some(spec.probe_id)
-        }
-        FoOp::ExistsColumn { probe_id, .. } => Some(*probe_id),
-        FoOp::ExistsDomain { trace_id, .. } | FoOp::ForallDomain { trace_id, .. } => {
-            Some(*trace_id)
         }
     }
 }
@@ -336,9 +283,6 @@ pub(crate) fn trace_suffix(trace: Option<&TraceSink>, id: Option<usize>) -> Stri
     );
     if cell.waves() > 0 {
         let _ = write!(out, ", {} waves", cell.waves());
-    }
-    if cell.fallback_rows() > 0 {
-        let _ = write!(out, ", {} row-fallback", cell.fallback_rows());
     }
     out
 }
@@ -403,22 +347,6 @@ fn resolve_probes(op: &FoOp, index: &Arc<DatabaseIndex>, handles: &mut Vec<Optio
         }
         FoOp::ExistsScan { spec, body } | FoOp::ForallBlock { spec, body } => {
             resolve_spec(spec);
-            resolve_probes(body, index, handles);
-        }
-        FoOp::ExistsColumn {
-            relation,
-            position,
-            probe_id,
-            body,
-            ..
-        } => {
-            handles[*probe_id] = Some(BoundProbe {
-                index: index.position_index(*relation, PositionSet::single(*position)),
-                key: Vec::new(),
-            });
-            resolve_probes(body, index, handles);
-        }
-        FoOp::ExistsDomain { body, .. } | FoOp::ForallDomain { body, .. } => {
             resolve_probes(body, index, handles);
         }
     }
@@ -494,18 +422,18 @@ impl Lowerer<'_> {
         spec
     }
 
-    fn lower(&mut self, formula: &FoFormula) -> FoOp {
-        match formula {
+    fn lower(&mut self, formula: &FoFormula) -> Result<FoOp, QueryError> {
+        Ok(match formula {
             FoFormula::True => FoOp::Bool(true),
             FoFormula::False => FoOp::Bool(false),
             FoFormula::Atom { relation, terms } => {
                 // All variables must be bound here: a quantified variable is
-                // bound by its scan/domain operator before its body lowers,
-                // so an unresolvable or unbound variable means an open
-                // formula, which the interpreter evaluates to false.
+                // bound by its guard operator before its body lowers, so an
+                // unresolvable or unbound variable means an open formula,
+                // which the interpreter evaluates to false.
                 let all_bound = terms.iter().all(|t| self.bound_source(t).is_some());
                 if !all_bound {
-                    return FoOp::Bool(false);
+                    return Ok(FoOp::Bool(false));
                 }
                 FoOp::Lookup(self.atom_spec(*relation, terms))
             }
@@ -517,19 +445,24 @@ impl Lowerer<'_> {
                     _ => FoOp::Bool(false),
                 }
             }
-            FoFormula::Not(inner) => FoOp::Not(Box::new(self.lower(inner))),
-            FoFormula::And(parts) => {
-                Self::ordered_all(parts.iter().map(|p| self.lower(p)).collect())
-            }
-            FoFormula::Or(parts) => FoOp::Any(parts.iter().map(|p| self.lower(p)).collect()),
+            FoFormula::Not(inner) => FoOp::Not(Box::new(self.lower(inner)?)),
+            FoFormula::And(parts) => Self::ordered_all(self.lower_all(parts.iter())?),
+            FoFormula::Or(parts) => FoOp::Any(self.lower_all(parts.iter())?),
             FoFormula::Implies(a, b) => {
-                let guard = self.lower(a);
-                let conclusion = self.lower(b);
+                let guard = self.lower(a)?;
+                let conclusion = self.lower(b)?;
                 FoOp::Any(vec![FoOp::Not(Box::new(guard)), conclusion])
             }
-            FoFormula::Exists(vars, body) => self.lower_exists(vars, body),
-            FoFormula::Forall(vars, body) => self.lower_forall(vars, body),
-        }
+            FoFormula::Exists(vars, body) => self.lower_exists(vars, body)?,
+            FoFormula::Forall(vars, body) => self.lower_forall(vars, body)?,
+        })
+    }
+
+    fn lower_all<'f>(
+        &mut self,
+        parts: impl Iterator<Item = &'f FoFormula>,
+    ) -> Result<Vec<FoOp>, QueryError> {
+        parts.map(|p| self.lower(p)).collect()
     }
 
     /// Conjunction with cheap (probe/equality) operators ahead of scans.
@@ -551,9 +484,11 @@ impl Lowerer<'_> {
         }
     }
 
-    fn lower_exists(&mut self, vars: &[Variable], body: &FoFormula) -> FoOp {
+    /// Allocates fresh slots for a quantifier's variables and brings them
+    /// into scope; returns the slots and the scope height to restore.
+    fn open_scope(&mut self, vars: &[Variable]) -> (Vec<Slot>, usize) {
         let scope_base = self.scope.len();
-        let var_slots: Vec<Slot> = vars
+        let var_slots = vars
             .iter()
             .map(|v| {
                 let slot = self.alloc(v);
@@ -561,18 +496,35 @@ impl Lowerer<'_> {
                 slot
             })
             .collect();
+        (var_slots, scope_base)
+    }
+
+    /// Ends a quantifier's scope opened by [`Lowerer::open_scope`].
+    fn close_scope(&mut self, var_slots: Vec<Slot>, scope_base: usize) {
+        self.scope.truncate(scope_base);
+        for slot in var_slots {
+            self.bound[slot] = false;
+        }
+    }
+
+    /// The error for quantified variables no guard atom binds.
+    fn unguarded(&self, quantifier: char, slots: &[Slot]) -> QueryError {
+        let names: Vec<String> = slots.iter().map(|&s| self.slots[s].to_string()).collect();
+        QueryError::Unsupported {
+            reason: format!(
+                "{quantifier}{} is unguarded: a compiled plan needs a guard atom binding every \
+                 quantified variable, as in a certain rewriting",
+                names.join(", ")
+            ),
+        }
+    }
+
+    fn lower_exists(&mut self, vars: &[Variable], body: &FoFormula) -> Result<FoOp, QueryError> {
+        let (var_slots, scope_base) = self.open_scope(vars);
         let conjuncts: Vec<&FoFormula> = flatten_and(body);
         let mut consumed = vec![false; conjuncts.len()];
-        let mut layers: Vec<Layer> = Vec::new();
-        loop {
-            let unbound: Vec<Slot> = var_slots
-                .iter()
-                .copied()
-                .filter(|&s| !self.bound[s])
-                .collect();
-            if unbound.is_empty() {
-                break;
-            }
+        let mut layers: Vec<ProbeSpec> = Vec::new();
+        while let Some(&unbound) = var_slots.iter().find(|&&s| !self.bound[s]) {
             // Best guard: the positive conjunct atom binding the most still-
             // unbound quantified variables, then the cheapest probe.
             let mut best: Option<(usize, usize, f64)> = None;
@@ -600,154 +552,62 @@ impl Lowerer<'_> {
                     best = Some((i, newly, est));
                 }
             }
-            match best {
-                Some((i, _, _)) => {
-                    consumed[i] = true;
-                    let FoFormula::Atom { relation, terms } = conjuncts[i] else {
-                        unreachable!("guards are atoms");
-                    };
-                    let spec = self.atom_spec(*relation, terms);
-                    for slot in spec.bound_slots() {
-                        self.bound[slot] = true;
-                    }
-                    layers.push(Layer::Scan(spec));
-                }
-                None => {
-                    // No guard binds anything new: fall back to a restricted
-                    // column (some atom the body cannot hold without) or the
-                    // active domain for the first unbound variable.
-                    let slot = unbound[0];
-                    let var = self.slots[slot].clone();
-                    match self.find_column(&var, body) {
-                        Some((relation, position)) => layers.push(Layer::Column {
-                            relation,
-                            position,
-                            slot,
-                            probe_id: self.next_probe(),
-                        }),
-                        None => layers.push(Layer::Domain {
-                            slot,
-                            trace_id: self.next_probe(),
-                        }),
-                    }
-                    self.bound[slot] = true;
-                }
+            let Some((i, _, _)) = best else {
+                return Err(self.unguarded('∃', &[unbound]));
+            };
+            consumed[i] = true;
+            let FoFormula::Atom { relation, terms } = conjuncts[i] else {
+                unreachable!("guards are atoms");
+            };
+            let spec = self.atom_spec(*relation, terms);
+            for slot in spec.bound_slots() {
+                self.bound[slot] = true;
             }
+            layers.push(spec);
         }
-        let inner: Vec<FoOp> = conjuncts
-            .iter()
-            .zip(&consumed)
-            .filter(|(_, &c)| !c)
-            .map(|(p, _)| self.lower(p))
-            .collect();
+        let inner = self.lower_all(
+            (conjuncts.iter().zip(&consumed))
+                .filter(|(_, &c)| !c)
+                .map(|(p, _)| *p),
+        )?;
         let mut op = Self::ordered_all(inner);
-        for layer in layers.into_iter().rev() {
-            op = match layer {
-                Layer::Scan(spec) => FoOp::ExistsScan {
-                    spec,
-                    body: Box::new(op),
-                },
-                Layer::Column {
-                    relation,
-                    position,
-                    slot,
-                    probe_id,
-                } => FoOp::ExistsColumn {
-                    relation,
-                    position,
-                    slot,
-                    probe_id,
-                    body: Box::new(op),
-                },
-                Layer::Domain { slot, trace_id } => FoOp::ExistsDomain {
-                    slot,
-                    trace_id,
-                    body: Box::new(op),
-                },
+        for spec in layers.into_iter().rev() {
+            op = FoOp::ExistsScan {
+                spec,
+                body: Box::new(op),
             };
         }
-        self.scope.truncate(scope_base);
-        for slot in var_slots {
-            self.bound[slot] = false;
-        }
-        op
+        self.close_scope(var_slots, scope_base);
+        Ok(op)
     }
 
-    fn lower_forall(&mut self, vars: &[Variable], body: &FoFormula) -> FoOp {
-        let scope_base = self.scope.len();
-        let var_slots: Vec<Slot> = vars
-            .iter()
-            .map(|v| {
-                let slot = self.alloc(v);
-                self.scope.push((v.clone(), slot));
-                slot
-            })
-            .collect();
+    fn lower_forall(&mut self, vars: &[Variable], body: &FoFormula) -> Result<FoOp, QueryError> {
+        let (var_slots, scope_base) = self.open_scope(vars);
         // The Theorem 1 shape ∀w̄ (R(x̄, w̄) → body): iterate the guard's
         // probe bucket — for a rewriting, exactly one block — instead of
-        // |adom|^|w̄| assignments. Quantified variables missing from the
-        // guard (if any) cannot affect it, so they become ∀-domain loops
-        // *inside* the implication: ∀x̄r̄(A(x̄)→B) ≡ ∀x̄(A(x̄)→∀r̄ B).
-        let block_guard = match body {
-            FoFormula::Implies(guard, inner) => match &**guard {
-                FoFormula::Atom { relation, terms }
-                    if terms
-                        .iter()
-                        .all(|t| !matches!(t, Term::Var(v) if self.slot_lookup(v).is_none())) =>
-                {
-                    Some((*relation, terms, inner))
-                }
-                _ => None,
-            },
-            _ => None,
+        // |adom|^|w̄| assignments.
+        let FoFormula::Implies(guard, inner) = body else {
+            return Err(self.unguarded('∀', &var_slots));
         };
-        let op = match block_guard {
-            Some((relation, terms, inner)) => {
-                let spec = self.atom_spec(relation, terms);
-                for slot in spec.bound_slots() {
-                    self.bound[slot] = true;
-                }
-                let rest: Vec<Slot> = var_slots
-                    .iter()
-                    .copied()
-                    .filter(|&s| !self.bound[s])
-                    .collect();
-                for &slot in &rest {
-                    self.bound[slot] = true;
-                }
-                let mut body_op = self.lower(inner);
-                for &slot in rest.iter().rev() {
-                    body_op = FoOp::ForallDomain {
-                        slot,
-                        trace_id: self.next_probe(),
-                        body: Box::new(body_op),
-                    };
-                }
-                FoOp::ForallBlock {
-                    spec,
-                    body: Box::new(body_op),
-                }
-            }
-            None => {
-                for &slot in &var_slots {
-                    self.bound[slot] = true;
-                }
-                let mut op = self.lower(body);
-                for &slot in var_slots.iter().rev() {
-                    op = FoOp::ForallDomain {
-                        slot,
-                        trace_id: self.next_probe(),
-                        body: Box::new(op),
-                    };
-                }
-                op
-            }
+        let FoFormula::Atom { relation, terms } = &**guard else {
+            return Err(self.unguarded('∀', &var_slots));
         };
-        self.scope.truncate(scope_base);
-        for slot in var_slots {
-            self.bound[slot] = false;
+        let spec = self.atom_spec(*relation, terms);
+        for slot in spec.bound_slots() {
+            self.bound[slot] = true;
         }
-        op
+        let unbound: Vec<Slot> = (var_slots.iter().copied())
+            .filter(|&s| !self.bound[s])
+            .collect();
+        if !unbound.is_empty() {
+            return Err(self.unguarded('∀', &unbound));
+        }
+        let op = FoOp::ForallBlock {
+            spec,
+            body: Box::new(self.lower(inner)?),
+        };
+        self.close_scope(var_slots, scope_base);
+        Ok(op)
     }
 
     /// For a guard candidate: how many still-unbound variables the atom
@@ -777,63 +637,6 @@ impl Lowerer<'_> {
         }
         Some((newly.len(), probed))
     }
-
-    /// A column whose distinct values must contain every satisfying value
-    /// of `var`: `var`'s position in an atom that is *necessary* for `body`
-    /// (the body itself, conjuncts of conjunctions, bodies of nested
-    /// existentials that do not shadow `var`). Picks the column with the
-    /// fewest distinct values. Mirrors the interpreter's
-    /// `restricted_domain`.
-    fn find_column(&self, var: &Variable, body: &FoFormula) -> Option<(RelationId, usize)> {
-        let mut best: Option<(RelationId, usize, f64)> = None;
-        self.collect_columns(var, body, &mut best);
-        best.map(|(relation, position, _)| (relation, position))
-    }
-
-    fn collect_columns(
-        &self,
-        var: &Variable,
-        formula: &FoFormula,
-        best: &mut Option<(RelationId, usize, f64)>,
-    ) {
-        match formula {
-            FoFormula::Atom { relation, terms } => {
-                for (pos, term) in terms.iter().enumerate().take(PositionSet::MAX_POSITIONS) {
-                    if term.as_var() != Some(var) {
-                        continue;
-                    }
-                    let distinct = self.cost.distinct(*relation, pos);
-                    if best.as_ref().is_none_or(|&(_, _, d)| distinct < d) {
-                        *best = Some((*relation, pos, distinct));
-                    }
-                }
-            }
-            FoFormula::And(parts) => {
-                for p in parts {
-                    self.collect_columns(var, p, best);
-                }
-            }
-            FoFormula::Exists(vars, inner) if !vars.contains(var) => {
-                self.collect_columns(var, inner, best);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// One existential layer accumulated by [`Lowerer::lower_exists`].
-enum Layer {
-    Scan(ProbeSpec),
-    Column {
-        relation: RelationId,
-        position: usize,
-        slot: Slot,
-        probe_id: usize,
-    },
-    Domain {
-        slot: Slot,
-        trace_id: usize,
-    },
 }
 
 /// The conjuncts of a top-level conjunction (or the formula itself).
@@ -849,7 +652,7 @@ pub struct PreparedFo<'p> {
     pub(crate) plan: &'p FoPlan,
     pub(crate) index: Arc<DatabaseIndex>,
     pub(crate) handles: Vec<Option<BoundProbe>>,
-    pub(crate) vec: crate::vec::VecFo<'p>,
+    pub(crate) vec: crate::vec::VecFo,
     pub(crate) trace: Option<Arc<TraceSink>>,
 }
 
@@ -891,193 +694,20 @@ impl PreparedFo<'_> {
         self.entry_point(|| crate::vec::eval_sentence(self))
     }
 
-    /// The row kernel's verdict under `vars ↦ tuple` — what the vectorized
-    /// executor runs for a tuple whose values have no dictionary code.
-    pub(crate) fn eval_tuple_row(&self, vars: &[Variable], tuple: &[Value]) -> bool {
-        let mut regs = Registers::new(self.plan.slots.len());
-        for (var, value) in vars.iter().zip(tuple) {
-            if let Some(&(_, slot)) = self.plan.free.iter().find(|(fv, _)| fv == var) {
-                regs.set(slot, value.clone());
-            }
-        }
-        self.eval_op(&self.plan.root, &mut regs)
-    }
-
     /// Batch-evaluates the open formula under `vars ↦ tuples[i]` for every
     /// tuple, returning one verdict per tuple (positionally); free variables
     /// not in `vars` stay unbound. The entry point the certain answers of an
     /// open query batch their candidate tuples through.
+    ///
+    /// A tuple binding a free variable to a value with no dictionary code
+    /// (no fact carries it) answers `false` without evaluation. For the
+    /// open rewriting of a query `q` that is the verdict: every free
+    /// variable of `q` occurs in an atom, so such a tuple is not a possible
+    /// answer, and every certain answer is possible.
     pub fn eval_tuples(&self, vars: &[Variable], tuples: &[Vec<Value>]) -> Vec<bool> {
         cqa_obs::observe!("exec.fo.batch_tuples", tuples.len() as u64);
         cqa_obs::count!("exec.fo.eval_tuples.vec");
         self.entry_point(|| crate::vec::eval_tuples(self, vars, tuples))
-    }
-
-    /// Flushes one operator visit's locally-counted events to the trace
-    /// sink (the single `Option` branch a traceless run pays per visit).
-    #[inline]
-    fn flush_op(&self, id: usize, scanned: u64, matched: u64) {
-        if let Some(sink) = &self.trace {
-            let cell = sink.op(id);
-            cell.add_invocations(1);
-            cell.add_rows(scanned);
-            cell.add_matches(matched);
-        }
-    }
-
-    pub(crate) fn eval_op(&self, op: &FoOp, regs: &mut Registers) -> bool {
-        match op {
-            FoOp::Bool(b) => *b,
-            FoOp::Lookup(spec) => {
-                let Some(candidates) =
-                    spec.candidates(&self.index, self.handles[spec.probe_id].as_ref(), regs)
-                else {
-                    self.flush_op(spec.probe_id, 0, 0);
-                    return false;
-                };
-                let mut no_writes = Vec::new();
-                let mut scanned = 0u64;
-                let mut hit = false;
-                for row in candidates {
-                    scanned += 1;
-                    if spec.apply(&self.index, row, regs, &mut no_writes) {
-                        hit = true;
-                        break;
-                    }
-                }
-                self.flush_op(spec.probe_id, scanned, u64::from(hit));
-                hit
-            }
-            FoOp::Eq(a, b) => match (a.resolve(regs), b.resolve(regs)) {
-                (Some(x), Some(y)) => x == y,
-                _ => false,
-            },
-            FoOp::Not(inner) => !self.eval_op(inner, regs),
-            FoOp::All(parts) => parts.iter().all(|p| self.eval_op(p, regs)),
-            FoOp::Any(parts) => parts.iter().any(|p| self.eval_op(p, regs)),
-            FoOp::ExistsScan { spec, body } => {
-                let Some(candidates) =
-                    spec.candidates(&self.index, self.handles[spec.probe_id].as_ref(), regs)
-                else {
-                    // An unbound outer register: no fact can match.
-                    self.flush_op(spec.probe_id, 0, 0);
-                    return false;
-                };
-                let mut writes = Vec::new();
-                let mut found = false;
-                let mut scanned = 0u64;
-                let mut unified = 0u64;
-                for row in candidates {
-                    regs.undo(&mut writes);
-                    scanned += 1;
-                    if spec.apply(&self.index, row, regs, &mut writes) {
-                        unified += 1;
-                        if self.eval_op(body, regs) {
-                            found = true;
-                            break;
-                        }
-                    }
-                }
-                regs.undo(&mut writes);
-                self.flush_op(spec.probe_id, scanned, unified);
-                found
-            }
-            FoOp::ForallBlock { spec, body } => {
-                let Some(candidates) =
-                    spec.candidates(&self.index, self.handles[spec.probe_id].as_ref(), regs)
-                else {
-                    // An unbound outer register: the guard can never hold,
-                    // so the implication is vacuously true.
-                    self.flush_op(spec.probe_id, 0, 0);
-                    return true;
-                };
-                let mut writes = Vec::new();
-                let mut holds = true;
-                let mut scanned = 0u64;
-                let mut unified = 0u64;
-                for row in candidates {
-                    regs.undo(&mut writes);
-                    scanned += 1;
-                    // A candidate the guard does not unify with (repeated-
-                    // variable mismatch) corresponds to no assignment:
-                    // vacuous, skip.
-                    if spec.apply(&self.index, row, regs, &mut writes) {
-                        unified += 1;
-                        if !self.eval_op(body, regs) {
-                            holds = false;
-                            break;
-                        }
-                    }
-                }
-                regs.undo(&mut writes);
-                self.flush_op(spec.probe_id, scanned, unified);
-                holds
-            }
-            FoOp::ExistsColumn {
-                slot,
-                probe_id,
-                body,
-                ..
-            } => {
-                let column = &self.handles[*probe_id]
-                    .as_ref()
-                    .expect("column probes always resolve")
-                    .index;
-                let mut found = false;
-                let mut scanned = 0u64;
-                let dictionary = self.index.dictionary();
-                for key in column.keys() {
-                    scanned += 1;
-                    // A single-position key is the code itself.
-                    regs.set_coded(*slot, dictionary.value(key as u32).clone(), key as u32);
-                    if self.eval_op(body, regs) {
-                        found = true;
-                        break;
-                    }
-                }
-                regs.clear(*slot);
-                self.flush_op(*probe_id, scanned, u64::from(found));
-                found
-            }
-            FoOp::ExistsDomain {
-                slot,
-                trace_id,
-                body,
-            } => {
-                let mut found = false;
-                let mut scanned = 0u64;
-                for value in self.index.active_domain().iter() {
-                    scanned += 1;
-                    regs.set(*slot, value.clone());
-                    if self.eval_op(body, regs) {
-                        found = true;
-                        break;
-                    }
-                }
-                regs.clear(*slot);
-                self.flush_op(*trace_id, scanned, u64::from(found));
-                found
-            }
-            FoOp::ForallDomain {
-                slot,
-                trace_id,
-                body,
-            } => {
-                let mut holds = true;
-                let mut scanned = 0u64;
-                for value in self.index.active_domain().iter() {
-                    scanned += 1;
-                    regs.set(*slot, value.clone());
-                    if !self.eval_op(body, regs) {
-                        holds = false;
-                        break;
-                    }
-                }
-                regs.clear(*slot);
-                self.flush_op(*trace_id, scanned, u64::from(holds));
-                holds
-            }
-        }
     }
 }
 
@@ -1102,7 +732,7 @@ mod tests {
     fn compile(formula: &FoFormula, db: &UncertainDatabase) -> FoPlan {
         let index = db.index();
         let stats = index.statistics().clone();
-        FoPlan::compile(formula, db.schema(), Some(&stats))
+        FoPlan::compile(formula, db.schema(), Some(&stats)).expect("a guarded formula")
     }
 
     #[test]
@@ -1193,30 +823,48 @@ mod tests {
     }
 
     #[test]
-    fn unguarded_quantifiers_fall_back_to_domains() {
+    fn unguarded_quantifiers_do_not_compile() {
         let db = db();
         let r = rel(&db);
-        // ∀x ¬R(x, x) — no implication guard: ∀-domain + complement.
-        let no_diag = FoFormula::forall(
-            vec![Variable::new("x")],
-            FoFormula::Not(Box::new(FoFormula::atom(
-                r,
-                vec![Term::var("x"), Term::var("x")],
-            ))),
-        );
-        let plan = compile(&no_diag, &db);
-        assert!(plan.explain().contains("∀-domain"));
-        assert!(plan.eval(&db));
-        // ∃x ¬R(x, '1') — negated body: domain/column scan, not a guard scan.
-        let some_without = FoFormula::exists(
-            vec![Variable::new("x")],
-            FoFormula::Not(Box::new(FoFormula::atom(
-                r,
-                vec![Term::var("x"), Term::constant("1")],
-            ))),
-        );
-        let plan = compile(&some_without, &db);
-        assert!(plan.eval(&db), "x = '2' (or any non-key value) witnesses");
+        let var = Variable::new;
+        let x = || Term::var("x");
+        let not = |f: FoFormula| FoFormula::Not(Box::new(f));
+        let sentences = [
+            // ∃x (∃y R(x,y) ∧ ¬R(x,'1')): no conjunct atom binds x.
+            FoFormula::exists(
+                vec![var("x")],
+                FoFormula::and(vec![
+                    FoFormula::exists(
+                        vec![var("y")],
+                        FoFormula::atom(r, vec![x(), Term::var("y")]),
+                    ),
+                    not(FoFormula::atom(r, vec![x(), Term::constant("1")])),
+                ]),
+            ),
+            // ∃x ¬R(x,'1'): a negated body guards nothing.
+            FoFormula::exists(
+                vec![var("x")],
+                not(FoFormula::atom(r, vec![x(), Term::constant("1")])),
+            ),
+            // ∀x ¬R(x,x): no implication.
+            FoFormula::forall(vec![var("x")], not(FoFormula::atom(r, vec![x(), x()]))),
+            // ∀x∀y (R(x,'1') → x = y): the antecedent leaves y unbound.
+            FoFormula::forall(
+                vec![var("x"), var("y")],
+                FoFormula::Implies(
+                    Box::new(FoFormula::atom(r, vec![x(), Term::constant("1")])),
+                    Box::new(FoFormula::Equals(x(), Term::var("y"))),
+                ),
+            ),
+        ];
+        for sentence in &sentences {
+            let compiled = FoPlan::compile(sentence, db.schema(), None);
+            assert!(
+                matches!(compiled, Err(QueryError::Unsupported { .. })),
+                "{} compiled",
+                sentence.display(db.schema())
+            );
+        }
     }
 
     #[test]
@@ -1228,12 +876,17 @@ mod tests {
             vec![Variable::new("x")],
             FoFormula::atom(r, vec![Term::var("x"), Term::var("x")]),
         );
-        let forall = FoFormula::forall(vec![Variable::new("x")], FoFormula::False);
-        assert!(!FoPlan::compile(&exists, &schema, None).eval(&empty));
-        assert!(
-            FoPlan::compile(&forall, &schema, None).eval(&empty),
-            "∀ over the empty domain is true"
+        // ∀x (R(x, x) → False)
+        let forall = FoFormula::forall(
+            vec![Variable::new("x")],
+            FoFormula::Implies(
+                Box::new(FoFormula::atom(r, vec![Term::var("x"), Term::var("x")])),
+                Box::new(FoFormula::False),
+            ),
         );
+        let plan = |f: &FoFormula| FoPlan::compile(f, &schema, None).expect("a guarded formula");
+        assert!(!plan(&exists).eval(&empty));
+        assert!(plan(&forall).eval(&empty), "∀ over an empty block is true");
     }
 
     #[test]

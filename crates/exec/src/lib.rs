@@ -8,17 +8,16 @@
 //!
 //! * [`QueryPlan`] lowers a [`cqa_query::ConjunctiveQuery`] into a fixed
 //!   sequence of **keyed probe / index scan** steps over a register file
-//!   (one dense slot per variable), ordered once by a [cost model](cost)
-//!   fed from [`cqa_data::Statistics`]; variables the caller binds at
+//!   (one dense slot per variable), ordered once by a cost model fed from
+//!   [`cqa_data::Statistics`]; variables the caller binds at
 //!   execute time can be declared as parameters
 //!   ([`QueryPlan::compile_bound`]), so anchored checks probe on them;
-//! * [`FoPlan`] lowers a [`cqa_query::FoFormula`] — in particular the
-//!   certain rewritings of Theorem 1 — into physical operators: existential
-//!   **index scans**, **block-quantified ∀** operators for the
-//!   ∀-over-block shape of the rewriting (a fact-list walk instead of an
-//!   active-domain sweep), column and domain scans for unguarded
-//!   quantifiers, membership lookups, and complement (`¬` / anti-join)
-//!   nodes;
+//! * [`FoPlan`] lowers the guarded form of a [`cqa_query::FoFormula`] —
+//!   the form of the certain rewritings of Theorem 1 — into physical
+//!   operators: existential **index scans**, **block-quantified ∀**
+//!   operators for the ∀-over-block shape of the rewriting (a fact-list
+//!   walk instead of an active-domain sweep), membership lookups, and
+//!   complement (`¬` / anti-join) nodes;
 //! * [`cache`] holds what a per-query memo of compiled engines shares: the
 //!   [`fingerprint`](cache::fingerprint) key, the bounded
 //!   [`LruCache`](cache::LruCache) and the [`StatsStamp`] that tells an
@@ -46,7 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod cost;
+mod cost;
 pub mod fo_plan;
 mod probe;
 pub mod query_plan;

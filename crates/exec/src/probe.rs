@@ -67,10 +67,6 @@ impl Registers {
         }
     }
 
-    pub(crate) fn clear(&mut self, slot: Slot) {
-        self.values[slot] = None;
-    }
-
     /// Undoes the writes recorded in `writes` (newest first is irrelevant:
     /// each recorded slot was `None` before) and truncates the log.
     pub(crate) fn undo(&mut self, writes: &mut Vec<Slot>) {
@@ -95,15 +91,6 @@ pub(crate) enum KeySource {
     /// The current value of a register (bound by an earlier operator or by
     /// the caller's initial bindings).
     Slot(Slot),
-}
-
-impl KeySource {
-    pub(crate) fn resolve<'a>(&'a self, regs: &'a Registers) -> Option<&'a Value> {
-        match self {
-            KeySource::Const(c) => Some(c),
-            KeySource::Slot(s) => regs.get(*s),
-        }
-    }
 }
 
 /// One component of a probe key bound to a snapshot: a constant's code

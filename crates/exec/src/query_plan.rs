@@ -49,8 +49,12 @@ pub struct QueryPlan {
     pub(crate) free_slots: Vec<Slot>,
     /// Slots every execution's base binds (see [`QueryPlan::compile_bound`]).
     params: Vec<Slot>,
-    /// Cost-model estimate of the total number of search nodes a full
-    /// execution visits (see [`QueryPlan::estimated_work`]).
+    /// Cost-model estimate of the number of search nodes a full execution
+    /// visits: the running product of the per-step candidate estimates,
+    /// summed over the steps. An *estimate*, never consulted for
+    /// correctness: `answers` runs the batch join unless it exceeds the
+    /// memory bound [`QUERY_VEC_MAX`], past which a batch join could
+    /// materialize unbounded intermediates.
     estimated_work: f64,
 }
 
@@ -148,16 +152,6 @@ impl QueryPlan {
             params,
             estimated_work,
         }
-    }
-
-    /// Cost-model estimate of the number of search nodes a full execution
-    /// visits: the running product of the per-step candidate estimates,
-    /// summed over the steps. An *estimate*, never consulted for
-    /// correctness: `answers` runs the batch join unless it exceeds the
-    /// memory bound [`QUERY_VEC_MAX`], past which a batch join could
-    /// materialize unbounded intermediates.
-    pub fn estimated_work(&self) -> f64 {
-        self.estimated_work
     }
 
     /// Binds the plan to an index snapshot, resolving every probe handle, so
@@ -494,7 +488,7 @@ mod tests {
         let index = db.index();
         let plan = QueryPlan::compile(&q, Some(index.statistics()));
         assert_eq!(plan.len(), 2);
-        assert!(QueryPlan::compile(&q, None).estimated_work() >= 1.0);
+        assert!(QueryPlan::compile(&q, None).estimated_work >= 1.0);
         assert_eq!(plan.satisfies(&db), naive::satisfies(&db, &q));
         let mut compiled: Vec<String> = (plan.prepare(&index).all_valuations())
             .iter()
@@ -642,7 +636,7 @@ mod tests {
         let q = ConjunctiveQuery::boolean(schema.clone(), Vec::new()).unwrap();
         let plan = QueryPlan::compile(&q, None);
         assert!(plan.is_empty());
-        assert!(plan.estimated_work() >= 0.0);
+        assert!(plan.estimated_work >= 0.0);
         let db = UncertainDatabase::new(schema);
         assert!(plan.satisfies(&db));
         assert_eq!(plan.prepare(&db.index()).all_valuations().len(), 1);

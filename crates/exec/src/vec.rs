@@ -1,9 +1,9 @@
 //! Vectorized block-at-a-time execution.
 //!
-//! The row-at-a-time interpreters in [`crate::fo_plan`] and
-//! [`crate::query_plan`] walk one candidate fact at a time through a
-//! register file, cloning and hashing [`Value`]s at every step. This module
-//! re-executes the *same compiled plans* on **batches of dense codes**:
+//! The row-at-a-time join engine in [`crate::query_plan`] walks one
+//! candidate fact at a time through a register file, cloning and hashing
+//! [`Value`]s at every step. This module executes the *same compiled plans*
+//! on **batches of dense codes**:
 //!
 //! * values become `u32` dictionary codes ([`cqa_data::Columnar`],
 //!   materialized once per snapshot);
@@ -17,11 +17,11 @@
 //! * `¬` is a sorted-set difference of selection vectors (the anti-join
 //!   form), `all`/`any` narrow/union selections.
 //!
-//! Operators with no batch kernel (`∃-column`, `∃-domain`, `∀-domain`) fall
-//! back to the row interpreter *per batch row*, and so do candidate tuples
-//! whose values have no dictionary code — the plans guarantee both paths
-//! agree, and this module's tests pin the row kernel against the batch
-//! kernels.
+//! Every operator a [`crate::FoPlan`] compiles to has a batch kernel here:
+//! plans compile only the guarded form of Theorem 1's rewritings, so there
+//! is no unguarded quantifier to fall back on. A candidate tuple whose
+//! values have no dictionary code is decided without evaluation (see
+//! [`PreparedFo::eval_tuples`]).
 //!
 //! Each plan kind has one executor, chosen by what it is, not by a knob:
 //! every [`PreparedFo`] evaluation runs here; [`PreparedQuery::answers`]
@@ -39,11 +39,11 @@ use cqa_query::Variable;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The join memory bound: a [`crate::QueryPlan`] whose
-/// [`estimated_work`](crate::QueryPlan::estimated_work) exceeds it streams
-/// its `answers` through the row engine, because its batch join's
-/// intermediates could outgrow memory. This is the one executor choice a
-/// plan makes; it is computed from the plan and cannot be set.
+/// The join memory bound: a [`crate::QueryPlan`] whose cost-model estimate
+/// of its search nodes exceeds it streams its `answers` through the row
+/// engine, because its batch join's intermediates could outgrow memory.
+/// This is the one executor choice a plan makes; it is computed from the
+/// plan and cannot be set.
 pub const QUERY_VEC_MAX: f64 = 5.0e7;
 /// Root candidates are processed in chunks of this size so a batch join's
 /// intermediates stay bounded.
@@ -130,46 +130,38 @@ impl Batch {
 }
 
 /// A vectorized operator: mirrors [`FoOp`] with probes lowered to codes.
-/// Operators without a batch kernel keep a reference to their row form and
-/// evaluate row-at-a-time per surviving batch row.
-pub(crate) enum VOp<'p> {
+pub(crate) enum VOp {
     Bool(bool),
     Eq(VSrc, VSrc),
     Lookup(VProbe),
-    Not(Box<VOp<'p>>),
-    All(Vec<VOp<'p>>),
-    Any(Vec<VOp<'p>>),
+    Not(Box<VOp>),
+    All(Vec<VOp>),
+    Any(Vec<VOp>),
     /// `carry` is the column-pruning set: the bound parent slots the body
     /// subtree actually reads, the only columns gathered into child batches.
     ExistsScan {
         probe: VProbe,
         carry: Vec<Slot>,
-        body: Box<VOp<'p>>,
+        body: Box<VOp>,
     },
     ForallBlock {
         probe: VProbe,
         carry: Vec<Slot>,
-        body: Box<VOp<'p>>,
+        body: Box<VOp>,
     },
-    Fallback(&'p FoOp),
 }
 
 /// The vectorized form of one [`crate::FoPlan`], built at prepare time
 /// against one snapshot (constants resolved to codes, probes to code
 /// indexes).
-pub(crate) struct VecFo<'p> {
-    pub(crate) root: VOp<'p>,
+pub(crate) struct VecFo {
+    pub(crate) root: VOp,
 }
 
-impl<'p> VecFo<'p> {
-    pub(crate) fn build(
-        root: &'p FoOp,
-        index: &DatabaseIndex,
-        nslots: usize,
-        bound: &[Option<BoundProbe>],
-    ) -> VecFo<'p> {
+impl VecFo {
+    pub(crate) fn build(root: &FoOp, index: &DatabaseIndex, bound: &[Option<BoundProbe>]) -> VecFo {
         VecFo {
-            root: build_vop(root, index, nslots, bound).0,
+            root: build_vop(root, index, bound).0,
         }
     }
 }
@@ -205,14 +197,9 @@ fn probe_slots(probe: &VProbe) -> Vec<Slot> {
     out
 }
 
-/// Lowers one row operator; the second component is the set of parent
+/// Lowers one plan operator; the second component is the set of parent
 /// slots the operator's subtree reads (its column-pruning footprint).
-fn build_vop<'p>(
-    op: &'p FoOp,
-    index: &DatabaseIndex,
-    nslots: usize,
-    bound: &[Option<BoundProbe>],
-) -> (VOp<'p>, Vec<Slot>) {
+fn build_vop(op: &FoOp, index: &DatabaseIndex, bound: &[Option<BoundProbe>]) -> (VOp, Vec<Slot>) {
     let dict = index.columnar().dictionary();
     let src = |s: &KeySource| match s {
         KeySource::Const(c) => VSrc::Code(dict.code_of(c)),
@@ -242,7 +229,7 @@ fn build_vop<'p>(
             (VOp::Lookup(probe), needed)
         }
         FoOp::Not(inner) => {
-            let (inner, needed) = build_vop(inner, index, nslots, bound);
+            let (inner, needed) = build_vop(inner, index, bound);
             (VOp::Not(Box::new(inner)), needed)
         }
         FoOp::All(parts) => {
@@ -250,7 +237,7 @@ fn build_vop<'p>(
             let parts = parts
                 .iter()
                 .map(|p| {
-                    let (part, n) = build_vop(p, index, nslots, bound);
+                    let (part, n) = build_vop(p, index, bound);
                     needed = merge_slots(std::mem::take(&mut needed), &n);
                     part
                 })
@@ -262,7 +249,7 @@ fn build_vop<'p>(
             let parts = parts
                 .iter()
                 .map(|p| {
-                    let (part, n) = build_vop(p, index, nslots, bound);
+                    let (part, n) = build_vop(p, index, bound);
                     needed = merge_slots(std::mem::take(&mut needed), &n);
                     part
                 })
@@ -271,7 +258,7 @@ fn build_vop<'p>(
         }
         FoOp::ExistsScan { spec, body } => {
             let probe = VProbe::build(spec, index, bound[spec.probe_id].as_ref());
-            let (body, carry) = build_vop(body, index, nslots, bound);
+            let (body, carry) = build_vop(body, index, bound);
             let needed = merge_slots(probe_slots(&probe), &carry);
             (
                 VOp::ExistsScan {
@@ -284,7 +271,7 @@ fn build_vop<'p>(
         }
         FoOp::ForallBlock { spec, body } => {
             let probe = VProbe::build(spec, index, bound[spec.probe_id].as_ref());
-            let (body, carry) = build_vop(body, index, nslots, bound);
+            let (body, carry) = build_vop(body, index, bound);
             let needed = merge_slots(probe_slots(&probe), &carry);
             (
                 VOp::ForallBlock {
@@ -295,23 +282,6 @@ fn build_vop<'p>(
                 needed,
             )
         }
-        FoOp::ExistsColumn { .. } | FoOp::ExistsDomain { .. } | FoOp::ForallDomain { .. } => {
-            // The row fallback materializes every bound column into
-            // registers, so its footprint is conservatively all slots.
-            (VOp::Fallback(op), (0..nslots).collect())
-        }
-    }
-}
-
-/// `[vec]`/`[row]` marker for one operator in `explain` output: whether the
-/// node has a batch kernel or runs its row fallback inside the vectorized
-/// executor.
-pub(crate) fn fo_op_marker(op: &FoOp) -> &'static str {
-    match op {
-        FoOp::ExistsColumn { .. } | FoOp::ExistsDomain { .. } | FoOp::ForallDomain { .. } => {
-            "[row]"
-        }
-        _ => "[vec]",
     }
 }
 
@@ -528,7 +498,7 @@ impl VecCtx<'_, '_> {
 
     /// Evaluates `op` over the rows `sel` (ascending) of `batch`, returning
     /// the ascending subset of rows where the operator holds.
-    fn eval(&self, op: &VOp<'_>, batch: &Batch, sel: Vec<u32>) -> Vec<u32> {
+    fn eval(&self, op: &VOp, batch: &Batch, sel: Vec<u32>) -> Vec<u32> {
         if sel.is_empty() {
             return sel;
         }
@@ -634,28 +604,6 @@ impl VecCtx<'_, '_> {
             VOp::ForallBlock { probe, carry, body } => {
                 self.eval_quantifier(false, probe, carry, body, batch, &sel)
             }
-            VOp::Fallback(op) => {
-                // Row fallback: materialize the bound columns as register
-                // values and run the row interpreter per surviving row.
-                if let Some(cell) =
-                    crate::fo_plan::fo_op_trace_id(op).and_then(|id| self.trace_cell(id))
-                {
-                    cell.add_fallback_rows(sel.len() as u64);
-                }
-                let dict = self.columnar.dictionary();
-                let nslots = batch.cols.len();
-                let bound: Vec<Slot> = (0..nslots).filter(|&s| batch.cols[s].is_some()).collect();
-                let mut regs = Registers::new(nslots);
-                sel.into_iter()
-                    .filter(|&row| {
-                        for &slot in &bound {
-                            let code = col_code(batch, slot, row).expect("bound column");
-                            regs.set_coded(slot, dict.value(code).clone(), code);
-                        }
-                        self.prepared.eval_op(op, &mut regs)
-                    })
-                    .collect()
-            }
         }
     }
 
@@ -679,7 +627,7 @@ impl VecCtx<'_, '_> {
         exists: bool,
         probe: &VProbe,
         carry: &[Slot],
-        body: &VOp<'_>,
+        body: &VOp,
         parent: &Batch,
         sel: &[u32],
     ) -> Vec<u32> {
@@ -903,9 +851,9 @@ pub(crate) fn eval_sentence(prepared: &PreparedFo<'_>) -> bool {
 }
 
 /// Vectorized batch evaluation of an open formula over `tuples`:
-/// `out[i]` ⇔ the formula holds under `vars ↦ tuples[i]`. Tuples carrying
-/// values outside the active domain run the row kernel
-/// ([`PreparedFo::eval_tuple_row`]; their codes do not exist).
+/// `out[i]` ⇔ the formula holds under `vars ↦ tuples[i]`. A tuple carrying
+/// a value outside the active domain is `false` without evaluation
+/// ([`PreparedFo::eval_tuples`] states why).
 pub(crate) fn eval_tuples(
     prepared: &PreparedFo<'_>,
     vars: &[Variable],
@@ -930,39 +878,30 @@ pub(crate) fn eval_tuples(
     for slot in slot_for.iter().flatten() {
         cols[*slot] = Some(Vec::with_capacity(tuples.len()));
     }
-    let mut foreign: Vec<usize> = Vec::new();
+    // Only tuples whose bound values all have codes are selected; a
+    // foreign value's row keeps a placeholder code and stays `false`.
+    let mut sel: Vec<u32> = Vec::with_capacity(tuples.len());
     for (row, tuple) in tuples.iter().enumerate() {
-        let mut ok = true;
+        let mut coded = true;
         for (value, slot) in tuple.iter().zip(&slot_for) {
             let Some(slot) = slot else { continue };
-            let code = match dict.code_of(value) {
-                Some(code) => code,
-                None => {
-                    ok = false;
-                    0
-                }
-            };
-            cols[*slot].as_mut().expect("allocated above").push(code);
+            let code = dict.code_of(value);
+            coded &= code.is_some();
+            (cols[*slot].as_mut().expect("allocated above")).push(code.unwrap_or(0));
         }
-        if !ok {
-            foreign.push(row);
+        if coded {
+            sel.push(row as u32);
         }
     }
     let batch = Batch {
         len: tuples.len(),
         cols,
     };
-    let sel: Vec<u32> = (0..tuples.len() as u32)
-        .filter(|r| !foreign.contains(&(*r as usize)))
-        .collect();
     let ctx = VecCtx { prepared, columnar };
     let survived = ctx.eval(&vec_fo.root, &batch, sel);
     let mut out = vec![false; tuples.len()];
     for row in survived {
         out[row as usize] = true;
-    }
-    for row in foreign {
-        out[row] = prepared.eval_tuple_row(vars, &tuples[row]);
     }
     out
 }
@@ -1047,35 +986,16 @@ mod tests {
 
     fn compile(formula: &FoFormula, db: &UncertainDatabase) -> FoPlan {
         FoPlan::compile(formula, db.schema(), Some(db.index().statistics()))
+            .expect("a guarded formula")
     }
 
-    /// The sentence's verdict from the row kernel alone (`eval_op` on the
-    /// plan root) and from the vectorized executor.
-    fn row_and_vec(formula: &FoFormula, db: &UncertainDatabase) -> (bool, bool) {
-        let plan = compile(formula, db);
-        let prepared = plan.prepare(&db.index());
-        let row = prepared.eval_op(&plan.root, &mut Registers::new(plan.slots.len()));
-        (row, eval_sentence(&prepared))
-    }
-
-    /// Per-tuple verdicts of an open formula from the row kernel alone and
-    /// from one vectorized batch.
-    fn tuples_row_and_vec(
-        formula: &FoFormula,
-        db: &UncertainDatabase,
-        vars: &[Variable],
-        tuples: &[Vec<Value>],
-    ) -> (Vec<bool>, Vec<bool>) {
-        let plan = compile(formula, db);
-        let prepared = plan.prepare(&db.index());
-        let row = (tuples.iter())
-            .map(|tuple| prepared.eval_tuple_row(vars, tuple))
-            .collect();
-        (row, eval_tuples(&prepared, vars, tuples))
+    /// The sentence's verdict from the vectorized executor.
+    fn verdict(formula: &FoFormula, db: &UncertainDatabase) -> bool {
+        eval_sentence(&compile(formula, db).prepare(&db.index()))
     }
 
     #[test]
-    fn vectorized_sentences_match_the_row_engine() {
+    fn vectorized_sentences_give_their_verdicts() {
         let db = db();
         let r = db.schema().relation_id("R").unwrap();
         let s = db.schema().relation_id("S").unwrap();
@@ -1130,130 +1050,15 @@ mod tests {
             ]),
             // Constant equality outside the active domain (value compare).
             FoFormula::Equals(Term::constant("zz"), Term::constant("zz")),
-            // ∀x ¬R(x,x) — unguarded ∀-domain: the row fallback inside the
-            // vectorized executor.
-            FoFormula::forall(
-                vec![cqa_query::Variable::new("x")],
-                FoFormula::Not(Box::new(FoFormula::atom(r, vec![x(), x()]))),
-            ),
         ];
-        for (i, sentence) in sentences.iter().enumerate() {
-            let (row, vec) = row_and_vec(sentence, &db);
-            assert_eq!(row, vec, "sentence {i}");
+        let expected = [true, true, false, true, true, true, true];
+        for (i, (sentence, expected)) in sentences.iter().zip(expected).enumerate() {
+            assert_eq!(verdict(sentence, &db), expected, "sentence {i}");
         }
     }
 
     #[test]
-    fn fallback_operators_run_the_row_kernel_inside_the_batch_executor() {
-        let db = db();
-        let r = db.schema().relation_id("R").unwrap();
-        let s = db.schema().relation_id("S").unwrap();
-        let var = cqa_query::Variable::new;
-        let x = || Term::var("x");
-        let y = || Term::var("y");
-        let not = |f: FoFormula| FoFormula::Not(Box::new(f));
-        // (operator, sentence, verdict): each sentence lowers to the named
-        // operator, which has no batch kernel.
-        let cases = [
-            // ∃x (∃y R(x,y) ∧ ¬R(x,'1')) — no conjunct guards x, so x
-            // ranges over R's key column; x = 'c' witnesses.
-            (
-                "∃-column",
-                FoFormula::exists(
-                    vec![var("x")],
-                    FoFormula::and(vec![
-                        FoFormula::exists(vec![var("y")], FoFormula::atom(r, vec![x(), y()])),
-                        not(FoFormula::atom(r, vec![x(), Term::constant("1")])),
-                    ]),
-                ),
-                true,
-            ),
-            // ∃x (∃y R(x,y) ∧ ¬∃y R(x,y)) — a contradiction over the same
-            // column: false.
-            (
-                "∃-column",
-                FoFormula::exists(
-                    vec![var("x")],
-                    FoFormula::and(vec![
-                        FoFormula::exists(vec![var("y")], FoFormula::atom(r, vec![x(), y()])),
-                        not(FoFormula::exists(
-                            vec![var("y")],
-                            FoFormula::atom(r, vec![x(), y()]),
-                        )),
-                    ]),
-                ),
-                false,
-            ),
-            // ∃x ¬R(x,'1') — a negated body restricts nothing: ∃-domain.
-            (
-                "∃-domain",
-                FoFormula::exists(
-                    vec![var("x")],
-                    not(FoFormula::atom(r, vec![x(), Term::constant("1")])),
-                ),
-                true,
-            ),
-            // ∃x ¬(x = x) — false over any domain.
-            (
-                "∃-domain",
-                FoFormula::exists(vec![var("x")], not(FoFormula::Equals(x(), x()))),
-                false,
-            ),
-            // ∀x ¬R(x,x) — true: no R fact repeats its value.
-            (
-                "∀-domain",
-                FoFormula::forall(vec![var("x")], not(FoFormula::atom(r, vec![x(), x()]))),
-                true,
-            ),
-            // ∀x ¬S(x,'x') — false: S(1, x).
-            (
-                "∀-domain",
-                FoFormula::forall(
-                    vec![var("x")],
-                    not(FoFormula::atom(s, vec![x(), Term::constant("x")])),
-                ),
-                false,
-            ),
-        ];
-        for (operator, sentence, verdict) in &cases {
-            let text = compile(sentence, &db).explain();
-            assert!(text.contains(operator), "{operator} expected in\n{text}");
-            assert_eq!(
-                row_and_vec(sentence, &db),
-                (*verdict, *verdict),
-                "{operator}: {text}"
-            );
-        }
-    }
-
-    #[test]
-    fn a_batch_mixing_coded_and_foreign_tuples_matches_the_row_kernel() {
-        let db = db();
-        let r = db.schema().relation_id("R").unwrap();
-        // Open formula over v: ∀z ¬R(z, v) — "no R fact ends in v", a
-        // ∀-domain (row fallback) under a batch-bound free variable.
-        let open = FoFormula::forall(
-            vec![cqa_query::Variable::new("z")],
-            FoFormula::Not(Box::new(FoFormula::atom(
-                r,
-                vec![Term::var("z"), Term::var("v")],
-            ))),
-        );
-        assert!(compile(&open, &db).explain().contains("∀-domain"));
-        let vars = [cqa_query::Variable::new("v")];
-        // '1', '3', 'x' and 'a' have dictionary codes; 'zz' and 'qq' do not
-        // and take the row kernel, interleaved with coded rows.
-        let tuples: Vec<Vec<Value>> = ["1", "zz", "x", "3", "qq", "a"]
-            .iter()
-            .map(|v| vec![Value::str(*v)])
-            .collect();
-        let (row, vec) = tuples_row_and_vec(&open, &db, &vars, &tuples);
-        assert_eq!(row, vec);
-        assert_eq!(vec, [false, true, true, false, true, true]);
-    }
-
-    #[test]
-    fn vectorized_eval_tuples_matches_the_row_kernel() {
+    fn eval_tuples_decides_coded_and_foreign_tuples() {
         let db = db();
         let r = db.schema().relation_id("R").unwrap();
         // Open formula over x: ∃y R(x, y) ∧ ¬R(x, '2').
@@ -1268,15 +1073,15 @@ mod tests {
             ))),
         ]);
         let vars = [cqa_query::Variable::new("x")];
-        // 'zz' is outside the active domain: exercises the foreign-row
-        // fallback inside the batch path.
-        let tuples: Vec<Vec<Value>> = ["a", "b", "c", "zz"]
+        // 'zz' and 'qq' are outside the active domain, interleaved with
+        // coded rows: false without evaluation.
+        let tuples: Vec<Vec<Value>> = ["zz", "a", "b", "qq", "c"]
             .iter()
             .map(|v| vec![Value::str(*v)])
             .collect();
-        let (row, vec) = tuples_row_and_vec(&open, &db, &vars, &tuples);
-        assert_eq!(row, vec);
-        assert_eq!(row, vec![false, true, true, false]);
+        let plan = compile(&open, &db);
+        let verdicts = eval_tuples(&plan.prepare(&db.index()), &vars, &tuples);
+        assert_eq!(verdicts, [false, false, true, false, true]);
     }
 
     #[test]
@@ -1325,24 +1130,7 @@ mod tests {
                 Term::constant("e"),
             ],
         );
-        assert_eq!(row_and_vec(&hit, &db), (true, true));
-        assert_eq!(row_and_vec(&miss, &db), (false, false));
-    }
-
-    #[test]
-    fn explain_marks_vectorized_and_row_operators() {
-        let db = db();
-        let r = db.schema().relation_id("R").unwrap();
-        let mixed = FoFormula::exists(
-            vec![cqa_query::Variable::new("x")],
-            FoFormula::Not(Box::new(FoFormula::atom(
-                r,
-                vec![Term::var("x"), Term::constant("1")],
-            ))),
-        );
-        let plan = FoPlan::compile(&mixed, db.schema(), None);
-        let text = plan.explain();
-        assert!(text.contains("[row]"), "{text}");
-        assert!(text.contains("[vec]"), "{text}");
+        assert!(verdict(&hit, &db));
+        assert!(!verdict(&miss, &db));
     }
 }

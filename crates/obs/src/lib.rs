@@ -13,9 +13,9 @@
 //!   [render](Snapshot::render) API (the future server's metrics
 //!   endpoint, the CLI's `certainty stats`, and `serve`'s `\stats`);
 //! * [`TraceSink`] — per-operator execution tracing (rows scanned,
-//!   probes, matches, quantifier waves, row-fallback triggers, wall
-//!   time), installed explicitly per prepared plan by `cqa-exec` — the
-//!   backing store of `certainty explain --analyze`.
+//!   probes, matches, quantifier waves, wall time), installed explicitly
+//!   per prepared plan by `cqa-exec` — the backing store of
+//!   `certainty explain --analyze`.
 //!
 //! ## Cost model of the instrumentation
 //!

@@ -10,12 +10,9 @@
 //!
 //! The event taxonomy mirrors what the engine's operators actually do:
 //! *invocations* (operator entries / probes issued), *rows* (candidate
-//! facts, column keys or domain values scanned), *matches* (candidates
-//! that unified / batch rows that survived — the selection-vector sizes of
-//! the vectorized path), *waves* (vectorized quantifier scheduling
-//! rounds), and *fallback rows* (batch rows routed through the row
-//! interpreter). Sink-level totals record wall time and which executor
-//! ran.
+//! facts scanned), *matches* (candidates that unified / batch rows that
+//! survived — the selection-vector sizes of the vectorized path) and
+//! *waves* (vectorized quantifier scheduling rounds). Sink-level totals record wall time and which executor ran.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -28,7 +25,6 @@ pub struct OpTrace {
     rows: AtomicU64,
     matches: AtomicU64,
     waves: AtomicU64,
-    fallback_rows: AtomicU64,
 }
 
 impl OpTrace {
@@ -39,7 +35,7 @@ impl OpTrace {
         self.invocations.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts candidate rows, column keys or domain values scanned.
+    /// Counts candidate rows scanned.
     #[inline]
     pub fn add_rows(&self, n: u64) {
         self.rows.fetch_add(n, Ordering::Relaxed);
@@ -56,12 +52,6 @@ impl OpTrace {
     #[inline]
     pub fn add_waves(&self, n: u64) {
         self.waves.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts batch rows decided by the row-interpreter fallback.
-    #[inline]
-    pub fn add_fallback_rows(&self, n: u64) {
-        self.fallback_rows.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Operator entries / probes issued.
@@ -84,18 +74,9 @@ impl OpTrace {
         self.waves.load(Ordering::Relaxed)
     }
 
-    /// Rows decided via the row-interpreter fallback.
-    pub fn fallback_rows(&self) -> u64 {
-        self.fallback_rows.load(Ordering::Relaxed)
-    }
-
     /// True iff no event was recorded on this operator.
     pub fn is_empty(&self) -> bool {
-        self.invocations() == 0
-            && self.rows() == 0
-            && self.matches() == 0
-            && self.waves() == 0
-            && self.fallback_rows() == 0
+        self.invocations() == 0 && self.rows() == 0 && self.matches() == 0 && self.waves() == 0
     }
 }
 
@@ -182,17 +163,15 @@ mod tests {
         sink.op(1).add_rows(10);
         sink.op(1).add_matches(4);
         sink.op(1).add_waves(2);
-        sink.op(1).add_fallback_rows(1);
         let cell = sink.op(1);
         assert_eq!(
             (
                 cell.invocations(),
                 cell.rows(),
                 cell.matches(),
-                cell.waves(),
-                cell.fallback_rows()
+                cell.waves()
             ),
-            (1, 10, 4, 2, 1)
+            (1, 10, 4, 2)
         );
         assert!(!cell.is_empty());
         assert!(sink.op(0).is_empty());

@@ -55,7 +55,7 @@ proptest! {
             alternative_join_probability: 0.5,
         }).generate();
         let index = db.index();
-        let plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics()));
+        let plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics())).unwrap();
         let plain = plan.prepare(&index);
         let sink = Arc::new(TraceSink::new(plan.trace_ops()));
         let traced = plan.prepare(&index).with_trace(sink.clone());

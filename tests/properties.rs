@@ -123,6 +123,93 @@ fn catalog_classification_is_invariant_under_grounding() {
     }
 }
 
+/// The rewriting shapes `every_rewriting_compiles_to_a_guarded_plan` draws
+/// from one query: Boolean, the variables picked by `mask` free, the first
+/// variable replaced by a constant, and the second variable renamed to the
+/// first (a repeated variable), each of the last two keeping `mask`'s free
+/// variables.
+fn rewriting_shapes(q: &ConjunctiveQuery, mask: u64) -> Vec<(&'static str, ConjunctiveQuery)> {
+    use cqa::query::{Atom, Term, Variable};
+    let vars: Vec<Variable> = q.vars().into_iter().collect();
+    let free: Vec<Variable> = (vars.iter().enumerate())
+        .filter(|(i, _)| mask >> (i % 64) & 1 == 1)
+        .map(|(_, v)| v.clone())
+        .collect();
+    let open = ConjunctiveQuery::with_free_vars(q.schema().clone(), q.atoms().to_vec(), free)
+        .expect("free variables of the query's own atoms");
+    let mut shapes = vec![("Boolean", q.clone())];
+    let constant =
+        cqa::query::substitute::substitute_var(&open, &vars[0], &cqa_data::Value::str("k"));
+    shapes.push(("open", open.clone()));
+    shapes.push(("constant", constant));
+    if let [first, second, ..] = &vars[..] {
+        let rename = |v: &Variable| {
+            if v == second {
+                first.clone()
+            } else {
+                v.clone()
+            }
+        };
+        let atoms: Vec<Atom> = (q.atoms().iter())
+            .map(|atom| {
+                let terms: Vec<Term> = (atom.terms().iter())
+                    .map(|t| match t {
+                        Term::Var(v) => Term::Var(rename(v)),
+                        Term::Const(_) => t.clone(),
+                    })
+                    .collect();
+                Atom::new(atom.relation(), terms)
+            })
+            .collect();
+        let mut free: Vec<Variable> = open.free_vars().iter().map(rename).collect();
+        free.dedup();
+        let repeated = ConjunctiveQuery::with_free_vars(q.schema().clone(), atoms, free)
+            .expect("renaming keeps free variables in atoms");
+        shapes.push(("repeated variable", repeated));
+    }
+    shapes
+}
+
+/// Every certain rewriting compiles: `FoPlan::compile` accepts only the
+/// guarded form, and Theorem 1's rewritings always have it — for every
+/// catalog query and 1,000 generated acyclic queries, as Boolean queries,
+/// with free variables, with a constant and with a repeated variable.
+#[test]
+fn every_rewriting_compiles_to_a_guarded_plan() {
+    let mut queries: Vec<(String, ConjunctiveQuery, u64)> = Vec::new();
+    for entry in catalog::all() {
+        for mask in [0b1, 0b10, 0b101, u64::MAX] {
+            queries.push((entry.name.to_string(), entry.query.clone(), mask));
+        }
+    }
+    for seed in 0..1_000u64 {
+        let q = random_acyclic_query(seed, 1 + (seed % 6) as usize, 4);
+        queries.push((
+            format!("draw {seed}"),
+            q,
+            seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 17,
+        ));
+    }
+    let mut compiled: std::collections::BTreeMap<&str, usize> = Default::default();
+    for (name, q, mask) in &queries {
+        for (shape, shaped) in rewriting_shapes(q, *mask) {
+            let Ok(formula) = cqa::core::fo::certain_rewriting_open(&shaped) else {
+                continue;
+            };
+            if let Err(e) = FoPlan::compile(&formula, shaped.schema(), None) {
+                panic!("{name}, {shape}: {shaped} does not compile: {e}");
+            }
+            *compiled.entry(shape).or_default() += 1;
+        }
+    }
+    for shape in ["Boolean", "open", "constant", "repeated variable"] {
+        assert!(
+            compiled.get(shape).copied().unwrap_or(0) >= 950,
+            "{shape}: {compiled:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -430,7 +517,7 @@ proptest! {
         // Rewriting side: the compiled FO plan vs the model checker and the
         // interpreted elimination recursion (three-way agreement).
         let solver = RewritingSolver::new(&q).unwrap();
-        let fo_plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics()));
+        let fo_plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics())).unwrap();
         let compiled_verdict = fo_plan.prepare(&index).eval();
         prop_assert_eq!(compiled_verdict, evaluate_sentence(solver.formula(), &db),
             "fo plan vs model checker, {} seed {}\n{}", entry.name, seed, fo_plan.explain());
@@ -589,7 +676,7 @@ proptest! {
             // Boolean rewriting: the compiled plan vs the generic model
             // checker vs the interpreted rewriting.
             let solver = RewritingSolver::new(&q).unwrap();
-            let fo_plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics()));
+            let fo_plan = FoPlan::compile(solver.formula(), q.schema(), Some(index.statistics())).unwrap();
             let verdict = fo_plan.prepare(&index).eval();
             prop_assert_eq!(verdict, evaluate_sentence(solver.formula(), &db),
                 "is_certain vs model checker, {} seed {}\n{}", name, seed, fo_plan.explain());
@@ -625,6 +712,35 @@ proptest! {
             prop_assert!(engine.open_plan(&db).is_some());
             prop_assert_eq!(&engine.certain_of(&db, &candidates).unwrap(), &reference,
                 "certain_of, {} seed {}", name, seed);
+
+            // Two free variables: tuples mixing a coded and a foreign value
+            // are answered without evaluation, as the reference agrees.
+            let second = q.vars().into_iter().find(|v| v.name() != "x")
+                .expect("every catalog query here has a second variable");
+            let free_q2 = cqa::query::ConjunctiveQuery::with_free_vars(
+                q.schema().clone(),
+                q.atoms().to_vec(),
+                vec![cqa::query::Variable::new("x"), second],
+            ).unwrap();
+            // Each possible answer (a, b) is joined by (a, foreign) and
+            // (foreign, b).
+            let foreign = cqa_data::Value::str("__foreign__");
+            let answers2 = QueryPlan::compile(&free_q2, Some(index.statistics()))
+                .prepare(&index)
+                .answers();
+            let mut candidates2 = answers2.clone();
+            for t in &answers2 {
+                candidates2.insert(vec![t[0].clone(), foreign.clone()]);
+                candidates2.insert(vec![foreign.clone(), t[1].clone()]);
+            }
+            let reference2: std::collections::BTreeSet<Vec<cqa_data::Value>> = candidates2.iter()
+                .filter(|t| grounded_verdict(&free_q2, t, &db))
+                .cloned()
+                .collect();
+            let engine2 = CertainAnswersEngine::new(&free_q2).unwrap();
+            prop_assert!(engine2.open_plan(&db).is_some());
+            prop_assert_eq!(&engine2.certain_of(&db, &candidates2).unwrap(), &reference2,
+                "certain_of over two free variables, {} seed {}", name, seed);
         } else {
             // Fallback boundary: the per-candidate path's verdicts must
             // match the reference.
@@ -880,7 +996,7 @@ proptest! {
         prop_assert_eq!(&bytes, &cqa_data::store::save_to_vec(&loaded),
             "save-load-save not byte stable, {} seed {}", name, seed);
         let solver = RewritingSolver::new(&q).unwrap();
-        let fo_plan = FoPlan::compile(solver.formula(), q.schema(), None);
+        let fo_plan = FoPlan::compile(solver.formula(), q.schema(), None).unwrap();
         let loaded_index = loaded.index();
         let free_q = cqa::query::ConjunctiveQuery::with_free_vars(
             q.schema().clone(),
