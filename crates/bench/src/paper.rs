@@ -13,7 +13,7 @@
 
 use crate::{micros, scaled_cycle_instance, scaled_instance, time_it};
 use cqa_core::answers::certain_answers;
-use cqa_core::attack::{AttackGraph, CycleAnalysis};
+use cqa_core::attack::{elementary_cycles, AttackGraph, CycleAnalysis};
 use cqa_core::classify::{classify, ComplexityClass};
 use cqa_core::fo::{certain_rewriting, eval::evaluate_sentence, sql::to_sql};
 use cqa_core::reductions::Theorem2Reduction;
@@ -194,13 +194,14 @@ pub fn e3() -> Section {
     let q = catalog::fig4().query;
     let graph = AttackGraph::build(&q).unwrap();
     let analysis = CycleAnalysis::analyze(&graph);
-    sec.check("number of attack cycles", 3, analysis.cycles().len());
+    let cycles = elementary_cycles(&graph);
+    sec.check("number of attack cycles", 3, cycles.len());
     sec.check("all cycles weak", true, analysis.all_cycles_weak());
     sec.check("all cycles terminal", true, analysis.all_cycles_terminal());
     sec.check(
         "all cycles have length 2 (Lemma 6)",
         true,
-        analysis.cycles().iter().all(|c| c.len() == 2),
+        cycles.iter().all(|c| c.len() == 2),
     );
     sec.check(
         "classification (Theorem 3)",
@@ -227,7 +228,7 @@ pub fn e4() -> Section {
     sec.check(
         "no cycle terminal",
         true,
-        analysis.cycles().iter().all(|c| !c.terminal),
+        elementary_cycles(&graph).iter().all(|c| !c.terminal),
     );
     sec.check(
         "classification (Theorem 4)",

@@ -1,7 +1,7 @@
 //! Attack graphs (Definitions 3–5).
 
 use super::ClosureTable;
-use cqa_graph::{cycles, DiGraph, NodeId};
+use crate::csr::{strong_components, Csr};
 use cqa_query::{AtomId, ConjunctiveQuery, JoinTree, QueryError};
 use std::fmt;
 
@@ -45,9 +45,10 @@ pub struct AttackGraph {
     query: ConjunctiveQuery,
     join_tree: JoinTree,
     closures: ClosureTable,
+    /// Sorted by `(from, to)`.
     edges: Vec<AttackEdge>,
-    /// Adjacency view used for cycle analysis; node `i` = atom `i`.
-    digraph: DiGraph<AtomId>,
+    /// The attacked atoms of each atom, ascending: `edges` as adjacency.
+    successors: Csr,
 }
 
 impl AttackGraph {
@@ -61,10 +62,6 @@ impl AttackGraph {
         let closures = ClosureTable::compute(query)?;
         let index = closures.var_index().clone();
 
-        let mut digraph: DiGraph<AtomId> = DiGraph::new();
-        for id in query.atom_ids() {
-            digraph.add_node(id);
-        }
         let mut edges = Vec::new();
         for f in query.atom_ids() {
             for g in query.atom_ids() {
@@ -89,16 +86,18 @@ impl AttackGraph {
                         to: g,
                         strength,
                     });
-                    digraph.add_edge(NodeId::from_index(f), NodeId::from_index(g));
                 }
             }
         }
+        let arcs: Vec<(u32, u32)> = (edges.iter())
+            .map(|e| (e.from as u32, e.to as u32))
+            .collect();
         Ok(AttackGraph {
+            successors: Csr::new(query.len(), &arcs),
             query: query.clone(),
             join_tree,
             closures,
             edges,
-            digraph,
         })
     }
 
@@ -125,46 +124,44 @@ impl AttackGraph {
 
     /// True iff `from` attacks `to`.
     pub fn attacks(&self, from: AtomId, to: AtomId) -> bool {
-        self.digraph
-            .has_edge(NodeId::from_index(from), NodeId::from_index(to))
+        self.strength(from, to).is_some()
     }
 
     /// The strength of the attack `from ⇝ to`, if it exists.
     pub fn strength(&self, from: AtomId, to: AtomId) -> Option<AttackStrength> {
-        self.edges
-            .iter()
-            .find(|e| e.from == from && e.to == to)
-            .map(|e| e.strength)
+        let at = (self.edges).binary_search_by_key(&(from, to), |e| (e.from, e.to));
+        at.ok().map(|at| self.edges[at].strength)
     }
 
-    /// The atoms attacked by `from`.
+    /// The atoms attacked by `from`, ascending.
     pub fn attacked_by(&self, from: AtomId) -> Vec<AtomId> {
-        self.digraph
-            .successors(NodeId::from_index(from))
-            .iter()
-            .map(|n| n.index())
-            .collect()
+        let successors = self.successors.successors(from).iter();
+        successors.map(|&to| to as AtomId).collect()
+    }
+
+    /// The attack graph as adjacency lists (vertex `i` = atom `i`).
+    pub(crate) fn successors(&self) -> &Csr {
+        &self.successors
     }
 
     /// Atoms with no incoming attack (in-degree zero). The rewriting-based
     /// solvers repeatedly eliminate such atoms.
     pub fn unattacked_atoms(&self) -> Vec<AtomId> {
-        self.query
-            .atom_ids()
-            .filter(|&id| self.digraph.in_degree(NodeId::from_index(id)) == 0)
+        let mut attacked = vec![false; self.query.len()];
+        for e in &self.edges {
+            attacked[e.to] = true;
+        }
+        (self.query.atom_ids())
+            .filter(|&id| !attacked[id])
             .collect()
     }
 
-    /// True iff the attack graph contains no directed cycle.
+    /// True iff the attack graph contains no directed cycle: every strong
+    /// component is a single atom (no atom attacks itself).
     /// By Theorem 1 this is equivalent to `CERTAINTY(q)` being first-order
     /// expressible (for self-join-free queries).
     pub fn is_acyclic(&self) -> bool {
-        cycles::is_acyclic(&self.digraph)
-    }
-
-    /// The underlying directed graph (vertex `i` = atom `i`).
-    pub fn digraph(&self) -> &DiGraph<AtomId> {
-        &self.digraph
+        strong_components(&self.successors).1 == self.query.len()
     }
 
     /// A compact multi-line rendering, one `F -> G (strength)` line per edge.

@@ -22,5 +22,5 @@ mod cycles;
 mod graph;
 
 pub use closure::ClosureTable;
-pub use cycles::{CycleAnalysis, CycleInfo};
+pub use cycles::{elementary_cycles, CycleAnalysis, CycleInfo};
 pub use graph::{AttackEdge, AttackGraph, AttackStrength};

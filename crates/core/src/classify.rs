@@ -101,14 +101,17 @@ pub struct Classification {
     pub cycle_query_shape: Option<CycleQueryShape>,
 }
 
-/// Classifies `CERTAINTY(q)` for a Boolean conjunctive query without
-/// self-joins.
+/// Classifies `CERTAINTY(q)` for a conjunctive query without self-joins.
 ///
-/// Returns an error for non-Boolean queries or queries with self-joins
-/// (the paper's standing assumptions).
+/// An open query is classified as its frozen query, its free variables
+/// replaced by placeholder constants: the class of `q[x̄ ↦ ā]` is the same
+/// for every tuple `ā` (Lemma 5's substitution), and the evidence returned
+/// is the frozen query's. Returns an error for queries
+/// with self-joins (the paper's standing assumption).
 pub fn classify(query: &ConjunctiveQuery) -> Result<Classification, QueryError> {
-    query.require_boolean()?;
     query.require_self_join_free()?;
+    let frozen = frozen(query);
+    let query: &ConjunctiveQuery = &frozen;
 
     let shape = detect_cycle_query(query);
 
@@ -199,6 +202,18 @@ mod tests {
             class_of(&catalog::fo_path3().query),
             ComplexityClass::FirstOrderExpressible
         );
+        // An open query is classified as its frozen query: Figure 1's
+        // `which(x)`, and the swap query with one end free, whose frozen
+        // query keeps only one of the two attacks.
+        for q in [catalog::conference().query, catalog::c2_swap().query] {
+            let first = q.vars().into_iter().next().unwrap();
+            let atoms = q.atoms().to_vec();
+            let open = ConjunctiveQuery::with_free_vars(q.schema().clone(), atoms, vec![first]);
+            assert_eq!(
+                class_of(&open.unwrap()),
+                ComplexityClass::FirstOrderExpressible
+            );
+        }
     }
 
     #[test]
@@ -211,6 +226,13 @@ mod tests {
             class_of(&catalog::q0().query),
             ComplexityClass::CoNpComplete
         );
+        for n in [12, 24, 64] {
+            assert_eq!(
+                class_of(&star(n)),
+                ComplexityClass::CoNpComplete,
+                "star({n})"
+            );
+        }
     }
 
     #[test]
@@ -260,6 +282,25 @@ mod tests {
             ComplexityClass::PolynomialTime(PtimeReason::CycleQueryAc { k: 2 })
         );
         assert!(!c.cycles.unwrap().all_cycles_terminal());
+    }
+
+    /// The star query `R1(x1, y), ..., Rn(xn, y)`: every atom strongly
+    /// attacks every other, so its attack graph is complete and has at
+    /// least `(n - 1)!` elementary cycles.
+    fn star(n: usize) -> ConjunctiveQuery {
+        let mut schema = cqa_data::Schema::new();
+        for i in 1..=n {
+            schema.add_relation(format!("R{i}"), 2, 1).unwrap();
+        }
+        let mut builder = ConjunctiveQuery::builder(schema.into_shared());
+        for i in 1..=n {
+            let terms = [
+                cqa_query::Term::var(format!("x{i}")),
+                cqa_query::Term::var("y"),
+            ];
+            builder = builder.atom(&format!("R{i}"), terms);
+        }
+        builder.build().unwrap()
     }
 
     #[test]

@@ -32,6 +32,7 @@
 pub mod answers;
 pub mod attack;
 pub mod classify;
+mod csr;
 pub mod fo;
 pub mod purify;
 pub mod reductions;

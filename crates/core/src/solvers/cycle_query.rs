@@ -17,13 +17,16 @@
 //! splits into strong components with no edges between them, and a
 //! falsifying marking exists iff **every** strong component contains either
 //! a k-cycle that is not forbidden or an elementary cycle longer than `k`.
+//!
+//! The graph is read from the purified database's dictionary-coded
+//! columns: a vertex is a dense id of a `(position, code)` pair, the edges
+//! are one compressed adjacency array, the forbidden cycles are code vectors, and each
+//! component is searched in place, restricted by its component number.
 
 use super::CertaintySolver;
+use crate::csr::{strong_components, Csr};
 use crate::purify::purify;
 use cqa_data::{FxHashMap, FxHashSet, UncertainDatabase, Value};
-use cqa_graph::paths::{for_each_cycle_of_length, has_elementary_cycle_longer_than};
-use cqa_graph::scc::strongly_connected_components;
-use cqa_graph::{DiGraph, NodeId};
 use cqa_query::{AtomId, ConjunctiveQuery, QueryError, Term, Variable};
 
 /// The detected shape of a `C(k)` / `AC(k)` query.
@@ -126,8 +129,9 @@ pub fn detect_cycle_query(query: &ConjunctiveQuery) -> Option<CycleQueryShape> {
 enum Forbidden {
     /// `C(k)`: every k-cycle is a query match, so every k-cycle is forbidden.
     All,
-    /// `AC(k)`: exactly the cycles encoded by the `Sk` facts.
-    Encoded(FxHashSet<Vec<Value>>),
+    /// `AC(k)`: exactly the cycles encoded by the `Sk` facts, as the codes
+    /// of their constants in cycle-position order.
+    Encoded(FxHashSet<Vec<u32>>),
 }
 
 /// Polynomial-time certainty solver for `C(k)` and `AC(k)` queries.
@@ -156,32 +160,29 @@ impl CycleQuerySolver {
     /// Runs the Theorem 4 decision procedure on a purified database.
     fn decide_purified(&self, db: &UncertainDatabase) -> bool {
         let k = self.shape.k;
-        // One index snapshot serves every per-relation pass below; the
-        // k-partite graph and the forbidden-cycle set are then built without
-        // re-scanning the blocks of the other relations.
         let index = db.index();
 
-        // Vertices are (cycle position, constant); edges come from the Ri facts.
-        let mut graph: DiGraph<(usize, Value)> = DiGraph::new();
-        let mut ids: FxHashMap<(usize, Value), NodeId> = FxHashMap::default();
-        let mut node = |graph: &mut DiGraph<(usize, Value)>, key: (usize, Value)| -> NodeId {
-            match ids.get(&key) {
-                Some(&id) => id,
-                None => {
-                    let id = graph.add_node(key.clone());
-                    ids.insert(key, id);
-                    id
-                }
-            }
+        // Vertices are dense ids of (cycle position, code) pairs; edges come
+        // from the Ri facts.
+        let mut ids: FxHashMap<(usize, u32), u32> = FxHashMap::default();
+        let mut position: Vec<usize> = Vec::new();
+        let mut code: Vec<u32> = Vec::new();
+        let mut vertex = |pos: usize, c: u32| -> u32 {
+            *ids.entry((pos, c)).or_insert_with(|| {
+                position.push(pos);
+                code.push(c);
+                code.len() as u32 - 1
+            })
         };
+        let mut arcs = Vec::new();
         for (pos, &atom_id) in self.shape.r_atoms.iter().enumerate() {
-            let rel = self.query.atom(atom_id).relation();
-            for fact in index.relation_facts(rel) {
-                let from = node(&mut graph, (pos, fact.value(0).clone()));
-                let to = node(&mut graph, ((pos + 1) % k, fact.value(1).clone()));
-                graph.add_edge(from, to);
+            let columns = index.columns(self.query.atom(atom_id).relation());
+            for row in 0..columns.row_count() {
+                let row = columns.row(row);
+                arcs.push((vertex(pos, row[0]), vertex((pos + 1) % k, row[1])));
             }
         }
+        let graph = Csr::new(position.len(), &arcs);
 
         // Forbidden k-cycles.
         let forbidden = match self.shape.s_atom {
@@ -200,63 +201,196 @@ impl CycleQuerySolver {
                             .expect("S atom contains every cycle variable")
                     })
                     .collect();
-                let mut set = FxHashSet::default();
-                for fact in index.relation_facts(atom.relation()) {
-                    let vector: Vec<Value> =
-                        positions.iter().map(|&p| fact.value(p).clone()).collect();
-                    set.insert(vector);
-                }
-                Forbidden::Encoded(set)
+                let columns = index.columns(atom.relation());
+                let encoded = (0..columns.row_count()).map(|row| {
+                    let row = columns.row(row);
+                    positions.iter().map(|&p| row[p]).collect()
+                });
+                Forbidden::Encoded(encoded.collect())
             }
         };
 
         // Decompose into strong components; a falsifying marking exists iff
         // every component has a "good" cycle.
-        let scc = strongly_connected_components(&graph);
-        for component in &scc.components {
-            // Build the induced subgraph of this component.
-            let mut sub: DiGraph<(usize, Value)> = DiGraph::new();
-            let mut remap: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-            for &v in component {
-                let id = sub.add_node(graph.node(v).clone());
-                remap.insert(v, id);
-            }
-            for &v in component {
-                for &w in graph.successors(v) {
-                    if let Some(&rw) = remap.get(&w) {
-                        sub.add_edge(remap[&v], rw);
-                    }
-                }
-            }
-
+        let (component, count) = strong_components(&graph);
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); count];
+        for (v, &c) in component.iter().enumerate() {
+            members[c as usize].push(v as u32);
+        }
+        let mut search = ComponentSearch::new(&graph, &component, k);
+        let mut vector = Vec::with_capacity(k);
+        for (c, members) in members.iter().enumerate() {
+            search.component = c as u32;
             let good = match &forbidden {
-                Forbidden::All => has_elementary_cycle_longer_than(&sub, k),
+                Forbidden::All => search.has_cycle_longer_than_k(members),
                 Forbidden::Encoded(set) => {
-                    let mut found_unforbidden = false;
-                    for_each_cycle_of_length(&sub, k, |cycle| {
-                        // Rotate the cycle so it starts at position 0, then read
-                        // off the constants in cycle-position order.
-                        let start = cycle
-                            .iter()
-                            .position(|&n| sub.node(n).0 == 0)
+                    let mut unforbidden = |cycle: &[u32]| {
+                        // Rotate the cycle so it starts at position 0, then
+                        // read off the codes in cycle-position order.
+                        let start = (cycle.iter())
+                            .position(|&v| position[v as usize] == 0)
                             .expect("a k-cycle in the k-partite graph visits every position");
-                        let vector: Vec<Value> = (0..k)
-                            .map(|i| sub.node(cycle[(start + i) % k]).1.clone())
-                            .collect();
-                        if !set.contains(&vector) {
-                            found_unforbidden = true;
-                            true // stop early
-                        } else {
-                            false
-                        }
-                    });
-                    found_unforbidden || has_elementary_cycle_longer_than(&sub, k)
+                        vector.clear();
+                        vector.extend((0..k).map(|i| code[cycle[(start + i) % k] as usize]));
+                        !set.contains(&vector)
+                    };
+                    search.any_k_cycle(members, &mut unforbidden)
+                        || search.has_cycle_longer_than_k(members)
                 }
             };
             if !good {
                 // This component forces every repair to contain a forbidden
                 // (= query-matching) k-cycle: the query is certain.
                 return true;
+            }
+        }
+        false
+    }
+}
+
+/// The cycle searches of the proof of Theorem 4 inside one strong component
+/// of the k-partite graph: they follow only edges whose head lies in
+/// `component`, and reuse their buffers from one search to the next.
+struct ComponentSearch<'g> {
+    graph: &'g Csr,
+    /// The component number of each vertex.
+    component_of: &'g [u32],
+    /// The component searched.
+    component: u32,
+    k: usize,
+    /// The simple path being extended, and its vertices.
+    path: Vec<u32>,
+    on_path: Vec<bool>,
+    /// `seen[v] == stamp` iff the current return-path search reached or
+    /// excluded `v`.
+    seen: Vec<u32>,
+    stamp: u32,
+    frontier: Vec<u32>,
+}
+
+impl<'g> ComponentSearch<'g> {
+    fn new(graph: &'g Csr, component_of: &'g [u32], k: usize) -> Self {
+        ComponentSearch {
+            graph,
+            component_of,
+            component: 0,
+            k,
+            path: Vec::with_capacity(k + 1),
+            on_path: vec![false; graph.len()],
+            seen: vec![0; graph.len()],
+            stamp: 0,
+            frontier: Vec::new(),
+        }
+    }
+
+    fn inside(&self, v: u32) -> bool {
+        self.component_of[v as usize] == self.component
+    }
+
+    fn push(&mut self, v: u32) {
+        self.path.push(v);
+        self.on_path[v as usize] = true;
+    }
+
+    fn pop(&mut self) {
+        let v = self.path.pop().expect("a vertex to backtrack from");
+        self.on_path[v as usize] = false;
+    }
+
+    /// Calls `visit` on each elementary cycle of length exactly `k`, once,
+    /// as its vertices from the smallest one, and stops at the first call
+    /// that returns `true`: `O(|V|^k)` for fixed `k`, the bound the proof
+    /// uses ("the number of cycles of length k is at most |V|^k").
+    fn any_k_cycle(&mut self, members: &[u32], visit: &mut impl FnMut(&[u32]) -> bool) -> bool {
+        members.iter().any(|&start| {
+            self.push(start);
+            let found = self.close_k_cycle(start, visit);
+            self.pop();
+            found
+        })
+    }
+
+    fn close_k_cycle(&mut self, start: u32, visit: &mut impl FnMut(&[u32]) -> bool) -> bool {
+        let graph = self.graph;
+        let last = *self.path.last().expect("a non-empty path") as usize;
+        if self.path.len() == self.k {
+            return graph.successors(last).contains(&start) && visit(&self.path);
+        }
+        for &w in graph.successors(last) {
+            if w > start && self.inside(w) && !self.on_path[w as usize] {
+                self.push(w);
+                let found = self.close_k_cycle(start, visit);
+                self.pop();
+                if found {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Whether the component has an elementary cycle of length greater than
+    /// `k`, by the criterion of the proof of Theorem 4:
+    ///
+    /// > `Si` contains an elementary cycle of length greater than `k` iff
+    /// > `Si` contains a path `a1, a2, ..., ak, ak+1` such that
+    /// > `a1 != ak+1` and `Si` contains a path from `ak+1` to `a1` that
+    /// > contains no edge from `{a1, ..., ak} × V`.
+    ///
+    /// Enumerates the simple paths of `k` edges and, for each, searches for
+    /// the return path without traversing `a1, ..., ak`.
+    fn has_cycle_longer_than_k(&mut self, members: &[u32]) -> bool {
+        members.iter().any(|&start| {
+            self.push(start);
+            let found = self.extend_to_long_cycle();
+            self.pop();
+            found
+        })
+    }
+
+    fn extend_to_long_cycle(&mut self) -> bool {
+        let graph = self.graph;
+        let last = *self.path.last().expect("a non-empty path");
+        if self.path.len() == self.k + 1 {
+            return self.returns(last, self.path[0]);
+        }
+        for &w in graph.successors(last as usize) {
+            if self.inside(w) && !self.on_path[w as usize] {
+                self.push(w);
+                let found = self.extend_to_long_cycle();
+                self.pop();
+                if found {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// Whether `to` is reachable from `from` inside the component through
+    /// vertices other than the path's first `k` (which `to` is one of).
+    fn returns(&mut self, from: u32, to: u32) -> bool {
+        if self.stamp == u32::MAX {
+            self.seen.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let stamp = self.stamp;
+        for &v in &self.path[..self.k] {
+            self.seen[v as usize] = stamp;
+        }
+        self.seen[from as usize] = stamp;
+        self.frontier.clear();
+        self.frontier.push(from);
+        while let Some(v) = self.frontier.pop() {
+            for &w in self.graph.successors(v as usize) {
+                if w == to {
+                    return true;
+                }
+                if self.inside(w) && self.seen[w as usize] != stamp {
+                    self.seen[w as usize] = stamp;
+                    self.frontier.push(w);
+                }
             }
         }
         false
@@ -304,6 +438,40 @@ mod tests {
         db.insert_values("S3", ["a", "b'", "c"]).unwrap();
         db.insert_values("S3", ["a'", "b", "c"]).unwrap();
         db
+    }
+
+    /// The number of k-cycles of a strongly connected graph, and whether it
+    /// has an elementary cycle longer than `k`.
+    fn searched(n: u32, arcs: &[(u32, u32)], k: usize) -> (usize, bool) {
+        let graph = Csr::new(n as usize, arcs);
+        let component_of = vec![0; n as usize];
+        let members: Vec<u32> = (0..n).collect();
+        let mut search = ComponentSearch::new(&graph, &component_of, k);
+        let mut cycles = 0;
+        search.any_k_cycle(&members, &mut |_| {
+            cycles += 1;
+            false
+        });
+        (cycles, search.has_cycle_longer_than_k(&members))
+    }
+
+    #[test]
+    fn component_searches_on_small_graphs() {
+        // A directed 6-cycle: no 3-cycle, a cycle longer than 3 but none
+        // longer than 6.
+        let hexagon = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)];
+        assert_eq!(searched(6, &hexagon, 3), (0, true));
+        assert_eq!(searched(6, &hexagon, 6), (1, false));
+        // Two triangles sharing vertex 0: an elementary cycle visits 0 once,
+        // so none is longer than 3.
+        let bowtie = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)];
+        assert_eq!(searched(5, &bowtie, 3), (2, false));
+        // The 6-cycle with chords 3 -> 1 and 0 -> 4 closing two triangles.
+        let chorded = [hexagon.as_slice(), &[(3, 1), (0, 4)]].concat();
+        assert_eq!(searched(6, &chorded, 3), (2, true));
+        // The complete digraph on three vertices has three 2-cycles.
+        let k3 = [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)];
+        assert_eq!(searched(3, &k3, 2), (3, true));
     }
 
     #[test]
@@ -361,79 +529,80 @@ mod tests {
         assert!(!solver.is_certain(&db));
     }
 
+    /// The constant `n` at cycle position `pos`: `a{n}`, `b{n}`, `c{n}`, ...
+    fn constant(pos: usize, n: usize) -> String {
+        format!("{}{n}", char::from(b'a' + pos as u8))
+    }
+
     #[test]
-    fn ac3_random_instances_match_brute_force() {
-        let q = catalog::ac_k(3).query;
-        let solver = CycleQuerySolver::new(&q).unwrap();
-        let oracle = ExactOracle::new(&q).unwrap();
-        let schema = q.schema().clone();
-        for seed in 0u64..60 {
-            let mut db = UncertainDatabase::new(schema.clone());
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(17);
-            let mut next = || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) as usize
-            };
-            let dom = 2 + (seed % 2) as usize;
-            for _ in 0..4 {
-                let a = format!("a{}", next() % dom);
-                let b = format!("b{}", next() % dom);
-                let c = format!("c{}", next() % dom);
-                db.insert_values("R1", [a.clone(), b.clone()]).unwrap();
-                db.insert_values("R2", [b.clone(), c.clone()]).unwrap();
-                db.insert_values("R3", [c.clone(), a.clone()]).unwrap();
-                if next() % 2 == 0 {
-                    db.insert_values("S3", [a, b, c]).unwrap();
+    fn ac_k_random_instances_match_brute_force() {
+        for k in [3, 4] {
+            let q = catalog::ac_k(k).query;
+            let solver = CycleQuerySolver::new(&q).unwrap();
+            let oracle = ExactOracle::new(&q).unwrap();
+            let schema = q.schema().clone();
+            for seed in 0u64..60 {
+                let mut db = UncertainDatabase::new(schema.clone());
+                let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(17);
+                let mut next = || {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as usize
+                };
+                let dom = 2 + (seed % 2) as usize;
+                for _ in 0..4 {
+                    // A k-cycle of constants, encoded in Sk half of the time.
+                    let cycle: Vec<String> =
+                        (0..k).map(|pos| constant(pos, next() % dom)).collect();
+                    for pos in 0..k {
+                        let edge = [cycle[pos].clone(), cycle[(pos + 1) % k].clone()];
+                        db.insert_values(&format!("R{}", pos + 1), edge).unwrap();
+                    }
+                    if next() % 2 == 0 {
+                        db.insert_values(&format!("S{k}"), cycle).unwrap();
+                    }
                 }
+                assert_eq!(
+                    solver.is_certain(&db),
+                    oracle.is_certain_bruteforce(&db),
+                    "AC({k}) seed {seed}\n{db}"
+                );
             }
-            assert_eq!(
-                solver.is_certain(&db),
-                oracle.is_certain_bruteforce(&db),
-                "seed {seed}\n{db}"
-            );
         }
     }
 
     #[test]
-    fn c3_random_instances_match_brute_force() {
-        let q = catalog::c_k(3).query;
-        let solver = CycleQuerySolver::new(&q).unwrap();
-        let oracle = ExactOracle::new(&q).unwrap();
-        let schema = q.schema().clone();
-        for seed in 0u64..60 {
-            let mut db = UncertainDatabase::new(schema.clone());
-            let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(23);
-            let mut next = || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (state >> 33) as usize
-            };
-            let dom = 2;
-            for _ in 0..4 {
-                db.insert_values(
-                    "R1",
-                    [format!("a{}", next() % dom), format!("b{}", next() % dom)],
-                )
-                .unwrap();
-                db.insert_values(
-                    "R2",
-                    [format!("b{}", next() % dom), format!("c{}", next() % dom)],
-                )
-                .unwrap();
-                db.insert_values(
-                    "R3",
-                    [format!("c{}", next() % dom), format!("a{}", next() % dom)],
-                )
-                .unwrap();
+    fn c_k_random_instances_match_brute_force() {
+        for k in [3, 4] {
+            let q = catalog::c_k(k).query;
+            let solver = CycleQuerySolver::new(&q).unwrap();
+            let oracle = ExactOracle::new(&q).unwrap();
+            let schema = q.schema().clone();
+            for seed in 0u64..60 {
+                let mut db = UncertainDatabase::new(schema.clone());
+                let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(23);
+                let mut next = || {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as usize
+                };
+                let dom = 2;
+                for _ in 0..4 {
+                    for pos in 0..k {
+                        let from = constant(pos, next() % dom);
+                        let to = constant((pos + 1) % k, next() % dom);
+                        db.insert_values(&format!("R{}", pos + 1), [from, to])
+                            .unwrap();
+                    }
+                }
+                assert_eq!(
+                    solver.is_certain(&db),
+                    oracle.is_certain_bruteforce(&db),
+                    "C({k}) seed {seed}\n{db}"
+                );
             }
-            assert_eq!(
-                solver.is_certain(&db),
-                oracle.is_certain_bruteforce(&db),
-                "seed {seed}\n{db}"
-            );
         }
     }
 

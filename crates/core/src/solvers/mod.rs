@@ -33,7 +33,7 @@ pub use rewriting::RewritingSolver;
 pub use terminal_cycles::TerminalCycleSolver;
 pub use two_atom::TwoAtomSolver;
 
-use crate::classify::{classify, frozen, ComplexityClass, PtimeReason};
+use crate::classify::{classify, ComplexityClass, PtimeReason};
 use crate::fo::{rewrite::open_rewriting, FoFormula};
 use cqa_data::{UncertainDatabase, Value};
 use cqa_exec::{FoPlan, QueryPlan, StatsStamp};
@@ -179,7 +179,7 @@ impl CertaintyEngine {
     /// # Ok::<(), cqa_query::QueryError>(())
     /// ```
     pub fn new(query: &ConjunctiveQuery) -> Result<Self, QueryError> {
-        let class = classify(&frozen(query))?.class;
+        let class = classify(query)?.class;
         let first_order = class == ComplexityClass::FirstOrderExpressible;
         let plans = PlanSlot::new(query, first_order.then(|| open_rewriting(query)));
         let solver: Box<dyn CertaintySolver + Send + Sync> = match &class {

@@ -11,7 +11,8 @@
 //! this **guarded** form compiles: every `∃` variable must be bound by a
 //! positive conjunct atom, and every `∀` must be an implication whose
 //! antecedent atom binds all its variables. Theorem 1's rewritings always
-//! have this form; an unguarded quantifier is [`QueryError::Unsupported`].
+//! have this form; an unguarded quantifier, or a variable no quantifier or
+//! free-variable list binds, is [`QueryError::Unsupported`].
 //! The operators:
 //!
 //! * **`∃-scan`** — an existential quantifier iterates its guard atom's
@@ -112,13 +113,7 @@ impl FoPlan {
         schema: &Arc<Schema>,
         stats: Option<&Statistics>,
     ) -> Result<FoPlan, QueryError> {
-        let mut lowerer = Lowerer {
-            cost: CostModel::new(stats),
-            slots: Vec::new(),
-            bound: Vec::new(),
-            scope: Vec::new(),
-            probe_count: 0,
-        };
+        let mut lowerer = Lowerer::new(stats);
         let mut free_vars = BTreeSet::new();
         collect_free_vars(formula, &mut Vec::new(), &mut free_vars);
         let free: Vec<(Variable, Slot)> = free_vars
@@ -364,7 +359,17 @@ struct Lowerer<'a> {
     probe_count: usize,
 }
 
-impl Lowerer<'_> {
+impl<'a> Lowerer<'a> {
+    fn new(stats: Option<&'a Statistics>) -> Self {
+        Lowerer {
+            cost: CostModel::new(stats),
+            slots: Vec::new(),
+            bound: Vec::new(),
+            scope: Vec::new(),
+            probe_count: 0,
+        }
+    }
+
     fn alloc(&mut self, v: &Variable) -> Slot {
         self.slots.push(v.clone());
         self.bound.push(false);
@@ -393,6 +398,19 @@ impl Lowerer<'_> {
                 self.bound[slot].then_some(KeySource::Slot(slot))
             }
         }
+    }
+
+    /// The key source of a term outside any guard. Every variable is bound
+    /// there — a free variable at the root, a quantified one by its guard
+    /// before its body lowers — so an unbound one is an error.
+    fn bound_term(&self, term: &Term) -> Result<KeySource, QueryError> {
+        self.bound_source(term)
+            .ok_or_else(|| QueryError::Unsupported {
+                reason: format!(
+                    "{term} is unbound: a compiled plan binds free variables at its root and \
+                     quantified ones by a guard atom"
+                ),
+            })
     }
 
     /// Builds the probe spec of one atom with the current scope/bound state.
@@ -427,24 +445,12 @@ impl Lowerer<'_> {
             FoFormula::True => FoOp::Bool(true),
             FoFormula::False => FoOp::Bool(false),
             FoFormula::Atom { relation, terms } => {
-                // All variables must be bound here: a quantified variable is
-                // bound by its guard operator before its body lowers, so an
-                // unresolvable or unbound variable means an open formula,
-                // which the interpreter evaluates to false.
-                let all_bound = terms.iter().all(|t| self.bound_source(t).is_some());
-                if !all_bound {
-                    return Ok(FoOp::Bool(false));
+                for term in terms {
+                    self.bound_term(term)?;
                 }
                 FoOp::Lookup(self.atom_spec(*relation, terms))
             }
-            FoFormula::Equals(a, b) => {
-                match (self.bound_source(a), self.bound_source(b)) {
-                    (Some(a), Some(b)) => FoOp::Eq(a, b),
-                    // An unbound side never equals anything (interpreter
-                    // convention for open formulas).
-                    _ => FoOp::Bool(false),
-                }
-            }
+            FoFormula::Equals(a, b) => FoOp::Eq(self.bound_term(a)?, self.bound_term(b)?),
             FoFormula::Not(inner) => FoOp::Not(Box::new(self.lower(inner)?)),
             FoFormula::And(parts) => Self::ordered_all(self.lower_all(parts.iter())?),
             FoFormula::Or(parts) => FoOp::Any(self.lower_all(parts.iter())?),
@@ -863,6 +869,26 @@ mod tests {
                 matches!(compiled, Err(QueryError::Unsupported { .. })),
                 "{} compiled",
                 sentence.display(db.schema())
+            );
+        }
+    }
+
+    #[test]
+    fn an_unbound_variable_outside_a_guard_does_not_compile() {
+        // `compile` binds every variable before an atom or an equality
+        // lowers, so only a lowerer with nothing in scope meets one.
+        let db = db();
+        let r = rel(&db);
+        let formulas = [
+            FoFormula::atom(r, vec![Term::var("x"), Term::constant("1")]),
+            FoFormula::Equals(Term::constant("1"), Term::var("x")),
+        ];
+        for formula in &formulas {
+            let lowered = Lowerer::new(None).lower(formula);
+            assert!(
+                matches!(lowered, Err(QueryError::Unsupported { .. })),
+                "{} lowered",
+                formula.display(db.schema())
             );
         }
     }

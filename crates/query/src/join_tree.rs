@@ -14,7 +14,6 @@
 //! cross-validates this construction in the test suite.
 
 use crate::{AtomId, ConjunctiveQuery, Variable};
-use cqa_graph::spanning::{maximum_spanning_tree, Tree};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -24,8 +23,9 @@ use std::fmt;
 /// `vars(F) ∩ vars(G)` as in the paper's `F —L— G` notation.
 #[derive(Clone, Debug)]
 pub struct JoinTree {
-    tree: Tree,
-    /// `labels[i][j]` is only stored for tree edges, canonicalised `(min, max)`.
+    /// The tree neighbours of each atom.
+    adjacency: Vec<Vec<AtomId>>,
+    /// The tree edges, canonicalised `(min, max)`, with their labels.
     labels: Vec<((AtomId, AtomId), BTreeSet<Variable>)>,
 }
 
@@ -35,23 +35,48 @@ impl JoinTree {
     pub fn build(query: &ConjunctiveQuery) -> Option<JoinTree> {
         let n = query.len();
         let var_sets: Vec<BTreeSet<Variable>> = query.atoms().iter().map(|a| a.vars()).collect();
-        let weight =
-            |i: usize, j: usize| -> i64 { var_sets[i].intersection(&var_sets[j]).count() as i64 };
-        let tree = maximum_spanning_tree(n, weight);
-        let candidate = JoinTree::from_tree(query, tree);
+        let weight = |i: usize, j: usize| var_sets[i].intersection(&var_sets[j]).count();
+        // Prim's algorithm on the complete graph: grow the tree from atom 0,
+        // attaching the fringe atom with the heaviest edge into the tree.
+        // Ties go to the smallest fringe atom and then to the tree atom
+        // attached first, so every run builds the same tree.
+        let mut edges = Vec::with_capacity(n.saturating_sub(1));
+        let mut in_tree: Vec<bool> = (0..n).map(|v| v == 0).collect();
+        // The heaviest edge from each fringe atom into the tree: (weight, tree atom).
+        let mut best: Vec<(usize, AtomId)> = (0..n).map(|v| (weight(0, v), 0)).collect();
+        for _ in 1..n {
+            let mut pick = None;
+            for v in (0..n).filter(|&v| !in_tree[v]) {
+                if pick.is_none_or(|p: AtomId| best[v].0 > best[p].0) {
+                    pick = Some(v);
+                }
+            }
+            let pick = pick.expect("a fringe atom remains");
+            in_tree[pick] = true;
+            edges.push((best[pick].1, pick));
+            for v in (0..n).filter(|&v| !in_tree[v]) {
+                let w = weight(pick, v);
+                if w > best[v].0 {
+                    best[v] = (w, pick);
+                }
+            }
+        }
+        let candidate = JoinTree::from_edges(query, edges);
         candidate
             .satisfies_connectedness(query)
             .then_some(candidate)
     }
 
-    /// Wraps an explicit spanning tree (vertices = atom ids) as a join-tree
-    /// candidate, computing edge labels. The Connectedness Condition is *not*
-    /// checked; use [`JoinTree::satisfies_connectedness`].
-    pub fn from_tree(query: &ConjunctiveQuery, tree: Tree) -> JoinTree {
-        let labels = tree
-            .edges()
-            .iter()
-            .map(|&(a, b)| {
+    /// Wraps the edges of a spanning tree over the atoms as a join-tree
+    /// candidate, computing edge labels. The Connectedness Condition is
+    /// *not* checked.
+    fn from_edges(query: &ConjunctiveQuery, edges: Vec<(AtomId, AtomId)>) -> JoinTree {
+        let mut adjacency = vec![Vec::new(); query.len()];
+        let labels = edges
+            .into_iter()
+            .map(|(a, b)| {
+                adjacency[a].push(b);
+                adjacency[b].push(a);
                 let label: BTreeSet<Variable> = query
                     .atom(a)
                     .vars()
@@ -61,17 +86,17 @@ impl JoinTree {
                 ((a.min(b), a.max(b)), label)
             })
             .collect();
-        JoinTree { tree, labels }
+        JoinTree { adjacency, labels }
     }
 
     /// Number of vertices (= atoms of the query).
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.adjacency.len()
     }
 
     /// True iff the query had no atoms.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.adjacency.is_empty()
     }
 
     /// The edges of the join tree with their labels.
@@ -87,7 +112,27 @@ impl JoinTree {
 
     /// The vertices on the unique path from `from` to `to` (inclusive).
     pub fn path(&self, from: AtomId, to: AtomId) -> Vec<AtomId> {
-        self.tree.path(from, to).expect("join tree is connected")
+        // Search the tree from `from`, recording each atom's parent, then
+        // walk the parents back from `to`.
+        let mut parent = vec![usize::MAX; self.len()];
+        parent[from] = from;
+        let mut stack = vec![from];
+        while let Some(v) = stack.pop() {
+            for &w in &self.adjacency[v] {
+                if parent[w] == usize::MAX {
+                    parent[w] = v;
+                    stack.push(w);
+                }
+            }
+        }
+        assert_ne!(parent[to], usize::MAX, "join tree is connected");
+        let (mut path, mut v) = (vec![to], to);
+        while v != from {
+            v = parent[v];
+            path.push(v);
+        }
+        path.reverse();
+        path
     }
 
     /// The labels along the unique path from `from` to `to`.
@@ -95,11 +140,11 @@ impl JoinTree {
     /// This is the sequence `L1, ..., Lm` used in Definition 3 to decide
     /// whether `F` attacks `G`.
     pub fn path_labels(&self, from: AtomId, to: AtomId) -> Vec<&BTreeSet<Variable>> {
-        self.tree
-            .path_edges(from, to)
-            .expect("join tree is connected")
-            .into_iter()
-            .map(|(a, b)| self.edge_label(a, b).expect("path edges are tree edges"))
+        (self.path(from, to).windows(2))
+            .map(|w| {
+                self.edge_label(w[0], w[1])
+                    .expect("path edges are tree edges")
+            })
             .collect()
     }
 

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example attack_graph_explorer`.
 
-use cqa::core::attack::{AttackGraph, CycleAnalysis};
+use cqa::core::attack::{elementary_cycles, AttackGraph, CycleAnalysis};
 use cqa::core::classify::classify;
 use cqa::parser::dot;
 use cqa::query::{catalog, JoinTree};
@@ -52,7 +52,7 @@ fn explore(entry: &catalog::CatalogQuery) {
     let analysis = CycleAnalysis::analyze(&graph);
     println!(
         "cycles: {}   strong cycle: {}   all weak+terminal: {}",
-        analysis.cycles().len(),
+        elementary_cycles(&graph).len(),
         analysis.has_strong_cycle(),
         analysis.all_cycles_weak() && analysis.all_cycles_terminal()
     );

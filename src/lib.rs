@@ -12,7 +12,6 @@
 //!   and the per-operator trace sink behind `explain --analyze`;
 //! * [`data`] — uncertain databases, blocks, repairs;
 //! * [`query`] — Boolean conjunctive queries, join trees, purification;
-//! * [`graph`] — the directed-graph algorithms used by the solvers;
 //! * [`exec`] — the compiled physical-plan executor (join plans for
 //!   queries, operator plans for certain rewritings, plan caching);
 //! * [`core`] — attack graphs, complexity classification, certain-answer
@@ -38,7 +37,6 @@ pub use cqa_core as core;
 pub use cqa_data as data;
 pub use cqa_exec as exec;
 pub use cqa_gen as gen;
-pub use cqa_graph as graph;
 pub use cqa_obs as obs;
 pub use cqa_par as par;
 pub use cqa_parser as parser;

@@ -229,3 +229,44 @@ certain with_s :- R1(u, v), R2(v, u), S2(u, v)
         oracle_s.is_certain_bruteforce(&doc.database)
     );
 }
+
+/// `certainty classify` and `certainty rewrite` answer the committed Figure 1
+/// document's open query `which(x)` as well as `rome`: an open query is
+/// classified, and rewritten, as its frozen query (Lemma 5).
+#[test]
+fn cli_classifies_and_rewrites_open_queries() {
+    let run = |args: &[&str]| {
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/figure1.cqa");
+        let mut line = vec![args[0], fixture];
+        line.extend(&args[1..]);
+        let mut out = Vec::new();
+        cqa_cli::run(line.into_iter().map(String::from), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    };
+    assert_eq!(
+        run(&["classify"]),
+        "rome: first-order expressible\nwhich: first-order expressible\n"
+    );
+    let rewritings = run(&["rewrite"]);
+    let lines: Vec<&str> = rewritings.lines().collect();
+    assert_eq!(lines.len(), 2, "{rewritings}");
+    assert!(
+        lines[0].starts_with("rome: ∃ x, y ((C(x, y, 'Rome')"),
+        "{rewritings}"
+    );
+    assert_eq!(
+        lines[1],
+        "which: ∃ y ((C(x, y, 'Rome') ∧ ∀ w@0 ((C(x, y, w@0) → (w@0 = 'Rome' ∧ R(x, 'A') ∧ \
+         ∀ w@1 ((R(x, w@1) → w@1 = 'A')))))))"
+    );
+    // The open rewriting has no SQL form: its free variable is unguarded.
+    let sql = run(&["rewrite", "--sql"]);
+    let sql: Vec<&str> = sql.lines().collect();
+    assert_eq!((sql.len(), sql[0], sql[2]), (4, lines[0], lines[1]));
+    assert!(sql[1].starts_with("SELECT CASE WHEN EXISTS"), "{}", sql[1]);
+    assert_eq!(
+        sql[3],
+        "which: no SQL translation (unsupported query shape: unguarded free variable x in atom \
+         over C)"
+    );
+}

@@ -2,7 +2,7 @@
 //! solver agreement on randomly generated queries and databases.
 
 use cqa::core::answers::CertainAnswersEngine;
-use cqa::core::attack::{AttackGraph, CycleAnalysis};
+use cqa::core::attack::{elementary_cycles, AttackGraph, AttackStrength, CycleAnalysis, CycleInfo};
 use cqa::core::classify::{classify, ComplexityClass};
 use cqa::core::fo::eval::evaluate_sentence;
 use cqa::core::purify::purify;
@@ -230,6 +230,124 @@ proptest! {
     }
 }
 
+/// Structural facts about one attack graph: key(F) ⊆ F⁺ ⊆ F⊞ (Definition
+/// 2/5), Lemmas 2, 3, 4 and 6, and the strong-component cycle analysis
+/// against the elementary-cycle enumeration it replaces. Returns the
+/// reference cycles.
+fn assert_attack_graph_lemmas(q: &ConjunctiveQuery) -> Vec<CycleInfo> {
+    let graph = AttackGraph::build(q).unwrap();
+    let closures = graph.closures();
+    let n = q.len();
+    for f in 0..n {
+        assert!(closures.key_set(f).is_subset_of(&closures.plus(f)));
+        assert!(closures.plus(f).is_subset_of(&closures.boxed(f)));
+    }
+    // Lemma 2: F ⇝ G implies key(G) ⊄ F⁺ and vars(F) ⊄ F⁺.
+    for edge in graph.edges() {
+        assert!(!closures
+            .key_set(edge.to)
+            .is_subset_of(&closures.plus(edge.from)));
+        assert!(!closures
+            .var_set(edge.from)
+            .is_subset_of(&closures.plus(edge.from)));
+    }
+    // Lemma 3: F ⇝ G and G ⇝ H (distinct) implies F ⇝ H or G ⇝ F.
+    for f in 0..n {
+        for g in 0..n {
+            for h in 0..n {
+                if f != g && g != h && f != h && graph.attacks(f, g) && graph.attacks(g, h) {
+                    assert!(
+                        graph.attacks(f, h) || graph.attacks(g, f),
+                        "Lemma 3 violated on {q} ({f},{g},{h})"
+                    );
+                }
+            }
+        }
+    }
+    // The component-derived analysis says what the enumeration says.
+    let analysis = CycleAnalysis::analyze(&graph);
+    let cycles = elementary_cycles(&graph);
+    assert_eq!(analysis.has_cycle(), !cycles.is_empty(), "{q}");
+    assert_eq!(graph.is_acyclic(), cycles.is_empty(), "{q}");
+    assert_eq!(
+        analysis.has_strong_cycle(),
+        cycles.iter().any(|c| c.strong),
+        "{q}"
+    );
+    let all_terminal = cycles.iter().all(|c| c.terminal);
+    assert_eq!(analysis.all_cycles_terminal(), all_terminal, "{q}");
+    let two_cycles: Vec<_> = (cycles.iter().filter(|c| c.len() == 2))
+        .map(|c| (c.atoms[0], c.atoms[1]))
+        .collect();
+    assert_eq!(analysis.two_cycles(), two_cycles, "{q}");
+    let strong = |f, g| graph.strength(f, g) == Some(AttackStrength::Strong);
+    let strong_two_cycle = (cycles.iter())
+        .find(|c| c.len() == 2 && c.strong)
+        .map(|c| (c.atoms[0], c.atoms[1]))
+        .map(|(f, g)| if strong(f, g) { (f, g) } else { (g, f) });
+    assert_eq!(analysis.strong_two_cycle(&graph), strong_two_cycle, "{q}");
+    // Lemma 4: a strong cycle implies a strong 2-cycle.
+    assert_eq!(
+        analysis.has_strong_cycle(),
+        strong_two_cycle.is_some(),
+        "{q}"
+    );
+    // Lemma 6: if all cycles are terminal, all cycles have length 2.
+    if all_terminal {
+        assert!(cycles.iter().all(|c| c.len() == 2), "{q}");
+    }
+    cycles
+}
+
+/// `q` with the terms of each atom shuffled: the same hypergraph, so still
+/// acyclic, but other keys. A [`random_acyclic_query`] draw shares key
+/// prefixes along its join tree, and on the seeds below its attack graph
+/// is always acyclic.
+fn with_shuffled_terms(q: &ConjunctiveQuery, seed: u64) -> ConjunctiveQuery {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed);
+    let atoms: Vec<cqa::query::Atom> = (q.atoms().iter())
+        .map(|atom| {
+            let mut terms = atom.terms().to_vec();
+            for i in (1..terms.len()).rev() {
+                terms.swap(i, rand::Rng::gen_range(&mut rng, 0..=i));
+            }
+            cqa::query::Atom::new(atom.relation(), terms)
+        })
+        .collect();
+    ConjunctiveQuery::boolean(q.schema().clone(), atoms).unwrap()
+}
+
+/// [`assert_attack_graph_lemmas`] on every acyclic catalog query and on
+/// 5,000 [`random_acyclic_query`] draws of 1–7 atoms, each as drawn and
+/// with its terms shuffled; the shuffled draws reach every region of the
+/// chart.
+#[test]
+fn attack_graph_lemmas() {
+    for entry in catalog::all() {
+        if join_tree::is_acyclic(&entry.query) {
+            assert_attack_graph_lemmas(&entry.query);
+        }
+    }
+    // Acyclic, strong cycle, weak terminal cycles, weak non-terminal cycles.
+    let mut regions = [0usize; 4];
+    for seed in 0u64..5_000 {
+        let q = random_acyclic_query(seed, 1 + (seed % 7) as usize, 4);
+        assert_attack_graph_lemmas(&q);
+        let cycles = assert_attack_graph_lemmas(&with_shuffled_terms(&q, seed));
+        let region = if cycles.is_empty() {
+            0
+        } else if cycles.iter().any(|c| c.strong) {
+            1
+        } else if cycles.iter().all(|c| c.terminal) {
+            2
+        } else {
+            3
+        };
+        regions[region] += 1;
+    }
+    assert!(regions.iter().all(|&n| n >= 25), "{regions:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -240,47 +358,6 @@ proptest! {
         let q = random_acyclic_query(seed, atoms, arity);
         prop_assert!(join_tree::is_acyclic(&q));
         prop_assert!(gyo::is_acyclic_gyo(&q));
-    }
-
-    /// Structural facts about attack graphs on random acyclic queries:
-    /// key(F) ⊆ F⁺ ⊆ F⊞ (Definition 2/5), Lemma 2, Lemma 3, Lemma 4.
-    #[test]
-    fn attack_graph_lemmas(seed in 0u64..5_000, atoms in 1usize..7) {
-        let q = random_acyclic_query(seed, atoms, 4);
-        let graph = AttackGraph::build(&q).unwrap();
-        let closures = graph.closures();
-        let n = q.len();
-        for f in 0..n {
-            prop_assert!(closures.key_set(f).is_subset_of(&closures.plus(f)));
-            prop_assert!(closures.plus(f).is_subset_of(&closures.boxed(f)));
-        }
-        // Lemma 2: F ⇝ G implies key(G) ⊄ F⁺ and vars(F) ⊄ F⁺.
-        for edge in graph.edges() {
-            prop_assert!(!closures.key_set(edge.to).is_subset_of(&closures.plus(edge.from)));
-            prop_assert!(!closures.var_set(edge.from).is_subset_of(&closures.plus(edge.from)));
-        }
-        // Lemma 3: F ⇝ G and G ⇝ H (distinct) implies F ⇝ H or G ⇝ F.
-        for f in 0..n {
-            for g in 0..n {
-                for h in 0..n {
-                    if f != g && g != h && f != h && graph.attacks(f, g) && graph.attacks(g, h) {
-                        prop_assert!(
-                            graph.attacks(f, h) || graph.attacks(g, f),
-                            "Lemma 3 violated on {q} ({f},{g},{h})"
-                        );
-                    }
-                }
-            }
-        }
-        // Lemma 4: a strong cycle implies a strong 2-cycle.
-        let analysis = CycleAnalysis::analyze(&graph);
-        if analysis.has_strong_cycle() {
-            prop_assert!(analysis.strong_two_cycle(&graph).is_some());
-        }
-        // Lemma 6: if all cycles are terminal, all cycles have length 2.
-        if analysis.has_cycle() && analysis.all_cycles_terminal() {
-            prop_assert!(analysis.cycles().iter().all(|c| c.len() == 2));
-        }
     }
 
     /// Theorem 6 (safe ⇒ FO-expressible) on random acyclic queries.

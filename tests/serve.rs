@@ -842,6 +842,41 @@ fn slow_queries_hit_their_deadline_and_the_connection_survives() {
     handle.shutdown();
 }
 
+/// A short query can have a huge attack graph: the 24-atom star
+/// `R1(x1, y), ..., R24(x24, y)` has every atom attack every other, so more
+/// than 23! elementary cycles, and listing them never ends. Classified from
+/// its strong components, it gets its verdict inside its deadline and
+/// leaves nothing in flight. (A release server answers in a few
+/// milliseconds; the deadline leaves room for a debug build on a loaded
+/// test runner, where the request takes tens of milliseconds.)
+#[test]
+fn a_complete_attack_graph_is_classified_within_its_deadline() {
+    const N: usize = 24;
+    let mut text = String::new();
+    for i in 1..=N {
+        writeln!(text, "relation R{i}(x*, y)").unwrap();
+    }
+    text.push_str("R1(a, b)\n");
+    let doc = parse_document(&text).expect("parse document");
+    let handle = start(
+        doc.database,
+        ServerConfig {
+            deadline: Some(Duration::from_secs(2)),
+            ..ServerConfig::default()
+        },
+    );
+    let atoms: Vec<String> = (1..=N).map(|i| format!("R{i}(x{i}, y)")).collect();
+    let star = format!("star :- {}", atoms.join(", "));
+    let mut client = Client::connect(handle.addr());
+    assert_eq!(
+        client.ask(&star),
+        "star: not certain (possible: false, solver: exact-oracle)"
+    );
+    assert!(client.ask("\\stats").contains(", 0 in flight,"));
+    assert_eq!(handler_panics(), 0);
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // HTTP endpoints
 // ---------------------------------------------------------------------------
