@@ -45,7 +45,7 @@
 //! `main` over it that reports an error on stderr.
 
 use cqa_core::answers::certain_answers;
-use cqa_core::classify::classify;
+use cqa_core::classify::{classify, frozen};
 use cqa_core::fo::{certain_rewriting, certain_rewriting_open, sql::to_sql};
 use cqa_core::solvers::{CertaintyEngine, CertaintySolver};
 use cqa_core::AttackGraph;
@@ -390,7 +390,7 @@ pub fn run(
         }
         "attack-graph" => {
             for (name, query) in &selected {
-                let graph = AttackGraph::build(query).map_err(|e| e.to_string())?;
+                let graph = AttackGraph::build(&frozen(query)).map_err(|e| e.to_string())?;
                 if args.switch("dot") {
                     writeln!(out, "{}", dot::attack_graph_to_dot(&graph))?;
                 } else {

@@ -170,8 +170,10 @@ pub(crate) fn freeze<'v>(
 }
 
 /// The Boolean query an open query is classified as: its free variables
-/// [frozen](freeze). A Boolean query is its own frozen query.
-pub(crate) fn frozen(query: &ConjunctiveQuery) -> Cow<'_, ConjunctiveQuery> {
+/// frozen to placeholder constants (`'⟂frozen:x'` for `x`), which by
+/// Lemma 5 gives it the attack graph and the class of every grounding. A
+/// Boolean query is its own frozen query.
+pub fn frozen(query: &ConjunctiveQuery) -> Cow<'_, ConjunctiveQuery> {
     if query.is_boolean() {
         Cow::Borrowed(query)
     } else {

@@ -17,9 +17,10 @@
 //! * [`fo`] — certain first-order rewritings: formula AST, construction for
 //!   queries with acyclic attack graphs, a model checker, and SQL generation;
 //! * [`solvers`] — one certain-answer algorithm per region of the frontier
-//!   (rewriting-based, Theorem 3, Theorem 4 / Corollary 1, the two-atom base
-//!   case, and an exact exponential oracle used as the coNP baseline),
-//!   plus the [`solvers::CertaintyEngine`] dispatcher;
+//!   (rewriting-based, Theorem 3, Theorem 4 / Corollary 1, and an exact
+//!   exponential oracle used as the coNP baseline, whose falsifying-repair
+//!   search also decides Theorem 3's base case), plus the
+//!   [`solvers::CertaintyEngine`] dispatcher;
 //! * [`purify`](mod@purify) — Lemma 1 purification, which every solver runs
 //!   first;
 //! * [`reductions`] — the polynomial-time reductions used in the paper

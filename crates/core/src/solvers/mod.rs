@@ -5,8 +5,11 @@
 //! | [`RewritingSolver`] | acyclic attack graph | Theorem 1 (via the rewriting of [Wijsen 2012]) |
 //! | [`TerminalCycleSolver`] | weak terminal cycles | Theorem 3 |
 //! | [`CycleQuerySolver`] | `AC(k)` / `C(k)` | Theorem 4, Corollary 1 |
-//! | [`TwoAtomSolver`] | two-atom queries | Kolaitis–Pema (used as the Theorem 3 base case) |
-//! | [`ExactOracle`] | any query | brute-force / backtracking baseline (coNP region) |
+//! | [`ExactOracle`] | any query | no-good search over valuation images (coNP region) |
+//!
+//! [`ExactOracle`] and Theorem 3's base case share one crate-private
+//! falsifying-repair search (`falsify`): purify, turn every valuation image
+//! into a no-good, and choose one fact per block avoiding them all.
 //!
 //! [`CertaintyEngine`] classifies the query once and dispatches to the most
 //! specific solver; it is the public entry point a downstream user should
@@ -22,16 +25,15 @@
 //! rewriting plan share one stats-stamped slot.
 
 pub mod cycle_query;
+mod falsify;
 pub mod oracle;
 pub mod rewriting;
 pub mod terminal_cycles;
-pub mod two_atom;
 
 pub use cycle_query::CycleQuerySolver;
 pub use oracle::ExactOracle;
 pub use rewriting::RewritingSolver;
 pub use terminal_cycles::TerminalCycleSolver;
-pub use two_atom::TwoAtomSolver;
 
 use crate::classify::{classify, ComplexityClass, PtimeReason};
 use crate::fo::{rewrite::open_rewriting, FoFormula};

@@ -12,6 +12,8 @@
 //!   encoded (`S_k`) cycles;
 //! * [`q0_instance`] — uncertain instances of the coNP-complete two-atom
 //!   query `q0`, used to feed the Theorem 2 reduction;
+//! * [`image_instance`] — small unions of overlapping valuation images of
+//!   any query, with disagreeing alternatives, for differential tests;
 //! * [`random_acyclic_query`] — random acyclic self-join-free queries for
 //!   property-based testing of the attack-graph machinery.
 
@@ -19,7 +21,7 @@
 #![warn(missing_docs)]
 
 use cqa_data::{Schema, UncertainDatabase, Value};
-use cqa_query::{catalog, Atom, ConjunctiveQuery, Term, Variable};
+use cqa_query::{catalog, Atom, ConjunctiveQuery, Term, Valuation, Variable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -263,6 +265,58 @@ pub fn q0_instance(seed: u64, pairs: usize, block_size: usize, coverage: f64) ->
                     db.insert_values("S0", [y, z, other]).unwrap();
                 }
             }
+        }
+    }
+    db
+}
+
+/// Generates an uncertain instance made of valuation images of `query`:
+/// the union of `images` images `θ(q)`, each `θ` drawing every variable
+/// from one shared domain of `domain` values. Then each image gets one
+/// alternative in the block of one of its facts `θ(F)`: the fact `θ'(F)`
+/// for a `θ'` that keeps `θ` on the key variables of `F` and draws every
+/// other variable from the same domain. Half of the alternatives are
+/// completed to the whole image `θ'(q)`, so they survive purification and
+/// can be forced; the others are falsifying when they join nothing. With
+/// a small domain the images overlap, so the instances reach both verdicts
+/// of every certainty solver while staying small enough to enumerate
+/// every repair.
+pub fn image_instance(
+    query: &ConjunctiveQuery,
+    seed: u64,
+    images: usize,
+    domain: usize,
+) -> UncertainDatabase {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = query.schema().clone();
+    let vars: Vec<Variable> = query.vars().into_iter().collect();
+    let value = |rng: &mut StdRng| Value::str(format!("d{}", rng.gen_range(0..domain.max(1))));
+    let mut db = UncertainDatabase::new(schema.clone());
+    let insert_image = |db: &mut UncertainDatabase, theta: &Valuation| {
+        for atom in query.atoms() {
+            let _ = db.insert(theta.apply_atom(atom).expect("valuation is total"));
+        }
+    };
+    let thetas: Vec<Valuation> = (0..images)
+        .map(|_| {
+            let theta = Valuation::from_pairs(vars.iter().map(|v| (v.clone(), value(&mut rng))));
+            insert_image(&mut db, &theta);
+            theta
+        })
+        .collect();
+    if query.is_empty() {
+        return db;
+    }
+    for theta in thetas {
+        let atom = query.atom(rng.gen_range(0..query.len()));
+        let key = atom.key_vars(&schema);
+        let other = Valuation::from_pairs(vars.iter().map(|v| {
+            let kept = (key.contains(v)).then(|| theta.get(v).cloned()).flatten();
+            (v.clone(), kept.unwrap_or_else(|| value(&mut rng)))
+        }));
+        let _ = db.insert(other.apply_atom(atom).expect("valuation is total"));
+        if rng.gen_bool(0.5) {
+            insert_image(&mut db, &other);
         }
     }
     db

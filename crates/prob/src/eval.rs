@@ -178,19 +178,7 @@ pub fn probability_monte_carlo<R: Rng>(
 /// enumerating repairs. This is the quantity discussed in the introduction
 /// ("true in three of the four repairs").
 pub fn probability_over_repairs(db: &UncertainDatabase, query: &ConjunctiveQuery) -> f64 {
-    let mut total = 0usize;
-    let mut satisfied = 0usize;
-    for repair in db.repairs() {
-        total += 1;
-        if eval::naive::satisfies(&repair, query) {
-            satisfied += 1;
-        }
-    }
-    if total == 0 {
-        0.0
-    } else {
-        satisfied as f64 / total as f64
-    }
+    crate::counting::count_satisfying_repairs(db, query).fraction()
 }
 
 #[cfg(test)]

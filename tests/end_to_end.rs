@@ -269,4 +269,9 @@ fn cli_classifies_and_rewrites_open_queries() {
         "which: no SQL translation (unsupported query shape: unguarded free variable x in atom \
          over C)"
     );
+    // An open query's attack graph is its frozen query's, as `classify` reads it.
+    assert_eq!(
+        run(&["attack-graph"]),
+        "attack graph of rome:\nattack graph of which:\n"
+    );
 }

@@ -848,7 +848,9 @@ fn slow_queries_hit_their_deadline_and_the_connection_survives() {
 /// its strong components, it gets its verdict inside its deadline and
 /// leaves nothing in flight. (A release server answers in a few
 /// milliseconds; the deadline leaves room for a debug build on a loaded
-/// test runner, where the request takes tens of milliseconds.)
+/// test runner, where the request takes tens of milliseconds.) So does a
+/// coNP-region query over a `q0` instance of ≈ 510 facts, which the
+/// falsifying-repair search decides by propagation alone.
 #[test]
 fn a_complete_attack_graph_is_classified_within_its_deadline() {
     const N: usize = 24;
@@ -871,6 +873,22 @@ fn a_complete_attack_graph_is_classified_within_its_deadline() {
     assert_eq!(
         client.ask(&star),
         "star: not certain (possible: false, solver: exact-oracle)"
+    );
+    assert!(client.ask("\\stats").contains(", 0 in flight,"));
+    handle.shutdown();
+    // A coNP-region query over ≈ 510 facts: the falsifying-repair search
+    // answers it well inside the deadline and the job is gone afterwards.
+    let handle = start(
+        cqa::gen::q0_instance(1, 80, 3, 0.9),
+        ServerConfig {
+            deadline: Some(Duration::from_secs(5)),
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(handle.addr());
+    assert_eq!(
+        client.ask("q0 :- R0(x, y), S0(y, z, x)"),
+        "q0: certain (possible: true, solver: exact-oracle)"
     );
     assert!(client.ask("\\stats").contains(", 0 in flight,"));
     assert_eq!(handler_panics(), 0);
