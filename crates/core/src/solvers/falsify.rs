@@ -1,15 +1,27 @@
 //! The falsifying-repair search: one decision procedure for "does some
 //! repair of `db` falsify `q`?", the certificate that puts `CERTAINTY(q)`
-//! in coNP (Section 1).
+//! in coNP (Section 1). It serves [`ExactOracle`](super::ExactOracle) in
+//! the coNP and open regions and the base case of Theorem 3, which decides
+//! each partition of a weak 2-cycle pair with it.
 //!
-//! The database is purified first (Lemma 1). Then one run of the query's
-//! join plan lists every valuation image `θ(q)` of the purified database,
-//! and each image becomes a **no-good**: the sorted set of its fact ids. A
-//! repair falsifies `q` iff it contains no no-good entirely, so the search
-//! chooses one fact per block such that no no-good has all of its facts
-//! chosen (the encoding of CAvSAT, Dixit and Kolaitis, SAT 2019, searched
-//! here directly). An image with two facts of one block can never lie in a
+//! The database is purified first (Lemma 1). Every repair holds the facts
+//! of single-fact blocks, so if they alone satisfy `q` the answer is
+//! "certain" at once; this settles a consistent purified database, whose
+//! facts each lie in an image of `q`. Otherwise one run of the query's
+//! join plan streams the valuation images `θ(q)` of the purified database,
+//! and each image becomes a **no-good**: the sorted set of its fact ids in
+//! blocks of two or more facts (never empty, by the check above). A repair
+//! falsifies `q` iff it contains no no-good entirely, so the search chooses
+//! one fact per block such that no no-good has all of its facts chosen
+//! (the encoding of CAvSAT, Dixit and Kolaitis, SAT 2019, searched here
+//! directly). An image with two facts of one block can never lie in a
 //! repair and is dropped.
+//!
+//! **Cost.** The search stores each distinct no-good once, at most `|q|`
+//! ids each, and never collects the valuations; so its memory is bounded
+//! by the number of distinct no-goods, at most the number of images of the
+//! purified database (`∏ᵢ |Rᵢ|` over the query's relations) and often far
+//! fewer. Listing the images takes time proportional to their number.
 //!
 //! Four rules decide the choice:
 //!
@@ -25,17 +37,22 @@
 //!   the fewest live facts tries each of them in turn, backtracking
 //!   chronologically.
 //!
-//! Every branch attempt, and the root propagation, is one search node
-//! (`core.oracle.nodes`). The search is exact and worst-case exponential:
-//! it serves [`ExactOracle`](super::ExactOracle) in the coNP region and
-//! the base case of Theorem 3, which decides each partition of a weak
-//! 2-cycle pair with it.
+//! Every branch attempt, and the root (the forced facts' check and the
+//! first propagation), is one search node (`core.oracle.nodes`).
+//! The search is exact and worst-case exponential.
 
 use crate::csr::Csr;
 use crate::purify::purify;
-use cqa_data::{Fact, FxHashMap, UncertainDatabase};
+use cqa_data::{Fact, FxHashMap, FxHashSet, UncertainDatabase};
 use cqa_exec::QueryPlan;
 use cqa_query::ConjunctiveQuery;
+
+/// True iff some repair of `db` falsifies `query`.
+pub(crate) fn falsifiable(db: &UncertainDatabase, query: &ConjunctiveQuery) -> bool {
+    let (falsified, nodes) = search(db, query);
+    cqa_obs::count!("core.oracle.nodes", nodes);
+    falsified.is_some()
+}
 
 /// A repair of `db` that falsifies `query`, as one fact per block of `db`:
 /// the search's choice on the purified database plus one witness per
@@ -45,24 +62,52 @@ pub(crate) fn falsifying_repair(
     db: &UncertainDatabase,
     query: &ConjunctiveQuery,
 ) -> Option<Vec<Fact>> {
-    let (repair, nodes) = search(db, query);
+    let (falsified, nodes) = search(db, query);
     cqa_obs::count!("core.oracle.nodes", nodes);
-    repair
+    falsified.map(Falsified::into_repair)
 }
 
-/// [`falsifying_repair`] and the number of search nodes it took.
-fn search(db: &UncertainDatabase, query: &ConjunctiveQuery) -> (Option<Vec<Fact>>, u64) {
+/// A falsifying choice: the purified database's facts, the one chosen per
+/// block, and purify's witnesses.
+struct Falsified {
+    facts: Vec<Fact>,
+    chosen: Vec<u32>,
+    witnesses: Vec<Fact>,
+}
+
+impl Falsified {
+    fn into_repair(self) -> Vec<Fact> {
+        let chosen = self.chosen.iter().map(|&f| self.facts[f as usize].clone());
+        chosen.chain(self.witnesses).collect()
+    }
+}
+
+/// The search's falsifying choice on `db`, if any, and the nodes it took.
+fn search(db: &UncertainDatabase, query: &ConjunctiveQuery) -> (Option<Falsified>, u64) {
     if query.is_empty() {
         return (None, 0); // Every repair satisfies the empty query.
     }
     let (purified, witnesses) = purify(db, query);
+    // Every repair holds the facts of single-fact blocks: if they satisfy
+    // `q`, so does every repair. This settles a consistent database, and
+    // leaves no image that lies in single-fact blocks only.
+    let forced = (purified.blocks())
+        .filter_map(|block| match block.facts() {
+            [fact] => Some(fact.clone()),
+            _ => None,
+        })
+        .collect::<Vec<_>>();
+    if !forced.is_empty() && QueryPlan::compile(query, None).satisfies(&purified.with_facts(forced))
+    {
+        return (None, 1);
+    }
     let mut search = Search::new(&purified, query);
-    let chosen = search.run();
-    let repair = chosen.map(|chosen| {
-        let facts = chosen.into_iter().map(|f| search.facts[f as usize].clone());
-        facts.chain(witnesses).collect()
+    let falsified = search.run().then_some(Falsified {
+        facts: search.facts,
+        chosen: search.chosen,
+        witnesses,
     });
-    (repair, search.nodes)
+    (falsified, search.nodes)
 }
 
 /// No block has chosen a fact yet.
@@ -114,28 +159,31 @@ impl Search {
             block_of.resize(facts.len(), b as u32);
             block_start.push(facts.len() as u32);
         }
-        let id: FxHashMap<&Fact, u32> = (facts.iter()).zip(0u32..).collect();
-        let index = db.index();
-        let valuations = QueryPlan::compile(query, Some(index.statistics()))
-            .prepare(&index)
-            .all_valuations();
-        let mut images: Vec<Vec<u32>> = (valuations.iter())
-            .map(|theta| {
+        let mut images: FxHashSet<Vec<u32>> = FxHashSet::default();
+        {
+            let id: FxHashMap<&Fact, u32> = (facts.iter()).zip(0u32..).collect();
+            let single = |f: u32| {
+                let b = block_of[f as usize] as usize;
+                block_start[b + 1] - block_start[b] == 1
+            };
+            let index = db.index();
+            let plan = QueryPlan::compile(query, Some(index.statistics()));
+            plan.prepare(&index).for_each_valuation(|theta| {
                 let mut image: Vec<u32> = (query.atoms().iter())
                     .map(|atom| id[&theta.apply_atom(atom).expect("valuations are total")])
                     .collect();
                 image.sort_unstable();
                 image.dedup();
-                image
-            })
-            .filter(|image| {
-                image
-                    .windows(2)
-                    .all(|w| block_of[w[0] as usize] != block_of[w[1] as usize])
-            })
-            .collect();
+                // No repair holds two facts of one block.
+                if (image.windows(2)).all(|w| block_of[w[0] as usize] != block_of[w[1] as usize]) {
+                    image.retain(|&f| !single(f));
+                    debug_assert!(!image.is_empty(), "the forced facts hold no image");
+                    images.insert(image);
+                }
+            });
+        }
+        let mut images: Vec<Vec<u32>> = images.into_iter().collect();
         images.sort_unstable();
-        images.dedup();
         let member_arcs = |swap: bool| -> Vec<(u32, u32)> {
             (images.iter().zip(0u32..))
                 .flat_map(|(image, g)| {
@@ -167,16 +215,11 @@ impl Search {
         }
     }
 
-    /// The chosen fact of every block, if some choice avoids every no-good.
-    fn run(&mut self) -> Option<Vec<u32>> {
+    /// True iff some choice avoids every no-good; `chosen` then holds it.
+    fn run(&mut self) -> bool {
         self.nodes = 1;
-        // The root propagation: singleton blocks, one-fact no-goods and
-        // facts in no no-good.
-        for b in 0..self.chosen.len() {
-            if self.block_start[b + 1] - self.block_start[b] == 1 {
-                self.queue.push((self.block_start[b], true));
-            }
-        }
+        // The root propagation: one-fact no-goods and facts in no no-good
+        // (among them every fact of a single-fact block).
         for g in 0..self.nogoods.len() {
             if let [f] = self.nogoods.successors(g) {
                 self.queue.push((*f, false));
@@ -188,15 +231,15 @@ impl Search {
             }
         }
         if !self.propagate() {
-            return None;
+            return false;
         }
         for component in self.components() {
             if !self.solve(&component) {
-                return None;
+                return false;
             }
         }
         debug_assert!(self.chosen.iter().all(|&f| f != NONE));
-        Some(self.chosen.clone())
+        true
     }
 
     /// The undecided blocks, grouped into components of blocks that share
@@ -389,7 +432,7 @@ mod tests {
     /// repair it returns is one: consistent, every block of `db` kept, `q`
     /// false.
     fn assert_matches_brute_force(q: &ConjunctiveQuery, db: &UncertainDatabase) {
-        let (repair, _) = search(db, q);
+        let repair = search(db, q).0.map(Falsified::into_repair);
         let certain = ExactOracle::new(q).unwrap().is_certain_bruteforce(db);
         assert_eq!(repair.is_none(), certain, "{db}");
         if let Some(facts) = repair {
@@ -485,9 +528,9 @@ mod tests {
         for n in [40, 80] {
             for seed in 1..=3 {
                 let db = cqa_gen::q0_instance(seed, n, 3, 0.9);
-                let (repair, nodes) = search(&db, &q);
+                let (falsified, nodes) = search(&db, &q);
                 assert!(nodes <= 5, "n = {n}, seed {seed}: {nodes} nodes");
-                if let Some(facts) = repair {
+                if let Some(facts) = falsified.map(Falsified::into_repair) {
                     assert!(!eval::naive::satisfies(&db.with_facts(facts), &q));
                 }
             }
@@ -535,5 +578,67 @@ mod tests {
             assert!(repair.is_none(), "k = {k}");
             assert!(nodes <= 3 * k as u64 + 8, "k = {k}: {nodes} nodes");
         }
+    }
+
+    /// The star `R1(x1, y), R2(x2, y), R3(x3, y)`: coNP-complete, every
+    /// atom attacks the others through `y`.
+    fn star() -> ConjunctiveQuery {
+        let schema = cqa_data::Schema::from_relations([("R1", 2, 1), ("R2", 2, 1), ("R3", 2, 1)])
+            .unwrap()
+            .into_shared();
+        let var = cqa_query::Term::var;
+        let builder = ConjunctiveQuery::builder(schema).atom("R1", [var("x1"), var("y")]);
+        let builder = builder.atom("R2", [var("x2"), var("y")]);
+        builder.atom("R3", [var("x3"), var("y")]).build().unwrap()
+    }
+
+    /// `m` facts per relation that all share one `y` have `m³` images, a
+    /// billion at `m = 1000`; the search answers without listing them.
+    #[test]
+    fn forced_facts_settle_the_star_without_listing_images() {
+        let q = star();
+        let mut db = UncertainDatabase::new(q.schema().clone());
+        for i in 0..1000 {
+            for relation in ["R1", "R2", "R3"] {
+                db.insert_values(relation, [format!("{relation}-{i}"), "y".into()])
+                    .unwrap();
+            }
+        }
+        // Consistent: its one repair is itself, which satisfies q.
+        assert_eq!(db.fact_count(), 3000);
+        assert!(matches!(search(&db, &q), (None, 1)));
+        // One inconsistent block per relation, closing an image of its
+        // own: the single-fact blocks still hold an image.
+        for relation in ["R1", "R2", "R3"] {
+            db.insert_values(relation, [format!("{relation}-0"), "y'".into()])
+                .unwrap();
+        }
+        assert!(matches!(search(&db, &q), (None, 1)));
+    }
+
+    /// Every `R1` block holds `R1(i, y)` and `R1(i, w)`; `R2` and `R3` hold
+    /// `m` single-fact blocks on `y` and one on `w`. Of the `m³ + m` images
+    /// only `2m` distinct no-goods of one `R1` fact remain, and they kill
+    /// every `R1` fact at the root: certain.
+    #[test]
+    fn no_goods_keep_only_facts_of_larger_blocks() {
+        let q = star();
+        let m = 20;
+        let mut db = UncertainDatabase::new(q.schema().clone());
+        for i in 0..m {
+            for y in ["y", "w"] {
+                db.insert_values("R1", [format!("{i}"), y.into()]).unwrap();
+            }
+            for relation in ["R2", "R3"] {
+                db.insert_values(relation, [format!("{i}"), "y".into()])
+                    .unwrap();
+            }
+        }
+        for relation in ["R2", "R3"] {
+            db.insert_values(relation, ["w", "w"]).unwrap();
+        }
+        let search = Search::new(&db, &q);
+        assert_eq!(search.nogoods.len(), 2 * m);
+        assert!(matches!(super::search(&db, &q), (None, 1)));
     }
 }

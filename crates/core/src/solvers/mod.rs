@@ -8,8 +8,7 @@
 //! | [`ExactOracle`] | any query | no-good search over valuation images (coNP region) |
 //!
 //! [`ExactOracle`] and Theorem 3's base case share one crate-private
-//! falsifying-repair search (`falsify`): purify, turn every valuation image
-//! into a no-good, and choose one fact per block avoiding them all.
+//! falsifying-repair search (`falsify`).
 //!
 //! [`CertaintyEngine`] classifies the query once and dispatches to the most
 //! specific solver; it is the public entry point a downstream user should

@@ -12,13 +12,12 @@
 //!   validated in tests, and
 //! * as the exponential baseline in the benchmark harness.
 //!
-//! The certificate is found by the crate's falsifying-repair search: a
-//! no-good search over the valuation images of the purified database, with
-//! unit propagation, pure facts, independent components and chronological
-//! branching (see the `falsify` module). [`ExactOracle::is_certain_bruteforce`]
-//! stays as the reference that enumerates every repair.
+//! The certificate is found by the crate's shared falsifying-repair search
+//! (the `falsify` module). [`ExactOracle::is_certain_bruteforce`] stays as
+//! the reference that enumerates every repair.
 
-use super::{falsify::falsifying_repair, ground, CertaintySolver};
+use super::falsify::{falsifiable, falsifying_repair};
+use super::{ground, CertaintySolver};
 use cqa_data::{UncertainDatabase, Value};
 use cqa_query::{eval, ConjunctiveQuery, QueryError};
 use std::borrow::Cow;
@@ -72,8 +71,8 @@ impl CertaintySolver for ExactOracle {
 
     fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
         match ground(&self.query, params) {
-            Cow::Borrowed(_) => self.find_falsifying_repair(db).is_none(),
-            Cow::Owned(query) => ExactOracle { query }.find_falsifying_repair(db).is_none(),
+            Cow::Borrowed(query) => !falsifiable(db, query),
+            Cow::Owned(query) => !falsifiable(db, &query),
         }
     }
 }
@@ -137,5 +136,38 @@ mod tests {
         let mut db = UncertainDatabase::new(schema);
         db.insert_values("C", ["VLDB", "2020", "Tokyo"]).unwrap();
         assert!(!oracle.is_certain(&db));
+    }
+
+    #[test]
+    fn oracle_agrees_with_brute_force_on_random_like_instances() {
+        // A deterministic pseudo-random sweep over small C(2)-style instances.
+        let q = catalog::c2_swap().query;
+        let oracle = ExactOracle::new(&q).unwrap();
+        let schema = q.schema().clone();
+        let mut mismatches = 0;
+        for seed in 0u64..40 {
+            let mut db = UncertainDatabase::new(schema.clone());
+            let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize
+            };
+            for _ in 0..6 {
+                let a = next() % 3;
+                let b = next() % 3;
+                db.insert_values("R1", [format!("a{a}"), format!("b{b}")])
+                    .unwrap();
+                let c = next() % 3;
+                let d = next() % 3;
+                db.insert_values("R2", [format!("b{c}"), format!("a{d}")])
+                    .unwrap();
+            }
+            if oracle.is_certain(&db) != oracle.is_certain_bruteforce(&db) {
+                mismatches += 1;
+            }
+        }
+        assert_eq!(mismatches, 0);
     }
 }

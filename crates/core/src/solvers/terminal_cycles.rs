@@ -19,14 +19,12 @@
 //!
 //! The paper decides a partition with Kolaitis and Pema's two-atom
 //! algorithm (maximum independent set in a claw-free graph, Minty). Here a
-//! partition is decided by the crate's falsifying-repair search, the one
-//! [`ExactOracle`](super::ExactOracle) runs: exact, and fast on every
-//! instance family in this repository, but not worst-case polynomial
-//! (see `DESIGN.md`, "Substitutions and scope").
+//! partition is decided by the crate's shared falsifying-repair search
+//! (the `falsify` module), the one [`ExactOracle`](super::ExactOracle)
+//! runs: exact, but not worst-case polynomial (see `DESIGN.md`,
+//! "Substitutions and scope").
 
-use super::{
-    falsify::falsifying_repair, ground, rewriting::eliminate_unattacked_atom, CertaintySolver,
-};
+use super::{falsify::falsifiable, ground, rewriting::eliminate_unattacked_atom, CertaintySolver};
 use crate::attack::{AttackGraph, CycleAnalysis};
 use crate::classify::frozen;
 use crate::purify::purify;
@@ -124,7 +122,7 @@ impl TerminalCycleSolver {
             // ⌈db_i⌉: the union of the partitions that are certain for the pair query.
             for (_, facts) in partitions {
                 let partition_db = db.with_facts(facts.iter().cloned());
-                if falsifying_repair(&partition_db, &pair_query).is_none() {
+                if !falsifiable(&partition_db, &pair_query) {
                     kept_union.extend(facts);
                 }
             }
@@ -157,6 +155,7 @@ impl CertaintySolver for TerminalCycleSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solvers::oracle::ExactOracle;
     use cqa_query::catalog;
 
     #[test]
@@ -168,6 +167,88 @@ mod tests {
         // Strong cycles and non-terminal cycles are rejected.
         assert!(TerminalCycleSolver::new(&catalog::q1().query).is_err());
         assert!(TerminalCycleSolver::new(&catalog::ac_k(3).query).is_err());
+    }
+
+    #[test]
+    fn c2_matches_brute_force() {
+        let q = catalog::c2_swap().query;
+        let solver = TerminalCycleSolver::new(&q).unwrap();
+        let oracle = ExactOracle::new(&q).unwrap();
+        let schema = q.schema().clone();
+        for seed in 0u64..60 {
+            let mut db = UncertainDatabase::new(schema.clone());
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(3);
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize
+            };
+            for _ in 0..(2 + seed as usize % 6) {
+                db.insert_values(
+                    "R1",
+                    [format!("a{}", next() % 3), format!("b{}", next() % 3)],
+                )
+                .unwrap();
+                db.insert_values(
+                    "R2",
+                    [format!("b{}", next() % 3), format!("a{}", next() % 3)],
+                )
+                .unwrap();
+            }
+            assert_eq!(
+                solver.is_certain(&db),
+                oracle.is_certain_bruteforce(&db),
+                "seed {seed}\n{db}"
+            );
+        }
+    }
+
+    /// Random small instances for the Figure 4 query, checked against brute force.
+    #[test]
+    fn fig4_matches_brute_force_on_small_instances() {
+        let q = catalog::fig4().query;
+        let solver = TerminalCycleSolver::new(&q).unwrap();
+        let oracle = ExactOracle::new(&q).unwrap();
+        let schema = q.schema().clone();
+        for seed in 0u64..25 {
+            let mut db = UncertainDatabase::new(schema.clone());
+            let mut state = seed.wrapping_mul(0x853C49E6748FEA9B).wrapping_add(13);
+            let mut next = || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as usize
+            };
+            // Small domains keep the repair space enumerable for brute force.
+            for _ in 0..3 {
+                let x = format!("x{}", next() % 2);
+                let y = format!("y{}", next() % 2);
+                let z = format!("z{}", next() % 2);
+                let u1 = format!("u{}", next() % 2);
+                let u2 = format!("v{}", next() % 2);
+                db.insert_values("R1", [x.clone(), u1.clone(), u2.clone(), z.clone()])
+                    .unwrap();
+                db.insert_values("R2", [x.clone(), u2.clone(), u1.clone(), z.clone()])
+                    .unwrap();
+                let u3 = format!("p{}", next() % 2);
+                let u4 = format!("q{}", next() % 2);
+                db.insert_values("R3", [x.clone(), y.clone(), u3.clone(), u4.clone()])
+                    .unwrap();
+                db.insert_values("R4", [x.clone(), y.clone(), u4, u3])
+                    .unwrap();
+                let u5 = format!("s{}", next() % 2);
+                let u6 = format!("t{}", next() % 2);
+                db.insert_values("R5", [y.clone(), u5.clone(), u6.clone()])
+                    .unwrap();
+                db.insert_values("R6", [y, u6, u5]).unwrap();
+            }
+            assert_eq!(
+                solver.is_certain(&db),
+                oracle.is_certain_bruteforce(&db),
+                "seed {seed}\n{db}"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! backtracking loop over the steps: probe, iterate the dense candidate ids,
 //! apply the per-position actions, descend — no ordering decisions, no
 //! valuation cloning. The early-exit entry points (`satisfies*`,
-//! `all_valuations`) run that loop; [`PreparedQuery::answers`] runs the
-//! vectorized batch join over the same steps, unless the plan's estimated
-//! work exceeds the join memory bound [`QUERY_VEC_MAX`].
+//! `for_each_valuation`, `all_valuations`) run that loop;
+//! [`PreparedQuery::answers`] runs the vectorized batch join over the same
+//! steps, unless the plan's estimated work exceeds the join memory bound
+//! [`QUERY_VEC_MAX`].
 //!
 //! [`QueryPlan::compile_bound`] takes **parameters**: variables the caller
 //! binds at execute time through [`PreparedQuery::satisfies_with`]. They
@@ -368,11 +369,19 @@ impl PreparedQuery<'_> {
     /// All satisfying valuations over `vars(q)`. The plan must have no
     /// parameters.
     pub fn all_valuations(&self) -> Vec<Valuation> {
+        let mut out = Vec::new();
+        self.for_each_valuation(|theta| out.push(theta));
+        out
+    }
+
+    /// Hands each satisfying valuation over `vars(q)` to `visit`, in the
+    /// order [`all_valuations`](Self::all_valuations) lists them, without
+    /// collecting them. The plan must have no parameters.
+    pub fn for_each_valuation(&self, mut visit: impl FnMut(Valuation)) {
         self.entry_point(false, || {
-            let mut out = Vec::new();
             let mut regs = self.registers(&Valuation::new());
             self.run(&mut regs, &mut |regs| {
-                out.push(Valuation::from_pairs(
+                visit(Valuation::from_pairs(
                     self.plan
                         .slots
                         .iter()
@@ -381,7 +390,6 @@ impl PreparedQuery<'_> {
                 ));
                 false
             });
-            out
         })
     }
 
