@@ -21,8 +21,9 @@
 //!   exponential oracle used as the coNP baseline, whose falsifying-repair
 //!   search also decides Theorem 3's base case), plus the
 //!   [`solvers::CertaintyEngine`] dispatcher;
-//! * [`purify`](mod@purify) — Lemma 1 purification, which every solver runs
-//!   first;
+//! * [`purify`](mod@purify) — Lemma 1 purification, and the one valuation
+//!   listing that decides relevance for it and for the falsifying-repair
+//!   search;
 //! * [`reductions`] — the polynomial-time reductions used in the paper
 //!   (the `θ̂` construction of Theorem 2 and the all-key padding of Lemma 9);
 //! * [`answers`] — certain answers to non-Boolean queries.

@@ -135,7 +135,7 @@ impl Theorem2Reduction {
     /// instance of `CERTAINTY(target)` with the same (non-)membership.
     pub fn apply(&self, db0: &UncertainDatabase) -> UncertainDatabase {
         // The construction assumes a purified source instance (Lemma 1).
-        let (db0, _) = purify(db0, &self.q0);
+        let db0 = purify(db0, &self.q0);
         let index = db0.index();
         let valuations = QueryPlan::compile(&self.q0, Some(index.statistics()))
             .prepare(&index)
@@ -223,7 +223,7 @@ mod tests {
             &[("a", "b"), ("a", "e"), ("a2", "b")],
             &[("b", "c", "a"), ("e", "c", "a"), ("b", "c", "a2")],
         );
-        let (purified, _) = purify(&db0, reduction.source_query());
+        let purified = purify(&db0, reduction.source_query());
         let valuations =
             cqa_query::eval::naive::all_valuations(&purified, reduction.source_query());
         let db = reduction.apply(&db0);

@@ -408,7 +408,7 @@ impl CertaintySolver for CycleQuerySolver {
 
     fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
         debug_assert!(params.is_empty(), "C(k) and AC(k) queries are Boolean");
-        let (purified, _) = purify(db, &self.query);
+        let purified = purify(db, &self.query);
         if purified.is_empty() {
             return false;
         }

@@ -4,23 +4,25 @@
 //! the coNP and open regions and the base case of Theorem 3, which decides
 //! each partition of a weak 2-cycle pair with it.
 //!
-//! The database is purified first (Lemma 1). Every repair holds the facts
-//! of single-fact blocks, so if they alone satisfy `q` the answer is
-//! "certain" at once; this settles a consistent purified database, whose
-//! facts each lie in an image of `q`. Otherwise one run of the query's
-//! join plan streams the valuation images `θ(q)` of the purified database,
-//! and each image becomes a **no-good**: the sorted set of its fact ids in
-//! blocks of two or more facts (never empty, by the check above). A repair
-//! falsifies `q` iff it contains no no-good entirely, so the search chooses
-//! one fact per block such that no no-good has all of its facts chosen
-//! (the encoding of CAvSAT, Dixit and Kolaitis, SAT 2019, searched here
+//! The search runs on its input as given; it does not purify. Every repair
+//! holds the facts of single-fact blocks, so if they alone satisfy `q` the
+//! answer is "certain" at once, before any image is listed; this settles a
+//! consistent database. (The single-fact blocks of `db` hold an image iff
+//! those of the purified `db` do, so purifying first would answer the
+//! same.) Otherwise the crate's one valuation listing (`Images::list`,
+//! owned by `purify.rs`) streams the images `θ(q)` of `db`, and each
+//! image becomes a **no-good**: the sorted set of its fact ids in blocks of
+//! two or more facts (never empty, by the check above). A repair falsifies
+//! `q` iff it contains no no-good entirely, so the search chooses one fact
+//! per block such that no no-good has all of its facts chosen (the
+//! encoding of CAvSAT, Dixit and Kolaitis, SAT 2019, searched here
 //! directly). An image with two facts of one block can never lie in a
 //! repair and is dropped.
 //!
 //! **Cost.** The search stores each distinct no-good once, at most `|q|`
 //! ids each, and never collects the valuations; so its memory is bounded
 //! by the number of distinct no-goods, at most the number of images of the
-//! purified database (`∏ᵢ |Rᵢ|` over the query's relations) and often far
+//! input database (`∏ᵢ |Rᵢ|` over the query's relations) and often far
 //! fewer. Listing the images takes time proportional to their number.
 //!
 //! Four rules decide the choice:
@@ -28,7 +30,9 @@
 //! * **unit propagation** — a block with one live fact chooses it, and a
 //!   no-good with all facts but one chosen kills the last one;
 //! * **pure facts** — a fact that lies in no live no-good (one without a
-//!   killed fact) is chosen at once: no completion can regret it;
+//!   killed fact) is chosen at once: no completion can regret it. This is
+//!   Lemma 1: a fact in no image is chosen, its siblings die, their
+//!   no-goods die with them, and the facts left in no live no-good follow;
 //! * **components** — after the first propagation, the undecided blocks
 //!   that share a live no-good form a component; components are searched
 //!   one after another and never backtracked into, because choices in one
@@ -41,73 +45,45 @@
 //! first propagation), is one search node (`core.oracle.nodes`).
 //! The search is exact and worst-case exponential.
 
-use crate::csr::Csr;
-use crate::purify::purify;
-use cqa_data::{Fact, FxHashMap, FxHashSet, UncertainDatabase};
+use crate::purify::Images;
+use cqa_data::{Fact, UncertainDatabase};
 use cqa_exec::QueryPlan;
 use cqa_query::ConjunctiveQuery;
 
-/// True iff some repair of `db` falsifies `query`.
-pub(crate) fn falsifiable(db: &UncertainDatabase, query: &ConjunctiveQuery) -> bool {
-    let (falsified, nodes) = search(db, query);
-    cqa_obs::count!("core.oracle.nodes", nodes);
-    falsified.is_some()
-}
-
-/// A repair of `db` that falsifies `query`, as one fact per block of `db`:
-/// the search's choice on the purified database plus one witness per
-/// block purification removed (Lemma 1). `None` iff every repair of `db`
-/// satisfies `query`.
-pub(crate) fn falsifying_repair(
-    db: &UncertainDatabase,
+/// A repair of `db` that falsifies `query`, as one fact per block of `db`;
+/// `None` iff every repair of `db` satisfies `query`.
+pub(crate) fn falsifying_repair<'a>(
+    db: &'a UncertainDatabase,
     query: &ConjunctiveQuery,
-) -> Option<Vec<Fact>> {
-    let (falsified, nodes) = search(db, query);
+) -> Option<Vec<&'a Fact>> {
+    let (model, nodes) = search(db, query);
     cqa_obs::count!("core.oracle.nodes", nodes);
-    falsified.map(Falsified::into_repair)
+    model
 }
 
-/// A falsifying choice: the purified database's facts, the one chosen per
-/// block, and purify's witnesses.
-struct Falsified {
-    facts: Vec<Fact>,
-    chosen: Vec<u32>,
-    witnesses: Vec<Fact>,
-}
-
-impl Falsified {
-    fn into_repair(self) -> Vec<Fact> {
-        let chosen = self.chosen.iter().map(|&f| self.facts[f as usize].clone());
-        chosen.chain(self.witnesses).collect()
-    }
-}
-
-/// The search's falsifying choice on `db`, if any, and the nodes it took.
-fn search(db: &UncertainDatabase, query: &ConjunctiveQuery) -> (Option<Falsified>, u64) {
+/// The search's falsifying repair of `db`, if any, and the nodes it took.
+fn search<'a>(db: &'a UncertainDatabase, query: &ConjunctiveQuery) -> (Option<Vec<&'a Fact>>, u64) {
     if query.is_empty() {
         return (None, 0); // Every repair satisfies the empty query.
     }
-    let (purified, witnesses) = purify(db, query);
     // Every repair holds the facts of single-fact blocks: if they satisfy
     // `q`, so does every repair. This settles a consistent database, and
     // leaves no image that lies in single-fact blocks only.
-    let forced = (purified.blocks())
+    let forced = (db.blocks())
         .filter_map(|block| match block.facts() {
             [fact] => Some(fact.clone()),
             _ => None,
         })
         .collect::<Vec<_>>();
-    if !forced.is_empty() && QueryPlan::compile(query, None).satisfies(&purified.with_facts(forced))
-    {
+    if !forced.is_empty() && QueryPlan::compile(query, None).satisfies(&db.with_facts(forced)) {
         return (None, 1);
     }
-    let mut search = Search::new(&purified, query);
-    let falsified = search.run().then_some(Falsified {
-        facts: search.facts,
-        chosen: search.chosen,
-        witnesses,
+    let mut search = Search::new(db, query);
+    let model = search.run().then(|| {
+        let facts = &search.images.facts;
+        search.chosen.iter().map(|&f| facts[f as usize]).collect()
     });
-    (falsified, search.nodes)
+    (model, search.nodes)
 }
 
 /// No block has chosen a fact yet.
@@ -120,17 +96,10 @@ enum State {
     Killed,
 }
 
-/// The search state over dense ids: facts `0..n` (each block's facts are
-/// consecutive), blocks, and no-goods.
-struct Search {
-    facts: Vec<Fact>,
-    block_of: Vec<u32>,
-    /// Block `b`'s facts are the ids `block_start[b]..block_start[b + 1]`.
-    block_start: Vec<u32>,
-    /// The facts of each no-good, sorted.
-    nogoods: Csr,
-    /// The no-goods each fact lies in.
-    occurs: Csr,
+/// The search state over the listing's dense ids: facts (each block's
+/// consecutive), blocks, and no-goods (the kept images).
+struct Search<'a> {
+    images: Images<'a>,
     state: Vec<State>,
     /// Per block: the fact it chose, or [`NONE`].
     chosen: Vec<u32>,
@@ -147,68 +116,29 @@ struct Search {
     nodes: u64,
 }
 
-impl Search {
-    /// Numbers the facts of `db` block by block and turns every valuation
-    /// image of `query` into a no-good.
-    fn new(db: &UncertainDatabase, query: &ConjunctiveQuery) -> Search {
-        let mut facts = Vec::with_capacity(db.fact_count());
-        let mut block_of = Vec::with_capacity(db.fact_count());
-        let mut block_start = vec![0u32];
-        for (b, block) in db.blocks().enumerate() {
-            facts.extend(block.facts().iter().cloned());
-            block_of.resize(facts.len(), b as u32);
-            block_start.push(facts.len() as u32);
-        }
-        let mut images: FxHashSet<Vec<u32>> = FxHashSet::default();
-        {
-            let id: FxHashMap<&Fact, u32> = (facts.iter()).zip(0u32..).collect();
-            let single = |f: u32| {
-                let b = block_of[f as usize] as usize;
-                block_start[b + 1] - block_start[b] == 1
-            };
-            let index = db.index();
-            let plan = QueryPlan::compile(query, Some(index.statistics()));
-            plan.prepare(&index).for_each_valuation(|theta| {
-                let mut image: Vec<u32> = (query.atoms().iter())
-                    .map(|atom| id[&theta.apply_atom(atom).expect("valuations are total")])
-                    .collect();
-                image.sort_unstable();
-                image.dedup();
-                // No repair holds two facts of one block.
-                if (image.windows(2)).all(|w| block_of[w[0] as usize] != block_of[w[1] as usize]) {
-                    image.retain(|&f| !single(f));
-                    debug_assert!(!image.is_empty(), "the forced facts hold no image");
-                    images.insert(image);
-                }
-            });
-        }
-        let mut images: Vec<Vec<u32>> = images.into_iter().collect();
-        images.sort_unstable();
-        let member_arcs = |swap: bool| -> Vec<(u32, u32)> {
-            (images.iter().zip(0u32..))
-                .flat_map(|(image, g)| {
-                    image
-                        .iter()
-                        .map(move |&f| if swap { (f, g) } else { (g, f) })
-                })
-                .collect()
-        };
-        let nogoods = Csr::new(images.len(), &member_arcs(false));
-        let occurs = Csr::new(facts.len(), &member_arcs(true));
-        let live = (0..facts.len())
-            .map(|f| occurs.successors(f).len() as u32)
-            .collect();
+impl<'a> Search<'a> {
+    /// Lists the valuation images of `query` on `db` as no-goods.
+    fn new(db: &'a UncertainDatabase, query: &ConjunctiveQuery) -> Search<'a> {
+        let images = Images::list(db, query, |images, image| {
+            let block_of = &images.block_of;
+            // No repair holds two facts of one block.
+            if (image.windows(2)).any(|w| block_of[w[0] as usize] == block_of[w[1] as usize]) {
+                return false;
+            }
+            image.retain(|&f| images.block(block_of[f as usize]).len() > 1);
+            debug_assert!(!image.is_empty(), "the forced facts hold no image");
+            true
+        });
+        let (facts, nogoods) = (images.facts.len(), images.members.len());
         Search {
-            chosen: vec![NONE; block_start.len() - 1],
-            nogood_chosen: vec![0; images.len()],
-            nogood_killed: vec![0; images.len()],
-            state: vec![State::Open; facts.len()],
-            facts,
-            block_of,
-            block_start,
-            nogoods,
-            occurs,
-            live,
+            live: (0..facts)
+                .map(|f| images.occurs.successors(f).len() as u32)
+                .collect(),
+            chosen: vec![NONE; images.block_start.len() - 1],
+            nogood_chosen: vec![0; nogoods],
+            nogood_killed: vec![0; nogoods],
+            state: vec![State::Open; facts],
+            images,
             trail: Vec::new(),
             queue: Vec::new(),
             nodes: 0,
@@ -220,12 +150,12 @@ impl Search {
         self.nodes = 1;
         // The root propagation: one-fact no-goods and facts in no no-good
         // (among them every fact of a single-fact block).
-        for g in 0..self.nogoods.len() {
-            if let [f] = self.nogoods.successors(g) {
+        for g in 0..self.images.members.len() {
+            if let [f] = self.images.members.successors(g) {
                 self.queue.push((*f, false));
             }
         }
-        for f in 0..self.facts.len() {
+        for f in 0..self.images.facts.len() {
             if self.live[f] == 0 {
                 self.queue.push((f as u32, true));
             }
@@ -257,12 +187,12 @@ impl Search {
             while let Some(&b) = component.get(next) {
                 next += 1;
                 for f in self.open_facts(b) {
-                    for &g in self.occurs.successors(f as usize) {
+                    for &g in self.images.occurs.successors(f as usize) {
                         if self.nogood_killed[g as usize] > 0 {
                             continue;
                         }
-                        for &h in self.nogoods.successors(g as usize) {
-                            let c = self.block_of[h as usize];
+                        for &h in self.images.members.successors(g as usize) {
+                            let c = self.images.block_of[h as usize];
                             if self.state[h as usize] == State::Open && !seen[c as usize] {
                                 seen[c as usize] = true;
                                 component.push(c);
@@ -277,9 +207,7 @@ impl Search {
     }
 
     fn open_facts(&self, b: u32) -> impl Iterator<Item = u32> + '_ {
-        let b = b as usize;
-        (self.block_start[b]..self.block_start[b + 1])
-            .filter(|&f| self.state[f as usize] == State::Open)
+        (self.images.block(b)).filter(|&f| self.state[f as usize] == State::Open)
     }
 
     /// Decides every block of one component, or reports that none of its
@@ -294,7 +222,7 @@ impl Search {
             let Some(b) = branch else {
                 return true;
             };
-            stack.push((b, self.block_start[b as usize], self.trail.len()));
+            stack.push((b, self.images.block(b).start, self.trail.len()));
             // Try the next open fact of the innermost block; exhausted
             // blocks hand the choice back to the block before them.
             loop {
@@ -334,20 +262,20 @@ impl Search {
         if self.state[f as usize] != State::Open {
             return true;
         }
-        let b = self.block_of[f as usize] as usize;
+        let b = self.images.block_of[f as usize];
         self.state[f as usize] = State::Chosen;
-        self.chosen[b] = f;
+        self.chosen[b as usize] = f;
         self.trail.push(f);
         // Every counter moves before a conflict is reported: `undo` takes
         // back all of them.
         let mut consistent = true;
-        for &g in self.occurs.successors(f as usize) {
+        for &g in self.images.occurs.successors(f as usize) {
             let g = g as usize;
             self.nogood_chosen[g] += 1;
             if self.nogood_killed[g] > 0 || !consistent {
                 continue;
             }
-            let members = self.nogoods.successors(g);
+            let members = self.images.members.successors(g);
             if self.nogood_chosen[g] as usize == members.len() {
                 consistent = false;
             } else if self.nogood_chosen[g] as usize + 1 == members.len() {
@@ -357,8 +285,7 @@ impl Search {
                 self.queue.push((*last, false));
             }
         }
-        let siblings = self.block_start[b]..self.block_start[b + 1];
-        consistent && siblings.into_iter().all(|s| self.kill(s))
+        consistent && self.images.block(b).all(|s| self.kill(s))
     }
 
     /// Kills `f`: its no-goods die, which may leave facts pure, and its
@@ -367,15 +294,15 @@ impl Search {
         if self.state[f as usize] != State::Open {
             return true;
         }
-        let b = self.block_of[f as usize];
+        let b = self.images.block_of[f as usize];
         self.state[f as usize] = State::Killed;
         self.trail.push(f);
-        for &g in self.occurs.successors(f as usize) {
+        for &g in self.images.occurs.successors(f as usize) {
             self.nogood_killed[g as usize] += 1;
             if self.nogood_killed[g as usize] > 1 {
                 continue;
             }
-            for &h in self.nogoods.successors(g as usize) {
+            for &h in self.images.members.successors(g as usize) {
                 self.live[h as usize] -= 1;
                 if self.live[h as usize] == 0 && self.state[h as usize] == State::Open {
                     self.queue.push((h, true));
@@ -401,21 +328,21 @@ impl Search {
     fn undo(&mut self, mark: usize) {
         while self.trail.len() > mark {
             let f = self.trail.pop().expect("the trail is longer than the mark");
-            for &g in self.occurs.successors(f as usize) {
+            for &g in self.images.occurs.successors(f as usize) {
                 let g = g as usize;
                 if self.state[f as usize] == State::Chosen {
                     self.nogood_chosen[g] -= 1;
                 } else {
                     self.nogood_killed[g] -= 1;
                     if self.nogood_killed[g] == 0 {
-                        for &h in self.nogoods.successors(g) {
+                        for &h in self.images.members.successors(g) {
                             self.live[h as usize] += 1;
                         }
                     }
                 }
             }
             if self.state[f as usize] == State::Chosen {
-                self.chosen[self.block_of[f as usize] as usize] = NONE;
+                self.chosen[self.images.block_of[f as usize] as usize] = NONE;
             }
             self.state[f as usize] = State::Open;
         }
@@ -432,11 +359,11 @@ mod tests {
     /// repair it returns is one: consistent, every block of `db` kept, `q`
     /// false.
     fn assert_matches_brute_force(q: &ConjunctiveQuery, db: &UncertainDatabase) {
-        let repair = search(db, q).0.map(Falsified::into_repair);
+        let repair = falsifying_repair(db, q);
         let certain = ExactOracle::new(q).unwrap().is_certain_bruteforce(db);
         assert_eq!(repair.is_none(), certain, "{db}");
         if let Some(facts) = repair {
-            let repair = db.with_facts(facts);
+            let repair = db.with_facts(facts.into_iter().cloned());
             assert!(repair.is_consistent() && repair.is_subset_of(db), "{db}");
             assert_eq!(repair.block_count(), db.block_count(), "{db}");
             assert!(!eval::naive::satisfies(&repair, q), "{db}");
@@ -528,10 +455,11 @@ mod tests {
         for n in [40, 80] {
             for seed in 1..=3 {
                 let db = cqa_gen::q0_instance(seed, n, 3, 0.9);
-                let (falsified, nodes) = search(&db, &q);
+                let (model, nodes) = search(&db, &q);
                 assert!(nodes <= 5, "n = {n}, seed {seed}: {nodes} nodes");
-                if let Some(facts) = falsified.map(Falsified::into_repair) {
-                    assert!(!eval::naive::satisfies(&db.with_facts(facts), &q));
+                if let Some(facts) = model {
+                    let repair = db.with_facts(facts.into_iter().cloned());
+                    assert!(!eval::naive::satisfies(&repair, &q));
                 }
             }
         }
@@ -638,7 +566,7 @@ mod tests {
             db.insert_values(relation, ["w", "w"]).unwrap();
         }
         let search = Search::new(&db, &q);
-        assert_eq!(search.nogoods.len(), 2 * m);
+        assert_eq!(search.images.members.len(), 2 * m);
         assert!(matches!(super::search(&db, &q), (None, 1)));
     }
 }

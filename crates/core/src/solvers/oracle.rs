@@ -16,7 +16,7 @@
 //! (the `falsify` module). [`ExactOracle::is_certain_bruteforce`] stays as
 //! the reference that enumerates every repair.
 
-use super::falsify::{falsifiable, falsifying_repair};
+use super::falsify::falsifying_repair;
 use super::{ground, CertaintySolver};
 use cqa_data::{UncertainDatabase, Value};
 use cqa_query::{eval, ConjunctiveQuery, QueryError};
@@ -48,11 +48,10 @@ impl ExactOracle {
     }
 
     /// Searches for a falsifying repair; returns one if it exists: the
-    /// falsifying-repair search's choice on the purified database, plus one
-    /// witness per block purification removed (Lemma 1).
+    /// falsifying-repair search's model, one fact per block of `db`.
     pub fn find_falsifying_repair(&self, db: &UncertainDatabase) -> Option<UncertainDatabase> {
         let facts = falsifying_repair(db, &self.query)?;
-        let candidate = db.with_facts(facts);
+        let candidate = db.with_facts(facts.into_iter().cloned());
         debug_assert!(candidate.is_consistent());
         debug_assert_eq!(candidate.block_count(), db.block_count());
         debug_assert!(!eval::naive::satisfies(&candidate, &self.query));
@@ -71,8 +70,8 @@ impl CertaintySolver for ExactOracle {
 
     fn decide(&self, db: &UncertainDatabase, params: &[Value]) -> bool {
         match ground(&self.query, params) {
-            Cow::Borrowed(query) => !falsifiable(db, query),
-            Cow::Owned(query) => !falsifiable(db, &query),
+            Cow::Borrowed(query) => falsifying_repair(db, query).is_none(),
+            Cow::Owned(query) => falsifying_repair(db, &query).is_none(),
         }
     }
 }

@@ -24,7 +24,9 @@
 //! runs: exact, but not worst-case polynomial (see `DESIGN.md`,
 //! "Substitutions and scope").
 
-use super::{falsify::falsifiable, ground, rewriting::eliminate_unattacked_atom, CertaintySolver};
+use super::{
+    falsify::falsifying_repair, ground, rewriting::eliminate_unattacked_atom, CertaintySolver,
+};
 use crate::attack::{AttackGraph, CycleAnalysis};
 use crate::classify::frozen;
 use crate::purify::purify;
@@ -58,7 +60,7 @@ impl TerminalCycleSolver {
         if query.is_empty() {
             return true;
         }
-        let (db, _) = purify(db, query);
+        let db = purify(db, query);
         if db.is_empty() {
             return false;
         }
@@ -122,7 +124,7 @@ impl TerminalCycleSolver {
             // ⌈db_i⌉: the union of the partitions that are certain for the pair query.
             for (_, facts) in partitions {
                 let partition_db = db.with_facts(facts.iter().cloned());
-                if !falsifiable(&partition_db, &pair_query) {
+                if falsifying_repair(&partition_db, &pair_query).is_none() {
                     kept_union.extend(facts);
                 }
             }

@@ -10,7 +10,7 @@ use cqa::gen::{random_acyclic_query, GeneratorConfig, UncertainDbGenerator};
 use cqa::obs::TraceSink;
 use cqa::query::catalog;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -64,6 +64,13 @@ proptest! {
     }
 }
 
+/// The metrics switch and the registry are process-wide: the tests that
+/// flip the one or read exact counts from the other take turns.
+fn counted() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Flipping the process-wide metrics switch must not change any verdict or
 /// answer set — and with the switch back on, the facade's registry snapshot
 /// reports the recorded events. One test (not a proptest fan-out, not split)
@@ -71,6 +78,7 @@ proptest! {
 /// or observing them would race.
 #[test]
 fn metrics_toggle_does_not_change_results() {
+    let _turn = counted();
     use cqa::core::answers::certain_answers;
     use cqa::core::solvers::{CertaintyEngine, CertaintySolver};
     use cqa::prelude::Registry;
@@ -112,4 +120,34 @@ fn metrics_toggle_does_not_change_results() {
         assert!((0.0..=1.0).contains(&rate));
     }
     assert!(snapshot.render().contains("core.classify.fo"));
+}
+
+/// Purification lists the valuation images once: one `purify` call on the
+/// database of Example 1 raises `core.images.listed` by exactly its number
+/// of valuations. No other test of this binary lists images.
+#[test]
+fn purification_counts_each_listed_image_once() {
+    use cqa::core::purify::purify;
+    use cqa::prelude::Registry;
+    use cqa::query::{eval, ConjunctiveQuery, Term};
+
+    let _turn = counted();
+    let schema = cqa_data::Schema::from_relations([("R", 2, 1), ("S", 2, 1)])
+        .unwrap()
+        .into_shared();
+    let q = ConjunctiveQuery::builder(schema.clone())
+        .atom("R", [Term::var("x"), Term::var("y")])
+        .atom("S", [Term::var("y"), Term::var("x")])
+        .build()
+        .unwrap();
+    let mut db = cqa_data::UncertainDatabase::new(schema);
+    db.insert_values("R", ["a", "b"]).unwrap();
+    db.insert_values("S", ["b", "a"]).unwrap();
+    db.insert_values("S", ["b", "c"]).unwrap();
+    let listed = || Registry::global().snapshot().counter("core.images.listed");
+    let before = listed();
+    assert!(purify(&db, &q).is_empty());
+    let valuations = eval::naive::all_valuations(&db, &q).len();
+    assert_eq!(valuations, 1);
+    assert_eq!(listed() - before, valuations as u64);
 }

@@ -221,12 +221,14 @@ proptest! {
         atoms in 1usize..7,
         mask in 0u64..1 << 12,
     ) {
-        let q = random_acyclic_query(seed, atoms, 4);
-        let free = (q.vars().into_iter().enumerate())
-            .filter(|(i, _)| mask & (1 << (i % 12)) != 0)
-            .map(|(_, v)| v)
-            .collect();
-        assert_classified_once(&q, free);
+        let drawn = random_acyclic_query(seed, atoms, 4);
+        for q in [with_shuffled_terms(&drawn, seed), drawn] {
+            let free = (q.vars().into_iter().enumerate())
+                .filter(|(i, _)| mask & (1 << (i % 12)) != 0)
+                .map(|(_, v)| v)
+                .collect();
+            assert_classified_once(&q, free);
+        }
     }
 }
 
@@ -363,17 +365,18 @@ proptest! {
     /// Theorem 6 (safe ⇒ FO-expressible) on random acyclic queries.
     #[test]
     fn theorem6_on_random_queries(seed in 0u64..5_000, atoms in 1usize..6) {
-        let q = random_acyclic_query(seed, atoms, 4);
-        if is_safe(&q) {
-            let class = classify(&q).unwrap().class;
-            prop_assert_eq!(class, ComplexityClass::FirstOrderExpressible);
+        let drawn = random_acyclic_query(seed, atoms, 4);
+        for q in [with_shuffled_terms(&drawn, seed), drawn] {
+            if is_safe(&q) {
+                let class = classify(&q).unwrap().class;
+                prop_assert_eq!(class, ComplexityClass::FirstOrderExpressible);
+            }
         }
     }
 
     /// Purification (Lemma 1) never changes membership in CERTAINTY(q), and
-    /// the plan-driven rounds reach exactly the database the lemma's
-    /// one-block-at-a-time loop reaches on the naive evaluator, with one
-    /// witness per removed block.
+    /// its live-image counts reach exactly the database the lemma's
+    /// one-block-at-a-time loop reaches on the naive evaluator.
     #[test]
     fn purification_preserves_certainty(seed in 0u64..2_000, which in 0usize..6) {
         let entry = match which {
@@ -392,13 +395,9 @@ proptest! {
             extra_block_facts: 1,
             alternative_join_probability: 0.4,
         }).generate();
-        let (purified, witnesses) = purify(&db, &q);
+        let purified = purify(&db, &q);
         prop_assert_eq!(&purified, &purify_one_block_at_a_time(&db, &q),
             "query {}, seed {}", entry.name, seed);
-        prop_assert_eq!(witnesses.len(), db.block_count() - purified.block_count());
-        for witness in &witnesses {
-            prop_assert!(db.contains(witness) && purified.block_of(witness).is_none());
-        }
         prop_assume!(db.repair_count_log2() <= 14.0);
         let certain = |d: &cqa_data::UncertainDatabase| d.repairs().all(|r| eval::naive::satisfies(&r, &q));
         prop_assert_eq!(certain(&db), certain(&purified));
@@ -498,8 +497,9 @@ fn self_join_swap() -> ConjunctiveQuery {
 /// (`C(2)`, `fig4`), Theorem 4 (`AC(3)`, `C(3)`), the exact oracle (`q0`,
 /// `q1`), the rewriting (most shuffled random draws) and, for the
 /// self-join the engine refuses, the oracle alone. The verdict must equal
-/// brute force's, and the oracle's falsifying repair must be one. Per
-/// input, at least a quarter of the instances keep an inconsistent
+/// brute force's, the oracle's falsifying repair must be one, and on every
+/// self-join-free input `purify` must equal the lemma's one-block-at-a-time
+/// loop. Per input, at least a quarter of the instances keep an inconsistent
 /// purified core and either verdict is at least 5 % of them, so no solver
 /// passes by answering one way.
 #[test]
@@ -586,7 +586,15 @@ fn solvers_match_brute_force_on_image_instances() {
                     );
                 }
             }
-            inconsistent += u64::from(!purify(&db, &q).0.is_consistent());
+            let purified = purify(&db, &q);
+            if q.require_self_join_free().is_ok() {
+                assert_eq!(
+                    purified,
+                    purify_one_block_at_a_time(&db, &q),
+                    "{name}, seed {seed}: {q}\n{db}"
+                );
+            }
+            inconsistent += u64::from(!purified.is_consistent());
             certain += u64::from(expected);
         }
         let counts =
